@@ -7,10 +7,9 @@ exhaustive fourth-quadrant pole search, and closed-form high-energy
 predictors for each interaction class.
 """
 
-from .asymptotics import (NO_RESONANCES, AsymptoticPrediction, ComparisonRow,
-                          NoResonances, NotDeltaPrime, NotIntermediate, Order,
-                          Separated, ZeroCoupling, compare, predict,
-                          predict_delta, predict_delta_prime,
+from .asymptotics import (AsymptoticPrediction, ComparisonRow, NotDeltaPrime,
+                          NotIntermediate, Separated, ZeroCoupling, compare,
+                          predict, predict_delta, predict_delta_prime,
                           predict_intermediate)
 from .errors import WinterresError
 from .gpi import (BoundaryData, DegenerateDenominator, GpiClass, GpiParams,
@@ -33,9 +32,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousIndex", "AsymptoticPrediction", "BoundaryData", "BoundaryZero",
     "Channel", "ClusteredZeros", "ComparisonRow", "DegenerateDenominator",
-    "GpiClass", "GpiParams", "KreinCoefficients", "NO_RESONANCES",
-    "NoResonances", "NonConvergence", "NotDeltaPrime", "NotIntermediate",
-    "NotSeparated", "Order", "OriginSingularity", "PhiBoundaryValues",
+    "GpiClass", "GpiParams", "KreinCoefficients", "NonConvergence",
+    "NotDeltaPrime", "NotIntermediate", "NotSeparated", "OriginSingularity",
+    "PhiBoundaryValues",
     "PoleAtK", "Resonance", "RunConfig", "SearchRegion", "Separated",
     "SeparatedInteraction", "TransferForm", "UnitaryForm",
     "ValueAndDerivative", "WinterresError", "ZeroCoupling",

@@ -28,13 +28,12 @@ The pole condition depends on gamma only through Re gamma and |gamma|^2, so
 the intermediate and delta-prime predictors apply verbatim to complex gamma.
 A pure delta coupling with Im gamma != 0 is first reduced to its real-gamma
 equivalent (alpha' = 4 alpha / ((Im gamma)^2 + 4)); if that leaves the free
-interaction, there are no resonances at all and ``predict`` returns the
-NO_RESONANCES sentinel rather than fabricating a lattice.
+interaction, there are no resonances at all and ``predict`` raises
+ZeroCoupling rather than fabricating a lattice.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -60,28 +59,12 @@ class Separated(WinterresError):
     """Separated interactions have embedded eigenvalues, not resonances."""
 
 
-class Order(enum.Enum):
-    LEADING = "leading"
-    NEXT_ORDER = "next-order"
-
-
-class NoResonances:
-    """Sentinel: the coupling is equivalent to the free one (det lambda = -1)."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "NO_RESONANCES"
-
-
-NO_RESONANCES = NoResonances()
-
-
 @dataclass(frozen=True)
 class AsymptoticPrediction:
     """Predicted pole position for index n with its stated remainder scale."""
 
     index: int
     k_pred: complex
-    order: Order
     error_scale: float
 
 
@@ -112,7 +95,7 @@ def predict_delta(n: int, ch: Channel, alpha: float) -> AsymptoticPrediction:
     re = (2 * n * math.pi + l * math.pi + phase) / (2.0 * r)
     im = -math.log(2.0 * abs(re) / abs(alpha)) / (2.0 * r)
     scale = max(math.log(n), math.log(2.0)) / n
-    return AsymptoticPrediction(n, complex(re, im), Order.LEADING, scale)
+    return AsymptoticPrediction(n, complex(re, im), scale)
 
 
 def predict_intermediate(n: int, ch: Channel, gamma: complex) -> AsymptoticPrediction:
@@ -127,7 +110,7 @@ def predict_intermediate(n: int, ch: Channel, gamma: complex) -> AsymptoticPredi
     re = (n * math.pi + 0.5 * l * math.pi + phase) / r
     ratio = (1.0 + 0.25 * abs(gamma) ** 2) / abs(gamma.real)
     im = -math.log(ratio) / (2.0 * r)
-    return AsymptoticPrediction(n, complex(re, im), Order.LEADING, 1.0 / n)
+    return AsymptoticPrediction(n, complex(re, im), 1.0 / n)
 
 
 def predict_delta_prime(n: int, ch: Channel, p: GpiParams) -> AsymptoticPrediction:
@@ -145,23 +128,20 @@ def predict_delta_prime(n: int, ch: Channel, p: GpiParams) -> AsymptoticPredicti
     bracket = (1.0 + 0.5 * abs(g) ** 2 - g.real ** 2
                - 0.5 * p.alpha * p.beta + q * q / 16.0)
     im = -bracket / (p.beta * r * k0) ** 2
-    return AsymptoticPrediction(n, complex(re, im), Order.NEXT_ORDER, n ** -3.0)
+    return AsymptoticPrediction(n, complex(re, im), n ** -3.0)
 
 
-def predict(p: GpiParams, ch: Channel, n: int) -> AsymptoticPrediction | NoResonances:
+def predict(p: GpiParams, ch: Channel, n: int) -> AsymptoticPrediction:
     """Class-dispatching predictor for the n-th resonance of interaction p.
 
-    Raises Separated on the embedded-eigenvalue locus.  Returns
-    NO_RESONANCES when the coupling is unitarily equivalent to free.
+    Raises Separated on the embedded-eigenvalue locus and ZeroCoupling when
+    the coupling is unitarily equivalent to free (it has no resonances).
     """
     if is_separated(p):
         raise Separated("separated interaction: embedded eigenvalues, no lattice")
     cls = classify(p)
     if cls is GpiClass.DELTA:
-        alpha = canonical_real_gamma(p).alpha
-        if alpha == 0:
-            return NO_RESONANCES
-        return predict_delta(n, ch, alpha)
+        return predict_delta(n, ch, canonical_real_gamma(p).alpha)
     if cls is GpiClass.INTERMEDIATE:
         return predict_intermediate(n, ch, p.gamma)
     return predict_delta_prime(n, ch, p)
@@ -180,8 +160,6 @@ def compare(poles: list[Resonance], p: GpiParams, ch: Channel) -> list[Compariso
         if pole.index < 1:
             continue
         pred = predict(p, ch, pole.index)
-        if isinstance(pred, NoResonances):
-            raise ValueError("found poles for a coupling predicted to have none")
         err = abs(pole.k - pred.k_pred)
         rows.append(ComparisonRow(pole.index, pole.k, pred.k_pred,
                                   err, err / pred.error_scale))

@@ -9,16 +9,15 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .asymptotics import NO_RESONANCES, NoResonances, compare, predict
+from .asymptotics import ZeroCoupling, compare, predict
 from .errors import WinterresError
 from .gpi import (GpiParams, classify, is_separated, to_transfer, to_unitary,
                   SeparatedInteraction)
 from .krein import det_lambda, real_axis_roots
 from .polefinder import find_poles, index_poles
-from .report import (OutputSettings, RunConfig, SearchSettings, Tolerances,
-                     embedded_rows, format_complex, format_table, load_config,
-                     parse_complex, rows_from_comparison, write_csv,
-                     write_pole_svg)
+from .report import (OutputSettings, RunConfig, SearchSettings, embedded_rows,
+                     format_complex, format_table, load_config, parse_complex,
+                     rows_from_comparison, write_csv, write_pole_svg)
 from .riccati import Channel
 
 USAGE_EXIT = 2
@@ -64,9 +63,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _interaction_from_args(args) -> GpiParams:
-    gamma = parse_complex(args.gamma) if args.gamma is not None else 0j
-    return GpiParams(args.alpha or 0.0, args.beta or 0.0, gamma)
+def _interaction_from_args(args, base: GpiParams) -> GpiParams:
+    """``base`` with each coupling flag given on the command line overriding its field."""
+    return GpiParams(
+        args.alpha if args.alpha is not None else base.alpha,
+        args.beta if args.beta is not None else base.beta,
+        parse_complex(args.gamma) if args.gamma is not None else base.gamma)
+
+
+def _channel_from_args(args, base: Channel) -> Channel:
+    """``base`` with --l and --radius, where given, overriding its fields."""
+    return Channel(args.l if args.l is not None else base.l,
+                   args.radius if args.radius is not None else base.radius)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -78,16 +86,8 @@ def _config_from_args(args) -> RunConfig:
         cfg = RunConfig(GpiParams(0.0, 0.0, 0j), Channel(0, 1.0),
                         SearchSettings(re_max=float(args.re_max)))
     # flags override file values, field by field
-    inter = cfg.interaction
-    if args.alpha is not None or args.beta is not None or args.gamma is not None:
-        inter = GpiParams(
-            args.alpha if args.alpha is not None else inter.alpha,
-            args.beta if args.beta is not None else inter.beta,
-            parse_complex(args.gamma) if args.gamma is not None else inter.gamma)
-    chan = cfg.channel
-    if args.l is not None or args.radius is not None:
-        chan = Channel(args.l if args.l is not None else chan.l,
-                       args.radius if args.radius is not None else chan.radius)
+    inter = _interaction_from_args(args, cfg.interaction)
+    chan = _channel_from_args(args, cfg.channel)
     search = cfg.search
     if args.re_max is not None:
         search = replace(search, re_max=float(args.re_max))
@@ -98,7 +98,7 @@ def _config_from_args(args) -> RunConfig:
         csv_path=args.csv if args.csv is not None else cfg.outputs.csv_path,
         svg_path=args.svg if args.svg is not None else cfg.outputs.svg_path,
         table=True if args.table else cfg.outputs.table)
-    return RunConfig(inter, chan, search, outputs, cfg.tolerances)
+    return RunConfig(inter, chan, search, outputs)
 
 
 def _interaction_list(args, cfg: RunConfig) -> list[GpiParams]:
@@ -119,9 +119,8 @@ def _class_label(p: GpiParams) -> str:
 
 
 def cmd_classify(args) -> int:
-    p = _interaction_from_args(args)
-    ch = Channel(args.l if args.l is not None else 0,
-                 args.radius if args.radius is not None else 1.0)
+    p = _interaction_from_args(args, GpiParams(0.0, 0.0, 0j))
+    ch = _channel_from_args(args, Channel(0, 1.0))
     sep = is_separated(p)
     flag = "separated: embedded eigenvalues" if sep else "not separated"
     print(f"{_class_label(p)}; {flag}")
@@ -178,9 +177,12 @@ def cmd_compare(args) -> int:
     cfg = _config_from_args(args)
     p = cfg.interaction
     ch = cfg.channel
-    if not is_separated(p) and isinstance(predict(p, ch, 1), NoResonances):
-        print("no resonances: the coupling is equivalent to the free one")
-        return 0
+    if not is_separated(p):
+        try:
+            predict(p, ch, 1)
+        except ZeroCoupling:
+            print("no resonances: the coupling is equivalent to the free one")
+            return 0
     rows, poles = _run_one(p, cfg)
     if not rows:
         print("no poles in the window")

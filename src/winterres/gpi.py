@@ -205,32 +205,22 @@ def to_unitary(p: GpiParams) -> UnitaryForm:
     return UnitaryForm(xi, u1, u2)
 
 
-def _transfer_matrix(p: GpiParams) -> np.ndarray:
-    """The complex transfer matrix, solved directly from the jump conditions."""
+def to_transfer(p: GpiParams) -> TransferForm:
+    """Convert to the transfer form (chi, a, b, c, d), chi in [0, pi).
+
+    The transfer matrix is -P / (q - 4 + 4 i Im gamma) with the real
+    P = [[q + 4 - 4 Re gamma, 4 beta], [4 alpha, q + 4 + 4 Re gamma]].
+    The unimodular phase e^{i chi} is factored out of it; the leftover sign
+    of the phase reduction is absorbed into the real entries, so the free
+    interaction comes out as chi = 0 with the identity matrix.  Raises
+    SeparatedInteraction when the matrix does not exist.
+    """
     q = p.coupling_product
     den = complex(q - 4, 4 * p.gamma.imag)
     if abs(den) < 1e-12 * (1.0 + abs(q)):
         raise SeparatedInteraction(
             "transfer matrix does not exist: inside and outside decouple"
         )
-    pmat = np.array(
-        [[q + 4 - 4 * p.gamma.real, 4 * p.beta],
-         [4 * p.alpha, q + 4 + 4 * p.gamma.real]], dtype=complex
-    )
-    return -pmat / den
-
-
-def to_transfer(p: GpiParams) -> TransferForm:
-    """Convert to the transfer form (chi, a, b, c, d), chi in [0, pi).
-
-    The unimodular phase e^{i chi} is factored out of the transfer matrix;
-    the leftover sign of the phase reduction is absorbed into the real
-    entries, so the free interaction comes out as chi = 0 with the identity
-    matrix.  Raises SeparatedInteraction when the matrix does not exist.
-    """
-    lam = _transfer_matrix(p)
-    q = p.coupling_product
-    den = complex(q - 4, 4 * p.gamma.imag)
     scale = 1.0 / abs(den)          # |Lambda entries| / |P entries|
     phi = cmath.phase(-1.0 / den)   # overall phase of Lambda, in (-pi, pi]
     sign = 1.0
@@ -248,10 +238,7 @@ def to_transfer(p: GpiParams) -> TransferForm:
     b = m * 4 * p.beta
     c = m * 4 * p.alpha
     d = m * (q + 4 + 4 * p.gamma.real)
-    form = TransferForm(chi, a, b, c, d)
-    # paranoia: the factored form must reproduce the matrix we started from
-    assert np.abs(form.matrix() - lam).max() < 1e-9 * max(1.0, np.abs(lam).max())
-    return form
+    return TransferForm(chi, a, b, c, d)
 
 
 def classify_unitary(u: UnitaryForm, tol: float = 1e-10) -> GpiClass:

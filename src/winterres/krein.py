@@ -61,7 +61,6 @@ class PhiBoundaryValues:
     phi1_at_R: complex
     phi2_avg: complex
     phi2_prime: complex
-    k: complex
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def phi_boundary(ch: Channel, k: complex) -> PhiBoundaryValues:
     phi1 = (1j / k) * s.value * x.value
     phi2_avg = 0.5j * (s.value * x.derivative + s.derivative * x.value)
     phi2_prime = 1j * k * s.derivative * x.derivative
-    return PhiBoundaryValues(phi1, phi2_avg, phi2_prime, k)
+    return PhiBoundaryValues(phi1, phi2_avg, phi2_prime)
 
 
 def det_lambda(p: GpiParams, ch: Channel, k: complex) -> complex:
@@ -114,8 +113,7 @@ def krein_coefficients(p: GpiParams, ch: Channel, k: complex) -> KreinCoefficien
     of a zero of det lambda, where the coefficients cease to exist.
     """
     phi = phi_boundary(ch, k)
-    det = (-1.0 - p.alpha * phi.phi1_at_R + p.beta * phi.phi2_prime
-           - 2.0 * p.gamma.real * phi.phi2_avg - 0.25 * p.coupling_product)
+    det = det_lambda(p, ch, k)
     if abs(det) < 1e-14:
         raise PoleAtK(f"det lambda vanishes at k = {k}: resonance or eigenvalue")
     q = p.coupling_product

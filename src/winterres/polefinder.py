@@ -12,9 +12,9 @@ Phase increments along the contour are accumulated from boundary samples and
 any increment of pi/2 or more is recursively bisected, which pins the total
 to the correct multiple of 2 pi as long as no zero sits on the boundary
 itself.  Boundary hits are detected by a magnitude floor relative to the
-median sample and answered by dilating the region slightly (public counting)
-or by re-splitting at a shifted fraction (internal subdivision, where
-dilation would break count additivity).
+median sample and raise BoundaryZero: a count always answers for exactly the
+rectangle it was given.  Subdivision catches the error and re-splits at a
+shifted fraction, so the children still partition the parent.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 pole lists.
@@ -108,21 +108,17 @@ class Resonance:
     gpi_class: GpiClass
 
 
-class _BoundaryTouch(Exception):
-    """Internal: the contour could not be certified zero-free."""
-
-
 def _phase_sum(fn, z1, z2, f1, f2, floor, depth=0) -> float:
     """Phase increment of fn from z1 to z2, bisected until below pi/2."""
     delta = cmath.phase(f2 / f1)
     if abs(delta) < 0.5 * math.pi:
         return delta
     if depth >= _MAX_PHASE_DEPTH:
-        raise _BoundaryTouch
+        raise BoundaryZero(f"phase increment from {z1} to {z2} cannot be resolved")
     zm = 0.5 * (z1 + z2)
     fm = fn(zm)
     if abs(fm) < floor:
-        raise _BoundaryTouch
+        raise BoundaryZero(f"|det lambda| below the floor at {zm}")
     return (_phase_sum(fn, z1, zm, f1, fm, floor, depth + 1)
             + _phase_sum(fn, zm, z2, fm, f2, floor, depth + 1))
 
@@ -130,7 +126,7 @@ def _phase_sum(fn, z1, z2, f1, f2, floor, depth=0) -> float:
 def _winding(fn, region: SearchRegion) -> int:
     """Winding number of fn around the region boundary (exact integer).
 
-    Raises _BoundaryTouch when a sampled magnitude falls under the relative
+    Raises BoundaryZero when a sampled magnitude falls under the relative
     floor or a phase increment cannot be tamed, both of which signal a zero
     on or very near the contour.
     """
@@ -143,11 +139,9 @@ def _winding(fn, region: SearchRegion) -> int:
         pts.extend(a + (b - a) * j / n for j in range(n))
     vals = [fn(z) for z in pts]
     med = sorted(abs(v) for v in vals)[len(vals) // 2]
-    if med == 0.0:
-        raise _BoundaryTouch
     floor = _FLOOR_REL * med
-    if any(abs(v) < floor for v in vals):
-        raise _BoundaryTouch
+    if med == 0.0 or any(abs(v) < floor for v in vals):
+        raise BoundaryZero(f"zero of det lambda on the boundary of {region}")
     total = 0.0
     for i in range(len(pts)):
         j = (i + 1) % len(pts)
@@ -158,40 +152,15 @@ def _winding(fn, region: SearchRegion) -> int:
     return n
 
 
-def _dilate(region: SearchRegion, re_floor: float) -> SearchRegion:
-    """Grow the rectangle by 1 percent per axis, clamped to the allowed domain."""
-    dw = 0.005 * region.width
-    dh = 0.005 * region.height
-    return SearchRegion(
-        re_min=max(re_floor, region.re_min - dw),
-        re_max=region.re_max + dw,
-        im_min=region.im_min - dh,
-        im_max=min(0.0, region.im_max + dh),
-    )
-
-
 def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
     """Number of zeros of det lambda inside the region, by winding count.
 
-    If a zero is detected on the boundary the region is dilated by 1 percent
-    and retried, at most five times, before BoundaryZero is raised.
+    Raises BoundaryZero when a zero sits on or hugs the boundary.
     """
     re_floor = _RE_FLOOR_FACTOR / ch.radius
     if region.re_min < re_floor * (1.0 - 1e-9):
         raise ValueError(f"re_min must stay above the excluded disc {re_floor}")
-    fn = lambda k: det_lambda_balanced(p, ch, k)
-    current = region
-    for attempt in range(6):
-        try:
-            return _winding(fn, current)
-        except _BoundaryTouch:
-            if attempt == 5:
-                break
-            grown = _dilate(current, re_floor)
-            if grown == current:
-                break
-            current = grown
-    raise BoundaryZero(f"zero of det lambda on the boundary of {region}")
+    return _winding(lambda k: det_lambda_balanced(p, ch, k), region)
 
 
 def refine(p: GpiParams, ch: Channel, k0: complex) -> tuple[complex, float]:
@@ -273,14 +242,7 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
         raise ValueError(f"im_min must lie below {im_top}")
     top = SearchRegion(re_floor, re_max, im_min, im_top)
     fn = lambda k: det_lambda_balanced(p, ch, k)
-
-    def strict_count(region: SearchRegion) -> int:
-        return _winding(fn, region)
-
-    try:
-        total = strict_count(top)
-    except _BoundaryTouch as exc:
-        raise BoundaryZero(f"zero of det lambda on the boundary of {top}") from exc
+    total = _winding(fn, top)
 
     min_cell = _MIN_CELL_FACTOR / ch.radius
     found: list[tuple[complex, float]] = []
@@ -303,7 +265,7 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
             if rebisected:
                 raise NonConvergence(f"could not pin the single zero of {region}")
             # one re-bisection pass: halve and push the children
-            count_children = _subdivide(strict_count, region, count, depth)
+            count_children = _subdivide(fn, region, count)
             stack.extend((r, c, depth + 1, True) for r, c in count_children)
             continue
         # count >= 2
@@ -311,7 +273,7 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
             raise ClusteredZeros(f"{count} zeros in cell {region} below the size floor")
         if depth >= _MAX_TREE_DEPTH:
             raise ClusteredZeros(f"subdivision depth cap at {region}")
-        for r, c in _subdivide(strict_count, region, count, depth):
+        for r, c in _subdivide(fn, region, count):
             stack.append((r, c, depth + 1, rebisected))
 
     found.sort(key=lambda item: (item[0].real, item[0].imag))
@@ -333,20 +295,19 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
             for i, (k_root, residual) in enumerate(merged)]
 
 
-def _subdivide(strict_count, region: SearchRegion, count: int, depth: int):
+def _subdivide(fn, region: SearchRegion, count: int):
     """Split a rectangle so that the children's counts add up to the parent's.
 
     The cut is placed on the longer side; when a zero sits on (or too close
-    to) the candidate cut line, the fraction is shifted instead of dilating,
-    which would break the partition.
+    to) the candidate cut line, the fraction is shifted.
     """
     vertical = region.width >= region.height
     for frac in _SPLIT_FRACTIONS:
         left, right = _split(region, vertical, frac)
         try:
-            c_left = strict_count(left)
-            c_right = strict_count(right)
-        except _BoundaryTouch:
+            c_left = _winding(fn, left)
+            c_right = _winding(fn, right)
+        except BoundaryZero:
             continue
         if c_left + c_right == count:
             return [(left, c_left), (right, c_right)]

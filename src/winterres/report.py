@@ -61,12 +61,6 @@ class OutputSettings:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    residual: float = 1e-9
-    dedupe: float = 1e-8
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything one resonance run needs; mirrors the JSON config schema."""
 
@@ -74,11 +68,20 @@ class RunConfig:
     channel: Channel
     search: SearchSettings
     outputs: OutputSettings = field(default_factory=OutputSettings)
-    tolerances: Tolerances = field(default_factory=Tolerances)
+
+
+_CONFIG_KEYS = ("interaction", "channel", "search", "outputs")
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    """Build a RunConfig from parsed JSON; keys match the dataclass fields."""
+    """Build a RunConfig from parsed JSON; keys match the dataclass fields.
+
+    Raises ValueError naming any top-level key outside the schema.
+    """
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; "
+                         f"expected only {list(_CONFIG_KEYS)}")
     inter = raw.get("interaction", {})
     gamma = inter.get("gamma", 0)
     if isinstance(gamma, str):
@@ -95,10 +98,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     outs = raw.get("outputs", {})
     outputs = OutputSettings(outs.get("csv_path"), outs.get("svg_path"),
                              bool(outs.get("table", True)))
-    tols = raw.get("tolerances", {})
-    tolerances = Tolerances(float(tols.get("residual", 1e-9)),
-                            float(tols.get("dedupe", 1e-8)))
-    return RunConfig(p, ch, search, outputs, tolerances)
+    return RunConfig(p, ch, search, outputs)
 
 
 def load_config(path: str) -> RunConfig:
@@ -232,6 +232,15 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return out
 
 
+def _pad(lo: float, hi: float, default: float) -> float:
+    """5 percent of the span, or ``default`` for a span below 1e-9 of the axis
+    magnitude (near one ulp the tick step would never advance the ticks)."""
+    span = hi - lo
+    if span <= 1e-9 * max(abs(lo), abs(hi)):
+        return default
+    return 0.05 * span
+
+
 def write_pole_svg(series: Sequence[tuple[str, GpiClass, Sequence[complex]]],
                    fh: TextIO) -> None:
     """Scatter of (Re k, Im k) per series, one marker style per class."""
@@ -241,8 +250,8 @@ def write_pole_svg(series: Sequence[tuple[str, GpiClass, Sequence[complex]]],
         im_lo, im_hi = min(k.imag for k in pts), max(k.imag for k in pts)
     else:
         re_lo, re_hi, im_lo, im_hi = 0.0, 1.0, -1.0, 0.0
-    pad_re = 0.05 * (re_hi - re_lo) or 1.0
-    pad_im = 0.05 * (im_hi - im_lo) or 0.1
+    pad_re = _pad(re_lo, re_hi, 1.0)
+    pad_im = _pad(im_lo, im_hi, 0.1)
     re_lo, re_hi = re_lo - pad_re, re_hi + pad_re
     im_lo, im_hi = im_lo - pad_im, min(im_hi + pad_im, 0.0 + pad_im)
 

@@ -50,10 +50,7 @@ class Channel:
     Attributes
     ----------
     l : int
-        Angular momentum, l >= 0.  The half-line radial operator carries the
-        cylinder order nu = l + 1/2; generalizations to other dimensions
-        amount to substituting a different nu, which is why ``nu`` is exposed
-        even though only integer l is supported here.
+        Angular momentum, l >= 0.
     radius : float
         Sphere radius R > 0, in units of length.  Momenta k then carry units
         of 1/length and all Riccati arguments appear as z = k R.
@@ -67,11 +64,6 @@ class Channel:
             raise ValueError(f"angular momentum must be a nonnegative integer, got {self.l!r}")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError(f"sphere radius must be positive and finite, got {self.radius!r}")
-
-    @property
-    def nu(self) -> float:
-        """Cylinder-function order nu = l + 1/2 of this channel."""
-        return self.l + 0.5
 
 
 @dataclass(frozen=True)

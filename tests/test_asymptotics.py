@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from winterres import (NO_RESONANCES, Channel, GpiParams, NoResonances,
-                       NotDeltaPrime, NotIntermediate, Order, Separated,
-                       ZeroCoupling, compare, find_poles, index_poles,
+from winterres import (Channel, GpiParams, NotDeltaPrime, NotIntermediate,
+                       Separated, ZeroCoupling, compare, find_poles, index_poles,
                        classify, is_separated, predict, predict_delta,
                        predict_delta_prime, predict_intermediate)
 
@@ -18,7 +17,6 @@ class TestPredictDelta:
         out = predict_delta(10, CH, 50.0)
         assert out.k_pred.real == pytest.approx(33.772121026090275, abs=1e-12)
         assert out.k_pred.imag == pytest.approx(-0.15037990777743557, abs=1e-12)
-        assert out.order is Order.LEADING
 
     def test_negative_alpha_shifts_lattice(self):
         plus = predict_delta(10, CH, 50.0)
@@ -77,7 +75,6 @@ class TestPredictDeltaPrime:
         k0 = 50 * math.pi + 0.5 * math.pi
         assert out.k_pred.real == pytest.approx(k0 + 10.0 / k0, abs=1e-12)
         assert out.k_pred.imag == pytest.approx(-1.0 / (0.1 * k0) ** 2, abs=1e-15)
-        assert out.order is Order.NEXT_ORDER
         assert out.error_scale == pytest.approx(50.0 ** -3)
 
     def test_huge_beta_leaves_centrifugal_shift(self):
@@ -116,10 +113,9 @@ class TestPredictDispatch:
         # (alpha, 0, i y) is equivalent to alpha' = 4 alpha/(y^2 + 4)
         assert predict(GpiParams(50, 0, 2j), CH, 10) == predict_delta(10, CH, 25.0)
 
-    def test_free_equivalent_yields_sentinel(self):
-        out = predict(GpiParams(0, 0, 2j), CH, 10)
-        assert out is NO_RESONANCES
-        assert isinstance(out, NoResonances)
+    def test_free_equivalent_raises_zero_coupling(self):
+        with pytest.raises(ZeroCoupling):
+            predict(GpiParams(0, 0, 2j), CH, 10)
 
     def test_separated_raises(self):
         with pytest.raises(Separated):

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from winterres import (AmbiguousIndex, Channel, GpiClass, GpiParams,
-                       NonConvergence, SearchRegion, classify, count_zeros,
-                       det_lambda, find_poles, index_poles, refine)
+from winterres import (AmbiguousIndex, BoundaryZero, Channel, GpiClass,
+                       GpiParams, NonConvergence, SearchRegion, classify,
+                       count_zeros, det_lambda, find_poles, index_poles, refine)
 
 CH = Channel(0, 1.0)
 FREE = GpiParams(0, 0, 0)
@@ -57,11 +57,12 @@ class TestCountZeros:
         with pytest.raises(ValueError):
             count_zeros(FREE, CH, SearchRegion(1e-5, 1.0, -1.0, 0.0))
 
-    def test_dilation_rescues_boundary_zero(self):
-        # bottom edge running exactly through a pole: the 1 percent dilation
-        # moves the contour off the zero and the count still comes out right
+    def test_boundary_zero_raises(self):
+        # bottom edge running exactly through a pole: the count answers only
+        # for the rectangle it was given, so it raises instead of guessing
         region = SearchRegion(2.5, 3.5, FIRST_POLE_ALPHA50.imag, 0.0)
-        assert count_zeros(DELTA, CH, region) == 1
+        with pytest.raises(BoundaryZero):
+            count_zeros(DELTA, CH, region)
 
 
 class TestRefine:

@@ -3,10 +3,15 @@
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import winterres
 from winterres import GpiClass, GpiParams
 from winterres.cli import main
 from winterres.report import (CSV_COLUMNS, PoleRow, config_from_dict,
@@ -14,6 +19,15 @@ from winterres.report import (CSV_COLUMNS, PoleRow, config_from_dict,
                               write_csv, write_pole_svg)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+# Two poles whose Im k differ by about one ulp; the chart goes to stdout.
+ONE_ULP_CHART = """
+import sys
+from winterres import GpiClass
+from winterres.report import write_pole_svg
+ks = [3.0 - 1.2718342727273333j, 6.0 - 1.271834272727333j]
+write_pole_svg([("one ulp", GpiClass.INTERMEDIATE, ks)], sys.stdout)
+"""
 
 
 class TestComplexLiterals:
@@ -85,6 +99,21 @@ class TestSvg:
         labels = [t.text for t in root.iter(f"{SVG_NS}text")]
         assert "Re k" in labels and "Im k" in labels
 
+    def test_one_ulp_im_span_terminates(self):
+        # A padding of 5 percent of a one-ulp span makes a tick step that
+        # never advances the tick loop, which then allocates without end.
+        # The child runs under an address-space cap so a regression fails
+        # fast with MemoryError instead of exhausting the machine.
+        cap = 512 * 2 ** 20
+        src = os.path.dirname(os.path.dirname(winterres.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", ONE_ULP_CHART], capture_output=True, text=True,
+            timeout=60, env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        root = ET.fromstring(proc.stdout)
+        assert root.tag == f"{SVG_NS}svg"
+
 
 class TestConfig:
     def test_nested_keys(self):
@@ -93,19 +122,16 @@ class TestConfig:
             "channel": {"l": 1, "radius": 2.0},
             "search": {"re_max": 30, "im_min": "auto"},
             "outputs": {"csv_path": "x.csv", "table": False},
-            "tolerances": {"residual": 1e-10, "dedupe": 1e-7},
         })
         assert cfg.interaction == GpiParams(50, 0, 1 + 1j)
         assert cfg.channel.l == 1 and cfg.channel.radius == 2.0
         assert cfg.search.re_max == 30 and cfg.search.im_min is None
         assert cfg.outputs.csv_path == "x.csv" and cfg.outputs.table is False
-        assert cfg.tolerances.residual == 1e-10
 
     def test_defaults(self):
         cfg = config_from_dict({"search": {"re_max": 10}})
         assert cfg.interaction == GpiParams(0, 0, 0)
         assert cfg.channel.l == 0 and cfg.channel.radius == 1.0
-        assert cfg.tolerances.residual == 1e-9 and cfg.tolerances.dedupe == 1e-8
 
 
 class TestCliClassify:
@@ -205,6 +231,17 @@ class TestExitCodes:
 
     def test_usage_error_bad_complex(self, capsys):
         assert main(["classify", "--gamma", "nope"]) == 2
+
+    def test_usage_error_unknown_config_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "interaction": {"alpha": 50},
+            "search": {"re_max": 4},
+            "tolerances": {"residual": 1e-9, "dedupe": 1e-8},
+        }))
+        assert main(["poles", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "tolerances" in err
 
     def test_usage_error_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:

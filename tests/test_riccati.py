@@ -40,7 +40,7 @@ def closed_xi(l: int, z: complex) -> complex:
 class TestChannel:
     def test_fields(self):
         ch = Channel(2, 0.5)
-        assert ch.l == 2 and ch.radius == 0.5 and ch.nu == 2.5
+        assert ch.l == 2 and ch.radius == 0.5
 
     @pytest.mark.parametrize("l,r", [(-1, 1.0), (0, 0.0), (0, -2.0), (0, math.inf)])
     def test_rejects_bad_channel(self, l, r):
