@@ -8,13 +8,19 @@ the surviving cells seed damped Newton iterations, and the refined roots are
 deduplicated and checked against the top-level count, so no resonance inside
 the requested window can be silently missed.
 
-Phase increments along the contour are accumulated from boundary samples and
-any increment of pi/2 or more is recursively bisected, which pins the total
-to the correct multiple of 2 pi as long as no zero sits on the boundary
-itself.  Boundary hits are detected by a magnitude floor relative to the
-median sample and raise BoundaryZero: a count always answers for exactly the
-rectangle it was given.  Subdivision catches the error and re-splits at a
-shifted fraction, so the children still partition the parent.
+A boundary is four counterclockwise edges of (z, f) samples.  Phase
+increments are accumulated along them and any step of pi/2 or more is
+bisected, which pins the total to the correct multiple of 2 pi as long as no
+zero sits on the boundary itself.  Boundary hits are detected by a magnitude
+floor relative to the median sample and raise BoundaryZero: a count always
+answers for exactly the rectangle it was given.
+
+Each rectangle on the subdivision stack keeps its resolved boundary, so a
+split evaluates det lambda only along the new cut: a child's boundary is its
+pieces of the parent's edges plus the cut, and every edge sample is computed
+once however deep the subdivision goes.  When a zero sits on (or too close
+to) a cut, subdivision catches BoundaryZero and re-splits at a shifted
+fraction, so the children still partition the parent.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 pole lists.
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 from .errors import WinterresError
@@ -108,48 +115,94 @@ class Resonance:
     gpi_class: GpiClass
 
 
-def _phase_sum(fn, z1, z2, f1, f2, floor, depth=0) -> float:
-    """Phase increment of fn from z1 to z2, bisected until below pi/2."""
-    delta = cmath.phase(f2 / f1)
-    if abs(delta) < 0.5 * math.pi:
-        return delta
-    if depth >= _MAX_PHASE_DEPTH:
-        raise BoundaryZero(f"phase increment from {z1} to {z2} cannot be resolved")
-    zm = 0.5 * (z1 + z2)
-    fm = fn(zm)
-    if abs(fm) < floor:
-        raise BoundaryZero(f"|det lambda| below the floor at {zm}")
-    return (_phase_sum(fn, z1, zm, f1, fm, floor, depth + 1)
-            + _phase_sum(fn, zm, z2, fm, f2, floor, depth + 1))
+def _edge(fn, start, end) -> list:
+    """Samples of fn from sample start to sample end, at spacing below 0.4.
 
-
-def _winding(fn, region: SearchRegion) -> int:
-    """Winding number of fn around the region boundary (exact integer).
-
-    Raises BoundaryZero when a sampled magnitude falls under the relative
-    floor or a phase increment cannot be tamed, both of which signal a zero
-    on or very near the contour.
+    The spacing keeps the e^{+-ikR} factors from turning far between samples.
     """
-    corners = region.corners()
-    pts: list[complex] = []
-    for i in range(4):
-        a, b = corners[i], corners[(i + 1) % 4]
-        # initial spacing ~0.4 in |z| units keeps e^{+-ikR} increments small
-        n = max(8, int(abs(b - a) / 0.4) + 1)
-        pts.extend(a + (b - a) * j / n for j in range(n))
-    vals = [fn(z) for z in pts]
-    med = sorted(abs(v) for v in vals)[len(vals) // 2]
-    floor = _FLOOR_REL * med
-    if med == 0.0 or any(abs(v) < floor for v in vals):
-        raise BoundaryZero(f"zero of det lambda on the boundary of {region}")
+    a, b = start[0], end[0]
+    n = max(8, int(abs(b - a) / 0.4) + 1)
+    return [start] + [(z, fn(z)) for z in (a + (b - a) * j / n for j in range(1, n))] + [end]
+
+
+def _boundary(fn, region: SearchRegion) -> tuple:
+    """The region's four counterclockwise edges, freshly sampled."""
+    corners = [(z, fn(z)) for z in region.corners()]
+    return tuple(_edge(fn, corners[i], corners[(i + 1) % 4]) for i in range(4))
+
+
+def _densify(fn, edge: list) -> list:
+    """Bisect the widest steps of an edge until it has at least 8.
+
+    A freshly sampled edge always has 8; a short piece of a parent's edge
+    may have fewer.
+    """
+    while len(edge) < 9:
+        i = max(range(len(edge) - 1), key=lambda j: abs(edge[j + 1][0] - edge[j][0]))
+        zm = 0.5 * (edge[i][0] + edge[i + 1][0])
+        edge = edge[:i + 1] + [(zm, fn(zm))] + edge[i + 1:]
+    return edge
+
+
+def _resolve(fn, edge: list, floor: float) -> tuple[list, float]:
+    """Refine an edge until fn turns by less than pi/2 between neighbouring samples.
+
+    Returns the refined samples and the phase increment of fn along the edge.
+    A step is bisected at most _MAX_PHASE_DEPTH times; failing that, or a
+    midpoint value under the floor, raises BoundaryZero.
+    """
+    out = [edge[0]]
     total = 0.0
-    for i in range(len(pts)):
-        j = (i + 1) % len(pts)
-        total += _phase_sum(fn, pts[i], pts[j], vals[i], vals[j], floor)
+    pending = []   # right ends of the steps still to resolve, with their depth
+    for sample in edge[1:]:
+        delta = cmath.phase(sample[1] / out[-1][1])
+        if abs(delta) < 0.5 * math.pi:   # most steps: resolved when the edge was made
+            out.append(sample)
+            total += delta
+            continue
+        pending.append((sample, 0))
+        while pending:
+            (z2, f2), depth = pending[-1]
+            z1, f1 = out[-1]
+            delta = cmath.phase(f2 / f1)
+            if abs(delta) < 0.5 * math.pi:
+                out.append(pending.pop()[0])
+                total += delta
+                continue
+            if depth >= _MAX_PHASE_DEPTH:
+                raise BoundaryZero(f"phase increment from {z1} to {z2} cannot be resolved")
+            zm = 0.5 * (z1 + z2)
+            fm = fn(zm)
+            if abs(fm) < floor:
+                raise BoundaryZero(f"|det lambda| below the floor at {zm}")
+            pending[-1] = ((z2, f2), depth + 1)
+            pending.append(((zm, fm), depth + 1))
+    return out, total
+
+
+def _winding(fn, region: SearchRegion, edges: tuple) -> tuple[tuple, int]:
+    """Winding number of fn along the region's boundary edges (exact integer).
+
+    Returns the resolved edges with the count.  Raises BoundaryZero when a
+    sample falls under 1e-8 times the median sample or a phase increment
+    cannot be tamed, both of which signal a zero on or very near the contour.
+    """
+    edges = tuple(_densify(fn, edge) for edge in edges)
+    vals = sorted(abs(f) for edge in edges for _, f in edge[:-1])
+    med = vals[len(vals) // 2]
+    floor = _FLOOR_REL * med
+    if med == 0.0 or vals[0] < floor:
+        raise BoundaryZero(f"zero of det lambda on the boundary of {region}")
+    resolved = []
+    total = 0.0
+    for edge in edges:
+        samples, phase = _resolve(fn, edge, floor)
+        resolved.append(samples)
+        total += phase
     n = round(total / (2.0 * math.pi))
     if abs(total / (2.0 * math.pi) - n) > 0.25:
         raise WinterresError(f"winding sum {total!r} failed to close to an integer")
-    return n
+    return tuple(resolved), n
 
 
 def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
@@ -160,7 +213,8 @@ def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
     re_floor = _RE_FLOOR_FACTOR / ch.radius
     if region.re_min < re_floor * (1.0 - 1e-9):
         raise ValueError(f"re_min must stay above the excluded disc {re_floor}")
-    return _winding(lambda k: det_lambda_balanced(p, ch, k), region)
+    fn = lambda k: det_lambda_balanced(p, ch, k)
+    return _winding(fn, region, _boundary(fn, region))[1]
 
 
 def refine(p: GpiParams, ch: Channel, k0: complex) -> tuple[complex, float]:
@@ -205,14 +259,6 @@ def refine(p: GpiParams, ch: Channel, k0: complex) -> tuple[complex, float]:
     raise NonConvergence(f"no convergence after 100 damped steps from {k0}")
 
 
-def _split(region: SearchRegion, vertical: bool, frac: float) -> tuple[SearchRegion, SearchRegion]:
-    if vertical:  # cut parallel to the imaginary axis
-        mid = region.re_min + frac * region.width
-        return (replace(region, re_max=mid), replace(region, re_min=mid))
-    mid = region.im_min + frac * region.height
-    return (replace(region, im_max=mid), replace(region, im_min=mid))
-
-
 def default_im_min(re_max: float, radius: float) -> float:
     """Search floor deep enough for the logarithmic descent of delta poles."""
     return -(math.log(re_max * radius) + 5.0) / radius
@@ -242,15 +288,13 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
         raise ValueError(f"im_min must lie below {im_top}")
     top = SearchRegion(re_floor, re_max, im_min, im_top)
     fn = lambda k: det_lambda_balanced(p, ch, k)
-    total = _winding(fn, top)
+    edges, total = _winding(fn, top, _boundary(fn, top))
 
     min_cell = _MIN_CELL_FACTOR / ch.radius
     found: list[tuple[complex, float]] = []
-    stack: list[tuple[SearchRegion, int, int, bool]] = [(top, total, 0, False)]
+    stack = [(top, total, 0, False, edges)] if total else []
     while stack:
-        region, count, depth, rebisected = stack.pop()
-        if count == 0:
-            continue
+        region, count, depth, rebisected, edges = stack.pop()
         if count == 1:
             centroid = complex(0.5 * (region.re_min + region.re_max),
                                0.5 * (region.im_min + region.im_max))
@@ -264,17 +308,13 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
                 continue
             if rebisected:
                 raise NonConvergence(f"could not pin the single zero of {region}")
-            # one re-bisection pass: halve and push the children
-            count_children = _subdivide(fn, region, count)
-            stack.extend((r, c, depth + 1, True) for r, c in count_children)
-            continue
-        # count >= 2
-        if min(region.width, region.height) < min_cell:
+            rebisected = True   # one re-bisection pass: halve and push the children
+        elif min(region.width, region.height) < min_cell:
             raise ClusteredZeros(f"{count} zeros in cell {region} below the size floor")
-        if depth >= _MAX_TREE_DEPTH:
+        elif depth >= _MAX_TREE_DEPTH:
             raise ClusteredZeros(f"subdivision depth cap at {region}")
-        for r, c in _subdivide(fn, region, count):
-            stack.append((r, c, depth + 1, rebisected))
+        stack.extend((r, c, depth + 1, rebisected, e)
+                     for r, e, c in _subdivide(fn, region, edges, count) if c)
 
     found.sort(key=lambda item: (item[0].real, item[0].imag))
     merged: list[tuple[complex, float]] = []
@@ -295,22 +335,51 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
             for i, (k_root, residual) in enumerate(merged)]
 
 
-def _subdivide(fn, region: SearchRegion, count: int):
+def _cut(edge: list, sample, key) -> tuple[list, list]:
+    """Split an edge at a new sample on it; key(z) never decreases along the edge."""
+    at, pos = key(sample[0]), lambda s: key(s[0])
+    return (edge[:bisect_left(edge, at, key=pos)] + [sample],
+            [sample] + edge[bisect_right(edge, at, key=pos):])
+
+
+def _subdivide(fn, region: SearchRegion, edges: tuple, count: int):
     """Split a rectangle so that the children's counts add up to the parent's.
 
-    The cut is placed on the longer side; when a zero sits on (or too close
-    to) the candidate cut line, the fraction is shifted.
+    ``edges`` is the parent's resolved boundary (bottom, right, top, left).
+    The cut is placed on the longer side, and det lambda is evaluated only
+    along it: each child's boundary is its pieces of the parent's edges plus
+    the cut, which the upper or right child takes reversed and already
+    resolved.  Every check of a fresh count still applies to each child.
+    When a zero sits on (or too close to) the cut line, the fraction is
+    shifted.  Returns [(child, resolved edges, count)] for both children.
     """
+    bottom, right, top, left = edges
     vertical = region.width >= region.height
     for frac in _SPLIT_FRACTIONS:
-        left, right = _split(region, vertical, frac)
+        if vertical:  # cut parallel to the imaginary axis, sampled upwards
+            mid = region.re_min + frac * region.width
+            lo, hi = replace(region, re_max=mid), replace(region, re_min=mid)
+            a, b = complex(mid, region.im_min), complex(mid, region.im_max)
+        else:         # cut parallel to the real axis, sampled rightwards
+            mid = region.im_min + frac * region.height
+            lo, hi = replace(region, im_max=mid), replace(region, im_min=mid)
+            a, b = complex(region.re_min, mid), complex(region.re_max, mid)
+        cut = _edge(fn, (a, fn(a)), (b, fn(b)))
         try:
-            c_left = _winding(fn, left)
-            c_right = _winding(fn, right)
+            if vertical:
+                b_lo, b_hi = _cut(bottom, cut[0], lambda z: z.real)
+                t_hi, t_lo = _cut(top, cut[-1], lambda z: -z.real)
+                lo_edges, c_lo = _winding(fn, lo, (b_lo, cut, t_lo, left))
+                hi_edges, c_hi = _winding(fn, hi, (b_hi, right, t_hi, lo_edges[1][::-1]))
+            else:
+                r_lo, r_hi = _cut(right, cut[-1], lambda z: z.imag)
+                l_hi, l_lo = _cut(left, cut[0], lambda z: -z.imag)
+                lo_edges, c_lo = _winding(fn, lo, (bottom, r_lo, cut[::-1], l_lo))
+                hi_edges, c_hi = _winding(fn, hi, (lo_edges[2][::-1], r_hi, top, l_hi))
         except BoundaryZero:
             continue
-        if c_left + c_right == count:
-            return [(left, c_left), (right, c_right)]
+        if c_lo + c_hi == count:
+            return [(lo, lo_edges, c_lo), (hi, hi_edges, c_hi)]
         # counts disagree: a zero slipped between the sampled cut lines
     raise BoundaryZero(f"no clean split line found inside {region}")
 

@@ -70,18 +70,32 @@ class RunConfig:
     outputs: OutputSettings = field(default_factory=OutputSettings)
 
 
-_CONFIG_KEYS = ("interaction", "channel", "search", "outputs")
+_CONFIG_KEYS = {
+    "interaction": ("alpha", "beta", "gamma"),
+    "channel": ("l", "radius"),
+    "search": ("re_max", "im_min"),
+    "outputs": ("csv_path", "svg_path", "table"),
+}
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from parsed JSON; keys match the dataclass fields.
 
-    Raises ValueError naming any top-level key outside the schema.
+    Raises ValueError naming any key outside the schema, top-level or inside
+    a block, a block that is not an object, and a missing search.re_max.
     """
     unknown = sorted(set(raw) - set(_CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; "
                          f"expected only {list(_CONFIG_KEYS)}")
+    for block, keys in _CONFIG_KEYS.items():
+        given = raw.get(block, {})
+        if not isinstance(given, dict):
+            raise ValueError(f"config block {block!r} must be a JSON object")
+        unknown = sorted(set(given) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} in config block {block!r}; "
+                             f"expected only {list(keys)}")
     inter = raw.get("interaction", {})
     gamma = inter.get("gamma", 0)
     if isinstance(gamma, str):
@@ -94,6 +108,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     im_min = srch.get("im_min", None)
     if isinstance(im_min, str):
         im_min = None if im_min == "auto" else float(im_min)
+    if "re_max" not in srch:
+        raise ValueError("config has no search.re_max")
     search = SearchSettings(float(srch["re_max"]), im_min)
     outs = raw.get("outputs", {})
     outputs = OutputSettings(outs.get("csv_path"), outs.get("svg_path"),

@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+import winterres.polefinder as pf
 from winterres import (AmbiguousIndex, BoundaryZero, Channel, GpiClass,
                        GpiParams, NonConvergence, SearchRegion, classify,
-                       count_zeros, det_lambda, find_poles, index_poles, refine)
+                       count_zeros, det_lambda, det_lambda_balanced, find_poles,
+                       index_poles, refine)
 
 CH = Channel(0, 1.0)
 FREE = GpiParams(0, 0, 0)
@@ -65,6 +67,38 @@ class TestCountZeros:
             count_zeros(DELTA, CH, region)
 
 
+class TestSubdivide:
+    """Children counted from the cut alone agree with counts sampled afresh."""
+
+    @pytest.mark.parametrize("p", [DELTA, INTERMEDIATE, DELTA_PRIME],
+                             ids=["delta", "intermediate", "delta-prime"])
+    @pytest.mark.parametrize("l", [0, 1, 5])
+    @pytest.mark.parametrize("region", [
+        SearchRegion(4.0, 14.0, -3.0, -0.0005),   # wide: vertical cut first
+        SearchRegion(9.0, 13.0, -6.0, -0.0005),   # tall: horizontal cut first
+    ], ids=["wide", "tall"])
+    def test_child_counts_match_fresh_counts(self, p, l, region):
+        ch = Channel(l, 1.0)
+        fn = lambda k: det_lambda_balanced(p, ch, k)
+        edges, count = pf._winding(fn, region, pf._boundary(fn, region))
+        assert count == count_zeros(p, ch, region)
+        vertical = set()   # orientation of every cut made
+        level = [(region, edges, count)]
+        for _ in range(3):   # grandchildren inherit pieces of earlier cuts
+            nxt = []
+            for parent, edges, count in level:
+                children = pf._subdivide(fn, parent, edges, count)
+                vertical.add(children[0][0].re_max < parent.re_max)
+                for child, child_edges, c in children:
+                    assert [e[0][0] for e in child_edges] == child.corners()
+                    assert all(e[-1][0] == f[0][0] for e, f in
+                               zip(child_edges, child_edges[1:] + child_edges[:1]))
+                    assert c == count_zeros(p, ch, child)
+                nxt.extend(children)
+            level = nxt
+        assert vertical == {True, False}
+
+
 class TestRefine:
     def test_exact_seed_is_fixed_point(self):
         k, residual = refine(DELTA, CH, FIRST_POLE_ALPHA50)
@@ -120,6 +154,19 @@ class TestFindPoles:
         poles = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
         n = count_zeros(DELTA, CH, SearchRegion(1e-3, 40.0, -3.0, 0.0))
         assert len(poles) == n
+
+    def test_det_budget_per_pole(self, monkeypatch):
+        # every contour sample is computed once: subdivision samples only cuts
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return det_lambda_balanced(*args)
+
+        monkeypatch.setattr(pf, "det_lambda_balanced", counted)
+        poles = find_poles(DELTA, CH, re_max=400.0)
+        assert len(poles) == 127
+        assert calls[0] <= 100 * len(poles)
 
     def test_determinism(self):
         a = find_poles(INTERMEDIATE, CH, re_max=30.0, im_min=-1.5)

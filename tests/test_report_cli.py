@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from winterres.report import (CSV_COLUMNS, PoleRow, config_from_dict,
                               write_csv, write_pole_svg)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+ROOT = Path(__file__).resolve().parent.parent
 
 # Two poles whose Im k differ by about one ulp; the chart goes to stdout.
 ONE_ULP_CHART = """
@@ -133,6 +135,13 @@ class TestConfig:
         assert cfg.interaction == GpiParams(0, 0, 0)
         assert cfg.channel.l == 0 and cfg.channel.radius == 1.0
 
+    @pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+    def test_documented_example_loads(self, doc):
+        text = (ROOT / doc).read_text(encoding="utf-8")
+        example = text.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = config_from_dict(json.loads(example))
+        assert cfg.interaction == GpiParams(50, 0, 0) and cfg.search.re_max == 40
+
 
 class TestCliClassify:
     def test_delta(self, capsys):
@@ -242,6 +251,24 @@ class TestExitCodes:
         assert main(["poles", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "usage error" in err and "tolerances" in err
+
+    def test_usage_error_missing_re_max(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"search": {}}))
+        assert main(["poles", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "search.re_max" in err
+
+    @pytest.mark.parametrize("outputs, named", [
+        ({"tabel": False}, "tabel"),
+        (5, "JSON object"),
+    ], ids=["unknown-key", "not-an-object"])
+    def test_usage_error_bad_block(self, tmp_path, capsys, outputs, named):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"search": {"re_max": 4}, "outputs": outputs}))
+        assert main(["poles", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "'outputs'" in err and named in err
 
     def test_usage_error_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
