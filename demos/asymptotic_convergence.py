@@ -18,7 +18,7 @@ CH = Channel(0, 1.0)
 
 def convergence_table(label: str, p: GpiParams, re_max: float, lo: int, hi: int):
     poles = find_poles(p, CH, re_max=re_max)
-    poles = index_poles(poles, CH, classify(p), p)
+    poles = index_poles(poles, p, CH)
     rows = [r for r in compare(poles, p, CH) if lo <= r.index <= hi]
     print(f"\n{label}  ({classify(p).value}; indices {lo}..{hi})")
     print(f"{'n':>4} {'Re k found':>12} {'Im k found':>12} {'Im k pred':>12} "

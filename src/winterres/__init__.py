@@ -7,10 +7,9 @@ exhaustive fourth-quadrant pole search, and closed-form high-energy
 predictors for each interaction class.
 """
 
-from .asymptotics import (AsymptoticPrediction, ComparisonRow, NotDeltaPrime,
-                          NotIntermediate, Separated, ZeroCoupling, compare,
-                          predict, predict_delta, predict_delta_prime,
-                          predict_intermediate)
+from .asymptotics import (AmbiguousIndex, AsymptoticPrediction, ComparisonRow,
+                          Resonance, Separated, ZeroCoupling, compare,
+                          index_poles, predict)
 from .errors import WinterresError
 from .gpi import (BoundaryData, DegenerateDenominator, GpiClass, GpiParams,
                   SeparatedInteraction, TransferForm, UnitaryForm,
@@ -20,9 +19,9 @@ from .gpi import (BoundaryData, DegenerateDenominator, GpiClass, GpiParams,
 from .krein import (KreinCoefficients, NotSeparated, PhiBoundaryValues,
                     PoleAtK, det_lambda, det_lambda_balanced,
                     krein_coefficients, phi_boundary, real_axis_roots)
-from .polefinder import (AmbiguousIndex, BoundaryZero, ClusteredZeros,
-                         NonConvergence, Resonance, SearchRegion, count_zeros,
-                         default_im_min, find_poles, index_poles, refine)
+from .polefinder import (BoundaryZero, ClusteredZeros, NonConvergence,
+                         SearchRegion, count_zeros, default_im_min, find_poles,
+                         refine)
 from .report import RunConfig, parse_complex, write_csv, write_pole_svg
 from .riccati import (Channel, OriginSingularity, ValueAndDerivative,
                       riccati_s, riccati_xi, wronskian)
@@ -33,17 +32,15 @@ __all__ = [
     "AmbiguousIndex", "AsymptoticPrediction", "BoundaryData", "BoundaryZero",
     "Channel", "ClusteredZeros", "ComparisonRow", "DegenerateDenominator",
     "GpiClass", "GpiParams", "KreinCoefficients", "NonConvergence",
-    "NotDeltaPrime", "NotIntermediate", "NotSeparated", "OriginSingularity",
-    "PhiBoundaryValues",
-    "PoleAtK", "Resonance", "RunConfig", "SearchRegion", "Separated",
+    "NotSeparated", "OriginSingularity", "PhiBoundaryValues", "PoleAtK",
+    "Resonance", "RunConfig", "SearchRegion", "Separated",
     "SeparatedInteraction", "TransferForm", "UnitaryForm",
     "ValueAndDerivative", "WinterresError", "ZeroCoupling",
     "boundary_residual", "canonical_real_gamma", "classify",
     "classify_unitary", "compare", "count_zeros", "default_im_min",
     "det_lambda", "det_lambda_balanced", "find_poles", "from_scale_invariant",
     "index_poles", "is_separated", "krein_coefficients", "parse_complex",
-    "phi_boundary", "predict", "predict_delta", "predict_delta_prime",
-    "predict_intermediate", "real_axis_roots", "refine", "riccati_s",
+    "phi_boundary", "predict", "real_axis_roots", "refine", "riccati_s",
     "riccati_xi", "to_transfer", "to_unitary", "wronskian", "write_csv",
     "write_pole_svg",
 ]

@@ -1,4 +1,5 @@
-"""Closed-form high-energy predictors for the resonance momenta k_n.
+"""Closed-form high-energy predictors for the resonance momenta k_n, and the
+lattice indexing of found poles.
 
 Each interaction class has its own leading lattice and its own law for the
 distance of the poles from the real axis:
@@ -35,28 +36,38 @@ ZeroCoupling rather than fabricating a lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import WinterresError
 from .gpi import GpiClass, GpiParams, canonical_real_gamma, classify, is_separated
-from .polefinder import Resonance
 from .riccati import Channel
+
+_LATTICE_SPAN = 0.6  # accept indices within this fraction of the lattice spacing
 
 
 class ZeroCoupling(WinterresError):
-    """The delta predictor needs alpha != 0."""
-
-
-class NotIntermediate(WinterresError):
-    """The intermediate predictor needs Re gamma != 0."""
-
-
-class NotDeltaPrime(WinterresError):
-    """The delta-prime predictor needs beta != 0."""
+    """The coupling is equivalent to the free one: there are no resonances."""
 
 
 class Separated(WinterresError):
     """Separated interactions have embedded eigenvalues, not resonances."""
+
+
+class AmbiguousIndex(WinterresError):
+    """Two poles compete for the same asymptotic lattice index."""
+
+
+@dataclass(frozen=True)
+class Resonance:
+    """A refined pole of the resolvent in the fourth quadrant.
+
+    ``residual`` is the raw |det lambda| at the returned momentum; ``index``
+    is the position on the class lattice once assigned (ordinal before that).
+    """
+
+    index: int
+    k: complex
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -79,72 +90,61 @@ class ComparisonRow:
     scaled_err: float
 
 
-def predict_delta(n: int, ch: Channel, alpha: float) -> AsymptoticPrediction:
-    """Delta-class prediction; remainder scale n^-1 ln n (ln floored at ln 2).
+def _lattice(p: GpiParams, ch: Channel, n: int) -> tuple[GpiClass, float, float]:
+    """The class of p, its class coupling c and the leading Re k_n (k0_n for delta-prime).
 
-    For l = 0 the real part omits the exact correction
-    (1/2R) atan((alpha + 2 Im k) / (2 Re k)) from e^{2ikR} = 1 - 2ik/alpha;
-    for alpha > 0 (and alpha + 2 Im k > 0) it lies in (0, alpha/(4 pi n)].
+    c is alpha of the real-gamma equivalent for delta (0 when p is equivalent
+    to free), Re gamma for intermediate and beta for delta-prime; the sign
+    of c places the delta and intermediate lattices.
     """
-    if alpha == 0:
-        raise ZeroCoupling("delta asymptotics need alpha != 0")
-    if n < 1:
-        raise ValueError("index n must be >= 1")
     r, l = ch.radius, ch.l
-    phase = 1.5 * math.pi if alpha > 0 else 0.5 * math.pi
-    re = (2 * n * math.pi + l * math.pi + phase) / (2.0 * r)
-    im = -math.log(2.0 * abs(re) / abs(alpha)) / (2.0 * r)
-    scale = max(math.log(n), math.log(2.0)) / n
-    return AsymptoticPrediction(n, complex(re, im), scale)
-
-
-def predict_intermediate(n: int, ch: Channel, gamma: complex) -> AsymptoticPrediction:
-    """Intermediate-class prediction; remainder scale n^-1."""
-    gamma = complex(gamma)
-    if gamma.real == 0:
-        raise NotIntermediate("intermediate asymptotics need Re gamma != 0")
-    if n < 1:
-        raise ValueError("index n must be >= 1")
-    r, l = ch.radius, ch.l
-    phase = 0.5 * math.pi if gamma.real > 0 else 1.5 * math.pi
-    re = (n * math.pi + 0.5 * l * math.pi + phase) / r
-    ratio = (1.0 + 0.25 * abs(gamma) ** 2) / abs(gamma.real)
-    im = -math.log(ratio) / (2.0 * r)
-    return AsymptoticPrediction(n, complex(re, im), 1.0 / n)
-
-
-def predict_delta_prime(n: int, ch: Channel, p: GpiParams) -> AsymptoticPrediction:
-    """Delta-prime prediction including the next-order shift; scale n^-3."""
-    if p.beta == 0:
-        raise NotDeltaPrime("delta-prime asymptotics need beta != 0")
-    if n < 1:
-        raise ValueError("index n must be >= 1")
-    r, l = ch.radius, ch.l
-    q = p.coupling_product
-    g = p.gamma
-    k0 = n * math.pi / r + (l + 1) * math.pi / (2.0 * r)
-    re = k0 - ((l * l + l) / (2.0 * r * r)
-               + (g.real - 1.0 - 0.25 * q) / (p.beta * r)) / k0
-    bracket = (1.0 + 0.5 * abs(g) ** 2 - g.real ** 2
-               - 0.5 * p.alpha * p.beta + q * q / 16.0)
-    im = -bracket / (p.beta * r * k0) ** 2
-    return AsymptoticPrediction(n, complex(re, im), n ** -3.0)
+    cls = classify(p)
+    if cls is GpiClass.DELTA:
+        c = canonical_real_gamma(p).alpha
+        phase = 1.5 * math.pi if c > 0 else 0.5 * math.pi
+        return cls, c, (2 * n * math.pi + l * math.pi + phase) / (2.0 * r)
+    if cls is GpiClass.INTERMEDIATE:
+        c = p.gamma.real
+        phase = 0.5 * math.pi if c > 0 else 1.5 * math.pi
+        return cls, c, (n * math.pi + 0.5 * l * math.pi + phase) / r
+    return cls, p.beta, n * math.pi / r + (l + 1) * math.pi / (2.0 * r)
 
 
 def predict(p: GpiParams, ch: Channel, n: int) -> AsymptoticPrediction:
-    """Class-dispatching predictor for the n-th resonance of interaction p.
+    """Prediction for the n-th resonance of interaction p by its class law.
 
-    Raises Separated on the embedded-eigenvalue locus and ZeroCoupling when
-    the coupling is unitarily equivalent to free (it has no resonances).
+    The laws are those of the module docstring, delta-prime with its
+    next-order shift; the remainder scale is n^-1 ln n (ln floored at ln 2)
+    for delta, n^-1 for intermediate and n^-3 for delta-prime.
+
+    Raises Separated on the embedded-eigenvalue locus, ZeroCoupling when
+    the coupling is unitarily equivalent to free (it has no resonances), and
+    ValueError for n < 1.
     """
     if is_separated(p):
         raise Separated("separated interaction: embedded eigenvalues, no lattice")
-    cls = classify(p)
+    cls, c, re = _lattice(p, ch, n)
+    if c == 0:
+        raise ZeroCoupling("delta asymptotics need alpha != 0")
+    if n < 1:
+        raise ValueError("index n must be >= 1")
+    r, g = ch.radius, p.gamma
     if cls is GpiClass.DELTA:
-        return predict_delta(n, ch, canonical_real_gamma(p).alpha)
-    if cls is GpiClass.INTERMEDIATE:
-        return predict_intermediate(n, ch, p.gamma)
-    return predict_delta_prime(n, ch, p)
+        im = -math.log(2.0 * abs(re) / abs(c)) / (2.0 * r)
+        scale = max(math.log(n), math.log(2.0)) / n
+    elif cls is GpiClass.INTERMEDIATE:
+        ratio = (1.0 + 0.25 * abs(g) ** 2) / abs(g.real)
+        im = -math.log(ratio) / (2.0 * r)
+        scale = 1.0 / n
+    else:
+        l, q, k0 = ch.l, p.coupling_product, re
+        re = k0 - ((l * l + l) / (2.0 * r * r)
+                   + (g.real - 1.0 - 0.25 * q) / (p.beta * r)) / k0
+        bracket = (1.0 + 0.5 * abs(g) ** 2 - g.real ** 2
+                   - 0.5 * p.alpha * p.beta + q * q / 16.0)
+        im = -bracket / (p.beta * r * k0) ** 2
+        scale = n ** -3.0
+    return AsymptoticPrediction(n, complex(re, im), scale)
 
 
 def compare(poles: list[Resonance], p: GpiParams, ch: Channel) -> list[ComparisonRow]:
@@ -164,3 +164,31 @@ def compare(poles: list[Resonance], p: GpiParams, ch: Channel) -> list[Compariso
         rows.append(ComparisonRow(pole.index, pole.k, pred.k_pred,
                                   err, err / pred.error_scale))
     return rows
+
+
+def index_poles(poles: list[Resonance], p: GpiParams, ch: Channel) -> list[Resonance]:
+    """Assign lattice indices n to poles sorted by Re k.
+
+    The grid is the leading lattice of the class of p (see the module
+    docstring), with spacing pi/R.  Each pole takes the nearest n;
+    collisions are resolved monotonically and AmbiguousIndex is raised when
+    that pushes a pole off its lattice cell.
+    """
+    if not poles:
+        return []
+    _, c, off = _lattice(p, ch, 0)
+    if c == 0:
+        raise ValueError("free interaction has no resonance lattice")
+    spacing = math.pi / ch.radius
+
+    out: list[Resonance] = []
+    prev_n = -1
+    for pole in sorted(poles, key=lambda q: q.k.real):
+        nearest = round((pole.k.real - off) / spacing)
+        n = max(nearest, prev_n + 1, 0)
+        if n != nearest and abs(pole.k.real - (off + n * spacing)) > _LATTICE_SPAN * spacing:
+            raise AmbiguousIndex(
+                f"poles collide on the lattice near n = {nearest} (Re k = {pole.k.real})")
+        out.append(replace(pole, index=n))
+        prev_n = n
+    return out

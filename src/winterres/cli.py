@@ -9,12 +9,12 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .asymptotics import ZeroCoupling, compare, predict
+from .asymptotics import ZeroCoupling, compare, index_poles, predict
 from .errors import WinterresError
 from .gpi import (GpiParams, classify, is_separated, to_transfer, to_unitary,
                   SeparatedInteraction)
 from .krein import det_lambda, real_axis_roots
-from .polefinder import find_poles, index_poles
+from .polefinder import find_poles
 from .report import (OutputSettings, RunConfig, SearchSettings, embedded_rows,
                      format_complex, format_table, load_config, parse_complex,
                      rows_from_comparison, write_csv, write_pole_svg)
@@ -146,7 +146,7 @@ def _run_one(p: GpiParams, cfg: RunConfig):
         residuals = [abs(det_lambda(p, ch, complex(k))) for k in roots]
         return embedded_rows(roots, residuals), []
     poles = find_poles(p, ch, cfg.search.re_max, cfg.search.im_min)
-    poles = index_poles(poles, ch, classify(p), p)
+    poles = index_poles(poles, p, ch)
     rows = rows_from_comparison(poles, compare(poles, p, ch))
     return rows, poles
 

@@ -46,6 +46,7 @@ import numpy as np
 from .errors import WinterresError
 
 _NORM_TOL = 1e-12
+_MATRIX_TOL = 1e-10   # rounding allowance of the matrix criteria in classify_unitary
 
 
 class SeparatedInteraction(WinterresError):
@@ -241,21 +242,21 @@ def to_transfer(p: GpiParams) -> TransferForm:
     return TransferForm(chi, a, b, c, d)
 
 
-def classify_unitary(u: UnitaryForm, tol: float = 1e-10) -> GpiClass:
+def classify_unitary(u: UnitaryForm) -> GpiClass:
     """Classify from the U matrix alone.
 
     delta and intermediate interactions are exactly those with
     det(U + I) = 0 (so -1 is an eigenvalue of U); among them the delta
     family is invariant under conjugation by the first Pauli matrix,
-    sigma1 U^T sigma1 = U.  Matrix criteria carry rounding, hence tol.
+    sigma1 U^T sigma1 = U.  Matrix criteria carry rounding, hence _MATRIX_TOL.
     """
     mat = u.matrix()
     det_u_plus_i = np.linalg.det(mat + np.eye(2))
-    if abs(det_u_plus_i) > tol:
+    if abs(det_u_plus_i) > _MATRIX_TOL:
         return GpiClass.DELTA_PRIME
     sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]])
     swapped = sigma1 @ mat.T @ sigma1
-    if np.abs(swapped - mat).max() <= tol:
+    if np.abs(swapped - mat).max() <= _MATRIX_TOL:
         return GpiClass.DELTA
     return GpiClass.INTERMEDIATE
 

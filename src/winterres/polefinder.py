@@ -33,8 +33,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
+from .asymptotics import Resonance
 from .errors import WinterresError
-from .gpi import GpiClass, GpiParams, canonical_real_gamma, classify, is_separated
+from .gpi import GpiParams, is_separated
 from .krein import det_lambda, det_lambda_balanced
 from .riccati import Channel
 
@@ -55,10 +56,6 @@ class BoundaryZero(WinterresError):
 
 class NonConvergence(WinterresError):
     """Newton refinement failed to converge to a certified root."""
-
-
-class AmbiguousIndex(WinterresError):
-    """Two poles compete for the same asymptotic lattice index."""
 
 
 class ClusteredZeros(WinterresError):
@@ -98,21 +95,6 @@ class SearchRegion:
     def contains(self, k: complex, slop: float = 0.0) -> bool:
         return (self.re_min - slop <= k.real <= self.re_max + slop
                 and self.im_min - slop <= k.imag <= self.im_max + slop)
-
-
-@dataclass(frozen=True)
-class Resonance:
-    """A refined pole of the resolvent in the fourth quadrant.
-
-    ``residual`` is the raw |det lambda| at the returned momentum; ``index``
-    is the position on the class lattice once assigned (ordinal before that).
-    """
-
-    index: int
-    k: complex
-    residual: float
-    channel: Channel
-    gpi_class: GpiClass
 
 
 def _edge(fn, start, end) -> list:
@@ -330,8 +312,7 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     bad = [item for item in merged if item[1] >= _RESIDUAL_TOL]
     if bad:
         raise NonConvergence(f"{len(bad)} poles above the residual tolerance: {bad}")
-    cls = classify(p)
-    return [Resonance(i, k_root, residual, ch, cls)
+    return [Resonance(i, k_root, residual)
             for i, (k_root, residual) in enumerate(merged)]
 
 
@@ -382,46 +363,3 @@ def _subdivide(fn, region: SearchRegion, edges: tuple, count: int):
             return [(lo, lo_edges, c_lo), (hi, hi_edges, c_hi)]
         # counts disagree: a zero slipped between the sampled cut lines
     raise BoundaryZero(f"no clean split line found inside {region}")
-
-
-_LATTICE_SPAN = 0.6  # accept indices within this fraction of the lattice spacing
-
-
-def index_poles(poles: list[Resonance], ch: Channel, cls: GpiClass,
-                p: GpiParams) -> list[Resonance]:
-    """Assign lattice indices n to poles sorted by Re k.
-
-    The class-appropriate leading grid is
-        delta:        Re k_n = (2 n pi + l pi + 3 pi/2) / (2R)   (alpha > 0)
-                      Re k_n = (2 n pi + l pi +   pi/2) / (2R)   (alpha < 0)
-        intermediate: Re k_n = (pi n + pi l/2 +   pi/2) / R      (Re gamma > 0)
-                      Re k_n = (pi n + pi l/2 + 3 pi/2) / R      (Re gamma < 0)
-        delta-prime:  Re k_n = pi n / R + pi (l + 1) / (2R)
-    Each pole takes the nearest n; collisions are resolved monotonically and
-    AmbiguousIndex is raised when that pushes a pole off its lattice cell.
-    """
-    if not poles:
-        return []
-    r, l = ch.radius, ch.l
-    spacing = math.pi / r
-    if cls is GpiClass.DELTA:
-        alpha = canonical_real_gamma(p).alpha
-        if alpha == 0:
-            raise ValueError("free interaction has no resonance lattice")
-        off = (l * math.pi + (1.5 if alpha > 0 else 0.5) * math.pi) / (2.0 * r)
-    elif cls is GpiClass.INTERMEDIATE:
-        off = (0.5 * l * math.pi + (0.5 if p.gamma.real > 0 else 1.5) * math.pi) / r
-    else:
-        off = (l + 1) * math.pi / (2.0 * r)
-
-    out: list[Resonance] = []
-    prev_n = -1
-    for pole in sorted(poles, key=lambda q: q.k.real):
-        nearest = round((pole.k.real - off) / spacing)
-        n = max(nearest, prev_n + 1, 0)
-        if n != nearest and abs(pole.k.real - (off + n * spacing)) > _LATTICE_SPAN * spacing:
-            raise AmbiguousIndex(
-                f"poles collide on the lattice near n = {nearest} (Re k = {pole.k.real})")
-        out.append(replace(pole, index=n))
-        prev_n = n
-    return out

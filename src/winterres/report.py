@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
-from .asymptotics import ComparisonRow
+from .asymptotics import ComparisonRow, Resonance
 from .gpi import GpiClass, GpiParams
-from .polefinder import Resonance
 from .riccati import Channel
 
 CSV_COLUMNS = ["n", "re_k", "im_k", "residual", "re_pred", "im_pred",
@@ -82,8 +81,12 @@ def config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from parsed JSON; keys match the dataclass fields.
 
     Raises ValueError naming any key outside the schema, top-level or inside
-    a block, a block that is not an object, and a missing search.re_max.
+    a block, a config or block that is not an object, a missing
+    search.re_max, a channel.l that is not an integer and an outputs.table
+    that is not a boolean.
     """
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     unknown = sorted(set(raw) - set(_CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; "
@@ -103,7 +106,10 @@ def config_from_dict(raw: dict) -> RunConfig:
     p = GpiParams(float(inter.get("alpha", 0.0)), float(inter.get("beta", 0.0)),
                   complex(gamma))
     chan = raw.get("channel", {})
-    ch = Channel(int(chan.get("l", 0)), float(chan.get("radius", 1.0)))
+    l = chan.get("l", 0)
+    if not (type(l) is int or (isinstance(l, float) and l.is_integer())):
+        raise ValueError(f"config block 'channel': l must be an integer, got {l!r}")
+    ch = Channel(int(l), float(chan.get("radius", 1.0)))
     srch = raw.get("search", {})
     im_min = srch.get("im_min", None)
     if isinstance(im_min, str):
@@ -112,8 +118,11 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ValueError("config has no search.re_max")
     search = SearchSettings(float(srch["re_max"]), im_min)
     outs = raw.get("outputs", {})
-    outputs = OutputSettings(outs.get("csv_path"), outs.get("svg_path"),
-                             bool(outs.get("table", True)))
+    table = outs.get("table", True)
+    if not isinstance(table, bool):
+        raise ValueError(f"config block 'outputs': table must be true or false, "
+                         f"got {table!r}")
+    outputs = OutputSettings(outs.get("csv_path"), outs.get("svg_path"), table)
     return RunConfig(p, ch, search, outputs)
 
 

@@ -36,7 +36,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def _indexed_run(p: GpiParams, re_max: float):
     poles = find_poles(p, CH, re_max=re_max)
-    return index_poles(poles, CH, classify(p), p)
+    return index_poles(poles, p, CH)
 
 
 def test_criterion_01_free_case_oracle():

@@ -1,77 +1,81 @@
-"""Predictor tests: frozen arithmetic, branch structure, comparison rows."""
+"""Predictor tests: frozen arithmetic, branch structure, comparison rows, one lattice."""
 
 import math
 
 import pytest
 
-from winterres import (Channel, GpiParams, NotDeltaPrime, NotIntermediate,
-                       Separated, ZeroCoupling, compare, find_poles, index_poles,
-                       classify, is_separated, predict, predict_delta,
-                       predict_delta_prime, predict_intermediate)
+from winterres import (Channel, GpiParams, Resonance, Separated, ZeroCoupling,
+                       compare, find_poles, index_poles, is_separated, predict)
 
 CH = Channel(0, 1.0)
 
 
+def _delta(alpha):
+    return GpiParams(alpha, 0, 0)
+
+
+def _intermediate(gamma):
+    return GpiParams(0, 0, gamma)
+
+
 class TestPredictDelta:
     def test_frozen_example(self):
-        out = predict_delta(10, CH, 50.0)
+        out = predict(_delta(50.0), CH, 10)
         assert out.k_pred.real == pytest.approx(33.772121026090275, abs=1e-12)
         assert out.k_pred.imag == pytest.approx(-0.15037990777743557, abs=1e-12)
 
     def test_negative_alpha_shifts_lattice(self):
-        plus = predict_delta(10, CH, 50.0)
-        minus = predict_delta(10, CH, -50.0)
+        plus = predict(_delta(50.0), CH, 10)
+        minus = predict(_delta(-50.0), CH, 10)
         assert plus.k_pred.real - minus.k_pred.real == pytest.approx(math.pi / 2)
 
     def test_lattice_spacing_is_pi_over_r(self):
         for r in (1.0, 0.5, 2.0):
             ch = Channel(0, r)
             for n in (1, 7, 30):
-                d = predict_delta(n + 1, ch, 5.0).k_pred.real - predict_delta(
-                    n, ch, 5.0).k_pred.real
+                d = predict(_delta(5.0), ch, n + 1).k_pred.real - predict(
+                    _delta(5.0), ch, n).k_pred.real
                 assert abs(d - math.pi / r) < 1e-12
 
     def test_error_scale(self):
-        assert predict_delta(20, CH, 5.0).error_scale == pytest.approx(
+        assert predict(_delta(5.0), CH, 20).error_scale == pytest.approx(
             math.log(20) / 20)
 
     def test_zero_coupling_raises(self):
         with pytest.raises(ZeroCoupling):
-            predict_delta(5, CH, 0.0)
+            predict(_delta(0.0), CH, 5)
         with pytest.raises(ValueError):
-            predict_delta(0, CH, 5.0)
+            predict(_delta(5.0), CH, 0)
 
 
 class TestPredictIntermediate:
     def test_frozen_example(self):
-        out = predict_intermediate(10, CH, 1 + 1j)
+        out = predict(_intermediate(1 + 1j), CH, 10)
         assert out.k_pred.real == pytest.approx(32.98672286269283, abs=1e-12)
         assert out.k_pred.imag == pytest.approx(-0.2027325540540822, abs=1e-12)
         assert out.error_scale == pytest.approx(0.1)
 
     def test_separated_edge_degenerates_to_real_axis(self):
-        out = predict_intermediate(10, CH, 2.0)
-        assert out.k_pred.imag == 0.0
-        assert is_separated(GpiParams(0, 0, 2.0))
+        # gamma = 2 is separated; just off it the width is ~1e-13
+        assert is_separated(_intermediate(2.0))
+        assert not is_separated(_intermediate(2.000001))
+        out = predict(_intermediate(2.000001), CH, 10)
+        assert -1e-12 < out.k_pred.imag < 0.0
 
     def test_negative_branch(self):
-        out = predict_intermediate(10, CH, -1.0)
+        out = predict(_intermediate(-1.0), CH, 10)
         assert out.k_pred.real == pytest.approx((10 + 1.5) * math.pi, abs=1e-12)
         assert out.k_pred.imag == pytest.approx(-0.5 * math.log(1.25), abs=1e-12)
 
     def test_imaginary_part_never_positive(self):
         # (1 + |g|^2/4) >= |Re g| with equality only on the separated locus
-        for g in (0.3, -2.7, 1 + 4j, 0.1 - 0.1j, 2.0):
-            assert predict_intermediate(5, CH, g).k_pred.imag <= 0.0
-
-    def test_requires_real_part(self):
-        with pytest.raises(NotIntermediate):
-            predict_intermediate(5, CH, 2j)
+        for g in (0.3, -2.7, 1 + 4j, 0.1 - 0.1j, 2.000001):
+            assert predict(_intermediate(g), CH, 5).k_pred.imag <= 0.0
 
 
 class TestPredictDeltaPrime:
     def test_frozen_example(self):
-        out = predict_delta_prime(50, CH, GpiParams(0, 0.1, 0))
+        out = predict(GpiParams(0, 0.1, 0), CH, 50)
         k0 = 50 * math.pi + 0.5 * math.pi
         assert out.k_pred.real == pytest.approx(k0 + 10.0 / k0, abs=1e-12)
         assert out.k_pred.imag == pytest.approx(-1.0 / (0.1 * k0) ** 2, abs=1e-15)
@@ -79,39 +83,38 @@ class TestPredictDeltaPrime:
 
     def test_huge_beta_leaves_centrifugal_shift(self):
         ch = Channel(2, 1.0)
-        out = predict_delta_prime(20, ch, GpiParams(0, 1e9, 0))
+        out = predict(GpiParams(0, 1e9, 0), ch, 20)
         k0 = 20 * math.pi + 1.5 * math.pi
         want = k0 - (2 * 2 + 2) / 2.0 / k0  # -(l^2+l)/(2 R^2 k0)
         assert out.k_pred.real == pytest.approx(want, abs=1e-6)
 
     def test_width_scales_as_inverse_square(self):
         p = GpiParams(0, 0.1, 0)
-        im1 = predict_delta_prime(1, CH, p).k_pred.imag
-        im2 = predict_delta_prime(2, CH, p).k_pred.imag
+        im1 = predict(p, CH, 1).k_pred.imag
+        im2 = predict(p, CH, 2).k_pred.imag
         k01 = math.pi + 0.5 * math.pi
         k02 = 2 * math.pi + 0.5 * math.pi
         assert im1 / im2 == pytest.approx((k02 / k01) ** 2, rel=1e-12)
 
-    def test_requires_beta(self):
-        with pytest.raises(NotDeltaPrime):
-            predict_delta_prime(5, CH, GpiParams(1, 0, 0))
-
 
 class TestPredictDispatch:
+    # each class shows itself by its remainder scale
     def test_routes_delta(self):
-        assert predict(GpiParams(50, 0, 0), CH, 10) == predict_delta(10, CH, 50.0)
+        assert predict(_delta(50.0), CH, 10).error_scale == math.log(10) / 10
 
     def test_routes_delta_prime(self):
-        p = GpiParams(0, 0.01, 0)
-        assert predict(p, CH, 7) == predict_delta_prime(7, CH, p)
+        assert predict(GpiParams(0, 0.01, 0), CH, 7).error_scale == 7 ** -3.0
 
     def test_routes_intermediate_without_canonicalizing(self):
-        p = GpiParams(0, 0, 1 + 1j)
-        assert predict(p, CH, 7) == predict_intermediate(7, CH, 1 + 1j)
+        out = predict(_intermediate(1 + 1j), CH, 7)
+        assert out.error_scale == 1 / 7
+        # |gamma|^2 = 2 enters as given: (1 + 2/4) / |Re gamma| = 1.5
+        assert out.k_pred.real == pytest.approx(7.5 * math.pi, abs=1e-12)
+        assert out.k_pred.imag == pytest.approx(-0.5 * math.log(1.5), abs=1e-12)
 
     def test_imaginary_gamma_reduces_to_rescaled_delta(self):
         # (alpha, 0, i y) is equivalent to alpha' = 4 alpha/(y^2 + 4)
-        assert predict(GpiParams(50, 0, 2j), CH, 10) == predict_delta(10, CH, 25.0)
+        assert predict(GpiParams(50, 0, 2j), CH, 10) == predict(_delta(25.0), CH, 10)
 
     def test_free_equivalent_raises_zero_coupling(self):
         with pytest.raises(ZeroCoupling):
@@ -142,7 +145,7 @@ class TestCompare:
     def test_delta_prime_scaled_errors_bounded(self):
         p = GpiParams(0, 0.1, 0)
         poles = find_poles(p, CH, re_max=42 * math.pi, im_min=-1.0)
-        poles = index_poles(poles, CH, classify(p), p)
+        poles = index_poles(poles, p, CH)
         rows = compare([q for q in poles if 20 <= q.index <= 40], p, CH)
         assert len(rows) == 21
         # remainder is O(n^-3): the scaled error must not blow up with n
@@ -152,7 +155,7 @@ class TestCompare:
     def test_intermediate_width_error_shrinks(self):
         p = GpiParams(0, 0, 1 + 1j)
         poles = find_poles(p, CH, re_max=35.0, im_min=-1.0)
-        poles = index_poles(poles, CH, classify(p), p)
+        poles = index_poles(poles, p, CH)
         rows = compare(poles, p, CH)
         im_err = [abs(row.k_found.imag - row.k_pred.imag) for row in rows]
         assert im_err[-1] <= im_err[0] + 1e-12
@@ -160,7 +163,32 @@ class TestCompare:
     def test_rows_carry_consistent_errors(self):
         p = GpiParams(50, 0, 0)
         poles = find_poles(p, CH, re_max=25.0, im_min=-2.0)
-        poles = index_poles(poles, CH, classify(p), p)
+        poles = index_poles(poles, p, CH)
         for row in compare(poles, p, CH):
             assert row.abs_err == abs(row.k_found - row.k_pred)
             assert row.scaled_err >= row.abs_err  # scales here are < 1
+
+
+class TestOneLattice:
+    # beta = +-1 and n >= 10 keep the delta-prime next-order shift below a
+    # quarter of the spacing pi/R for every (l, R) below
+    @pytest.mark.parametrize("p, ns", [
+        (GpiParams(50, 0, 0), (1, 2, 3, 7, 20)),
+        (GpiParams(-7, 0, 0.5j), (1, 2, 3, 7, 20)),
+        (GpiParams(0, 0, 1 + 1j), (1, 2, 3, 7, 20)),
+        (GpiParams(0, 0, -0.5 + 0.3j), (1, 2, 3, 7, 20)),
+        (GpiParams(0, 1.0, 0), (10, 11, 12, 30)),
+        (GpiParams(2, -1.0, 0.5 - 0.5j), (10, 11, 12, 30)),
+    ], ids=["delta+", "delta-", "intermediate+", "intermediate-",
+            "delta-prime+", "delta-prime-"])
+    @pytest.mark.parametrize("l", [0, 2, 5])
+    @pytest.mark.parametrize("radius", [0.5, 2.0])
+    def test_predictions_index_to_their_n(self, p, ns, l, radius):
+        ch = Channel(l, radius)
+        preds = [predict(p, ch, n).k_pred for n in ns]
+        if p.beta:
+            for n, k in zip(ns, preds):
+                k0 = n * math.pi / radius + (l + 1) * math.pi / (2 * radius)
+                assert abs(k.real - k0) < 0.25 * math.pi / radius
+        poles = [Resonance(0, k, 0.0) for k in preds]
+        assert [q.index for q in index_poles(poles, p, ch)] == list(ns)

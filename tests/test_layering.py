@@ -2,6 +2,8 @@
 
 Each module may import only from modules before it in LAYERS; a relative
 import that points up (or sideways into a module not listed) fails here.
+Interaction classes are known to ``asymptotics`` alone: the search imports
+none of the class machinery.
 """
 
 import ast
@@ -10,13 +12,13 @@ import pathlib
 import pytest
 
 PKG = pathlib.Path(__file__).resolve().parent.parent / "src" / "winterres"
-LAYERS = ["errors", "gpi", "riccati", "krein", "polefinder", "asymptotics",
+LAYERS = ["errors", "gpi", "riccati", "krein", "asymptotics", "polefinder",
           "report", "cli"]
 
 
-def _relative_imports(path: pathlib.Path) -> list[str]:
+def _relative_imports(path: pathlib.Path) -> list[ast.ImportFrom]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return [node.module for node in ast.walk(tree)
+    return [node for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module]
 
 
@@ -28,5 +30,11 @@ def test_every_module_has_a_layer():
 @pytest.mark.parametrize("module", LAYERS)
 def test_imports_point_down(module):
     rank = LAYERS.index(module)
-    for target in _relative_imports(PKG / f"{module}.py"):
-        assert target in LAYERS[:rank], f"{module} imports .{target}"
+    for node in _relative_imports(PKG / f"{module}.py"):
+        assert node.module in LAYERS[:rank], f"{module} imports .{node.module}"
+
+
+def test_search_knows_no_interaction_classes():
+    names = {alias.name for node in _relative_imports(PKG / "polefinder.py")
+             for alias in node.names}
+    assert not names & {"GpiClass", "classify", "canonical_real_gamma"}

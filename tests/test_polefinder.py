@@ -5,10 +5,9 @@ import math
 import pytest
 
 import winterres.polefinder as pf
-from winterres import (AmbiguousIndex, BoundaryZero, Channel, GpiClass,
-                       GpiParams, NonConvergence, SearchRegion, classify,
-                       count_zeros, det_lambda, det_lambda_balanced, find_poles,
-                       index_poles, refine)
+from winterres import (AmbiguousIndex, BoundaryZero, Channel, GpiParams,
+                       NonConvergence, SearchRegion, count_zeros, det_lambda,
+                       det_lambda_balanced, find_poles, index_poles, refine)
 
 CH = Channel(0, 1.0)
 FREE = GpiParams(0, 0, 0)
@@ -148,7 +147,6 @@ class TestFindPoles:
         for pole in poles:
             assert abs(det_lambda(DELTA, CH, pole.k)) < 1e-9
             assert 1e-3 <= pole.k.real <= 40.0 and -3.0 <= pole.k.imag <= 0.0
-            assert pole.gpi_class is GpiClass.DELTA
 
     def test_matches_independent_count(self):
         poles = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
@@ -191,29 +189,29 @@ class TestFindPoles:
 class TestIndexPoles:
     def test_delta_prime_lattice(self):
         poles = find_poles(DELTA_PRIME, CH, re_max=52 * math.pi, im_min=-1.0)
-        poles = index_poles(poles, CH, GpiClass.DELTA_PRIME, DELTA_PRIME)
+        poles = index_poles(poles, DELTA_PRIME, CH)
         k0 = 50 * math.pi + math.pi / 2
         nearest = min(poles, key=lambda p: abs(p.k.real - k0))
         assert nearest.index == 50
 
     def test_delta_lattice(self):
         poles = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
-        poles = index_poles(poles, CH, GpiClass.DELTA, DELTA)
+        poles = index_poles(poles, DELTA, CH)
         target = 10 * math.pi + 0.75 * math.pi
         nearest = min(poles, key=lambda p: abs(p.k.real - target))
         assert nearest.index == 10
 
     def test_indices_strictly_increase(self):
         poles = find_poles(INTERMEDIATE, CH, re_max=35.0, im_min=-1.0)
-        poles = index_poles(poles, CH, GpiClass.INTERMEDIATE, INTERMEDIATE)
+        poles = index_poles(poles, INTERMEDIATE, CH)
         idx = [p.index for p in poles]
         assert all(b > a for a, b in zip(idx, idx[1:]))
 
     def test_empty_passthrough(self):
-        assert index_poles([], CH, GpiClass.DELTA, DELTA) == []
+        assert index_poles([], DELTA, CH) == []
 
     def test_collision_raises(self):
         poles = find_poles(DELTA, CH, re_max=12.0, im_min=-2.0)
         duplicated = poles + poles  # two poles per lattice point
         with pytest.raises(AmbiguousIndex):
-            index_poles(duplicated, CH, GpiClass.DELTA, DELTA)
+            index_poles(duplicated, DELTA, CH)

@@ -259,16 +259,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage error" in err and "search.re_max" in err
 
-    @pytest.mark.parametrize("outputs, named", [
-        ({"tabel": False}, "tabel"),
-        (5, "JSON object"),
-    ], ids=["unknown-key", "not-an-object"])
-    def test_usage_error_bad_block(self, tmp_path, capsys, outputs, named):
+    @pytest.mark.parametrize("block, value, named", [
+        ("outputs", {"tabel": False}, "tabel"),
+        ("outputs", 5, "JSON object"),
+        ("outputs", {"table": "false"}, "table"),
+        ("channel", {"l": 1.7}, "l must be an integer"),
+    ], ids=["unknown-key", "not-an-object", "table-not-bool", "l-not-integral"])
+    def test_usage_error_bad_block(self, tmp_path, capsys, block, value, named):
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"search": {"re_max": 4}, "outputs": outputs}))
+        cfg_path.write_text(json.dumps({"search": {"re_max": 4}, block: value}))
         assert main(["poles", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert "usage error" in err and "'outputs'" in err and named in err
+        assert "usage error" in err and f"'{block}'" in err and named in err
+
+    def test_usage_error_config_not_an_object(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text("[]")
+        assert main(["poles", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "JSON object" in err
 
     def test_usage_error_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
