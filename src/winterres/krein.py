@@ -31,11 +31,15 @@ raw determinant contains competing e^{2 i k R} and O(1) parts; one growing
 and one flat term make phase tracking along deep contours ill-conditioned,
 while the balanced version splits the growth evenly and leaves the zero set
 untouched.  Root finding uses the balanced form throughout.
+
+``phi_boundary``, ``det_lambda`` and ``det_lambda_balanced`` take one
+momentum or a numpy array of momenta, like the Riccati functions they call:
+a scalar gives Python complex values from cmath, an array gives arrays from
+numpy, elementwise, through the same expressions.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -43,7 +47,7 @@ import numpy as np
 
 from .errors import WinterresError
 from .gpi import GpiParams, is_separated
-from .riccati import Channel, OriginSingularity, riccati_s, riccati_xi
+from .riccati import Channel, OriginSingularity, as_argument, riccati_s, riccati_xi
 
 
 class PoleAtK(WinterresError):
@@ -56,7 +60,7 @@ class NotSeparated(WinterresError):
 
 @dataclass(frozen=True)
 class PhiBoundaryValues:
-    """Boundary data of the two adjoint solutions at momentum k."""
+    """Boundary data of the two adjoint solutions at momentum k (arrays for an array k)."""
 
     phi1_at_R: complex
     phi2_avg: complex
@@ -73,8 +77,8 @@ class KreinCoefficients:
 
 def phi_boundary(ch: Channel, k: complex) -> PhiBoundaryValues:
     """Boundary values Phi1(R), Phi2(Rbar), Phi2'(R) at momentum k != 0."""
-    k = complex(k)
-    if k == 0:
+    k, ops = as_argument(k)
+    if not ops.no_zero(k):
         raise OriginSingularity("boundary values are singular at k = 0")
     z = k * ch.radius
     s = riccati_s(ch.l, z)
@@ -102,7 +106,8 @@ def det_lambda(p: GpiParams, ch: Channel, k: complex) -> complex:
 
 def det_lambda_balanced(p: GpiParams, ch: Channel, k: complex) -> complex:
     """e^{-i k R} det lambda(k): same zeros, balanced growth off the axis."""
-    return cmath.exp(-1j * complex(k) * ch.radius) * det_lambda(p, ch, k)
+    k, ops = as_argument(k)
+    return ops.exp(-1j * k * ch.radius) * det_lambda(p, ch, k)
 
 
 def krein_coefficients(p: GpiParams, ch: Channel, k: complex) -> KreinCoefficients:

@@ -18,9 +18,15 @@ answers for exactly the rectangle it was given.
 Each rectangle on the subdivision stack keeps its resolved boundary, so a
 split evaluates det lambda only along the new cut: a child's boundary is its
 pieces of the parent's edges plus the cut, and every edge sample is computed
-once however deep the subdivision goes.  When a zero sits on (or too close
-to) a cut, subdivision catches BoundaryZero and re-splits at a shifted
-fraction, so the children still partition the parent.
+once however deep the subdivision goes.  An edge carries |f| and the
+resolved phase of each step with its samples, so a child's count sums the
+phases it inherits and computes (and checks against pi/2) only those of its
+new steps: the cut, the step where a parent edge is cut, and the samples
+added to short edges.  A cut, end points included, is one array call of det
+lambda, and so are the samples added to one child's short edges; bisection
+midpoints are scalar calls.  When a zero sits on (or too close to) a cut,
+subdivision catches BoundaryZero and re-splits at a shifted fraction, so the
+children still partition the parent.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 pole lists.
@@ -32,6 +38,9 @@ import cmath
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from typing import NamedTuple
+
+import numpy as np
 
 from .asymptotics import Resonance
 from .errors import WinterresError
@@ -97,69 +106,134 @@ class SearchRegion:
                 and self.im_min - slop <= k.imag <= self.im_max + slop)
 
 
-def _edge(fn, start, end) -> list:
-    """Samples of fn from sample start to sample end, at spacing below 0.4.
+class _Edge(NamedTuple):
+    """Samples along one side of a boundary, with what a winding count needs.
 
-    The spacing keeps the e^{+-ikR} factors from turning far between samples.
+    ``z`` and ``f`` are the sample points and det lambda there, ``mag`` is
+    |f|, and ``phase[i]`` is the phase f turns through from sample i to
+    i + 1.  ``wide`` lists the steps whose phase is pi/2 or more in modulus;
+    a resolved edge has none.
     """
-    a, b = start[0], end[0]
+
+    z: list
+    f: list
+    mag: list
+    phase: list
+    wide: tuple = ()
+
+
+_HALF_PI = 0.5 * math.pi
+
+
+def _wide(phase: list, steps) -> tuple:
+    """Those of the given steps that turn by pi/2 or more: they need bisecting."""
+    return tuple(s for s in steps if abs(phase[s]) >= _HALF_PI)
+
+
+def _edge(fn, a: complex, b: complex) -> _Edge:
+    """A freshly sampled edge from a to b: one det lambda call for all samples.
+
+    The spacing stays below 0.4, which keeps the e^{+-ikR} factors from
+    turning far between samples.
+    """
     n = max(8, int(abs(b - a) / 0.4) + 1)
-    return [start] + [(z, fn(z)) for z in (a + (b - a) * j / n for j in range(1, n))] + [end]
+    z = [a] + [a + (b - a) * j / n for j in range(1, n)] + [b]
+    f = fn(np.array(z))
+    phase = np.angle(f[1:] / f[:-1]).tolist()
+    f = f.tolist()
+    return _Edge(z, f, list(map(abs, f)), phase, _wide(phase, range(len(phase))))
 
 
 def _boundary(fn, region: SearchRegion) -> tuple:
     """The region's four counterclockwise edges, freshly sampled."""
-    corners = [(z, fn(z)) for z in region.corners()]
+    corners = region.corners()
     return tuple(_edge(fn, corners[i], corners[(i + 1) % 4]) for i in range(4))
 
 
-def _densify(fn, edge: list) -> list:
-    """Bisect the widest steps of an edge until it has at least 8.
+def _reversed(edge: _Edge) -> _Edge:
+    """The same edge walked the other way."""
+    last = len(edge.phase) - 1
+    return _Edge(edge.z[::-1], edge.f[::-1], edge.mag[::-1], [-p for p in reversed(edge.phase)],
+                 tuple(last - i for i in reversed(edge.wide)))
+
+
+def _densify(fn, edges: tuple) -> tuple:
+    """Bisect the widest steps of each short edge until it has at least 8.
 
     A freshly sampled edge always has 8; a short piece of a parent's edge
-    may have fewer.
+    may have fewer.  The new samples of all edges take one det lambda call;
+    the steps they split become new steps.
     """
-    while len(edge) < 9:
-        i = max(range(len(edge) - 1), key=lambda j: abs(edge[j + 1][0] - edge[j][0]))
-        zm = 0.5 * (edge[i][0] + edge[i + 1][0])
-        edge = edge[:i + 1] + [(zm, fn(zm))] + edge[i + 1:]
-    return edge
+    short = [i for i, edge in enumerate(edges) if len(edge.z) < 9]
+    if not short:
+        return edges
+    plans = []
+    for edge in (edges[i] for i in short):
+        # None marks a step to compute and test: a new one, or one still wide
+        z, f = list(edge.z), list(edge.f)
+        phase = [None if s in edge.wide else step for s, step in enumerate(edge.phase)]
+        while len(z) < 9:
+            i = max(range(len(z) - 1), key=lambda j: abs(z[j + 1] - z[j]))
+            z.insert(i + 1, 0.5 * (z[i] + z[i + 1]))
+            f.insert(i + 1, None)
+            phase[i:i + 1] = [None, None]
+        plans.append((z, f, phase))
+    values = iter(fn(np.array([w for z, f, _ in plans
+                               for w, v in zip(z, f) if v is None])).tolist())
+    out = list(edges)
+    for i, (z, f, phase) in zip(short, plans):
+        f = [next(values) if v is None else v for v in f]
+        new = [s for s, step in enumerate(phase) if step is None]
+        for s in new:
+            phase[s] = cmath.phase(f[s + 1] / f[s])
+        out[i] = _Edge(z, f, list(map(abs, f)), phase, _wide(phase, new))
+    return tuple(out)
 
 
-def _resolve(fn, edge: list, floor: float) -> tuple[list, float]:
-    """Refine an edge until fn turns by less than pi/2 between neighbouring samples.
+def _bisect(fn, z1: complex, f1: complex, z2: complex, f2: complex,
+            floor: float) -> tuple[list, list]:
+    """Bisect one step until f turns by less than pi/2 between neighbours.
 
-    Returns the refined samples and the phase increment of fn along the edge.
-    A step is bisected at most _MAX_PHASE_DEPTH times; failing that, or a
-    midpoint value under the floor, raises BoundaryZero.
+    Returns the samples inserted between its ends and the phases of the
+    steps between them.  A step is bisected at most _MAX_PHASE_DEPTH times;
+    failing that, or a midpoint value under the floor, raises BoundaryZero.
     """
-    out = [edge[0]]
-    total = 0.0
-    pending = []   # right ends of the steps still to resolve, with their depth
-    for sample in edge[1:]:
-        delta = cmath.phase(sample[1] / out[-1][1])
-        if abs(delta) < 0.5 * math.pi:   # most steps: resolved when the edge was made
-            out.append(sample)
-            total += delta
+    out = [(z1, f1)]
+    phases = []
+    pending = [((z2, f2), 0)]   # right ends of the steps still to resolve, with their depth
+    while pending:
+        (zb, fb), depth = pending[-1]
+        za, fa = out[-1]
+        delta = cmath.phase(fb / fa)
+        if abs(delta) < _HALF_PI:
+            out.append(pending.pop()[0])
+            phases.append(delta)
             continue
-        pending.append((sample, 0))
-        while pending:
-            (z2, f2), depth = pending[-1]
-            z1, f1 = out[-1]
-            delta = cmath.phase(f2 / f1)
-            if abs(delta) < 0.5 * math.pi:
-                out.append(pending.pop()[0])
-                total += delta
-                continue
-            if depth >= _MAX_PHASE_DEPTH:
-                raise BoundaryZero(f"phase increment from {z1} to {z2} cannot be resolved")
-            zm = 0.5 * (z1 + z2)
-            fm = fn(zm)
-            if abs(fm) < floor:
-                raise BoundaryZero(f"|det lambda| below the floor at {zm}")
-            pending[-1] = ((z2, f2), depth + 1)
-            pending.append(((zm, fm), depth + 1))
-    return out, total
+        if depth >= _MAX_PHASE_DEPTH:
+            raise BoundaryZero(f"phase increment from {za} to {zb} cannot be resolved")
+        zm = 0.5 * (za + zb)
+        fm = fn(zm)
+        if abs(fm) < floor:
+            raise BoundaryZero(f"|det lambda| below the floor at {zm}")
+        pending[-1] = ((zb, fb), depth + 1)
+        pending.append(((zm, fm), depth + 1))
+    return out[1:-1], phases
+
+
+def _resolve(fn, edge: _Edge, floor: float) -> _Edge:
+    """Bisect the wide steps of an edge; the others are resolved already."""
+    if not edge.wide:
+        return edge
+    z, f, phase = [], [], []
+    start = 0
+    for i in edge.wide:   # one scalar det lambda call per midpoint
+        inner, steps = _bisect(fn, edge.z[i], edge.f[i], edge.z[i + 1], edge.f[i + 1], floor)
+        z += edge.z[start:i + 1] + [w for w, _ in inner]
+        f += edge.f[start:i + 1] + [v for _, v in inner]
+        phase += edge.phase[start:i] + steps
+        start = i + 1
+    f += edge.f[start:]
+    return _Edge(z + edge.z[start:], f, list(map(abs, f)), phase + edge.phase[start:])
 
 
 def _winding(fn, region: SearchRegion, edges: tuple) -> tuple[tuple, int]:
@@ -169,22 +243,19 @@ def _winding(fn, region: SearchRegion, edges: tuple) -> tuple[tuple, int]:
     sample falls under 1e-8 times the median sample or a phase increment
     cannot be tamed, both of which signal a zero on or very near the contour.
     """
-    edges = tuple(_densify(fn, edge) for edge in edges)
-    vals = sorted(abs(f) for edge in edges for _, f in edge[:-1])
+    edges = _densify(fn, edges)
+    bottom, right, top, left = edges
+    vals = sorted(bottom.mag[:-1] + right.mag[:-1] + top.mag[:-1] + left.mag[:-1])
     med = vals[len(vals) // 2]
     floor = _FLOOR_REL * med
     if med == 0.0 or vals[0] < floor:
         raise BoundaryZero(f"zero of det lambda on the boundary of {region}")
-    resolved = []
-    total = 0.0
-    for edge in edges:
-        samples, phase = _resolve(fn, edge, floor)
-        resolved.append(samples)
-        total += phase
+    edges = tuple(_resolve(fn, edge, floor) for edge in edges)
+    total = sum(sum(edge.phase) for edge in edges)
     n = round(total / (2.0 * math.pi))
     if abs(total / (2.0 * math.pi) - n) > 0.25:
         raise WinterresError(f"winding sum {total!r} failed to close to an integer")
-    return tuple(resolved), n
+    return edges, n
 
 
 def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
@@ -316,23 +387,33 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
             for i, (k_root, residual) in enumerate(merged)]
 
 
-def _cut(edge: list, sample, key) -> tuple[list, list]:
-    """Split an edge at a new sample on it; key(z) never decreases along the edge."""
-    at, pos = key(sample[0]), lambda s: key(s[0])
-    return (edge[:bisect_left(edge, at, key=pos)] + [sample],
-            [sample] + edge[bisect_right(edge, at, key=pos):])
+def _cut(edge: _Edge, cut: _Edge, end: int, key) -> tuple[_Edge, _Edge]:
+    """Split a resolved edge at the cut's sample ``cut.z[end]``, which lies on it.
+
+    key(z) never decreases along the edge.  Both pieces keep the edge's
+    steps; only the step to or from the cut's sample is new.
+    """
+    z, f, mag = cut.z[end], cut.f[end], cut.mag[end]
+    at = key(z)
+    i, j = bisect_left(edge.z, at, key=key), bisect_right(edge.z, at, key=key)
+    lo_phase = edge.phase[:i - 1] + [cmath.phase(f / edge.f[i - 1])]
+    hi_phase = [cmath.phase(edge.f[j] / f)] + edge.phase[j:]
+    return (_Edge(edge.z[:i] + [z], edge.f[:i] + [f], edge.mag[:i] + [mag], lo_phase,
+                  _wide(lo_phase, [i - 1])),
+            _Edge([z] + edge.z[j:], [f] + edge.f[j:], [mag] + edge.mag[j:], hi_phase,
+                  _wide(hi_phase, [0])))
 
 
 def _subdivide(fn, region: SearchRegion, edges: tuple, count: int):
     """Split a rectangle so that the children's counts add up to the parent's.
 
     ``edges`` is the parent's resolved boundary (bottom, right, top, left).
-    The cut is placed on the longer side, and det lambda is evaluated only
-    along it: each child's boundary is its pieces of the parent's edges plus
-    the cut, which the upper or right child takes reversed and already
-    resolved.  Every check of a fresh count still applies to each child.
-    When a zero sits on (or too close to) the cut line, the fraction is
-    shifted.  Returns [(child, resolved edges, count)] for both children.
+    The cut is placed on the longer side and sampled in one det lambda
+    call; each child's boundary is its pieces of the parent's edges plus the
+    cut, which the upper or right child takes reversed and already resolved.  Every check of a fresh count still
+    applies to each child.  When a zero sits on (or too close to) the cut
+    line, the fraction is shifted.  Returns [(child, resolved edges, count)]
+    for both children.
     """
     bottom, right, top, left = edges
     vertical = region.width >= region.height
@@ -345,18 +426,18 @@ def _subdivide(fn, region: SearchRegion, edges: tuple, count: int):
             mid = region.im_min + frac * region.height
             lo, hi = replace(region, im_max=mid), replace(region, im_min=mid)
             a, b = complex(region.re_min, mid), complex(region.re_max, mid)
-        cut = _edge(fn, (a, fn(a)), (b, fn(b)))
+        cut = _edge(fn, a, b)
         try:
             if vertical:
-                b_lo, b_hi = _cut(bottom, cut[0], lambda z: z.real)
-                t_hi, t_lo = _cut(top, cut[-1], lambda z: -z.real)
+                b_lo, b_hi = _cut(bottom, cut, 0, lambda z: z.real)
+                t_hi, t_lo = _cut(top, cut, -1, lambda z: -z.real)
                 lo_edges, c_lo = _winding(fn, lo, (b_lo, cut, t_lo, left))
-                hi_edges, c_hi = _winding(fn, hi, (b_hi, right, t_hi, lo_edges[1][::-1]))
+                hi_edges, c_hi = _winding(fn, hi, (b_hi, right, t_hi, _reversed(lo_edges[1])))
             else:
-                r_lo, r_hi = _cut(right, cut[-1], lambda z: z.imag)
-                l_hi, l_lo = _cut(left, cut[0], lambda z: -z.imag)
-                lo_edges, c_lo = _winding(fn, lo, (bottom, r_lo, cut[::-1], l_lo))
-                hi_edges, c_hi = _winding(fn, hi, (lo_edges[2][::-1], r_hi, top, l_hi))
+                r_lo, r_hi = _cut(right, cut, -1, lambda z: z.imag)
+                l_hi, l_lo = _cut(left, cut, 0, lambda z: -z.imag)
+                lo_edges, c_lo = _winding(fn, lo, (bottom, r_lo, _reversed(cut), l_lo))
+                hi_edges, c_hi = _winding(fn, hi, (_reversed(lo_edges[2]), r_hi, top, l_hi))
         except BoundaryZero:
             continue
         if c_lo + c_hi == count:

@@ -82,8 +82,10 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     Raises ValueError naming any key outside the schema, top-level or inside
     a block, a config or block that is not an object, a missing
-    search.re_max, a channel.l that is not an integer and an outputs.table
-    that is not a boolean.
+    search.re_max, a channel.l that is not an integer, a JSON true or false
+    given for a number (alpha, beta, gamma, radius, re_max, im_min), an
+    outputs.table that is not a boolean and a csv_path or svg_path that is
+    neither a string nor null.
     """
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
@@ -99,29 +101,38 @@ def config_from_dict(raw: dict) -> RunConfig:
         if unknown:
             raise ValueError(f"unknown keys {unknown} in config block {block!r}; "
                              f"expected only {list(keys)}")
-    inter = raw.get("interaction", {})
-    gamma = inter.get("gamma", 0)
+    def value(block: str, key: str, default):
+        # float() and complex() would take a JSON true or false as 1 or 0
+        got = raw.get(block, {}).get(key, default)
+        if isinstance(got, bool):
+            raise ValueError(f"config block {block!r}: {key} must be a number, got {got!r}")
+        return got
+
+    gamma = value("interaction", "gamma", 0)
     if isinstance(gamma, str):
         gamma = parse_complex(gamma)
-    p = GpiParams(float(inter.get("alpha", 0.0)), float(inter.get("beta", 0.0)),
-                  complex(gamma))
-    chan = raw.get("channel", {})
-    l = chan.get("l", 0)
+    p = GpiParams(float(value("interaction", "alpha", 0.0)),
+                  float(value("interaction", "beta", 0.0)), complex(gamma))
+    l = raw.get("channel", {}).get("l", 0)
     if not (type(l) is int or (isinstance(l, float) and l.is_integer())):
         raise ValueError(f"config block 'channel': l must be an integer, got {l!r}")
-    ch = Channel(int(l), float(chan.get("radius", 1.0)))
-    srch = raw.get("search", {})
-    im_min = srch.get("im_min", None)
+    ch = Channel(int(l), float(value("channel", "radius", 1.0)))
+    im_min = value("search", "im_min", None)
     if isinstance(im_min, str):
         im_min = None if im_min == "auto" else float(im_min)
-    if "re_max" not in srch:
+    if "re_max" not in raw.get("search", {}):
         raise ValueError("config has no search.re_max")
-    search = SearchSettings(float(srch["re_max"]), im_min)
+    search = SearchSettings(float(value("search", "re_max", None)), im_min)
     outs = raw.get("outputs", {})
     table = outs.get("table", True)
     if not isinstance(table, bool):
         raise ValueError(f"config block 'outputs': table must be true or false, "
                          f"got {table!r}")
+    for key in ("csv_path", "svg_path"):
+        # open() would take an integer as a file descriptor, and close it
+        if not (outs.get(key) is None or isinstance(outs.get(key), str)):
+            raise ValueError(f"config block 'outputs': {key} must be a string or null, "
+                             f"got {outs[key]!r}")
     outputs = OutputSettings(outs.get("csv_path"), outs.get("svg_path"), table)
     return RunConfig(p, ch, search, outputs)
 

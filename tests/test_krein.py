@@ -105,6 +105,28 @@ class TestBalanced:
             assert abs(det_lambda_balanced(p, CH, k)) == pytest.approx(
                 abs(det_lambda(p, CH, k)), rel=1e-15)
 
+    @pytest.mark.parametrize("l", [0, 1, 2, 5, 20])
+    @pytest.mark.parametrize("radius", [0.5, 1.3])
+    def test_array_matches_scalar(self, l, radius):
+        # rings inside and outside |z| = l + 2, where riccati_s switches
+        # between its series and its recurrence, with -3 <= Im z < 0.  Just
+        # inside the switch at l = 20 the series itself cancels to ~3e-12
+        # (scalar and array alike, against 40 digits), so the inner rings
+        # stop at 0.75 (l + 2).
+        z = [cmath.rect(rho * (l + 2), -math.asin(min(depth, 0.9 * rho * (l + 2))
+                                                    / (rho * (l + 2))))
+             for rho in (0.5, 0.75, 1.1, 1.6) for depth in (0.01, 0.5, 1.5, 3.0)]
+        k = np.array(z) / radius
+        ch = Channel(l, radius)
+        for p in (GpiParams(50, 0, 0), GpiParams(0, 0, 1 + 1j), GpiParams(0, 0.1, 0),
+                  GpiParams(3.0, -0.2, 0.4 + 0.1j)):
+            got = det_lambda_balanced(p, ch, k)
+            assert isinstance(got, np.ndarray) and got.shape == k.shape
+            for kk, value in zip(k.tolist(), got):
+                want = det_lambda_balanced(p, ch, kk)
+                assert type(want) is complex
+                assert abs(value - want) <= 1e-12 * abs(want)
+
     def test_zero_sets_coincide(self):
         p = GpiParams(50, 0, 0)
         for pole in find_poles(p, CH, re_max=12.0, im_min=-2.0):

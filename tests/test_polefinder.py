@@ -1,7 +1,9 @@
 """Pole search tests: winding counts, refinement, indexing, symmetries."""
 
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 import winterres.polefinder as pf
@@ -89,9 +91,16 @@ class TestSubdivide:
                 children = pf._subdivide(fn, parent, edges, count)
                 vertical.add(children[0][0].re_max < parent.re_max)
                 for child, child_edges, c in children:
-                    assert [e[0][0] for e in child_edges] == child.corners()
-                    assert all(e[-1][0] == f[0][0] for e, f in
+                    assert [e.z[0] for e in child_edges] == child.corners()
+                    assert all(e.z[-1] == f.z[0] for e, f in
                                zip(child_edges, child_edges[1:] + child_edges[:1]))
+                    for e in child_edges:   # the state carried down to the next cut
+                        assert e.wide == ()
+                        assert e.mag == [abs(v) for v in e.f]
+                        assert len(e.phase) == len(e.f) - 1
+                        for i, step in enumerate(e.phase):
+                            assert abs(step - cmath.phase(e.f[i + 1] / e.f[i])) < 1e-12
+                            assert abs(step) < 0.5 * math.pi
                     assert c == count_zeros(p, ch, child)
                 nxt.extend(children)
             level = nxt
@@ -154,17 +163,18 @@ class TestFindPoles:
         assert len(poles) == n
 
     def test_det_budget_per_pole(self, monkeypatch):
-        # every contour sample is computed once: subdivision samples only cuts
-        calls = [0]
+        # every contour sample is computed once: subdivision samples only cuts.
+        # Points are counted, not calls, so batching cannot hide evaluations.
+        points = [0]
 
-        def counted(*args):
-            calls[0] += 1
-            return det_lambda_balanced(*args)
+        def counted(p, ch, k):
+            points[0] += np.size(k)
+            return det_lambda_balanced(p, ch, k)
 
         monkeypatch.setattr(pf, "det_lambda_balanced", counted)
         poles = find_poles(DELTA, CH, re_max=400.0)
         assert len(poles) == 127
-        assert calls[0] <= 100 * len(poles)
+        assert points[0] <= 100 * len(poles)
 
     def test_determinism(self):
         a = find_poles(INTERMEDIATE, CH, re_max=30.0, im_min=-1.5)

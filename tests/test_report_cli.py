@@ -264,7 +264,17 @@ class TestExitCodes:
         ("outputs", 5, "JSON object"),
         ("outputs", {"table": "false"}, "table"),
         ("channel", {"l": 1.7}, "l must be an integer"),
-    ], ids=["unknown-key", "not-an-object", "table-not-bool", "l-not-integral"])
+        ("outputs", {"csv_path": 1}, "csv_path must be a string or null"),
+        ("outputs", {"svg_path": ["run.svg"]}, "svg_path must be a string or null"),
+        ("interaction", {"alpha": True}, "alpha must be a number"),
+        ("interaction", {"beta": False}, "beta must be a number"),
+        ("interaction", {"gamma": True}, "gamma must be a number"),
+        ("channel", {"radius": True}, "radius must be a number"),
+        ("search", {"re_max": True}, "re_max must be a number"),
+        ("search", {"re_max": 4, "im_min": False}, "im_min must be a number"),
+    ], ids=["unknown-key", "not-an-object", "table-not-bool", "l-not-integral",
+            "csv-path-fd", "svg-path-not-string", "alpha-bool", "beta-bool", "gamma-bool",
+            "radius-bool", "re-max-bool", "im-min-bool"])
     def test_usage_error_bad_block(self, tmp_path, capsys, block, value, named):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"search": {"re_max": 4}, block: value}))
