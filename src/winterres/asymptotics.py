@@ -14,14 +14,15 @@ distance of the poles from the real axis:
                   which for alpha > 0 lies in (0, alpha/(4 pi n)] while
                   alpha + 2 Im k_n > 0 (atan u <= u, Re k_n >= n pi / R).
 
-    intermediate  Re k_n = (pi n + pi l/2 + pi/2 or 3 pi/2) / R   (sign of Re gamma)
+    intermediate  Re k_n = (pi n + pi l/2 + pi/2) / R   (Re gamma > 0)
+                  Re k_n = (pi n + pi l/2 +   pi) / R   (Re gamma < 0)
                   Im k_n = -(1/2R) ln((1 + |gamma|^2/4) / |Re gamma|)
                   remainder O(n^-1): the width saturates at a constant.
 
     delta-prime   k0_n  = pi n / R + pi (l+1) / (2R)
                   k_n   = k0_n - (1/k0_n) [ (l^2+l)/(2R^2)
                             + (Re gamma - 1 - (alpha beta + |gamma|^2)/4) / (beta R) ]
-                          - i / (beta R k0_n)^2 * [ 1 + |gamma|^2/2 - (Re gamma)^2
+                          - i / (beta^2 R k0_n^2) * [ 1 + |gamma|^2/2 - (Re gamma)^2
                             - alpha beta / 2 + (alpha beta + |gamma|^2)^2 / 16 ]
                   remainder O(n^-3): the poles collapse onto the real axis.
 
@@ -105,7 +106,7 @@ def _lattice(p: GpiParams, ch: Channel, n: int) -> tuple[GpiClass, float, float]
         return cls, c, (2 * n * math.pi + l * math.pi + phase) / (2.0 * r)
     if cls is GpiClass.INTERMEDIATE:
         c = p.gamma.real
-        phase = 0.5 * math.pi if c > 0 else 1.5 * math.pi
+        phase = 0.5 * math.pi if c > 0 else math.pi
         return cls, c, (n * math.pi + 0.5 * l * math.pi + phase) / r
     return cls, p.beta, n * math.pi / r + (l + 1) * math.pi / (2.0 * r)
 
@@ -142,7 +143,7 @@ def predict(p: GpiParams, ch: Channel, n: int) -> AsymptoticPrediction:
                    + (g.real - 1.0 - 0.25 * q) / (p.beta * r)) / k0
         bracket = (1.0 + 0.5 * abs(g) ** 2 - g.real ** 2
                    - 0.5 * p.alpha * p.beta + q * q / 16.0)
-        im = -bracket / (p.beta * r * k0) ** 2
+        im = -bracket / ((p.beta * k0) ** 2 * r)
         scale = n ** -3.0
     return AsymptoticPrediction(n, complex(re, im), scale)
 

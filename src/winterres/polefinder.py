@@ -28,6 +28,14 @@ midpoints are scalar calls.  When a zero sits on (or too close to) a cut,
 subdivision catches BoundaryZero and re-splits at a shifted fraction, so the
 children still partition the parent.
 
+A one-zero cell is not refined when it is found: it waits in a queue with
+its Newton seed, the contour moment of its resolved boundary (see
+``_seed``), and keeps no edges.  When the subdivision stack is empty, one
+``refine`` call runs Newton on every queued cell in lockstep, each round of
+it one array call of det lambda.  A cell whose root fails or leaves the cell
+is counted afresh and split once more; its children go back on the stack,
+and the search ends when both the stack and the queue are empty.
+
 Everything here is deterministic: identical inputs produce bitwise-identical
 pole lists.
 """
@@ -57,6 +65,7 @@ _RESIDUAL_TOL = 1e-9         # |det lambda| certified at returned poles
 _DEDUPE_REL = 1e-8           # merge poles closer than 1e-8 |k|
 _SPLIT_FRACTIONS = (0.5, 0.53125, 0.46875, 0.5625, 0.4375, 0.59375, 0.40625)
 _AXIS_SLIVER = 1e-7          # top-edge offset (in 1/R) for separated couplings
+_SEED_SLOP = 0.1             # moment seeds may lie this far (in diagonals) outside their cell
 
 
 class BoundaryZero(WinterresError):
@@ -270,46 +279,126 @@ def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
     return _winding(fn, region, _boundary(fn, region))[1]
 
 
-def refine(p: GpiParams, ch: Channel, k0: complex) -> tuple[complex, float]:
-    """Damped Newton on the balanced determinant from seed k0.
+_DAMPING = 0.5 ** np.arange(1, 11)   # t = 1/2 ... 1/1024, tried after a rejected full step
+_MAX_STEPS = 100
+_FAILURES = {1: "vanishing derivative at k = {k}",
+             2: "stuck at residual floor |f| = {f} near k = {k}",
+             3: "no convergence after 100 damped steps from {k0}"}
+
+
+def refine(p: GpiParams, ch: Channel, k0):
+    """Damped Newton on the balanced determinant from seed k0, or from each of an array of seeds.
 
     The derivative is a central finite difference with step 1e-6 max(1, |k|)
     (the evaluator is smooth and cheap, and the step is sized for ~1e-10
-    relative accuracy on functions of this scale).  Iteration stops when the
-    step falls below 1e-12 max(1, |k|) or the raw residual |det lambda|
-    below 1e-12 (the raw value, not the balanced one: the balanced free
-    determinant decays deep in the lower half-plane without any zero there).
-    Returns (k, |det lambda(k)|).  Raises NonConvergence after 100 steps or
-    on a residual floor that damping cannot escape.
+    relative accuracy on functions of this scale).  A step that does not
+    lower |f| is halved, down to t = 1/1024.  Iteration stops when the step
+    falls below 1e-12 max(1, |k|) or the raw residual |det lambda| below
+    1e-12 (the raw value, not the balanced one: the balanced free
+    determinant decays deep in the lower half-plane without any zero
+    there).  When the residual stop fires, the derivative at that point is
+    already known, and one last correction k - f/f' is applied before the
+    final residual: it costs no evaluation.
+
+    All seeds follow these rules each on its own, but advance in lockstep:
+    every round is one det lambda call for the points of all of them.  A
+    seed with a step ready evaluates the full step together with the two
+    difference points around it, so an accepted full step already has its
+    next derivative.  Only a seed whose full step was rejected evaluates the
+    damped steps t = 1/2 ... 1/1024, all in one round; at the accepted one
+    it evaluates f and f' in the next round (as it does at the seed itself)
+    before its residual is tested.
+
+    A scalar seed returns (k, |det lambda(k)|) and raises NonConvergence
+    after 100 steps, on a vanishing derivative or on a residual floor that
+    damping cannot escape.  An array of seeds returns two arrays of its
+    shape, NaN where Newton failed.  A zero seed raises ValueError.
     """
-    if k0 == 0:
+    k = np.array(k0, dtype=complex).reshape(-1)
+    if not k.all():
         raise ValueError("seed must be nonzero")
-    fn = lambda k: det_lambda_balanced(p, ch, k)
-    k = complex(k0)
-    fk = fn(k)
-    for _ in range(100):
-        # |det lambda| = |balanced| e^{-R Im k}
-        if abs(fk) * math.exp(-ch.radius * k.imag) < 1e-12:
-            return k, abs(det_lambda(p, ch, k))
-        h = 1e-6 * max(1.0, abs(k))
-        deriv = (fn(k + h) - fn(k - h)) / (2.0 * h)
-        if deriv == 0:
-            raise NonConvergence(f"vanishing derivative at k = {k}")
-        step = -fk / deriv
-        if abs(step) < 1e-12 * max(1.0, abs(k)):
-            k += step
-            return k, abs(det_lambda(p, ch, k))
-        t = 1.0
-        while t >= 1.0 / 1024.0:
-            trial = k + t * step
-            f_trial = fn(trial)
-            if abs(f_trial) < abs(fk):
-                k, fk = trial, f_trial
-                break
-            t *= 0.5
-        else:
-            raise NonConvergence(f"stuck at residual floor |f| = {abs(fk)} near k = {k}")
-    raise NonConvergence(f"no convergence after 100 damped steps from {k0}")
+    shape, n = np.shape(k0), k.size
+    fk = np.full(n, complex(math.inf, 0.0))   # f at k; inf until it is evaluated
+    deriv, step = np.zeros(n, complex), np.zeros(n, complex)
+    steps, failed = np.zeros(n, int), np.zeros(n, int)   # failed: a key of _FAILURES
+    root = np.full(n, complex(math.nan, math.nan))
+
+    def newton(cells):
+        """Cells with f and f' at k: stop, fail, or set the next step; returns those to go on."""
+        kc, fc, dc = k[cells], fk[cells], deriv[cells]
+        sc = -fc / dc
+        capped = steps[cells] >= _MAX_STEPS
+        # |det lambda| = |balanced| e^{-R Im k}; stopping there, k - f/f' comes free
+        stop = ~capped & ((np.abs(fc) * np.exp(-ch.radius * kc.imag) < 1e-12)
+                          | (np.abs(sc) < 1e-12 * np.maximum(1.0, np.abs(kc))))
+        root[cells[stop]] = (kc + np.where(np.isfinite(sc), sc, 0.0))[stop]
+        go = ~stop & ~capped & np.isfinite(sc)   # damping a non-finite step finds no lower |f|
+        lost = ~stop & ~go
+        failed[cells[lost]] = np.where(capped, 3, np.where(dc == 0, 1, 2))[lost]
+        cells = cells[go]
+        step[cells] = sc[go]
+        steps[cells] += 1
+        return cells
+
+    # Each round, a cell of `centre` evaluates k + step and the two difference
+    # points around it (with step 0 at the seed and after a damped step); a
+    # cell of `ladder` evaluates k + t step for every damping factor t.
+    centre, ladder = np.arange(n), np.zeros(0, int)
+    with np.errstate(all="ignore"):   # a runaway seed overflows; it then fails on its own
+        while centre.size or ladder.size:
+            trial = k[centre] + step[centre]
+            h = 1e-6 * np.maximum(1.0, np.abs(trial))
+            rungs = k[ladder, None] + _DAMPING * step[ladder, None]
+            m = trial.size
+            values = det_lambda_balanced(
+                p, ch, np.concatenate([trial, trial + h, trial - h, rungs.ravel()]))
+
+            lower = np.abs(values[:m]) < np.abs(fk[centre])
+            moved = centre[lower]
+            k[moved], fk[moved] = trial[lower], values[:m][lower]
+            deriv[moved] = ((values[m:2 * m] - values[2 * m:3 * m]) / (2.0 * h))[lower]
+            lower_rungs = np.abs(values[3 * m:].reshape(rungs.shape)) < np.abs(fk[ladder, None])
+            found = lower_rungs.any(axis=1)
+            failed[ladder[~found]] = 2
+            damped = ladder[found]
+            k[damped] = rungs[found, lower_rungs.argmax(axis=1)[found]]
+            fk[damped], step[damped] = math.inf, 0.0
+            centre, ladder = np.concatenate([newton(moved), damped]), centre[~lower]
+
+    ok = np.isfinite(root)
+    residual = np.full(n, math.nan)
+    if ok.any():
+        residual[ok] = np.abs(det_lambda(p, ch, root[ok]))
+    if shape:
+        return root.reshape(shape), residual.reshape(shape)
+    if not ok[0]:
+        raise NonConvergence(_FAILURES[failed[0]].format(k=complex(k[0]), f=abs(fk[0]),
+                                                         k0=complex(k0)))
+    return complex(root[0]), float(residual[0])
+
+
+def _seed(region: SearchRegion, edges: tuple) -> complex:
+    """Newton seed of a one-zero cell: its contour moment, or its centroid.
+
+    The moment (1/2 pi i) of the integral of z f'/f dz around a cell that
+    holds one zero is that zero (Delves & Lyness, Math. Comp. 21, 1967).  It
+    is summed as z_mid (ln(|f_{i+1}| / |f_i|) + i phase_i) over the resolved
+    steps of the boundary, taking z from the centroid: the samples a count
+    already made, and no det lambda call.  A moment farther outside the cell
+    than _SEED_SLOP of its diagonal gives way to the centroid.  (A zero that
+    hugs an edge can have its moment just outside; the centroid would start
+    Newton far from it.)
+    """
+    centroid = complex(0.5 * (region.re_min + region.re_max),
+                       0.5 * (region.im_min + region.im_max))
+    bottom, right, top, left = edges   # the samples once around, the first one again at the end
+    z = np.array(bottom.z[:-1] + right.z[:-1] + top.z[:-1] + left.z)
+    mag = np.array(bottom.mag[:-1] + right.mag[:-1] + top.mag[:-1] + left.mag)
+    dlog = np.log(mag[1:] / mag[:-1]) + 1j * np.array(bottom.phase + right.phase + top.phase
+                                                      + left.phase)
+    seed = complex(centroid + np.dot(0.5 * (z[1:] + z[:-1]) - centroid, dlog) / (2j * math.pi))
+    slop = _SEED_SLOP * abs(complex(region.width, region.height))
+    return seed if region.contains(seed, slop) else centroid
 
 
 def default_im_min(re_max: float, radius: float) -> float:
@@ -347,27 +436,33 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     found: list[tuple[complex, float]] = []
     stack = [(top, total, 0, False, edges)] if total else []
     while stack:
-        region, count, depth, rebisected, edges = stack.pop()
-        if count == 1:
-            centroid = complex(0.5 * (region.re_min + region.re_max),
-                               0.5 * (region.im_min + region.im_max))
-            try:
-                k_root, residual = refine(p, ch, centroid)
-                in_cell = region.contains(k_root, slop=1e-9 * max(1.0, abs(k_root)))
-            except NonConvergence:
-                k_root, in_cell = None, False
-            if k_root is not None and in_cell:
+        queue = []   # one-zero cells (region, depth, rebisected, seed) awaiting Newton
+        while stack:
+            region, count, depth, rebisected, edges = stack.pop()
+            if count == 1:
+                queue.append((region, depth, rebisected, _seed(region, edges)))
+                continue
+            if min(region.width, region.height) < min_cell:
+                raise ClusteredZeros(f"{count} zeros in cell {region} below the size floor")
+            if depth >= _MAX_TREE_DEPTH:
+                raise ClusteredZeros(f"subdivision depth cap at {region}")
+            stack.extend((r, c, depth + 1, rebisected, e)
+                         for r, e, c in _subdivide(fn, region, edges, count) if c)
+        roots, residuals = refine(p, ch, np.array([cell[3] for cell in queue]))
+        for (region, depth, rebisected, _), k_root, residual in zip(queue, roots.tolist(),
+                                                                   residuals.tolist()):
+            if region.contains(k_root, slop=1e-9 * max(1.0, abs(k_root))):
                 found.append((k_root, residual))
                 continue
             if rebisected:
                 raise NonConvergence(f"could not pin the single zero of {region}")
-            rebisected = True   # one re-bisection pass: halve and push the children
-        elif min(region.width, region.height) < min_cell:
-            raise ClusteredZeros(f"{count} zeros in cell {region} below the size floor")
-        elif depth >= _MAX_TREE_DEPTH:
-            raise ClusteredZeros(f"subdivision depth cap at {region}")
-        stack.extend((r, c, depth + 1, rebisected, e)
-                     for r, e, c in _subdivide(fn, region, edges, count) if c)
+            # one re-bisection pass: count afresh, halve and push the children
+            edges, count = _winding(fn, region, _boundary(fn, region))
+            if count != 1:
+                raise WinterresError(
+                    f"pole bookkeeping failed: one-zero cell {region} now counts {count}")
+            stack.extend((r, c, depth + 1, True, e)
+                         for r, e, c in _subdivide(fn, region, edges, count) if c)
 
     found.sort(key=lambda item: (item[0].real, item[0].imag))
     merged: list[tuple[complex, float]] = []

@@ -1,11 +1,13 @@
 """Predictor tests: frozen arithmetic, branch structure, comparison rows, one lattice."""
 
+import cmath
 import math
 
 import pytest
 
 from winterres import (Channel, GpiParams, Resonance, Separated, ZeroCoupling,
-                       compare, find_poles, index_poles, is_separated, predict)
+                       compare, det_lambda, find_poles, index_poles, is_separated, predict)
+from winterres.asymptotics import _lattice
 
 CH = Channel(0, 1.0)
 
@@ -63,9 +65,13 @@ class TestPredictIntermediate:
         assert -1e-12 < out.k_pred.imag < 0.0
 
     def test_negative_branch(self):
+        # at l = 0 the poles solve e^{2ikR} = -(1 + |gamma|^2/4) / Re gamma exactly,
+        # here 1.25 > 0: Re k sits on the multiples of pi/R (n = 10 on 11 pi, half a
+        # spacing above the Re gamma > 0 lattice) and Im k = -ln(1.25) / 2R
         out = predict(_intermediate(-1.0), CH, 10)
-        assert out.k_pred.real == pytest.approx((10 + 1.5) * math.pi, abs=1e-12)
+        assert out.k_pred.real == pytest.approx((10 + 1) * math.pi, abs=1e-12)
         assert out.k_pred.imag == pytest.approx(-0.5 * math.log(1.25), abs=1e-12)
+        assert abs(cmath.exp(2j * out.k_pred) - 1.25) < 1e-12
 
     def test_imaginary_part_never_positive(self):
         # (1 + |g|^2/4) >= |Re g| with equality only on the separated locus
@@ -95,6 +101,20 @@ class TestPredictDeltaPrime:
         k01 = math.pi + 0.5 * math.pi
         k02 = 2 * math.pi + 0.5 * math.pi
         assert im1 / im2 == pytest.approx((k02 / k01) ** 2, rel=1e-12)
+
+
+    @pytest.mark.parametrize("radius", [0.5, 2.0])
+    def test_width_scales_with_radius(self, radius):
+        # l = 0, alpha = gamma = 0: det lambda = -1 + (i beta k / 2)(e^{2ikR} + 1), so
+        # the poles solve e^{2ikR} = -1 - 2i/(beta k) and Im k_n -> -1/(beta^2 R k0_n^2)
+        p, ch = GpiParams(0, 1.0, 0), Channel(0, radius)
+        pred = predict(p, ch, 40).k_pred
+        k = pred
+        for _ in range(20):   # Newton on the exact equation
+            e = cmath.exp(2j * k * radius)
+            k -= (e + 1 + 2j / k) / (2j * radius * e - 2j / (k * k))
+        assert abs(det_lambda(p, ch, k)) < 1e-10
+        assert pred.imag == pytest.approx(k.imag, rel=0.02)
 
 
 class TestPredictDispatch:
@@ -192,3 +212,34 @@ class TestOneLattice:
                 assert abs(k.real - k0) < 0.25 * math.pi / radius
         poles = [Resonance(0, k, 0.0) for k in preds]
         assert [q.index for q in index_poles(poles, p, ch)] == list(ns)
+
+
+class TestLawAudit:
+    """Found poles against the leading lattice and the class rate, on every branch.
+
+    The window ends half a spacing past lattice point 30, so the poles with
+    n in [10, 30] are checked.  Under a wrong lattice they sit half a spacing
+    off, and under a wrong rate the scaled error grows like n.
+    """
+
+    @pytest.mark.parametrize("p", [
+        GpiParams(10, 0, 0), GpiParams(-10, 0, 0),
+        GpiParams(0, 0, 1.5 + 0.5j), GpiParams(0, 0, -1.5 + 0.5j),
+        GpiParams(0, 1.0, 0), GpiParams(0, -1.0, 0),
+    ], ids=["delta+", "delta-", "intermediate+", "intermediate-",
+            "delta-prime+", "delta-prime-"])
+    @pytest.mark.parametrize("l", [0, 1, 3])
+    @pytest.mark.parametrize("radius", [0.5, 2.0])
+    def test_poles_follow_the_class_law(self, p, l, radius):
+        ch = Channel(l, radius)
+        spacing = math.pi / radius
+        offset = _lattice(p, ch, 0)[2]
+        poles = find_poles(p, ch, offset + 30.5 * spacing)
+        high = [(x, q) for x, q in (((q.k.real - offset) / spacing, q) for q in poles)
+                if round(x) >= 10]
+        assert [round(x) for x, _ in high] == list(range(10, 31))
+        assert max(abs(x - round(x)) for x, _ in high) <= 0.1
+        rows = compare([Resonance(round(x), q.k, q.residual) for x, q in high], p, ch)
+        scaled = [row.scaled_err for row in rows]
+        assert max(scaled) <= 5.0
+        assert max(scaled[-7:]) <= 1.4 * max(scaled[:7]) + 1e-9

@@ -107,6 +107,27 @@ class TestSubdivide:
         assert vertical == {True, False}
 
 
+def _scalar_newton(p, ch, k):
+    """Reference: the same damped Newton rules, one seed and one point at a time."""
+    f = det_lambda_balanced(p, ch, k)
+    for _ in range(100):
+        if abs(f) * math.exp(-ch.radius * k.imag) < 1e-12:
+            return k
+        h = 1e-6 * max(1.0, abs(k))
+        deriv = (det_lambda_balanced(p, ch, k + h) - det_lambda_balanced(p, ch, k - h)) / (2.0 * h)
+        step = -f / deriv
+        if abs(step) < 1e-12 * max(1.0, abs(k)):
+            return k + step
+        for t in 0.5 ** np.arange(11):
+            f_trial = det_lambda_balanced(p, ch, k + t * step)
+            if abs(f_trial) < abs(f):
+                k, f = k + t * step, f_trial
+                break
+        else:
+            raise NonConvergence(k)
+    raise NonConvergence(k)
+
+
 class TestRefine:
     def test_exact_seed_is_fixed_point(self):
         k, residual = refine(DELTA, CH, FIRST_POLE_ALPHA50)
@@ -127,6 +148,32 @@ class TestRefine:
     def test_rejects_zero_seed(self):
         with pytest.raises(ValueError):
             refine(DELTA, CH, 0)
+        with pytest.raises(ValueError):
+            refine(DELTA, CH, np.array([3.0 - 0.1j, 0j]))
+
+    def test_scalar_seed_gives_python_numbers(self):
+        k, residual = refine(DELTA, CH, 3.0 - 0.1j)
+        assert type(k) is complex and type(residual) is float
+
+    def test_array_matches_scalar(self):
+        # the last seed, next to k = 0, is stuck at a residual floor
+        seeds = np.array([FIRST_POLE_ALPHA50 + 0.05, 3.0 - 0.1j, 0.5 - 10j, 40 - 40j,
+                          100 - 1e-4j, 1e-3 - 1e-3j])
+        roots, residuals = refine(DELTA, CH, seeds)
+        assert roots.shape == residuals.shape == seeds.shape
+        for seed, k, residual in zip(seeds[:-1], roots, residuals):
+            want, want_residual = refine(DELTA, CH, complex(seed))
+            assert abs(k - want) <= 1e-12 * abs(want)
+            assert residual < 1e-9 and want_residual < 1e-9
+            assert abs(k - _scalar_newton(DELTA, CH, complex(seed))) <= 1e-11 * abs(want)
+        with pytest.raises(NonConvergence):
+            refine(DELTA, CH, complex(seeds[-1]))
+        assert np.isnan(roots[-1]) and np.isnan(residuals[-1])
+
+    def test_array_without_zeros_is_all_nan(self):
+        roots, residuals = refine(FREE, CH, np.array([[3.0 - 1.0j], [5.0 - 2.0j]]))
+        assert roots.shape == (2, 1)
+        assert np.isnan(roots).all() and np.isnan(residuals).all()
 
 
 class TestFindPoles:
@@ -176,6 +223,75 @@ class TestFindPoles:
         assert len(poles) == 127
         assert points[0] <= 100 * len(poles)
 
+    def test_newton_points_per_pole(self, monkeypatch):
+        # moment seeds and full steps that carry their next derivative: ~9 points
+        # per pole, against ~18 for scalar Newton from the cell centroids
+        points, inside = [0], [False]
+        refine_, det = pf.refine, pf.det_lambda_balanced
+
+        def counted_refine(*args):
+            inside[0] = True
+            try:
+                return refine_(*args)
+            finally:
+                inside[0] = False
+
+        def counted_det(p, ch, k):
+            points[0] += np.size(k) if inside[0] else 0
+            return det(p, ch, k)
+
+        monkeypatch.setattr(pf, "refine", counted_refine)
+        monkeypatch.setattr(pf, "det_lambda_balanced", counted_det)
+        poles = find_poles(DELTA, CH, re_max=400.0)
+        assert len(poles) == 127
+        assert points[0] <= 12 * len(poles)
+
+    @pytest.mark.parametrize("p, l", [(DELTA, 0), (INTERMEDIATE, 1), (DELTA_PRIME, 5)],
+                             ids=["delta-l0", "intermediate-l1", "delta-prime-l5"])
+    def test_moment_is_near_the_root(self, p, l, monkeypatch):
+        # the centroid, which seeds a cell whose moment is off, reaches 0.5 diagonals
+        cells = []
+        seed_of = pf._seed
+
+        def recorded(region, edges):
+            cells.append((region, seed_of(region, edges)))
+            return cells[-1][1]
+
+        monkeypatch.setattr(pf, "_seed", recorded)
+        poles = find_poles(p, Channel(l, 1.0), re_max=400.0)
+        assert len(cells) >= len(poles)
+        for region, seed in cells:
+            (root,) = [q.k for q in poles if region.contains(q.k)]
+            assert abs(seed - root) <= 0.05 * abs(complex(region.width, region.height))
+
+    def test_failed_cell_is_split_and_refined_again(self, monkeypatch):
+        want = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
+        refine_, calls = pf.refine, []
+
+        def first_cell_fails(p, ch, seeds):
+            roots, residuals = refine_(p, ch, seeds)
+            if not calls:
+                roots[0] = residuals[0] = np.nan
+            calls.append(len(seeds))
+            return roots, residuals
+
+        monkeypatch.setattr(pf, "refine", first_cell_fails)
+        got = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
+        assert calls == [len(want), 1]
+        assert len(got) == len(want)
+        assert all(abs(a.k - b.k) < 1e-12 * abs(b.k) for a, b in zip(got, want))
+
+    def test_cell_failing_twice_raises(self, monkeypatch):
+        refine_ = pf.refine
+
+        def outside(p, ch, seeds):
+            roots, residuals = refine_(p, ch, seeds)
+            return roots + 1000.0, residuals   # every root lands outside its cell
+
+        monkeypatch.setattr(pf, "refine", outside)
+        with pytest.raises(NonConvergence):
+            find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
+
     def test_determinism(self):
         a = find_poles(INTERMEDIATE, CH, re_max=30.0, im_min=-1.5)
         b = find_poles(INTERMEDIATE, CH, re_max=30.0, im_min=-1.5)
@@ -194,6 +310,22 @@ class TestFindPoles:
             find_poles(DELTA, CH, re_max=1e-4)
         with pytest.raises(ValueError):
             find_poles(DELTA, CH, re_max=10.0, im_min=0.0)
+
+
+class TestRegressions:
+    """Searches where Newton from a cell centroid ran off and the search gave up."""
+
+    @pytest.mark.parametrize("p, l, re_max, n", [
+        (DELTA, 5, 60.0, 18), (INTERMEDIATE, 1, 400.0, 127), (DELTA_PRIME, 5, 400.0, 128),
+    ], ids=["delta-l5", "intermediate-l1", "delta-prime-l5"])
+    def test_certified_list_matches_count(self, p, l, re_max, n):
+        ch = Channel(l, 1.0)
+        poles = find_poles(p, ch, re_max)
+        window = SearchRegion(1e-3, re_max, pf.default_im_min(re_max, 1.0), 0.0)
+        assert len(poles) == count_zeros(p, ch, window) == n
+        for pole in poles:
+            assert pole.residual < 1e-9
+            assert abs(det_lambda(p, ch, pole.k)) < 1e-9
 
 
 class TestIndexPoles:
