@@ -6,19 +6,17 @@ Exit codes: 0 on success, 2 on usage errors, 3 on solver failures.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from dataclasses import replace
 
 from .asymptotics import ZeroCoupling, compare, index_poles, predict
 from .errors import WinterresError
-from .gpi import (GpiParams, classify, is_separated, to_transfer, to_unitary,
-                  SeparatedInteraction)
+from .gpi import classify, is_separated, to_transfer, to_unitary, SeparatedInteraction
 from .krein import det_lambda, real_axis_roots
 from .polefinder import find_poles
-from .report import (OutputSettings, RunConfig, SearchSettings, embedded_rows,
-                     format_complex, format_table, load_config, parse_complex,
+from .report import (PoleRow, RunConfig, config_from_dict, embedded_rows,
+                     format_complex, format_table, interaction_and_channel,
                      rows_from_comparison, write_csv, write_pole_svg)
-from .riccati import Channel
 
 USAGE_EXIT = 2
 SOLVER_EXIT = 3
@@ -41,10 +39,8 @@ def _add_search(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=str, default=None, help="JSON run configuration")
     sub.add_argument("--csv", type=str, default=None, help="write the pole table here")
     sub.add_argument("--svg", type=str, default=None, help="write the scatter chart here")
-    sub.add_argument("--table", action="store_true", help="print the table to stdout")
-    sub.add_argument("--interaction", action="append", default=None,
-                     metavar="A,B,G", help="overlay interaction 'alpha,beta,gamma' "
-                     "(repeatable; gamma in a+bi form)")
+    sub.add_argument("--table", action="store_true", default=None,
+                     help="print the table to stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,73 +53,65 @@ def build_parser() -> argparse.ArgumentParser:
     p_poles = subs.add_parser("poles", help="locate poles; emit CSV/SVG")
     _add_common(p_poles)
     _add_search(p_poles)
+    p_poles.add_argument("--interaction", action="append", default=None,
+                         metavar="A,B,G", help="overlay interaction 'alpha,beta,gamma' "
+                         "(repeatable; gamma in a+bi form; not with --alpha/--beta/--gamma)")
     p_cmp = subs.add_parser("compare", help="poles against asymptotic predictions")
     _add_common(p_cmp)
     _add_search(p_cmp)
     return parser
 
 
-def _interaction_from_args(args, base: GpiParams) -> GpiParams:
-    """``base`` with each coupling flag given on the command line overriding its field."""
-    return GpiParams(
-        args.alpha if args.alpha is not None else base.alpha,
-        args.beta if args.beta is not None else base.beta,
-        parse_complex(args.gamma) if args.gamma is not None else base.gamma)
+# Each flag's (block, key) in the run schema that report.config_from_dict checks.
+_FLAG_KEYS = {
+    "alpha": ("interaction", "alpha"), "beta": ("interaction", "beta"),
+    "gamma": ("interaction", "gamma"), "l": ("channel", "l"),
+    "radius": ("channel", "radius"), "re_max": ("search", "re_max"),
+    "im_min": ("search", "im_min"), "csv": ("outputs", "csv_path"),
+    "svg": ("outputs", "svg_path"), "table": ("outputs", "table"),
+}
 
 
-def _channel_from_args(args, base: Channel) -> Channel:
-    """``base`` with --l and --radius, where given, overriding its fields."""
-    return Channel(args.l if args.l is not None else base.l,
-                   args.radius if args.radius is not None else base.radius)
+def _write_flags(raw, given: dict):
+    """``raw`` with each flag in ``given`` that is not None written over its key;
+    a config or block that is not an object is left for config_from_dict."""
+    if isinstance(raw, dict):
+        for dest, (block, key) in _FLAG_KEYS.items():
+            if given.get(dest) is not None and isinstance(raw.setdefault(block, {}), dict):
+                raw[block][key] = given[dest]
+    return raw
 
 
-def _config_from_args(args) -> RunConfig:
+def _configs(args) -> list[RunConfig]:
+    """One RunConfig per interaction: the --config file (or {}) with the flags
+    written over it, and each --interaction spec in turn as its interaction."""
+    raw = {}
     if args.config:
-        cfg = load_config(args.config)
-    else:
-        if args.re_max is None:
-            raise ValueError("--re-max (or --config) is required")
-        cfg = RunConfig(GpiParams(0.0, 0.0, 0j), Channel(0, 1.0),
-                        SearchSettings(re_max=float(args.re_max)))
-    # flags override file values, field by field
-    inter = _interaction_from_args(args, cfg.interaction)
-    chan = _channel_from_args(args, cfg.channel)
-    search = cfg.search
-    if args.re_max is not None:
-        search = replace(search, re_max=float(args.re_max))
-    if args.im_min is not None:
-        search = replace(search, im_min=None if args.im_min == "auto"
-                         else float(args.im_min))
-    outputs = OutputSettings(
-        csv_path=args.csv if args.csv is not None else cfg.outputs.csv_path,
-        svg_path=args.svg if args.svg is not None else cfg.outputs.svg_path,
-        table=True if args.table else cfg.outputs.table)
-    return RunConfig(inter, chan, search, outputs)
-
-
-def _interaction_list(args, cfg: RunConfig) -> list[GpiParams]:
-    if not args.interaction:
-        return [cfg.interaction]
-    out = []
-    for spec_str in args.interaction:
-        fields = spec_str.split(",")
+        with open(args.config, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    elif args.re_max is None:
+        raise ValueError("--re-max (or --config) is required")
+    raw = _write_flags(raw, vars(args))
+    specs = getattr(args, "interaction", None)
+    if not specs:
+        return [config_from_dict(raw)]
+    if any(getattr(args, dest) is not None for dest in ("alpha", "beta", "gamma")):
+        raise ValueError("--interaction cannot be combined with --alpha, --beta or --gamma")
+    cfgs = []
+    for spec in specs:
+        fields = spec.split(",")
         if len(fields) != 3:
-            raise ValueError(f"--interaction wants 'alpha,beta,gamma', got {spec_str!r}")
-        out.append(GpiParams(float(fields[0]), float(fields[1]),
-                             parse_complex(fields[2])))
-    return out
-
-
-def _class_label(p: GpiParams) -> str:
-    return f"{classify(p).value}-type"
+            raise ValueError(f"--interaction wants 'alpha,beta,gamma', got {spec!r}")
+        given = dict(zip(("alpha", "beta", "gamma"), fields))
+        cfgs.append(config_from_dict(_write_flags(raw, given)))
+    return cfgs
 
 
 def cmd_classify(args) -> int:
-    p = _interaction_from_args(args, GpiParams(0.0, 0.0, 0j))
-    ch = _channel_from_args(args, Channel(0, 1.0))
+    p, ch = interaction_and_channel(_write_flags({}, vars(args)))
     sep = is_separated(p)
     flag = "separated: embedded eigenvalues" if sep else "not separated"
-    print(f"{_class_label(p)}; {flag}")
+    print(f"{classify(p).value}-type; {flag}")
     print(f"parameters: alpha={p.alpha:g}  beta={p.beta:g}  "
           f"gamma={format_complex(p.gamma)}  (l={ch.l}, R={ch.radius:g})")
     u = to_unitary(p)
@@ -138,56 +126,49 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _run_one(p: GpiParams, cfg: RunConfig):
-    """Poles + comparison rows for one interaction (embedded rows if separated)."""
-    ch = cfg.channel
-    if is_separated(p):
-        roots = real_axis_roots(p, ch, cfg.search.re_max)
-        residuals = [abs(det_lambda(p, ch, complex(k))) for k in roots]
-        return embedded_rows(roots, residuals), []
-    poles = find_poles(p, ch, cfg.search.re_max, cfg.search.im_min)
-    poles = index_poles(poles, p, ch)
-    rows = rows_from_comparison(poles, compare(poles, p, ch))
-    return rows, poles
-
-
-def cmd_poles(args) -> int:
-    cfg = _config_from_args(args)
-    interactions = _interaction_list(args, cfg)
-    all_rows = []
-    series = []
-    for p in interactions:
-        rows, _ = _run_one(p, cfg)
+def _run_and_emit(cfgs: list[RunConfig], empty: str, always_table: bool) -> list[PoleRow]:
+    """Pole rows with their predictions (embedded rows if separated) for each
+    run; writes the CSV and SVG the outputs name, and prints the table (or
+    ``empty`` when no run has a row) unless the files take its place."""
+    all_rows, series = [], []
+    for cfg in cfgs:
+        p, ch = cfg.interaction, cfg.channel
+        if is_separated(p):
+            roots = real_axis_roots(p, ch, cfg.search.re_max)
+            rows = embedded_rows(roots, [abs(det_lambda(p, ch, complex(k))) for k in roots])
+        else:
+            poles = index_poles(find_poles(p, ch, cfg.search.re_max, cfg.search.im_min), p, ch)
+            rows = rows_from_comparison(poles, compare(poles, p, ch))
         all_rows.extend(rows)
         label = (f"alpha={p.alpha:g} beta={p.beta:g} "
                  f"gamma={format_complex(p.gamma)}")
         series.append((label, classify(p), [row.k for row in rows]))
-    if cfg.outputs.csv_path:
-        with open(cfg.outputs.csv_path, "w", encoding="utf-8", newline="") as fh:
+    outs = cfgs[0].outputs
+    if outs.csv_path:
+        with open(outs.csv_path, "w", encoding="utf-8", newline="") as fh:
             write_csv(all_rows, fh)
-    if cfg.outputs.svg_path:
-        with open(cfg.outputs.svg_path, "w", encoding="utf-8") as fh:
+    if outs.svg_path:
+        with open(outs.svg_path, "w", encoding="utf-8") as fh:
             write_pole_svg(series, fh)
-    if cfg.outputs.table or not (cfg.outputs.csv_path or cfg.outputs.svg_path):
-        print(format_table(all_rows) if all_rows else "no poles in the window")
+    if always_table or outs.table or not (outs.csv_path or outs.svg_path):
+        print(format_table(all_rows) if all_rows else empty)
+    return all_rows
+
+
+def cmd_poles(args) -> int:
+    _run_and_emit(_configs(args), "no poles in the window", always_table=False)
     return 0
 
 
 def cmd_compare(args) -> int:
-    cfg = _config_from_args(args)
-    p = cfg.interaction
-    ch = cfg.channel
-    if not is_separated(p):
+    [cfg] = _configs(args)
+    empty = "no poles in the window"
+    if not is_separated(cfg.interaction):
         try:
-            predict(p, ch, 1)
+            predict(cfg.interaction, cfg.channel, 1)
         except ZeroCoupling:
-            print("no resonances: the coupling is equivalent to the free one")
-            return 0
-    rows, poles = _run_one(p, cfg)
-    if not rows:
-        print("no poles in the window")
-        return 0
-    print(format_table(rows))
+            empty = "no resonances: the coupling is equivalent to the free one"
+    rows = _run_and_emit([cfg], empty, always_table=True)
     scaled = [row.scaled_err for row in rows if row.scaled_err is not None]
     if scaled:
         top_half = scaled[len(scaled) // 2:]

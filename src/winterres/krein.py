@@ -162,10 +162,13 @@ def real_axis_roots(p: GpiParams, ch: Channel, k_max: float) -> list[float]:
     Only meaningful for separated interactions (raises NotSeparated
     otherwise).  Roots are located by sign-change bisection on the real
     interior quantization function; each root is a zero of det lambda.
-    A disc |k| < 1e-3/R around the singular point k = 0 is excluded.
+    A disc |k| < 1e-3/R around the singular point k = 0 is excluded, and
+    an infinite k_max raises ValueError.
     """
     if not is_separated(p):
         raise NotSeparated("real-axis root search needs a separated interaction")
+    if not math.isfinite(k_max):
+        raise ValueError(f"k_max must be finite, got {k_max}")
     c1, c2 = _inside_condition(p)
     r = ch.radius
 

@@ -90,6 +90,8 @@ class SearchRegion:
     im_max: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max))):
+            raise ValueError(f"region bounds must be finite, got {self}")
         if not (0.0 < self.re_min < self.re_max):
             raise ValueError(f"need 0 < re_min < re_max, got [{self.re_min}, {self.re_max}]")
         if not (self.im_min <= self.im_max <= 0.0):

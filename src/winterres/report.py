@@ -10,7 +10,6 @@ intermediate, ``*`` for delta-prime.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
@@ -77,13 +76,40 @@ _CONFIG_KEYS = {
 }
 
 
-def config_from_dict(raw: dict) -> RunConfig:
-    """Build a RunConfig from parsed JSON; keys match the dataclass fields.
+def _number(raw: dict, block: str, key: str, default, kinds=(int, float, str)):
+    """``raw[block][key]``, or ``default`` when absent.  Anything but one of
+    ``kinds`` is rejected, and so is a JSON true or false, which float() and
+    complex() would take as 1 or 0."""
+    got = raw.get(block, {}).get(key, default)
+    if isinstance(got, bool) or not isinstance(got, kinds):
+        raise ValueError(f"config block {block!r}: {key} must be a number, got {got!r}")
+    return got
 
-    Raises ValueError naming any key outside the schema, top-level or inside
-    a block, a config or block that is not an object, a missing
-    search.re_max, a channel.l that is not an integer, a JSON true or false
-    given for a number (alpha, beta, gamma, radius, re_max, im_min), an
+
+def interaction_and_channel(raw: dict) -> tuple[GpiParams, Channel]:
+    """The interaction and channel blocks of a run config, checked as
+    ``config_from_dict`` checks them."""
+    gamma = _number(raw, "interaction", "gamma", 0, (int, float, complex, str))
+    p = GpiParams(float(_number(raw, "interaction", "alpha", 0.0)),
+                  float(_number(raw, "interaction", "beta", 0.0)),
+                  parse_complex(gamma) if isinstance(gamma, str) else complex(gamma))
+    l = raw.get("channel", {}).get("l", 0)
+    if not (type(l) is int or (isinstance(l, float) and l.is_integer())):
+        raise ValueError(f"config block 'channel': l must be an integer, got {l!r}")
+    return p, Channel(int(l), float(_number(raw, "channel", "radius", 1.0)))
+
+
+def config_from_dict(raw: dict) -> RunConfig:
+    """Build a RunConfig from parsed JSON, or from the CLI flags written over
+    it; keys match the dataclass fields.
+
+    Numbers may also be given as strings ("50", "1+1i"), and
+    search.im_min as "auto" or null for the automatic floor.  Raises
+    ValueError naming any key outside the schema, top-level or inside a
+    block, a config or block that is not an object, a missing
+    search.re_max, a channel.l that is not an integer, anything but a
+    number or a string given for alpha, beta, gamma, radius or re_max (null
+    and true or false included) or for im_min (null allowed), an
     outputs.table that is not a boolean and a csv_path or svg_path that is
     neither a string nor null.
     """
@@ -101,28 +127,13 @@ def config_from_dict(raw: dict) -> RunConfig:
         if unknown:
             raise ValueError(f"unknown keys {unknown} in config block {block!r}; "
                              f"expected only {list(keys)}")
-    def value(block: str, key: str, default):
-        # float() and complex() would take a JSON true or false as 1 or 0
-        got = raw.get(block, {}).get(key, default)
-        if isinstance(got, bool):
-            raise ValueError(f"config block {block!r}: {key} must be a number, got {got!r}")
-        return got
-
-    gamma = value("interaction", "gamma", 0)
-    if isinstance(gamma, str):
-        gamma = parse_complex(gamma)
-    p = GpiParams(float(value("interaction", "alpha", 0.0)),
-                  float(value("interaction", "beta", 0.0)), complex(gamma))
-    l = raw.get("channel", {}).get("l", 0)
-    if not (type(l) is int or (isinstance(l, float) and l.is_integer())):
-        raise ValueError(f"config block 'channel': l must be an integer, got {l!r}")
-    ch = Channel(int(l), float(value("channel", "radius", 1.0)))
-    im_min = value("search", "im_min", None)
+    p, ch = interaction_and_channel(raw)
+    im_min = _number(raw, "search", "im_min", None, (int, float, str, type(None)))
     if isinstance(im_min, str):
         im_min = None if im_min == "auto" else float(im_min)
     if "re_max" not in raw.get("search", {}):
         raise ValueError("config has no search.re_max")
-    search = SearchSettings(float(value("search", "re_max", None)), im_min)
+    search = SearchSettings(float(_number(raw, "search", "re_max", None)), im_min)
     outs = raw.get("outputs", {})
     table = outs.get("table", True)
     if not isinstance(table, bool):
@@ -135,11 +146,6 @@ def config_from_dict(raw: dict) -> RunConfig:
                              f"got {outs[key]!r}")
     outputs = OutputSettings(outs.get("csv_path"), outs.get("svg_path"), table)
     return RunConfig(p, ch, search, outputs)
-
-
-def load_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ class TestSearchRegion:
         (5.0, 1.0, -2.0, 0.0),    # inverted real range
         (0.1, 5.0, -2.0, 0.5),    # pokes into the upper half-plane
         (0.1, 5.0, -1.0, -1.0),   # zero height
+        (0.1, math.inf, -2.0, 0.0),   # infinite right edge
+        (0.1, 5.0, -math.inf, 0.0),   # infinite floor
     ])
     def test_invalid(self, args):
         with pytest.raises(ValueError):
@@ -310,6 +312,8 @@ class TestFindPoles:
             find_poles(DELTA, CH, re_max=1e-4)
         with pytest.raises(ValueError):
             find_poles(DELTA, CH, re_max=10.0, im_min=0.0)
+        with pytest.raises(ValueError):
+            find_poles(DELTA, CH, re_max=math.inf)
 
 
 class TestRegressions:

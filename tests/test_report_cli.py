@@ -1,5 +1,6 @@
 """Output layer tests: complex literals, CSV round-trip, SVG, CLI commands."""
 
+import argparse
 import io
 import json
 import math
@@ -14,8 +15,8 @@ import pytest
 
 import winterres
 from winterres import GpiClass, GpiParams
-from winterres.cli import main
-from winterres.report import (CSV_COLUMNS, PoleRow, config_from_dict,
+from winterres.cli import _FLAG_KEYS, build_parser, main
+from winterres.report import (_CONFIG_KEYS, CSV_COLUMNS, PoleRow, config_from_dict,
                               format_complex, parse_complex, read_csv,
                               write_csv, write_pole_svg)
 
@@ -135,12 +136,34 @@ class TestConfig:
         assert cfg.interaction == GpiParams(0, 0, 0)
         assert cfg.channel.l == 0 and cfg.channel.radius == 1.0
 
+    def test_null_im_min_and_numeric_strings(self):
+        cfg = config_from_dict({"interaction": {"alpha": "50", "gamma": "1+1i"},
+                                "search": {"re_max": "30", "im_min": None}})
+        assert cfg.interaction == GpiParams(50, 0, 1 + 1j)
+        assert cfg.search.re_max == 30 and cfg.search.im_min is None
+
     @pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
     def test_documented_example_loads(self, doc):
         text = (ROOT / doc).read_text(encoding="utf-8")
         example = text.split("```json\n", 1)[1].split("```", 1)[0]
         cfg = config_from_dict(json.loads(example))
         assert cfg.interaction == GpiParams(50, 0, 0) and cfg.search.re_max == 40
+
+
+class TestFlagAudit:
+    def test_every_flag_reaches_the_config(self):
+        # a flag that is parsed and then ignored fails here
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert set(subparsers.choices) == {"classify", "poles", "compare"}
+        for name, sub in subparsers.choices.items():
+            for action in sub._actions:
+                if action.dest in _FLAG_KEYS:
+                    block, key = _FLAG_KEYS[action.dest]
+                    assert key in _CONFIG_KEYS[block], (name, action.option_strings)
+                else:
+                    assert action.option_strings in (["--config"], ["--interaction"],
+                                                     ["-h", "--help"]), (name, action.dest)
 
 
 class TestCliClassify:
@@ -220,7 +243,56 @@ class TestCliPoles:
         assert out.count("\n") >= 4
 
 
+class TestCliFlagsOverConfig:
+    def test_zero_overrides_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"interaction": {"alpha": 50},
+                                        "search": {"re_max": 10}}))
+        assert main(["poles", "--config", str(cfg_path), "--alpha", "0"]) == 0
+        assert capsys.readouterr().out == "no poles in the window\n"
+
+    def test_flag_fills_a_key_the_config_lacks(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"interaction": {"alpha": 50}, "search": {}}))
+        assert main(["poles", "--config", str(cfg_path), "--re-max", "4"]) == 0
+        assert "3.080287" in capsys.readouterr().out
+
+    def test_zero_radius_is_a_usage_error(self, capsys):
+        assert main(["classify", "--radius", "0"]) == 2
+        assert "sphere radius" in capsys.readouterr().err
+
+    def test_interaction_with_coupling_flag_is_a_usage_error(self, tmp_path, capsys):
+        svg_path = tmp_path / "fig.svg"
+        code = main(["poles", "--alpha", "7", "--interaction", "50,0,0",
+                     "--re-max", "10", "--svg", str(svg_path)])
+        assert code == 2
+        assert "--interaction cannot be combined" in capsys.readouterr().err
+        assert not svg_path.exists()
+
+
 class TestCliCompare:
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "50", "--re-max", "20", "--im-min", "-2"],
+        ["--re-max", "10"],
+        ["--gamma", "2", "--re-max", "20"],
+    ], ids=["delta", "free", "separated"])
+    def test_writes_the_files_poles_writes(self, tmp_path, capsys, flags):
+        written = {}
+        for command in ("poles", "compare"):
+            csv_path, svg_path = tmp_path / f"{command}.csv", tmp_path / f"{command}.svg"
+            assert main([command, *flags, "--csv", str(csv_path),
+                         "--svg", str(svg_path)]) == 0
+            written[command] = (csv_path.read_bytes(), svg_path.read_bytes())
+        assert written["compare"] == written["poles"]
+        if flags == ["--re-max", "10"]:
+            assert written["compare"][0].decode().splitlines() == [",".join(CSV_COLUMNS)]
+            assert "no resonances" in capsys.readouterr().out
+
+    def test_rejects_interaction(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--re-max", "20", "--interaction", "50,0,0"])
+        assert exc.value.code == 2
+
     def test_free_reports_no_resonances(self, capsys):
         assert main(["compare", "--re-max", "10"]) == 0
         assert "no resonances" in capsys.readouterr().out
@@ -272,15 +344,43 @@ class TestExitCodes:
         ("channel", {"radius": True}, "radius must be a number"),
         ("search", {"re_max": True}, "re_max must be a number"),
         ("search", {"re_max": 4, "im_min": False}, "im_min must be a number"),
+        ("interaction", {"alpha": None}, "alpha must be a number"),
+        ("interaction", {"beta": {"value": 1}}, "beta must be a number"),
+        ("interaction", {"gamma": [1, 2]}, "gamma must be a number"),
+        ("interaction", {"gamma": None}, "gamma must be a number"),
+        ("channel", {"radius": None}, "radius must be a number"),
+        ("channel", {"radius": [1.0]}, "radius must be a number"),
+        ("search", {"re_max": None}, "re_max must be a number"),
+        ("search", {"re_max": {"k": 4}}, "re_max must be a number"),
+        ("search", {"re_max": 4, "im_min": [1]}, "im_min must be a number"),
+        ("search", {"re_max": 4, "im_min": {}}, "im_min must be a number"),
     ], ids=["unknown-key", "not-an-object", "table-not-bool", "l-not-integral",
             "csv-path-fd", "svg-path-not-string", "alpha-bool", "beta-bool", "gamma-bool",
-            "radius-bool", "re-max-bool", "im-min-bool"])
+            "radius-bool", "re-max-bool", "im-min-bool", "alpha-null", "beta-object",
+            "gamma-list", "gamma-null", "radius-null", "radius-list", "re-max-null",
+            "re-max-object", "im-min-list", "im-min-object"])
     def test_usage_error_bad_block(self, tmp_path, capsys, block, value, named):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"search": {"re_max": 4}, block: value}))
         assert main(["poles", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "usage error" in err and f"'{block}'" in err and named in err
+
+    @pytest.mark.parametrize("argv", [
+        ["poles", "--alpha", "50", "--re-max", "inf"],
+        ["poles", "--alpha", "50", "--re-max", "10", "--im-min=-inf"],
+        ["poles", "--gamma", "2", "--re-max", "inf"],
+    ], ids=["re-max", "im-min", "separated-re-max"])
+    def test_usage_error_infinite_window(self, capsys, argv):
+        assert main(argv) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_usage_error_infinite_window_in_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"interaction": {"alpha": 50},
+                                        "search": {"re_max": "inf"}}))
+        assert main(["poles", "--config", str(cfg_path)]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_usage_error_config_not_an_object(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
