@@ -24,7 +24,7 @@ def convergence_table(label: str, p: GpiParams, re_max: float, lo: int, hi: int)
     print(f"{'n':>4} {'Re k found':>12} {'Im k found':>12} {'Im k pred':>12} "
           f"{'abs err':>10} {'scaled':>8}")
     for r in rows[:: max(1, len(rows) // 8)]:
-        print(f"{r.index:>4} {r.k_found.real:12.5f} {r.k_found.imag:12.6f} "
+        print(f"{r.index:>4} {r.k.real:12.5f} {r.k.imag:12.6f} "
               f"{r.k_pred.imag:12.6f} {r.abs_err:10.2e} {r.scaled_err:8.3g}")
     print(f"     max scaled error over shown range: "
           f"{max(r.scaled_err for r in rows):.3g}")

@@ -7,9 +7,8 @@ exhaustive fourth-quadrant pole search, and closed-form high-energy
 predictors for each interaction class.
 """
 
-from .asymptotics import (AmbiguousIndex, AsymptoticPrediction, ComparisonRow,
-                          Resonance, Separated, ZeroCoupling, compare,
-                          index_poles, predict)
+from .asymptotics import (AmbiguousIndex, AsymptoticPrediction, Resonance,
+                          Separated, ZeroCoupling, compare, index_poles, predict)
 from .errors import WinterresError
 from .gpi import (BoundaryData, DegenerateDenominator, GpiClass, GpiParams,
                   SeparatedInteraction, TransferForm, UnitaryForm,
@@ -30,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousIndex", "AsymptoticPrediction", "BoundaryData", "BoundaryZero",
-    "Channel", "ClusteredZeros", "ComparisonRow", "DegenerateDenominator",
+    "Channel", "ClusteredZeros", "DegenerateDenominator",
     "GpiClass", "GpiParams", "KreinCoefficients", "NonConvergence",
     "NotSeparated", "OriginSingularity", "PhiBoundaryValues", "PoleAtK",
     "Resonance", "RunConfig", "SearchRegion", "Separated",

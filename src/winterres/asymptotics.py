@@ -60,15 +60,29 @@ class AmbiguousIndex(WinterresError):
 
 @dataclass(frozen=True)
 class Resonance:
-    """A refined pole of the resolvent in the fourth quadrant.
+    """A refined zero of det lambda: a pole of the resolvent in the fourth
+    quadrant, or, with ``embedded`` set, an embedded eigenvalue (a real zero,
+    found for separated interactions).
 
     ``residual`` is the raw |det lambda| at the returned momentum; ``index``
-    is the position on the class lattice once assigned (ordinal before that).
+    is the position on the class lattice once assigned (ordinal before that,
+    and for embedded eigenvalues).  ``compare`` fills in the prediction for
+    the index and its absolute and scaled error; they stay None where there
+    is no prediction.
     """
 
     index: int
     k: complex
     residual: float
+    k_pred: complex | None = None
+    abs_err: float | None = None
+    scaled_err: float | None = None
+    embedded: bool = False
+
+    @property
+    def energy_width(self) -> float:
+        """Width in the energy plane, 2 |Re k . Im k| (E = k^2)."""
+        return 2.0 * abs(self.k.real * self.k.imag)
 
 
 @dataclass(frozen=True)
@@ -78,17 +92,6 @@ class AsymptoticPrediction:
     index: int
     k_pred: complex
     error_scale: float
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One found pole against its prediction."""
-
-    index: int
-    k_found: complex
-    k_pred: complex
-    abs_err: float
-    scaled_err: float
 
 
 def _lattice(p: GpiParams, ch: Channel, n: int) -> tuple[GpiClass, float, float]:
@@ -148,23 +151,24 @@ def predict(p: GpiParams, ch: Channel, n: int) -> AsymptoticPrediction:
     return AsymptoticPrediction(n, complex(re, im), scale)
 
 
-def compare(poles: list[Resonance], p: GpiParams, ch: Channel) -> list[ComparisonRow]:
-    """One row per indexed pole: prediction, absolute and scaled error.
+def compare(poles: list[Resonance], p: GpiParams, ch: Channel) -> list[Resonance]:
+    """The poles in their order, each with its prediction, absolute and
+    scaled error filled in.
 
     ``scaled_err`` divides by the class remainder scale at the pole's index;
     it stays bounded in n exactly when the predictor has the right rate.
-    Poles with index 0 (below the first lattice point) are skipped: the
-    predictors start at n = 1.
+    Poles with index 0 (below the first lattice point) come back unchanged:
+    the predictors start at n = 1.
     """
-    rows: list[ComparisonRow] = []
+    out: list[Resonance] = []
     for pole in poles:
-        if pole.index < 1:
-            continue
-        pred = predict(p, ch, pole.index)
-        err = abs(pole.k - pred.k_pred)
-        rows.append(ComparisonRow(pole.index, pole.k, pred.k_pred,
-                                  err, err / pred.error_scale))
-    return rows
+        if pole.index >= 1:
+            pred = predict(p, ch, pole.index)
+            err = abs(pole.k - pred.k_pred)
+            pole = replace(pole, k_pred=pred.k_pred, abs_err=err,
+                           scaled_err=err / pred.error_scale)
+        out.append(pole)
+    return out
 
 
 def index_poles(poles: list[Resonance], p: GpiParams, ch: Channel) -> list[Resonance]:

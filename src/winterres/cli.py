@@ -9,14 +9,13 @@ import argparse
 import json
 import sys
 
-from .asymptotics import ZeroCoupling, compare, index_poles, predict
+from .asymptotics import Resonance, ZeroCoupling, compare, index_poles, predict
 from .errors import WinterresError
 from .gpi import classify, is_separated, to_transfer, to_unitary, SeparatedInteraction
 from .krein import det_lambda, real_axis_roots
 from .polefinder import find_poles
-from .report import (PoleRow, RunConfig, config_from_dict, embedded_rows,
-                     format_complex, format_table, interaction_and_channel,
-                     rows_from_comparison, write_csv, write_pole_svg)
+from .report import (RunConfig, config_from_dict, embedded_rows, format_complex,
+                     format_table, interaction_and_channel, write_csv, write_pole_svg)
 
 USAGE_EXIT = 2
 SOLVER_EXIT = 3
@@ -26,7 +25,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=float, default=None, help="coupling alpha (1/length)")
     sub.add_argument("--beta", type=float, default=None, help="coupling beta (length)")
     sub.add_argument("--gamma", type=str, default=None,
-                     help="coupling gamma, complex literal like 1+1i")
+                     help="coupling gamma, complex literal like 1+1i "
+                     "(one like -1+2i needs the = form: --gamma=-1+2i)")
     sub.add_argument("--l", type=int, default=None, help="angular momentum (default 0)")
     sub.add_argument("--radius", type=float, default=None, help="sphere radius (default 1)")
 
@@ -35,7 +35,8 @@ def _add_search(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--re-max", type=float, default=None, dest="re_max",
                      help="right edge of the momentum search window")
     sub.add_argument("--im-min", type=str, default=None, dest="im_min",
-                     help="search floor Im k (number or 'auto')")
+                     help="search floor Im k (number or 'auto'; one like -1e1 "
+                     "needs the = form: --im-min=-1e1)")
     sub.add_argument("--config", type=str, default=None, help="JSON run configuration")
     sub.add_argument("--csv", type=str, default=None, help="write the pole table here")
     sub.add_argument("--svg", type=str, default=None, help="write the scatter chart here")
@@ -55,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search(p_poles)
     p_poles.add_argument("--interaction", action="append", default=None,
                          metavar="A,B,G", help="overlay interaction 'alpha,beta,gamma' "
-                         "(repeatable; gamma in a+bi form; not with --alpha/--beta/--gamma)")
+                         "(repeatable; gamma in a+bi form; not with --alpha/--beta/--gamma; "
+                         "a negative alpha in the = form: --interaction=-12.8,0,0)")
     p_cmp = subs.add_parser("compare", help="poles against asymptotic predictions")
     _add_common(p_cmp)
     _add_search(p_cmp)
@@ -126,9 +128,9 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _run_and_emit(cfgs: list[RunConfig], empty: str, always_table: bool) -> list[PoleRow]:
-    """Pole rows with their predictions (embedded rows if separated) for each
-    run; writes the CSV and SVG the outputs name, and prints the table (or
+def _run_and_emit(cfgs: list[RunConfig], empty: str, always_table: bool) -> list[Resonance]:
+    """The poles of each run with their predictions (embedded eigenvalues if
+    separated); writes the CSV and SVG the outputs name, and prints the table (or
     ``empty`` when no run has a row) unless the files take its place."""
     all_rows, series = [], []
     for cfg in cfgs:
@@ -138,7 +140,7 @@ def _run_and_emit(cfgs: list[RunConfig], empty: str, always_table: bool) -> list
             rows = embedded_rows(roots, [abs(det_lambda(p, ch, complex(k))) for k in roots])
         else:
             poles = index_poles(find_poles(p, ch, cfg.search.re_max, cfg.search.im_min), p, ch)
-            rows = rows_from_comparison(poles, compare(poles, p, ch))
+            rows = compare(poles, p, ch)
         all_rows.extend(rows)
         label = (f"alpha={p.alpha:g} beta={p.beta:g} "
                  f"gamma={format_complex(p.gamma)}")

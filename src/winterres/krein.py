@@ -50,6 +50,9 @@ from .gpi import GpiParams, is_separated
 from .riccati import Channel, OriginSingularity, as_argument, riccati_s, riccati_xi
 
 
+EXCLUDED_DISC = 1e-3   # searches exclude the disc |k| < EXCLUDED_DISC / R around k = 0
+
+
 class PoleAtK(WinterresError):
     """Krein coefficients requested at a zero of det lambda."""
 
@@ -176,7 +179,7 @@ def real_axis_roots(p: GpiParams, ch: Channel, k_max: float) -> list[float]:
         s = riccati_s(ch.l, complex(k * r))
         return (c1 * s.value + c2 * k * s.derivative).real
 
-    k_lo = 1e-3 / r
+    k_lo = EXCLUDED_DISC / r
     if k_max <= k_lo:
         return []
     step = math.pi / (24.0 * r)

@@ -53,10 +53,9 @@ import numpy as np
 from .asymptotics import Resonance
 from .errors import WinterresError
 from .gpi import GpiParams, is_separated
-from .krein import det_lambda, det_lambda_balanced
+from .krein import EXCLUDED_DISC, det_lambda, det_lambda_balanced
 from .riccati import Channel
 
-_RE_FLOOR_FACTOR = 1e-3      # excluded disc |k| < 1e-3 / R around the origin
 _FLOOR_REL = 1e-8            # boundary-zero floor relative to median |f|
 _MAX_PHASE_DEPTH = 48        # bisection depth per boundary segment
 _MAX_TREE_DEPTH = 40         # rectangle subdivision depth cap
@@ -274,7 +273,7 @@ def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
 
     Raises BoundaryZero when a zero sits on or hugs the boundary.
     """
-    re_floor = _RE_FLOOR_FACTOR / ch.radius
+    re_floor = EXCLUDED_DISC / ch.radius
     if region.re_min < re_floor * (1.0 - 1e-9):
         raise ValueError(f"re_min must stay above the excluded disc {re_floor}")
     fn = lambda k: det_lambda_balanced(p, ch, k)
@@ -422,7 +421,7 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     Indices are ordinals (0, 1, ...) until ``index_poles`` assigns lattice
     positions.
     """
-    re_floor = _RE_FLOOR_FACTOR / ch.radius
+    re_floor = EXCLUDED_DISC / ch.radius
     if not re_max > re_floor:
         raise ValueError(f"re_max must exceed {re_floor}")
     if im_min is None:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
-from .asymptotics import ComparisonRow, Resonance
+from .asymptotics import Resonance
 from .gpi import GpiClass, GpiParams
 from .riccati import Channel
 
@@ -148,39 +148,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     return RunConfig(p, ch, search, outputs)
 
 
-@dataclass(frozen=True)
-class PoleRow:
-    """One CSV row; predictions are None for embedded eigenvalues."""
-
-    n: int
-    k: complex
-    residual: float
-    k_pred: complex | None
-    abs_err: float | None
-    scaled_err: float | None
-    embedded: bool = False
-
-    @property
-    def energy_width(self) -> float:
-        """Width in the energy plane, 2 |Re k . Im k| (E = k^2)."""
-        return 2.0 * abs(self.k.real * self.k.imag)
-
-
-def rows_from_comparison(poles: Sequence[Resonance],
-                         comparison: Sequence[ComparisonRow]) -> list[PoleRow]:
-    by_index = {row.index: row for row in comparison}
-    out = []
-    for pole in poles:
-        row = by_index.get(pole.index)
-        out.append(PoleRow(pole.index, pole.k, pole.residual,
-                           row.k_pred if row else None,
-                           row.abs_err if row else None,
-                           row.scaled_err if row else None))
-    return out
-
-
-def embedded_rows(momenta: Sequence[float], residuals: Sequence[float]) -> list[PoleRow]:
-    return [PoleRow(i, complex(k, 0.0), res, None, None, None, embedded=True)
+def embedded_rows(momenta: Sequence[float], residuals: Sequence[float]) -> list[Resonance]:
+    return [Resonance(i, complex(k, 0.0), res, embedded=True)
             for i, (k, res) in enumerate(zip(momenta, residuals))]
 
 
@@ -188,13 +157,13 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.17g}"
 
 
-def write_csv(rows: Iterable[PoleRow], fh: TextIO) -> None:
+def write_csv(rows: Iterable[Resonance], fh: TextIO) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
         pred = row.k_pred
         writer.writerow([
-            str(row.n), _fmt(row.k.real), _fmt(row.k.imag), _fmt(row.residual),
+            str(row.index), _fmt(row.k.real), _fmt(row.k.imag), _fmt(row.residual),
             _fmt(pred.real if pred is not None else None),
             _fmt(pred.imag if pred is not None else None),
             _fmt(row.abs_err), _fmt(row.scaled_err), _fmt(row.energy_width),
@@ -202,13 +171,13 @@ def write_csv(rows: Iterable[PoleRow], fh: TextIO) -> None:
         ])
 
 
-def read_csv(fh: TextIO) -> list[PoleRow]:
+def read_csv(fh: TextIO) -> list[Resonance]:
     reader = csv.DictReader(fh)
     rows = []
     for rec in reader:
         pred = (complex(float(rec["re_pred"]), float(rec["im_pred"]))
                 if rec["re_pred"] else None)
-        rows.append(PoleRow(
+        rows.append(Resonance(
             int(rec["n"]), complex(float(rec["re_k"]), float(rec["im_k"])),
             float(rec["residual"]), pred,
             float(rec["abs_err"]) if rec["abs_err"] else None,
@@ -218,7 +187,7 @@ def read_csv(fh: TextIO) -> list[PoleRow]:
     return rows
 
 
-def format_table(rows: Sequence[PoleRow]) -> str:
+def format_table(rows: Sequence[Resonance]) -> str:
     """Human-readable fixed-width table of the CSV content."""
     header = (f"{'n':>4} {'Re k':>14} {'Im k':>14} {'residual':>10} "
               f"{'Re pred':>14} {'Im pred':>14} {'abs err':>10} {'scaled':>10}")
@@ -228,7 +197,7 @@ def format_table(rows: Sequence[PoleRow]) -> str:
         pred_im = f"{row.k_pred.imag:14.6f}" if row.k_pred is not None else " " * 14
         abs_err = f"{row.abs_err:10.2e}" if row.abs_err is not None else " " * 10
         scaled = f"{row.scaled_err:10.3g}" if row.scaled_err is not None else " " * 10
-        lines.append(f"{row.n:>4} {row.k.real:14.6f} {row.k.imag:14.6f} "
+        lines.append(f"{row.index:>4} {row.k.real:14.6f} {row.k.imag:14.6f} "
                      f"{row.residual:10.2e} {pred_re} {pred_im} {abs_err} {scaled}")
     return "\n".join(lines)
 

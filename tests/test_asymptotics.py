@@ -176,8 +176,8 @@ class TestCompare:
         p = GpiParams(0, 0, 1 + 1j)
         poles = find_poles(p, CH, re_max=35.0, im_min=-1.0)
         poles = index_poles(poles, p, CH)
-        rows = compare(poles, p, CH)
-        im_err = [abs(row.k_found.imag - row.k_pred.imag) for row in rows]
+        rows = [row for row in compare(poles, p, CH) if row.k_pred is not None]
+        im_err = [abs(row.k.imag - row.k_pred.imag) for row in rows]
         assert im_err[-1] <= im_err[0] + 1e-12
 
     def test_rows_carry_consistent_errors(self):
@@ -185,8 +185,36 @@ class TestCompare:
         poles = find_poles(p, CH, re_max=25.0, im_min=-2.0)
         poles = index_poles(poles, p, CH)
         for row in compare(poles, p, CH):
-            assert row.abs_err == abs(row.k_found - row.k_pred)
+            if row.k_pred is None:
+                continue
+            assert row.abs_err == abs(row.k - row.k_pred)
             assert row.scaled_err >= row.abs_err  # scales here are < 1
+
+
+class TestCompareKeepsEveryPole:
+    def test_one_record_per_pole_in_order(self):
+        p = GpiParams(50, 0, 0)
+        poles = index_poles(find_poles(p, CH, re_max=25.0, im_min=-2.0), p, CH)
+        assert poles[0].index == 0  # the first pole sits below lattice point 1
+        rows = compare(poles, p, CH)
+        assert [(row.index, row.k, row.residual) for row in rows] == \
+            [(pole.index, pole.k, pole.residual) for pole in poles]
+        for pole, row in zip(poles, rows):
+            if pole.index < 1:
+                assert row == pole
+                assert row.k_pred is row.abs_err is row.scaled_err is None
+            else:
+                pred = predict(p, CH, pole.index)
+                assert row.k_pred == pred.k_pred
+                assert row.abs_err == abs(row.k - row.k_pred)
+                assert row.scaled_err == row.abs_err / pred.error_scale
+                assert not row.embedded
+
+    def test_input_order_is_kept(self):
+        p = GpiParams(0, 0, 1 + 1j)
+        poles = [Resonance(3, 10.0 - 0.2j, 1e-13), Resonance(0, 1.0 - 0.1j, 2e-13),
+                 Resonance(1, 4.0 - 0.2j, 3e-13)]
+        assert [row.index for row in compare(poles, p, CH)] == [3, 0, 1]
 
 
 class TestOneLattice:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import winterres.polefinder as pf
-from winterres import (AmbiguousIndex, BoundaryZero, Channel, GpiParams,
+from winterres import (AmbiguousIndex, BoundaryZero, Channel, ClusteredZeros, GpiParams,
                        NonConvergence, SearchRegion, count_zeros, det_lambda,
                        det_lambda_balanced, find_poles, index_poles, refine)
 
@@ -330,6 +330,30 @@ class TestRegressions:
         for pole in poles:
             assert pole.residual < 1e-9
             assert abs(det_lambda(p, ch, pole.k)) < 1e-9
+
+    def test_delta_l5_low_poles(self):
+        # the two poles below the lattice make index_poles raise AmbiguousIndex
+        # on this list, so it is checked unindexed
+        poles = find_poles(DELTA, Channel(5, 1.0), 60.0)
+        assert len(poles) == 18
+        assert all(pole.residual < 1e-9 for pole in poles)
+        for want in (1.7732297568788675 - 3.4128463437592464j,
+                     3.635604255785985 - 2.3689752879144095j):
+            assert min(abs(pole.k - want) for pole in poles) < 1e-9
+
+
+class TestDoubleZero:
+    @pytest.mark.xfail(strict=True, raises=BoundaryZero, reason=(
+        "a double zero within one sample step of a cell edge turns the phase by "
+        "nearly 2 pi between two samples, which the pi/2 rule does not see; the "
+        "cell counts 1 and no clean split line is found"))
+    def test_double_zero_reports_clustered_zeros(self, monkeypatch):
+        k0 = 3.3 - 0.7j
+        det = lambda p, ch, k: (k - k0) ** 2 * (k + 5)
+        monkeypatch.setattr(pf, "det_lambda_balanced", det)
+        monkeypatch.setattr(pf, "det_lambda", det)
+        with pytest.raises(ClusteredZeros):
+            find_poles(DELTA, CH, 6.0, -2.0)
 
 
 class TestIndexPoles:

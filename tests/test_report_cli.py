@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import winterres
-from winterres import GpiClass, GpiParams
+from winterres import (Channel, GpiClass, GpiParams, Resonance, compare, find_poles,
+                       index_poles)
 from winterres.cli import _FLAG_KEYS, build_parser, main
-from winterres.report import (_CONFIG_KEYS, CSV_COLUMNS, PoleRow, config_from_dict,
+from winterres.report import (_CONFIG_KEYS, CSV_COLUMNS, config_from_dict, embedded_rows,
                               format_complex, parse_complex, read_csv,
                               write_csv, write_pole_svg)
 
@@ -53,10 +54,10 @@ class TestComplexLiterals:
 class TestCsv:
     def rows(self):
         return [
-            PoleRow(3, 9.734 - 0.123j, 3.2e-13, 9.7 - 0.1j, 0.04, 0.4),
-            PoleRow(4, 12.9 - 0.2j, 1.1e-12, None, None, None),
-            PoleRow(0, 1.5707963267948966 + 0j, 5e-14, None, None, None,
-                    embedded=True),
+            Resonance(3, 9.734 - 0.123j, 3.2e-13, 9.7 - 0.1j, 0.04, 0.4),
+            Resonance(4, 12.9 - 0.2j, 1.1e-12, None, None, None),
+            Resonance(0, 1.5707963267948966 + 0j, 5e-14, None, None, None,
+                      embedded=True),
         ]
 
     def test_round_trip_is_exact(self):
@@ -65,6 +66,18 @@ class TestCsv:
         buf.seek(0)
         back = read_csv(buf)
         assert back == self.rows()
+
+    def test_compare_records_round_trip(self):
+        # an index-0 pole, predicted poles and embedded eigenvalues: read_csv
+        # gives back the records compare and embedded_rows returned
+        p, ch = GpiParams(50, 0, 0), Channel(0, 1.0)
+        records = compare(index_poles(find_poles(p, ch, 12.0, -2.0), p, ch), p, ch)
+        records += embedded_rows([math.pi / 2, 4.71238898038469], [3e-16, 1e-15])
+        assert records[0].k_pred is None and records[1].k_pred is not None
+        buf = io.StringIO()
+        write_csv(records, buf)
+        buf.seek(0)
+        assert read_csv(buf) == records
 
     def test_header(self):
         buf = io.StringIO()
@@ -381,6 +394,26 @@ class TestExitCodes:
                                         "search": {"re_max": "inf"}}))
         assert main(["poles", "--config", str(cfg_path)]) == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code, says", [
+        (["classify", "--gamma=-1+2i"], 0, "gamma=-1+2i"),
+        (["classify", "--alpha=-1e3"], 0, "alpha=-1000"),
+        (["poles", "--re-max", "10", "--interaction=-12.8,0,0"], 0, "Re pred"),
+        (["poles", "--alpha", "50", "--re-max", "10", "--im-min=-inf"], 2, "must be finite"),
+    ], ids=["gamma", "alpha", "interaction", "im-min-inf"])
+    def test_negative_value_in_equals_form(self, capsys, argv, code, says):
+        # argparse takes "-1+2i" after a space for an option; the = form is read
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert says in (captured.out if code == 0 else captured.err)
+        assert "expected one argument" not in captured.err
+
+    def test_help_names_the_equals_form(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["poles", "--help"])
+        out = "".join(capsys.readouterr().out.split())  # argparse wraps at hyphens
+        for form in ("--gamma=-1+2i", "--im-min=-1e1", "--interaction=-12.8,0,0"):
+            assert form in out
 
     def test_usage_error_config_not_an_object(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
