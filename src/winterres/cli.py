@@ -9,6 +9,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .asymptotics import Resonance, ZeroCoupling, compare, index_poles, predict
 from .errors import WinterresError
 from .gpi import classify, is_separated, to_transfer, to_unitary, SeparatedInteraction
@@ -137,7 +139,7 @@ def _run_and_emit(cfgs: list[RunConfig], empty: str, always_table: bool) -> list
         p, ch = cfg.interaction, cfg.channel
         if is_separated(p):
             roots = real_axis_roots(p, ch, cfg.search.re_max)
-            rows = embedded_rows(roots, [abs(det_lambda(p, ch, complex(k))) for k in roots])
+            rows = embedded_rows(roots, np.abs(det_lambda(p, ch, np.array(roots))).tolist())
         else:
             poles = index_poles(find_poles(p, ch, cfg.search.re_max, cfg.search.im_min), p, ch)
             rows = compare(poles, p, ch)

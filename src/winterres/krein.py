@@ -33,9 +33,9 @@ while the balanced version splits the growth evenly and leaves the zero set
 untouched.  Root finding uses the balanced form throughout.
 
 ``phi_boundary``, ``det_lambda`` and ``det_lambda_balanced`` take one
-momentum or a numpy array of momenta, like the Riccati functions they call:
-a scalar gives Python complex values from cmath, an array gives arrays from
-numpy, elementwise, through the same expressions.
+momentum or a numpy array of momenta, like the Riccati functions they call,
+and compute both with numpy through the same expressions: a scalar gives
+Python complex values, an array gives arrays of its shape.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import WinterresError
 from .gpi import GpiParams, is_separated
-from .riccati import Channel, OriginSingularity, as_argument, riccati_s, riccati_xi
+from .riccati import Channel, OriginSingularity, pointwise, riccati_s, riccati_xi
 
 
 EXCLUDED_DISC = 1e-3   # searches exclude the disc |k| < EXCLUDED_DISC / R around k = 0
@@ -78,11 +78,9 @@ class KreinCoefficients:
     det_lambda: complex
 
 
+@pointwise
 def phi_boundary(ch: Channel, k: complex) -> PhiBoundaryValues:
-    """Boundary values Phi1(R), Phi2(Rbar), Phi2'(R) at momentum k != 0."""
-    k, ops = as_argument(k)
-    if not ops.no_zero(k):
-        raise OriginSingularity("boundary values are singular at k = 0")
+    """Boundary values Phi1(R), Phi2(Rbar), Phi2'(R); k = 0 raises OriginSingularity."""
     z = k * ch.radius
     s = riccati_s(ch.l, z)
     x = riccati_xi(ch.l, z)
@@ -92,6 +90,7 @@ def phi_boundary(ch: Channel, k: complex) -> PhiBoundaryValues:
     return PhiBoundaryValues(phi1, phi2_avg, phi2_prime)
 
 
+@pointwise
 def det_lambda(p: GpiParams, ch: Channel, k: complex) -> complex:
     """The pole denominator det lambda(k); analytic on the punctured plane.
 
@@ -107,10 +106,10 @@ def det_lambda(p: GpiParams, ch: Channel, k: complex) -> complex:
             - 0.25 * q)
 
 
+@pointwise
 def det_lambda_balanced(p: GpiParams, ch: Channel, k: complex) -> complex:
     """e^{-i k R} det lambda(k): same zeros, balanced growth off the axis."""
-    k, ops = as_argument(k)
-    return ops.exp(-1j * k * ch.radius) * det_lambda(p, ch, k)
+    return np.exp(-1j * k * ch.radius) * det_lambda(p, ch, k)
 
 
 def krein_coefficients(p: GpiParams, ch: Channel, k: complex) -> KreinCoefficients:
@@ -164,9 +163,9 @@ def real_axis_roots(p: GpiParams, ch: Channel, k_max: float) -> list[float]:
 
     Only meaningful for separated interactions (raises NotSeparated
     otherwise).  Roots are located by sign-change bisection on the real
-    interior quantization function; each root is a zero of det lambda.
-    A disc |k| < 1e-3/R around the singular point k = 0 is excluded, and
-    an infinite k_max raises ValueError.
+    interior quantization function, all brackets in lockstep; each root is a
+    zero of det lambda.  A disc |k| < 1e-3/R around the singular point
+    k = 0 is excluded, and an infinite k_max raises ValueError.
     """
     if not is_separated(p):
         raise NotSeparated("real-axis root search needs a separated interaction")
@@ -175,8 +174,8 @@ def real_axis_roots(p: GpiParams, ch: Channel, k_max: float) -> list[float]:
     c1, c2 = _inside_condition(p)
     r = ch.radius
 
-    def g(k: float) -> float:
-        s = riccati_s(ch.l, complex(k * r))
+    def g(k: np.ndarray) -> np.ndarray:
+        s = riccati_s(ch.l, k * r)
         return (c1 * s.value + c2 * k * s.derivative).real
 
     k_lo = EXCLUDED_DISC / r
@@ -184,27 +183,18 @@ def real_axis_roots(p: GpiParams, ch: Channel, k_max: float) -> list[float]:
         return []
     step = math.pi / (24.0 * r)
     n_steps = max(2, int(math.ceil((k_max - k_lo) / step)))
-    grid = [k_lo + (k_max - k_lo) * i / n_steps for i in range(n_steps + 1)]
-    vals = [g(k) for k in grid]
-    roots: list[float] = []
-    for i in range(n_steps):
-        a_k, b_k = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(a_k)
-            continue
-        if fa * fb < 0.0:
-            for _ in range(200):
-                mid = 0.5 * (a_k + b_k)
-                fm = g(mid)
-                if fm == 0.0 or (b_k - a_k) < 1e-15 * mid:
-                    a_k = b_k = mid
-                    break
-                if fa * fm < 0.0:
-                    b_k, fb = mid, fm
-                else:
-                    a_k, fa = mid, fm
-            roots.append(0.5 * (a_k + b_k))
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
-    return roots
+    grid = k_lo + (k_max - k_lo) * np.arange(n_steps + 1) / n_steps
+    vals = g(grid)
+    on_grid = np.flatnonzero(vals == 0.0)
+    bracket = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)   # sign changes in step i
+    a, b, fa = grid[bracket], grid[bracket + 1], vals[bracket]
+    for _ in range(200 if bracket.size else 0):   # a finished bracket stays a = b = mid
+        mid = 0.5 * (a + b)
+        fm = g(mid)
+        done, left = (fm == 0.0) | (b - a < 1e-15 * mid), fa * fm < 0.0
+        a, b = np.where(done | ~left, mid, a), np.where(done | left, mid, b)
+        fa = np.where(left, fa, fm)
+        if done.all():
+            break
+    roots = np.concatenate([grid[on_grid], 0.5 * (a + b)])
+    return roots[np.argsort(np.concatenate([on_grid, bracket]), kind="stable")].tolist()

@@ -23,10 +23,11 @@ resolved phase of each step with its samples, so a child's count sums the
 phases it inherits and computes (and checks against pi/2) only those of its
 new steps: the cut, the step where a parent edge is cut, and the samples
 added to short edges.  A cut, end points included, is one array call of det
-lambda, and so are the samples added to one child's short edges; bisection
-midpoints are scalar calls.  When a zero sits on (or too close to) a cut,
-subdivision catches BoundaryZero and re-splits at a shifted fraction, so the
-children still partition the parent.
+lambda, and so are the samples added to one child's short edges.  Steps of
+pi/2 or more are bisected in rounds, each round one array call for the
+midpoints of every such step on the four edges.  When a zero sits on (or
+too close to) a cut, subdivision catches BoundaryZero and re-splits at a
+shifted fraction, so the children still partition the parent.
 
 A one-zero cell is not refined when it is found: it waits in a queue with
 its Newton seed, the contour moment of its resolved boundary (see
@@ -167,83 +168,97 @@ def _reversed(edge: _Edge) -> _Edge:
                  tuple(last - i for i in reversed(edge.wide)))
 
 
+def _bisect(piece: tuple, i: int) -> None:
+    """Insert the midpoint of step i into a piece (z, f, phase), its value and phases None."""
+    z, f, phase = piece
+    z.insert(i + 1, 0.5 * (z[i] + z[i + 1]))
+    f.insert(i + 1, None)
+    phase[i:i + 1] = [None, None]
+
+
+def _fill(fn, pieces: list, floor: float = 0.0) -> list:
+    """Compute the pieces' None values in one det lambda call, then their None phases.
+
+    Returns the new steps of each piece that turn by pi/2 or more.  A new
+    value at or under the floor (an exact zero, without one) raises
+    BoundaryZero: no phase can be taken through it.
+    """
+    z_new = [w for z, f, _ in pieces for w, v in zip(z, f) if v is None]
+    f_new = fn(np.array(z_new))
+    low = np.flatnonzero(np.abs(f_new) <= floor)
+    if low.size:
+        raise BoundaryZero(f"|det lambda| below the floor at {z_new[low[0]]}")
+    values = iter(f_new.tolist())
+    wide = []
+    for z, f, phase in pieces:
+        f[:] = [next(values) if v is None else v for v in f]
+        new = [s for s, step in enumerate(phase) if step is None]
+        for s in new:
+            phase[s] = cmath.phase(f[s + 1] / f[s])
+        wide.append(_wide(phase, new))
+    return wide
+
+
 def _densify(fn, edges: tuple) -> tuple:
     """Bisect the widest steps of each short edge until it has at least 8.
 
     A freshly sampled edge always has 8; a short piece of a parent's edge
     may have fewer.  The new samples of all edges take one det lambda call;
-    the steps they split become new steps.
+    the steps they split become new steps, and wide steps are tested again.
     """
     short = [i for i, edge in enumerate(edges) if len(edge.z) < 9]
-    if not short:
-        return edges
-    plans = []
-    for edge in (edges[i] for i in short):
-        # None marks a step to compute and test: a new one, or one still wide
-        z, f = list(edge.z), list(edge.f)
-        phase = [None if s in edge.wide else step for s, step in enumerate(edge.phase)]
+    pieces = [(list(edges[i].z), list(edges[i].f),
+               [None if s in edges[i].wide else step for s, step in enumerate(edges[i].phase)])
+              for i in short]
+    for piece in pieces:
+        z = piece[0]
         while len(z) < 9:
-            i = max(range(len(z) - 1), key=lambda j: abs(z[j + 1] - z[j]))
-            z.insert(i + 1, 0.5 * (z[i] + z[i + 1]))
-            f.insert(i + 1, None)
-            phase[i:i + 1] = [None, None]
-        plans.append((z, f, phase))
-    values = iter(fn(np.array([w for z, f, _ in plans
-                               for w, v in zip(z, f) if v is None])).tolist())
+            _bisect(piece, max(range(len(z) - 1), key=lambda j: abs(z[j + 1] - z[j])))
     out = list(edges)
-    for i, (z, f, phase) in zip(short, plans):
-        f = [next(values) if v is None else v for v in f]
-        new = [s for s, step in enumerate(phase) if step is None]
-        for s in new:
-            phase[s] = cmath.phase(f[s + 1] / f[s])
-        out[i] = _Edge(z, f, list(map(abs, f)), phase, _wide(phase, new))
+    for i, (z, f, phase), wide in zip(short, pieces, _fill(fn, pieces) if short else ()):
+        out[i] = _Edge(z, f, list(map(abs, f)), phase, wide)
     return tuple(out)
 
 
-def _bisect(fn, z1: complex, f1: complex, z2: complex, f2: complex,
-            floor: float) -> tuple[list, list]:
-    """Bisect one step until f turns by less than pi/2 between neighbours.
+def _resolve(fn, edges: tuple, floor: float) -> tuple:
+    """Bisect the wide steps of all edges until f turns by less than pi/2 between neighbours.
 
-    Returns the samples inserted between its ends and the phases of the
-    steps between them.  A step is bisected at most _MAX_PHASE_DEPTH times;
-    failing that, or a midpoint value under the floor, raises BoundaryZero.
+    Each wide step is a piece of its own.  A round bisects every step still
+    wide in the pieces of all four edges, in one det lambda call.  A split
+    depends only on its step's end values, so the rounds insert the samples
+    that bisecting each wide step depth first would.  A step still wide
+    after _MAX_PHASE_DEPTH rounds, or a midpoint under the floor, raises
+    BoundaryZero.
     """
-    out = [(z1, f1)]
-    phases = []
-    pending = [((z2, f2), 0)]   # right ends of the steps still to resolve, with their depth
-    while pending:
-        (zb, fb), depth = pending[-1]
-        za, fa = out[-1]
-        delta = cmath.phase(fb / fa)
-        if abs(delta) < _HALF_PI:
-            out.append(pending.pop()[0])
-            phases.append(delta)
-            continue
-        if depth >= _MAX_PHASE_DEPTH:
-            raise BoundaryZero(f"phase increment from {za} to {zb} cannot be resolved")
-        zm = 0.5 * (za + zb)
-        fm = fn(zm)
-        if abs(fm) < floor:
-            raise BoundaryZero(f"|det lambda| below the floor at {zm}")
-        pending[-1] = ((zb, fb), depth + 1)
-        pending.append(((zm, fm), depth + 1))
-    return out[1:-1], phases
-
-
-def _resolve(fn, edge: _Edge, floor: float) -> _Edge:
-    """Bisect the wide steps of an edge; the others are resolved already."""
-    if not edge.wide:
-        return edge
-    z, f, phase = [], [], []
-    start = 0
-    for i in edge.wide:   # one scalar det lambda call per midpoint
-        inner, steps = _bisect(fn, edge.z[i], edge.f[i], edge.z[i + 1], edge.f[i + 1], floor)
-        z += edge.z[start:i + 1] + [w for w, _ in inner]
-        f += edge.f[start:i + 1] + [v for _, v in inner]
-        phase += edge.phase[start:i] + steps
-        start = i + 1
-    f += edge.f[start:]
-    return _Edge(z + edge.z[start:], f, list(map(abs, f)), phase + edge.phase[start:])
+    pieces = [(edge.z[s:s + 2], edge.f[s:s + 2], [None]) for edge in edges for s in edge.wide]
+    if not pieces:
+        return edges
+    wide = [(0,)] * len(pieces)
+    for depth in range(_MAX_PHASE_DEPTH + 1):
+        todo = [k for k, w in enumerate(wide) if w]
+        if not todo:
+            break
+        if depth == _MAX_PHASE_DEPTH:
+            z, s = pieces[todo[0]][0], wide[todo[0]][0]
+            raise BoundaryZero(f"phase increment from {z[s]} to {z[s + 1]} cannot be resolved")
+        for k in todo:
+            for s in reversed(wide[k]):
+                _bisect(pieces[k], s)
+        for k, w in zip(todo, _fill(fn, [pieces[k] for k in todo], floor)):
+            wide[k] = w
+    out, resolved = list(edges), iter(pieces)
+    for i, edge in enumerate(edges):   # splice each edge's resolved pieces in, in order
+        if edge.wide:
+            z, f, phase, start = [], [], [], 0
+            for s in edge.wide:
+                pz, pf, pphase = next(resolved)
+                z += edge.z[start:s] + pz[:-1]
+                f += edge.f[start:s] + pf[:-1]
+                phase += edge.phase[start:s] + pphase
+                start = s + 1
+            f += edge.f[start:]
+            out[i] = _Edge(z + edge.z[start:], f, list(map(abs, f)), phase + edge.phase[start:])
+    return tuple(out)
 
 
 def _winding(fn, region: SearchRegion, edges: tuple) -> tuple[tuple, int]:
@@ -260,7 +275,7 @@ def _winding(fn, region: SearchRegion, edges: tuple) -> tuple[tuple, int]:
     floor = _FLOOR_REL * med
     if med == 0.0 or vals[0] < floor:
         raise BoundaryZero(f"zero of det lambda on the boundary of {region}")
-    edges = tuple(_resolve(fn, edge, floor) for edge in edges)
+    edges = _resolve(fn, edges, floor)
     total = sum(sum(edge.phase) for edge in edges)
     n = round(total / (2.0 * math.pi))
     if abs(total / (2.0 * math.pi) - n) > 0.25:
@@ -414,7 +429,11 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     ``im_min=None`` selects the default floor -(ln(re_max R) + 5)/R.  For
     separated interactions the top edge is lowered by a 1e-7/R sliver: their
     real-axis zeros are embedded eigenvalues, which belong to
-    ``real_axis_roots``, not to the resonance list.
+    ``real_axis_roots``, not to the resonance list.  The sliver does not
+    always keep them off the contour: an embedded eigenvalue 1e-7/R above
+    the top edge can pull |det lambda| there under the floor, and the
+    search then raises BoundaryZero, as
+    ``find_poles(GpiParams(4, 1, 0), Channel(0, 1.0), 20.0)`` does.
 
     The returned list is sorted by Re k, deduplicated, every pole carries
     |det lambda| < 1e-9, and its length equals the top-level winding count.

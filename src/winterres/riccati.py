@@ -33,20 +33,22 @@ l = 20, z = 13 - 8i against a 40-digit reference).
 Derivatives come from the identity f_l' = f_{l-1} - (l/z) f_l, never from
 numerical differencing.
 
-Every function here takes either one point or a numpy array of points.  A
-scalar is evaluated with cmath and returns Python complex values; an array is
-evaluated elementwise with numpy and returns arrays of the same shape.  The
-formulas and recurrences are the same code for both: the argument's type only
-chooses whose sin, cos and exp run, and the S_l series branch is chosen per
-element.
+Every function here computes with numpy on ``np.asarray(z, dtype=complex)``,
+one code path for one point and for many: an array gives arrays of its
+shape, and a Python number runs as a numpy scalar and gives Python complex
+(see ``pointwise``).  numpy's array loops may fuse the multiply-adds of a
+complex product where its scalar arithmetic does not, so a point alone can
+differ in the last bits from the same point in an array.  The S_l series is
+chosen per element, always sums on an array, and stops each element at its
+own first negligible term.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
+import inspect
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -84,134 +86,120 @@ class Channel:
 class ValueAndDerivative:
     """A function value together with its derivative in the argument z.
 
-    Both are Python complex for a scalar argument and complex arrays for an
-    array argument.
+    Both are Python complex for a Python number argument, and numpy values
+    of the argument's shape for numpy input.
     """
 
     value: complex
     derivative: complex
 
 
-def _no_zero(z: np.ndarray) -> bool:
-    return np.count_nonzero(z) == z.size
+def pointwise(fn):
+    """Let fn, written for a complex array of points (its last argument), take one point.
 
-
-# What the argument's type chooses: cmath for one point, numpy (elementwise)
-# for an array.
-_SCALAR = SimpleNamespace(sin=cmath.sin, cos=cmath.cos, exp=cmath.exp, all=bool, no_zero=bool)
-_ARRAY = SimpleNamespace(sin=np.sin, cos=np.cos, exp=np.exp, all=np.ndarray.all,
-                         no_zero=_no_zero)
-_NDARRAY = np.ndarray   # looked up once: every scalar det lambda call checks it four times
-
-
-def as_argument(z):
-    """z as a complex array or a Python complex, with the arithmetic to use on it.
-
-    The arithmetic is numpy's, elementwise, for an array and cmath's for
-    anything else: ``sin``, ``cos`` and ``exp``, ``all`` to reduce a
-    comparison, and ``no_zero`` to say whether z has no zero element.
+    fn gets ``np.asarray(z, dtype=complex)``, a numpy scalar for one point.
+    Numpy input gets numpy values back, a Python number Python complex ones
+    (in each field of a result record).
     """
-    if isinstance(z, _NDARRAY):
-        return z.astype(complex, copy=False), _ARRAY
-    return complex(z), _SCALAR
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if kwargs:   # bound to their positions, so the points are the last argument
+            return wrapper(*inspect.signature(fn).bind(*args, **kwargs).args)
+        z = args[-1]
+        if type(z) not in (complex, float, int):
+            z = np.asarray(z, dtype=complex)
+            return fn(*args[:-1], z if z.ndim else z[()])
+        out = fn(*args[:-1], np.complex128(z))
+        if isinstance(out, (np.generic, np.ndarray)):
+            return complex(out)
+        return type(out)(*map(complex, vars(out).values()))
+    return wrapper
 
 
-def _dfactorial(n: int) -> float:
-    """Double factorial n!! for odd n (as float; may overflow to inf for huge n)."""
-    out = 1.0
-    for m in range(n, 1, -2):
-        out *= m
-    return out
-
-
-def _s_series(l: int, z: complex, ops=_SCALAR) -> ValueAndDerivative:
+def _s_series(l: int, z: np.ndarray) -> ValueAndDerivative:
     # S_l(z) = sum_m t_m z^{l+1+2m},  t_0 = 1/(2l+1)!!,
     # t_m = t_{m-1} * (-z^2/2) / (m (2l+2m+1));  derivative termwise.
-    # z != 0 here; an array runs until its slowest element has converged.
+    # z is a nonzero 1-d array.  A round sums the next 32 terms of each
+    # element still summing, by cumulative products and sums; an element
+    # stops at its own first term below 1e-18 of its sum.
     zl = z ** (l + 1)  # integer power: exact parity under z -> -z
-    t = 1.0 / _dfactorial(2 * l + 1)
-    zz = -0.5 * z * z
-    s = t
-    sp = t * (l + 1)
-    for m in range(1, 400):
-        t = t * zz / (m * (2 * l + 2 * m + 1))
-        s += t
-        sp += t * (l + 1 + 2 * m)
-        if ops.all(abs(t) < 1e-18 * abs(s)):
+    m = np.arange(1, 400.0)[:, None]
+    ratio_den, weight = m * (2 * l + 2 * m + 1), l + 1 + 2 * m
+    t = np.full(z.size, 1 / math.prod(range(2 * l + 1, 1, -2)), complex)   # 1/(2l+1)!!
+    s, sp = t, t * (l + 1)
+    value, derivative = np.empty_like(z), np.empty_like(z)
+    live, zz = np.arange(z.size), -0.5 * z * z
+    for start in range(0, 399, 32):
+        rows = slice(start, start + 32)
+        terms = np.cumprod(np.concatenate([t[None], zz / ratio_den[rows]]), axis=0)[1:]
+        sums = np.cumsum(np.concatenate([s[None], terms]), axis=0)[1:]
+        dsums = np.cumsum(np.concatenate([sp[None], terms * weight[rows]]), axis=0)[1:]
+        done = abs(terms) < 1e-18 * abs(sums)
+        stop = done.any(axis=0)
+        at = done.argmax(axis=0)[stop], np.flatnonzero(stop)
+        value[live[stop]], derivative[live[stop]] = sums[at], dsums[at]
+        go = ~stop
+        live, zz, t, s, sp = live[go], zz[go], terms[-1, go], sums[-1, go], dsums[-1, go]
+        if not live.size:
             break
-    value = zl * s
+    value[live], derivative[live] = s, sp
     # sp accumulated sum_m t_m (l+1+2m) z^{2m}; S' = z^l * sp
-    return ValueAndDerivative(value, (zl / z) * sp)
+    return ValueAndDerivative(zl * value, (zl / z) * derivative)
 
 
-def _s_upward(l: int, z: complex, ops=_SCALAR) -> ValueAndDerivative:
-    # closed forms for l <= 1, upward recurrence in the oscillatory regime |z| >~ l
-    prev = ops.sin(z)
-    if l == 0:
-        return ValueAndDerivative(prev, ops.cos(z))
-    cur = prev / z - ops.cos(z)
-    if l == 1:
-        return ValueAndDerivative(cur, prev - cur / z)
+def _upward(l: int, z: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> ValueAndDerivative:
+    # f_l and f_l' from f_0 and f_1 by f_{ll+1} = ((2 ll + 1)/z) f_ll - f_{ll-1}
+    prev, cur = f0, f1
     for ll in range(1, l):
         prev, cur = cur, ((2 * ll + 1) / z) * cur - prev
     return ValueAndDerivative(cur, prev - (l / z) * cur)
 
 
+def _s_upward(l: int, z: np.ndarray) -> ValueAndDerivative:
+    # closed forms for l <= 1, upward recurrence in the oscillatory regime |z| >~ l
+    s0 = np.sin(z)
+    return ValueAndDerivative(s0, np.cos(z)) if l == 0 else _upward(l, z, s0, s0 / z - np.cos(z))
+
+
+@pointwise
 def riccati_s(l: int, z: complex) -> ValueAndDerivative:
     """Regular Riccati-Bessel function S_l(z) = z j_l(z) and its derivative.
 
     Entire in z; safe at z = 0 where S_l(0) = 0 and S_l'(0) is 1 for l = 0
-    and 0 otherwise.  z may be a numpy array (see the module docstring).
+    and 0 otherwise.  Each element of z takes its own branch: the series
+    where l >= 2 and |z| < l + 2, the closed form or recurrence elsewhere.
     """
     if l < 0:
         raise ValueError("order l must be >= 0")
-    z, ops = as_argument(z)
-    if ops is _ARRAY:
-        return _s_elementwise(l, z)
-    if z == 0:
-        return ValueAndDerivative(0j, 1.0 + 0j if l == 0 else 0j)
-    if l >= 2 and abs(z) < l + 2:
-        return _s_series(l, z)
-    return _s_upward(l, z)
-
-
-def _s_elementwise(l: int, z: np.ndarray) -> ValueAndDerivative:
-    """riccati_s on an array: each element takes the branch a scalar would."""
-    series = abs(z) < l + 2 if l >= 2 else None
-    if (series is None or not series.any()) and _no_zero(z):
-        return _s_upward(l, z, _ARRAY)   # the common case: one branch for every element
     origin = z == 0
-    series = ~origin & series if l >= 2 else np.zeros(z.shape, bool)
-    value = np.zeros_like(z)
-    derivative = np.where(origin, 1.0 if l == 0 else 0.0, 0j)
-    for part, branch in ((series, _s_series), (~(origin | series), _s_upward)):
+    special = origin | (abs(z) < l + 2) if l >= 2 else origin
+    if not np.count_nonzero(special):
+        return _s_upward(l, z)   # the common case: one branch for every element
+    value, derivative = np.zeros_like(z), np.where(origin, 1.0 if l == 0 else 0.0, 0j)
+    for part, branch in ((special & ~origin, _s_series), (~special, _s_upward)):
         if part.any():
-            out = branch(l, z[part], _ARRAY)
+            out = branch(l, z[part])
             value[part], derivative[part] = out.value, out.derivative
     return ValueAndDerivative(value, derivative)
 
 
+@pointwise
 def riccati_xi(l: int, z: complex) -> ValueAndDerivative:
     """Outgoing Riccati-Hankel function xi_l(z) = z h1_l(z) and its derivative.
 
-    Raises OriginSingularity at z = 0 (xi_l ~ -i (2l-1)!! z^{-l} there), or
-    when any element of an array argument is 0.
+    Raises OriginSingularity when z, or any element of it, is 0 (xi_l ~
+    -i (2l-1)!! z^{-l} there).
     """
     if l < 0:
         raise ValueError("order l must be >= 0")
-    z, ops = as_argument(z)
-    if not ops.no_zero(z):
+    if np.count_nonzero(z == 0):
         raise OriginSingularity("xi_l is singular at z = 0")
-    e = ops.exp(1j * z)
-    if l == 0:
-        return ValueAndDerivative(-1j * e, e)
-    prev = -1j * e
-    cur = -e * (1 + 1j / z)
-    for ll in range(1, l):
-        prev, cur = cur, ((2 * ll + 1) / z) * cur - prev
-    return ValueAndDerivative(cur, prev - (l / z) * cur)
+    e = np.exp(1j * z)
+    xi0 = -1j * e
+    return ValueAndDerivative(xi0, e) if l == 0 else _upward(l, z, xi0, xi0 / z - e)
 
 
+@pointwise
 def wronskian(l: int, z: complex) -> complex:
     """S_l(z) xi_l'(z) - S_l'(z) xi_l(z); analytically the constant i.
 

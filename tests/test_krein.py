@@ -68,6 +68,12 @@ class TestDetLambda:
             k = rng.uniform(0.1, 100.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
             assert abs(det_lambda(FREE, Channel(l, 1.0), k) + 1.0) < 1e-12
 
+    def test_keyword_arguments(self):
+        p, k = GpiParams(50, 0, 0), 3.0 - 0.2j
+        want = det_lambda(p, CH, k)
+        assert det_lambda(p, CH, k=k) == det_lambda(p=p, ch=CH, k=k) == want
+        assert riccati_s(l=2, z=k) == riccati_s(2, k)
+
     def test_vanishes_at_first_pole(self):
         val = det_lambda(GpiParams(50, 0, 0), CH, FIRST_POLE_ALPHA50)
         assert abs(val) < 1e-9
@@ -109,13 +115,14 @@ class TestBalanced:
     @pytest.mark.parametrize("radius", [0.5, 1.3])
     def test_array_matches_scalar(self, l, radius):
         # rings inside and outside |z| = l + 2, where riccati_s switches
-        # between its series and its recurrence, with -3 <= Im z < 0.  Just
-        # inside the switch at l = 20 the series itself cancels to ~3e-12
-        # (scalar and array alike, against 40 digits), so the inner rings
-        # stop at 0.75 (l + 2).
+        # between its series and its recurrence, with -3 <= Im z < 0; the
+        # ring at 0.95 (l + 2) is where the series cancels most.  One point
+        # runs the same numpy code as an array; numpy's array loops may fuse
+        # the multiply-adds of a complex product where its scalar arithmetic
+        # does not, so the two agree to the last bits, not bit for bit.
         z = [cmath.rect(rho * (l + 2), -math.asin(min(depth, 0.9 * rho * (l + 2))
                                                     / (rho * (l + 2))))
-             for rho in (0.5, 0.75, 1.1, 1.6) for depth in (0.01, 0.5, 1.5, 3.0)]
+             for rho in (0.5, 0.75, 0.95, 1.1, 1.6) for depth in (0.01, 0.5, 1.5, 3.0)]
         k = np.array(z) / radius
         ch = Channel(l, radius)
         for p in (GpiParams(50, 0, 0), GpiParams(0, 0, 1 + 1j), GpiParams(0, 0.1, 0),
@@ -170,13 +177,24 @@ class TestKreinCoefficients:
 class TestRealAxisRoots:
     def test_neumann_lattice_for_gamma_two(self):
         # (0, 0, 2) decouples into interior Neumann + exterior Dirichlet;
-        # the interior eigenmomenta sit at cos(kR) = 0
-        roots = real_axis_roots(GpiParams(0, 0, 2), CH, 40.0)
-        assert len(roots) == 13
-        for n, root in enumerate(roots):
-            assert root == pytest.approx((n + 0.5) * math.pi, abs=1e-9)
-        diffs = np.diff(roots)
-        assert np.allclose(diffs, math.pi, atol=1e-9)
+        # the interior eigenmomenta sit at cos(kR) = 0, k = (n + 1/2) pi / R
+        for radius, count in ((1.0, 13), (0.5, 6), (2.0, 25)):
+            roots = real_axis_roots(GpiParams(0, 0, 2), Channel(0, radius), 40.0)
+            assert len(roots) == count
+            assert all(type(root) is float for root in roots)
+            for n, root in enumerate(roots):
+                assert root == pytest.approx((n + 0.5) * math.pi / radius, abs=1e-9)
+            diffs = np.diff(roots)
+            assert np.allclose(diffs, math.pi / radius, atol=1e-9)
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("k_max", [
+        lambda r: 0.9 * math.pi / (2 * r),   # below the first root
+        lambda r: 1e-3 / r,                  # on the edge of the excluded disc
+        lambda r: 5e-4 / r,                  # inside it
+    ], ids=["below-first-root", "disc-edge", "inside-disc"])
+    def test_empty_window(self, radius, k_max):
+        assert real_axis_roots(GpiParams(0, 0, 2), Channel(0, radius), k_max(radius)) == []
 
     def test_roots_kill_det_lambda(self):
         p = GpiParams(4, 1, 0)

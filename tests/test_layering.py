@@ -38,3 +38,14 @@ def test_search_knows_no_interaction_classes():
     names = {alias.name for node in _relative_imports(PKG / "polefinder.py")
              for alias in node.names}
     assert not names & {"GpiClass", "classify", "canonical_real_gamma"}
+
+
+@pytest.mark.parametrize("module", ["riccati", "krein"])
+def test_one_arithmetic(module):
+    # numpy alone computes the Riccati functions and det lambda, for one
+    # point as for many; cmath would bring back a second arithmetic
+    tree = ast.parse((PKG / f"{module}.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "cmath" not in imported

@@ -109,6 +109,94 @@ class TestSubdivide:
         assert vertical == {True, False}
 
 
+def _depth_first(fn, edge):
+    """Reference: bisect each step of an edge on its own, depth first, one point a call.
+
+    Returns the edge's samples with the midpoints inserted and the depth of
+    the deepest split.
+    """
+    z, deepest = [edge.z[0]], 0
+
+    def split(za, fa, zb, fb, depth):
+        nonlocal deepest
+        if abs(cmath.phase(fb / fa)) < 0.5 * math.pi:
+            z.append(zb)
+            return
+        deepest = max(deepest, depth + 1)
+        zm = 0.5 * (za + zb)
+        fm = fn(zm)
+        split(za, fa, zm, fm, depth + 1)
+        split(zm, fm, zb, fb, depth + 1)
+
+    for i in range(len(edge.z) - 1):
+        split(edge.z[i], edge.f[i], edge.z[i + 1], edge.f[i + 1], 0)
+    return z, deepest
+
+
+class TestResolve:
+    """Wide steps are bisected in rounds, one det lambda call for all four edges."""
+
+    @pytest.mark.parametrize("l, pole", [
+        (0, 3.0802868857096795 - 0.003693967328605281j),
+        (0, 9.24742800027077 - 0.03150504620697397j),
+        (5, 3.635604255785985 - 2.3689752879144055j),
+        (5, 9.178035661750446 - 0.025440106693191022j),
+    ])
+    @pytest.mark.parametrize("offset", [1e-6, 1e-4])
+    def test_rounds_insert_the_depth_first_samples(self, l, pole, offset):
+        # the bottom edge passes just under the pole, the top edge near others
+        ch = Channel(l, 1.0)
+        calls = []
+
+        def fn(k):
+            calls.append(np.size(k))
+            return det_lambda_balanced(DELTA, ch, k)
+
+        region = SearchRegion(round(pole.real) - 1.0, round(pole.real) + 1.0,
+                              pole.imag - offset, 0.0)
+        edges = pf._boundary(fn, region)
+        # the reference takes one point at a time, through the array path
+        reference = [_depth_first(lambda k: complex(fn(np.array([k]))[0]), edge)
+                     for edge in edges]
+        del calls[:]
+        resolved, _ = pf._winding(fn, region, edges)
+        assert [edge.z for edge in resolved] == [z for z, _ in reference]
+        rounds = max(depth for _, depth in reference)
+        assert rounds >= 3
+        assert len(calls) == rounds   # one call per round, every edge in it
+
+    def test_midpoint_under_the_floor_raises(self):
+        # a zero exactly at the midpoint of a bottom-edge step
+        region = SearchRegion(1.0, 2.0, -1.0, -0.5)
+        k0 = complex(1.0 + 3.5 / 8, -1.0)
+        fn = lambda k: k - k0
+        edges = pf._boundary(fn, region)
+        assert edges[0].wide == (3,)
+        with pytest.raises(BoundaryZero, match="below the floor"):
+            pf._winding(fn, region, edges)
+
+    def test_exact_zero_on_a_short_edge_raises(self):
+        # densifying a two-sample edge puts a sample on the zero of f
+        k0 = complex(1.5, -1.0)
+        fn = lambda k: k - k0
+        region = SearchRegion(1.0, 2.0, -1.0, -0.5)
+        c = region.corners()
+        short = pf._Edge(c[:2], [fn(c[0]), fn(c[1])], [0.5, 0.5], [math.pi], (0,))
+        others = tuple(pf._edge(fn, c[i], c[(i + 1) % 4]) for i in (1, 2, 3))
+        with pytest.raises(BoundaryZero):
+            pf._winding(fn, region, (short,) + others)
+
+    def test_sign_jump_hits_the_depth_cap(self):
+        # |f| = 1 everywhere, and f changes sign at a non-dyadic Re k: the
+        # step across the jump stays wide however often it is halved
+        region = SearchRegion(1.0, 2.0, -1.0, -0.5)
+        fn = lambda k: np.where(k.real < 1.0 + 1.0 / 3.0, -1.0, 1.0).astype(complex)
+        edges = pf._boundary(fn, region)
+        assert edges[0].wide and edges[2].wide
+        with pytest.raises(BoundaryZero, match="cannot be resolved"):
+            pf._winding(fn, region, edges)
+
+
 def _scalar_newton(p, ch, k):
     """Reference: the same damped Newton rules, one seed and one point at a time."""
     f = det_lambda_balanced(p, ch, k)
@@ -306,6 +394,13 @@ class TestFindPoles:
 
     def test_separated_has_no_off_axis_poles(self):
         assert find_poles(GpiParams(0, 0, 2), CH, re_max=30.0, im_min=-2.0) == []
+
+    @pytest.mark.xfail(strict=True, raises=BoundaryZero, reason=(
+        "an embedded eigenvalue 1e-7/R above the lowered top edge pulls |det lambda| "
+        "there under the floor; separated couplings need their own search"))
+    def test_separated_search_returns_certified_poles(self):
+        poles = find_poles(GpiParams(4, 1, 0), CH, 20.0)
+        assert all(pole.k.imag < 0.0 and pole.residual < 1e-9 for pole in poles)
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
