@@ -3,7 +3,7 @@
 Zeros of det lambda are localized by the argument principle: the winding
 number of the balanced determinant around a rectangle equals the number of
 enclosed zeros (all poles of the function live at k = 0, outside every
-search region).  Rectangles are bisected until each holds at most one zero,
+search region).  Rectangles are bisected until each holds at most two zeros,
 the surviving cells seed damped Newton iterations, and the refined roots are
 deduplicated and checked against the top-level count, so no resonance inside
 the requested window can be silently missed.
@@ -29,13 +29,18 @@ midpoints of every such step on the four edges.  When a zero sits on (or
 too close to) a cut, subdivision catches BoundaryZero and re-splits at a
 shifted fraction, so the children still partition the parent.
 
-A one-zero cell is not refined when it is found: it waits in a queue with
-its Newton seed, the contour moment of its resolved boundary (see
+A cell that holds one or two zeros is not refined when it is found, and a
+two-zero cell is not split: it waits in a queue with one Newton seed per
+zero, read off the contour moments of its resolved boundary (see
 ``_seed``), and keeps no edges.  When the subdivision stack is empty, one
-``refine`` call runs Newton on every queued cell in lockstep, each round of
-it one array call of det lambda.  A cell whose root fails or leaves the cell
-is counted afresh and split once more; its children go back on the stack,
-and the search ends when both the stack and the queue are empty.
+``refine`` call runs Newton on the seeds of every queued cell in lockstep,
+each round of it one array call of det lambda.  A two-zero cell is solved
+when both roots converge inside it at least _MIN_CELL_FACTOR / R apart
+(closer pairs are clusters) and farther apart than deduplication merges.
+Any other outcome counts the cell afresh and splits it; a one-zero cell
+gets one such pass, and a two-zero cell's children still get theirs.  The
+children go back on the stack, and the search ends when both the stack and
+the queue are empty.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 pole lists.
@@ -393,17 +398,20 @@ def refine(p: GpiParams, ch: Channel, k0):
     return complex(root[0]), float(residual[0])
 
 
-def _seed(region: SearchRegion, edges: tuple) -> complex:
-    """Newton seed of a one-zero cell: its contour moment, or its centroid.
+def _seed(region: SearchRegion, edges: tuple, count: int) -> list[complex]:
+    """Newton seeds of a cell that holds one or two zeros: from its contour moments.
 
-    The moment (1/2 pi i) of the integral of z f'/f dz around a cell that
-    holds one zero is that zero (Delves & Lyness, Math. Comp. 21, 1967).  It
-    is summed as z_mid (ln(|f_{i+1}| / |f_i|) + i phase_i) over the resolved
-    steps of the boundary, taking z from the centroid: the samples a count
-    already made, and no det lambda call.  A moment farther outside the cell
-    than _SEED_SLOP of its diagonal gives way to the centroid.  (A zero that
-    hugs an edge can have its moment just outside; the centroid would start
-    Newton far from it.)
+    The moments s_p = (1/2 pi i) of the integral of (z - c)^p f'/f dz around
+    the cell, c its centroid, are the power sums of its zeros measured from
+    c (Delves & Lyness, Math. Comp. 21, 1967).  Each is summed as
+    (z_mid - c)^p (ln(|f_{i+1}| / |f_i|) + i phase_i) over the resolved steps
+    of the boundary: the samples a count already made, and no det lambda
+    call.  One zero is c + s_1.  Two zeros c + w solve
+    w^2 - s_1 w + (s_1^2 - s_2)/2 = 0, whose roots are the eigenvalues of
+    the 2 x 2 Hankel pencil of the moments (Kravanja & Van Barel, LNM 1727,
+    2000).  A seed farther outside the cell than _SEED_SLOP of its diagonal
+    gives way to the centroid.  (A zero that hugs an edge can have its
+    moment just outside; the centroid would start Newton far from it.)
     """
     centroid = complex(0.5 * (region.re_min + region.re_max),
                        0.5 * (region.im_min + region.im_max))
@@ -412,9 +420,16 @@ def _seed(region: SearchRegion, edges: tuple) -> complex:
     mag = np.array(bottom.mag[:-1] + right.mag[:-1] + top.mag[:-1] + left.mag)
     dlog = np.log(mag[1:] / mag[:-1]) + 1j * np.array(bottom.phase + right.phase + top.phase
                                                       + left.phase)
-    seed = complex(centroid + np.dot(0.5 * (z[1:] + z[:-1]) - centroid, dlog) / (2j * math.pi))
+    w = 0.5 * (z[1:] + z[:-1]) - centroid
+    s1 = np.dot(w, dlog) / (2j * math.pi)
+    if count == 1:
+        seeds = [complex(centroid + s1)]
+    else:
+        half_gap = cmath.sqrt(2.0 * complex(np.dot(w * w, dlog) / (2j * math.pi)) - s1 * s1)
+        seeds = [complex(centroid + 0.5 * (s1 + half_gap)),
+                 complex(centroid + 0.5 * (s1 - half_gap))]
     slop = _SEED_SLOP * abs(complex(region.width, region.height))
-    return seed if region.contains(seed, slop) else centroid
+    return [seed if region.contains(seed, slop) else centroid for seed in seeds]
 
 
 def default_im_min(re_max: float, radius: float) -> float:
@@ -434,6 +449,12 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     the top edge can pull |det lambda| there under the floor, and the
     search then raises BoundaryZero, as
     ``find_poles(GpiParams(4, 1, 0), Channel(0, 1.0), 20.0)`` does.
+
+    Cells that count one or two zeros are not split further: Newton runs
+    from their contour-moment seeds.  A two-zero cell whose two roots do
+    not both converge inside it, at least max(1e-6/R, 1e-8 |k|) apart, is
+    split like a larger cell, so a double zero raises ClusteredZeros or
+    BoundaryZero and never comes back as two poles.
 
     The returned list is sorted by Re k, deduplicated, every pole carries
     |det lambda| < 1e-9, and its length equals the top-level winding count.
@@ -455,34 +476,44 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     min_cell = _MIN_CELL_FACTOR / ch.radius
     found: list[tuple[complex, float]] = []
     stack = [(top, total, 0, False, edges)] if total else []
+
+    def split(region, count, depth, rebisected, edges):
+        """Push the children of a cell with `count` zeros, unless it is a cluster."""
+        if count > 1 and min(region.width, region.height) < min_cell:
+            raise ClusteredZeros(f"{count} zeros in cell {region} below the size floor")
+        if count > 1 and depth >= _MAX_TREE_DEPTH:
+            raise ClusteredZeros(f"subdivision depth cap at {region}")
+        stack.extend((r, c, depth + 1, rebisected, e)
+                     for r, e, c in _subdivide(fn, region, edges, count) if c)
+
     while stack:
-        queue = []   # one-zero cells (region, depth, rebisected, seed) awaiting Newton
+        queue = []   # cells (region, depth, rebisected, seeds) of one or two zeros awaiting Newton
         while stack:
             region, count, depth, rebisected, edges = stack.pop()
-            if count == 1:
-                queue.append((region, depth, rebisected, _seed(region, edges)))
-                continue
-            if min(region.width, region.height) < min_cell:
-                raise ClusteredZeros(f"{count} zeros in cell {region} below the size floor")
-            if depth >= _MAX_TREE_DEPTH:
-                raise ClusteredZeros(f"subdivision depth cap at {region}")
-            stack.extend((r, c, depth + 1, rebisected, e)
-                         for r, e, c in _subdivide(fn, region, edges, count) if c)
-        roots, residuals = refine(p, ch, np.array([cell[3] for cell in queue]))
-        for (region, depth, rebisected, _), k_root, residual in zip(queue, roots.tolist(),
-                                                                   residuals.tolist()):
-            if region.contains(k_root, slop=1e-9 * max(1.0, abs(k_root))):
-                found.append((k_root, residual))
+            if count <= 2:
+                queue.append((region, depth, rebisected, _seed(region, edges, count)))
+            else:
+                split(region, count, depth, rebisected, edges)
+        roots, residuals = refine(p, ch, np.array([k for cell in queue for k in cell[3]]))
+        results = iter(zip(roots.tolist(), residuals.tolist()))
+        for region, depth, rebisected, seeds in queue:
+            cell = [next(results) for _ in seeds]
+            # a pair closer than min_cell is a cluster, and one that dedupe would merge is lost
+            if (all(region.contains(k_root, slop=1e-9 * max(1.0, abs(k_root)))
+                    for k_root, _ in cell)
+                    and (len(cell) == 1 or abs(cell[0][0] - cell[1][0])
+                         >= max(min_cell, _DEDUPE_REL * abs(cell[0][0])))):
+                found.extend(cell)
                 continue
             if rebisected:
                 raise NonConvergence(f"could not pin the single zero of {region}")
-            # one re-bisection pass: count afresh, halve and push the children
+            # count afresh and split; this is a one-zero cell's one re-bisection pass,
+            # while a two-zero cell leaves its children theirs
             edges, count = _winding(fn, region, _boundary(fn, region))
-            if count != 1:
+            if count != len(cell):
                 raise WinterresError(
-                    f"pole bookkeeping failed: one-zero cell {region} now counts {count}")
-            stack.extend((r, c, depth + 1, True, e)
-                         for r, e, c in _subdivide(fn, region, edges, count) if c)
+                    f"pole bookkeeping failed: {len(cell)}-zero cell {region} now counts {count}")
+            split(region, count, depth, count == 1, edges)
 
     found.sort(key=lambda item: (item[0].real, item[0].imag))
     merged: list[tuple[complex, float]] = []

@@ -1,6 +1,7 @@
 """Pole search tests: winding counts, refinement, indexing, symmetries."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -311,7 +312,7 @@ class TestFindPoles:
         monkeypatch.setattr(pf, "det_lambda_balanced", counted)
         poles = find_poles(DELTA, CH, re_max=400.0)
         assert len(poles) == 127
-        assert points[0] <= 100 * len(poles)
+        assert points[0] <= 45 * len(poles)
 
     def test_newton_points_per_pole(self, monkeypatch):
         # moment seeds and full steps that carry their next derivative: ~9 points
@@ -339,20 +340,31 @@ class TestFindPoles:
     @pytest.mark.parametrize("p, l", [(DELTA, 0), (INTERMEDIATE, 1), (DELTA_PRIME, 5)],
                              ids=["delta-l0", "intermediate-l1", "delta-prime-l5"])
     def test_moment_is_near_the_root(self, p, l, monkeypatch):
+        # each seed of a one- or two-zero cell starts near a root of its own;
         # the centroid, which seeds a cell whose moment is off, reaches 0.5 diagonals
-        cells = []
-        seed_of = pf._seed
+        cells, split_counts = [], []
+        seed_of, subdivide = pf._seed, pf._subdivide
 
-        def recorded(region, edges):
-            cells.append((region, seed_of(region, edges)))
+        def recorded(region, edges, count):
+            cells.append((region, seed_of(region, edges, count)))
             return cells[-1][1]
 
+        def recorded_split(fn, region, edges, count):
+            split_counts.append(count)
+            return subdivide(fn, region, edges, count)
+
         monkeypatch.setattr(pf, "_seed", recorded)
+        monkeypatch.setattr(pf, "_subdivide", recorded_split)
         poles = find_poles(p, Channel(l, 1.0), re_max=400.0)
-        assert len(cells) >= len(poles)
-        for region, seed in cells:
-            (root,) = [q.k for q in poles if region.contains(q.k)]
-            assert abs(seed - root) <= 0.05 * abs(complex(region.width, region.height))
+        assert sum(len(seeds) for _, seeds in cells) == len(poles)
+        assert {len(seeds) for _, seeds in cells} == {1, 2}
+        assert 2 not in split_counts   # every two-zero cell is solved, none split
+        for region, seeds in cells:
+            roots = [q.k for q in poles if region.contains(q.k)]
+            assert len(roots) == len(seeds)
+            reach = 0.05 * abs(complex(region.width, region.height))
+            assert any(all(abs(seed - root) <= reach for seed, root in zip(seeds, order))
+                       for order in itertools.permutations(roots))
 
     def test_failed_cell_is_split_and_refined_again(self, monkeypatch):
         want = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
@@ -381,6 +393,69 @@ class TestFindPoles:
         monkeypatch.setattr(pf, "refine", outside)
         with pytest.raises(NonConvergence):
             find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
+
+    @staticmethod
+    def _force_first_pair(monkeypatch, forced):
+        """Replace the pencil roots of the first two-zero cell by forced(seeds).
+
+        Returns a log of that cell ("pair") and of the regions counted afresh
+        ("fresh") and split ("split") as the search goes on.
+        """
+        seed_of, boundary, subdivide = pf._seed, pf._boundary, pf._subdivide
+        log = {"pair": [], "fresh": [], "split": []}
+
+        def forced_seed(region, edges, count):
+            seeds = seed_of(region, edges, count)
+            if count == 2 and not log["pair"]:
+                log["pair"].append(region)
+                return forced(seeds)
+            return seeds
+
+        def recorded_boundary(fn, region):
+            log["fresh"].append(region)
+            return boundary(fn, region)
+
+        def recorded_split(fn, region, edges, count):
+            log["split"].append((region, count))
+            return subdivide(fn, region, edges, count)
+
+        monkeypatch.setattr(pf, "_seed", forced_seed)
+        monkeypatch.setattr(pf, "_boundary", recorded_boundary)
+        monkeypatch.setattr(pf, "_subdivide", recorded_split)
+        return log
+
+    @pytest.mark.parametrize("forced", [lambda seeds: [complex(math.nan, math.nan)] * 2,
+                                        lambda seeds: seeds[:1] * 2],
+                             ids=["nan", "shared-root"])
+    def test_rejected_pair_is_counted_afresh_and_split(self, forced, monkeypatch):
+        want = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
+        log = self._force_first_pair(monkeypatch, forced)
+        got = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
+        (pair,) = log["pair"]
+        assert log["fresh"][1:] == [pair]   # the first is the whole window
+        assert (pair, 2) in log["split"]
+        assert len(got) == len(want)
+        assert all(abs(a.k - b.k) < 1e-12 * abs(b.k) for a, b in zip(got, want))
+
+    def test_rejected_pair_leaves_its_children_a_rebisection(self, monkeypatch):
+        # a child of the split pair cell fails Newton once and is split once more
+        want = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
+        log = self._force_first_pair(monkeypatch, lambda seeds: [complex(math.nan, math.nan)] * 2)
+        refine_, calls = pf.refine, []
+
+        def first_child_fails(p, ch, seeds):
+            roots, residuals = refine_(p, ch, seeds)
+            if len(calls) == 1:
+                roots[0] = residuals[0] = np.nan
+            calls.append(len(seeds))
+            return roots, residuals
+
+        monkeypatch.setattr(pf, "refine", first_child_fails)
+        got = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
+        assert calls == [len(want), 2, 1]
+        assert len(log["fresh"]) == 3
+        assert len(got) == len(want)
+        assert all(abs(a.k - b.k) < 1e-12 * abs(b.k) for a, b in zip(got, want))
 
     def test_determinism(self):
         a = find_poles(INTERMEDIATE, CH, re_max=30.0, im_min=-1.5)
@@ -449,6 +524,38 @@ class TestDoubleZero:
         monkeypatch.setattr(pf, "det_lambda", det)
         with pytest.raises(ClusteredZeros):
             find_poles(DELTA, CH, 6.0, -2.0)
+
+
+class TestTwoZeroCells:
+    """A cell that counts two zeros is solved from its contour moments, or split."""
+
+    K1 = 3.1 - 0.9j
+
+    @staticmethod
+    def _search(monkeypatch, det, re_max=6.0):
+        monkeypatch.setattr(pf, "det_lambda_balanced", det)
+        monkeypatch.setattr(pf, "det_lambda", det)
+        return find_poles(DELTA, CH, re_max, -2.0)
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-5])
+    def test_close_pair_is_returned(self, gap, monkeypatch):
+        k2 = self.K1 + gap
+        poles = self._search(monkeypatch, lambda p, ch, k: (k - self.K1) * (k - k2) * (k + 5))
+        assert len(poles) == 2
+        for pole, want in zip(poles, (self.K1, k2)):
+            assert abs(pole.k - want) <= 1e-12 * abs(want)
+
+    def test_pair_inside_the_dedupe_radius_is_a_cluster(self, monkeypatch):
+        # 1.2e-6 apart passes the 1e-6/R floor but not 1e-8 |k| = 1.5e-6
+        k1 = 150.3 - 0.9j
+        with pytest.raises((BoundaryZero, ClusteredZeros)):
+            self._search(monkeypatch, lambda p, ch, k: (k - k1) * (k - k1 - 1.2e-6) * (k + 5),
+                         re_max=152.0)
+
+    @pytest.mark.parametrize("k0", [K1, 2 - 1.3j, 4.77 - 0.41j])
+    def test_double_zero_is_never_returned(self, k0, monkeypatch):
+        with pytest.raises((BoundaryZero, ClusteredZeros)):
+            self._search(monkeypatch, lambda p, ch, k: (k - k0) ** 2 * (k + 5))
 
 
 class TestIndexPoles:
