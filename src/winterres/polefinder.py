@@ -3,10 +3,13 @@
 Zeros of det lambda are localized by the argument principle: the winding
 number of the balanced determinant around a rectangle equals the number of
 enclosed zeros (all poles of the function live at k = 0, outside every
-search region).  Rectangles are bisected until each holds at most two zeros,
-the surviving cells seed damped Newton iterations, and the refined roots are
-deduplicated and checked against the top-level count, so no resonance inside
-the requested window can be silently missed.
+search region).  A rectangle that counts c > 2 zeros is cut across its longer
+side into max(2, c // 2) equal strips, and so on until every cell holds at
+most two zeros; those cells seed damped Newton iterations, and the refined
+roots are deduplicated and checked against the top-level count, so no
+resonance inside the requested window can be silently missed.  The poles
+line up along Re k about pi/R apart, so a long window is cut once into
+strips of about two zeros each.
 
 A boundary is four counterclockwise edges of (z, f) samples.  Phase
 increments are accumulated along them and any step of pi/2 or more is
@@ -16,18 +19,19 @@ floor relative to the median sample and raise BoundaryZero: a count always
 answers for exactly the rectangle it was given.
 
 Each rectangle on the subdivision stack keeps its resolved boundary, so a
-split evaluates det lambda only along the new cut: a child's boundary is its
-pieces of the parent's edges plus the cut, and every edge sample is computed
-once however deep the subdivision goes.  An edge carries |f| and the
-resolved phase of each step with its samples, so a child's count sums the
-phases it inherits and computes (and checks against pi/2) only those of its
-new steps: the cut, the step where a parent edge is cut, and the samples
-added to short edges.  A cut, end points included, is one array call of det
-lambda, and so are the samples added to one child's short edges.  Steps of
-pi/2 or more are bisected in rounds, each round one array call for the
-midpoints of every such step on the four edges.  When a zero sits on (or
-too close to) a cut, subdivision catches BoundaryZero and re-splits at a
-shifted fraction, so the children still partition the parent.
+split evaluates det lambda only along the new cuts: a strip's boundary is
+its pieces of the parent's edges plus the cuts on either side, and every
+edge sample is computed once however deep the subdivision goes.  An edge
+carries |f| and the resolved phase of each step with its samples, so a
+strip's count sums the phases it inherits and computes (and checks against
+pi/2) only those of its new steps: the cuts, the steps where a parent edge
+is cut, and the samples added to short edges.  All the cuts of one split,
+end points included, are one array call of det lambda, and so are the
+samples added to one strip's short edges.  Steps of pi/2 or more are
+bisected in rounds, each round one array call for the midpoints of every
+such step on the four edges.  When a zero sits on (or too close to) a cut,
+subdivision catches BoundaryZero and cuts again with every line shifted,
+so the strips still partition the parent.
 
 A cell that holds one or two zeros is not refined when it is found, and a
 two-zero cell is not split: it waits in a queue with one Newton seed per
@@ -37,10 +41,10 @@ zero, read off the contour moments of its resolved boundary (see
 each round of it one array call of det lambda.  A two-zero cell is solved
 when both roots converge inside it at least _MIN_CELL_FACTOR / R apart
 (closer pairs are clusters) and farther apart than deduplication merges.
-Any other outcome counts the cell afresh and splits it; a one-zero cell
-gets one such pass, and a two-zero cell's children still get theirs.  The
-children go back on the stack, and the search ends when both the stack and
-the queue are empty.
+Any other outcome counts the cell afresh and splits it in two; a one-zero
+cell gets one such pass, and a two-zero cell's children still get theirs.
+The children go back on the stack, and the search ends when both the stack
+and the queue are empty.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 pole lists.
@@ -146,24 +150,35 @@ def _wide(phase: list, steps) -> tuple:
     return tuple(s for s in steps if abs(phase[s]) >= _HALF_PI)
 
 
-def _edge(fn, a: complex, b: complex) -> _Edge:
-    """A freshly sampled edge from a to b: one det lambda call for all samples.
+def _sample(fn, segments) -> list[_Edge]:
+    """Freshly sampled edges, one from a to b for each (a, b): one det lambda call for all.
 
     The spacing stays below 0.4, which keeps the e^{+-ikR} factors from
     turning far between samples.
     """
-    n = max(8, int(abs(b - a) / 0.4) + 1)
-    z = [a] + [a + (b - a) * j / n for j in range(1, n)] + [b]
-    f = fn(np.array(z))
-    phase = np.angle(f[1:] / f[:-1]).tolist()
-    f = f.tolist()
-    return _Edge(z, f, list(map(abs, f)), phase, _wide(phase, range(len(phase))))
+    zs = []
+    for a, b in segments:
+        n = max(8, int(abs(b - a) / 0.4) + 1)
+        zs.append([a] + [a + (b - a) * j / n for j in range(1, n)] + [b])
+    f = fn(np.array([w for z in zs for w in z]))
+    turn = np.angle(f[1:] / f[:-1])   # the steps between two edges are not used
+    wide = np.flatnonzero(np.abs(turn) >= _HALF_PI).tolist()
+    turn, f = turn.tolist(), f.tolist()
+    mag = list(map(abs, f))
+    edges, start = [], 0
+    for z in zs:
+        stop = start + len(z)
+        steps = wide[bisect_left(wide, start):bisect_left(wide, stop - 1)]
+        edges.append(_Edge(z, f[start:stop], mag[start:stop], turn[start:stop - 1],
+                           tuple(s - start for s in steps)))
+        start = stop
+    return edges
 
 
 def _boundary(fn, region: SearchRegion) -> tuple:
     """The region's four counterclockwise edges, freshly sampled."""
     corners = region.corners()
-    return tuple(_edge(fn, corners[i], corners[(i + 1) % 4]) for i in range(4))
+    return tuple(_sample(fn, [(corners[i], corners[(i + 1) % 4]) for i in range(4)]))
 
 
 def _reversed(edge: _Edge) -> _Edge:
@@ -450,11 +465,13 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     search then raises BoundaryZero, as
     ``find_poles(GpiParams(4, 1, 0), Channel(0, 1.0), 20.0)`` does.
 
-    Cells that count one or two zeros are not split further: Newton runs
-    from their contour-moment seeds.  A two-zero cell whose two roots do
-    not both converge inside it, at least max(1e-6/R, 1e-8 |k|) apart, is
-    split like a larger cell, so a double zero raises ClusteredZeros or
-    BoundaryZero and never comes back as two poles.
+    The window is cut into strips, and a cell of c > 2 zeros into
+    max(2, c // 2) strips again, until every cell holds one or two zeros
+    (see ``_subdivide``).  Cells that count one or two zeros are not split
+    further: Newton runs from their contour-moment seeds.  A two-zero cell
+    whose two roots do not both converge inside it, at least
+    max(1e-6/R, 1e-8 |k|) apart, is split in two, so a double zero raises
+    ClusteredZeros or BoundaryZero and never comes back as two poles.
 
     The returned list is sorted by Re k, deduplicated, every pole carries
     |det lambda| < 1e-9, and its length equals the top-level winding count.
@@ -477,26 +494,26 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     found: list[tuple[complex, float]] = []
     stack = [(top, total, 0, False, edges)] if total else []
 
-    def split(region, count, depth, rebisected, edges):
-        """Push the children of a cell with `count` zeros, unless it is a cluster."""
+    def split(region, count, depth, resplit, edges):
+        """Push the strips of a cell with `count` zeros, unless it is a cluster."""
         if count > 1 and min(region.width, region.height) < min_cell:
             raise ClusteredZeros(f"{count} zeros in cell {region} below the size floor")
         if count > 1 and depth >= _MAX_TREE_DEPTH:
             raise ClusteredZeros(f"subdivision depth cap at {region}")
-        stack.extend((r, c, depth + 1, rebisected, e)
+        stack.extend((r, c, depth + 1, resplit, e)
                      for r, e, c in _subdivide(fn, region, edges, count) if c)
 
     while stack:
-        queue = []   # cells (region, depth, rebisected, seeds) of one or two zeros awaiting Newton
+        queue = []   # cells (region, depth, resplit, seeds) of one or two zeros awaiting Newton
         while stack:
-            region, count, depth, rebisected, edges = stack.pop()
+            region, count, depth, resplit, edges = stack.pop()
             if count <= 2:
-                queue.append((region, depth, rebisected, _seed(region, edges, count)))
+                queue.append((region, depth, resplit, _seed(region, edges, count)))
             else:
-                split(region, count, depth, rebisected, edges)
+                split(region, count, depth, resplit, edges)
         roots, residuals = refine(p, ch, np.array([k for cell in queue for k in cell[3]]))
         results = iter(zip(roots.tolist(), residuals.tolist()))
-        for region, depth, rebisected, seeds in queue:
+        for region, depth, resplit, seeds in queue:
             cell = [next(results) for _ in seeds]
             # a pair closer than min_cell is a cluster, and one that dedupe would merge is lost
             if (all(region.contains(k_root, slop=1e-9 * max(1.0, abs(k_root)))
@@ -505,9 +522,9 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
                          >= max(min_cell, _DEDUPE_REL * abs(cell[0][0])))):
                 found.extend(cell)
                 continue
-            if rebisected:
+            if resplit:
                 raise NonConvergence(f"could not pin the single zero of {region}")
-            # count afresh and split; this is a one-zero cell's one re-bisection pass,
+            # count afresh and split; this is a one-zero cell's one re-split pass,
             # while a two-zero cell leaves its children theirs
             edges, count = _winding(fn, region, _boundary(fn, region))
             if count != len(cell):
@@ -533,60 +550,93 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
             for i, (k_root, residual) in enumerate(merged)]
 
 
-def _cut(edge: _Edge, cut: _Edge, end: int, key) -> tuple[_Edge, _Edge]:
-    """Split a resolved edge at the cut's sample ``cut.z[end]``, which lies on it.
+def _cut(edge: _Edge, points: list, key) -> list[_Edge]:
+    """Split a resolved edge at points (z, f, |f|) that lie on it, in the order it runs.
 
-    key(z) never decreases along the edge.  Both pieces keep the edge's
-    steps; only the step to or from the cut's sample is new.
+    key(z) never decreases along the edge.  The pieces keep the edge's
+    steps; only the steps to and from the points are new.  A sample at a
+    point gives way to it.  Returns len(points) + 1 pieces.
     """
-    z, f, mag = cut.z[end], cut.f[end], cut.mag[end]
-    at = key(z)
-    i, j = bisect_left(edge.z, at, key=key), bisect_right(edge.z, at, key=key)
-    lo_phase = edge.phase[:i - 1] + [cmath.phase(f / edge.f[i - 1])]
-    hi_phase = [cmath.phase(edge.f[j] / f)] + edge.phase[j:]
-    return (_Edge(edge.z[:i] + [z], edge.f[:i] + [f], edge.mag[:i] + [mag], lo_phase,
-                  _wide(lo_phase, [i - 1])),
-            _Edge([z] + edge.z[j:], [f] + edge.f[j:], [mag] + edge.mag[j:], hi_phase,
-                  _wide(hi_phase, [0])))
+    pieces, lo, head = [], 0, None
+    for point in points + [None]:
+        hi = len(edge.z) if point is None else bisect_left(edge.z, key(point[0]), lo, key=key)
+        z, f, mag = edge.z[lo:hi], edge.f[lo:hi], edge.mag[lo:hi]
+        phase, new = edge.phase[lo:hi - 1], []
+        if head is not None:
+            if z:
+                phase.insert(0, cmath.phase(f[0] / head[1]))
+                new.append(0)
+            z.insert(0, head[0])
+            f.insert(0, head[1])
+            mag.insert(0, head[2])
+        if point is not None:
+            phase.append(cmath.phase(point[1] / f[-1]))
+            new.append(len(phase) - 1)
+            z.append(point[0])
+            f.append(point[1])
+            mag.append(point[2])
+            lo, head = bisect_right(edge.z, key(point[0]), hi, key=key), point
+        pieces.append(_Edge(z, f, mag, phase, _wide(phase, new)))
+    return pieces
 
 
 def _subdivide(fn, region: SearchRegion, edges: tuple, count: int):
-    """Split a rectangle so that the children's counts add up to the parent's.
+    """Cut a rectangle into strips whose counts add up to the parent's.
 
     ``edges`` is the parent's resolved boundary (bottom, right, top, left).
-    The cut is placed on the longer side and sampled in one det lambda
-    call; each child's boundary is its pieces of the parent's edges plus the
-    cut, which the upper or right child takes reversed and already resolved.  Every check of a fresh count still
-    applies to each child.  When a zero sits on (or too close to) the cut
-    line, the fraction is shifted.  Returns [(child, resolved edges, count)]
-    for both children.
+    The cuts run across the longer side and make m = max(2, count // 2)
+    equal strips, so a strip holds two zeros on average; all m - 1 cuts are
+    sampled in one det lambda call.  The strips are counted left to right
+    (or bottom to top): each one's boundary is its pieces of the parent's
+    edges, the cut after it, and the cut before it, which its neighbour has
+    resolved and it takes reversed.  Every check of a fresh count still
+    applies to each strip.  When a zero sits on (or too close to) a cut, or
+    the counts do not add up, every cut is shifted by 2 (frac - 0.5) / m of
+    the side for the next of _SPLIT_FRACTIONS.  With m = 2 the cut lies at
+    frac itself.  Returns [(strip, resolved edges, count)] for every strip.
     """
     bottom, right, top, left = edges
     vertical = region.width >= region.height
+    m = max(2, count // 2)
+    if vertical:
+        start, end, side = region.re_min, region.re_max, region.width
+    else:
+        start, end, side = region.im_min, region.im_max, region.height
     for frac in _SPLIT_FRACTIONS:
-        if vertical:  # cut parallel to the imaginary axis, sampled upwards
-            mid = region.re_min + frac * region.width
-            lo, hi = replace(region, re_max=mid), replace(region, re_min=mid)
-            a, b = complex(mid, region.im_min), complex(mid, region.im_max)
-        else:         # cut parallel to the real axis, sampled rightwards
-            mid = region.im_min + frac * region.height
-            lo, hi = replace(region, im_max=mid), replace(region, im_min=mid)
-            a, b = complex(region.re_min, mid), complex(region.re_max, mid)
-        cut = _edge(fn, a, b)
+        at = [start + ((j + 2.0 * frac - 1.0) / m) * side for j in range(1, m)]
+        bounds = zip([start] + at, at + [end])
+        if vertical:  # cuts parallel to the imaginary axis, sampled upwards
+            strips = [replace(region, re_min=lo, re_max=hi) for lo, hi in bounds]
+            cuts = _sample(fn, [(complex(x, region.im_min), complex(x, region.im_max))
+                                for x in at])
+        else:         # cuts parallel to the real axis, sampled rightwards
+            strips = [replace(region, im_min=lo, im_max=hi) for lo, hi in bounds]
+            cuts = _sample(fn, [(complex(region.re_min, y), complex(region.re_max, y))
+                                for y in at])
+        starts = [(cut.z[0], cut.f[0], cut.mag[0]) for cut in cuts]
+        ends = [(cut.z[-1], cut.f[-1], cut.mag[-1]) for cut in cuts]
+        out = []
         try:
             if vertical:
-                b_lo, b_hi = _cut(bottom, cut, 0, lambda z: z.real)
-                t_hi, t_lo = _cut(top, cut, -1, lambda z: -z.real)
-                lo_edges, c_lo = _winding(fn, lo, (b_lo, cut, t_lo, left))
-                hi_edges, c_hi = _winding(fn, hi, (b_hi, right, t_hi, _reversed(lo_edges[1])))
+                bottoms = _cut(bottom, starts, lambda z: z.real)
+                tops = _cut(top, ends[::-1], lambda z: -z.real)[::-1]
+                west = left
+                for strip, b, east, t in zip(strips, bottoms, cuts + [right], tops):
+                    strip_edges, c = _winding(fn, strip, (b, east, t, west))
+                    west = _reversed(strip_edges[1])
+                    out.append((strip, strip_edges, c))
             else:
-                r_lo, r_hi = _cut(right, cut, -1, lambda z: z.imag)
-                l_hi, l_lo = _cut(left, cut, 0, lambda z: -z.imag)
-                lo_edges, c_lo = _winding(fn, lo, (bottom, r_lo, _reversed(cut), l_lo))
-                hi_edges, c_hi = _winding(fn, hi, (_reversed(lo_edges[2]), r_hi, top, l_hi))
+                rights = _cut(right, ends, lambda z: z.imag)
+                lefts = _cut(left, starts[::-1], lambda z: -z.imag)[::-1]
+                south = bottom
+                norths = [_reversed(cut) for cut in cuts] + [top]
+                for strip, r, north, l in zip(strips, rights, norths, lefts):
+                    strip_edges, c = _winding(fn, strip, (south, r, north, l))
+                    south = _reversed(strip_edges[2])
+                    out.append((strip, strip_edges, c))
         except BoundaryZero:
             continue
-        if c_lo + c_hi == count:
-            return [(lo, lo_edges, c_lo), (hi, hi_edges, c_hi)]
+        if sum(c for _, _, c in out) == count:
+            return out
         # counts disagree: a zero slipped between the sampled cut lines
     raise BoundaryZero(f"no clean split line found inside {region}")

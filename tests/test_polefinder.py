@@ -1,5 +1,6 @@
 """Pole search tests: winding counts, refinement, indexing, symmetries."""
 
+import bisect
 import cmath
 import itertools
 import math
@@ -71,8 +72,40 @@ class TestCountZeros:
             count_zeros(DELTA, CH, region)
 
 
+def _assert_carried(child, child_edges):
+    """A child's boundary closes on its corners and carries resolved phases."""
+    assert [e.z[0] for e in child_edges] == child.corners()
+    assert all(e.z[-1] == f.z[0] for e, f in zip(child_edges, child_edges[1:] + child_edges[:1]))
+    for e in child_edges:   # the state carried down to the next cut
+        assert e.wide == ()
+        assert e.mag == [abs(v) for v in e.f]
+        assert len(e.phase) == len(e.f) - 1
+        for i, step in enumerate(e.phase):
+            assert abs(step - cmath.phase(e.f[i + 1] / e.f[i])) < 1e-12
+            assert abs(step) < 0.5 * math.pi
+
+
+def _zeros_at(*zeros):
+    """A polynomial with the given simple zeros, evaluated elementwise."""
+    return lambda k: np.prod([k - z for z in zeros], axis=0)
+
+
+def _cut_once(edge, point, key):
+    """Reference: split an edge at one point (z, f, |f|) on it, as a bisection does."""
+    z, f, mag = point
+    i = bisect.bisect_left(edge.z, key(z), key=key)
+    j = bisect.bisect_right(edge.z, key(z), key=key)
+    lo_phase = edge.phase[:i - 1] + [cmath.phase(f / edge.f[i - 1])]
+    hi_phase = [cmath.phase(edge.f[j] / f)] + edge.phase[j:]
+    wide = lambda step, at: (at,) if abs(step) >= 0.5 * math.pi else ()
+    return (pf._Edge(edge.z[:i] + [z], edge.f[:i] + [f], edge.mag[:i] + [mag], lo_phase,
+                     wide(lo_phase[-1], i - 1)),
+            pf._Edge([z] + edge.z[j:], [f] + edge.f[j:], [mag] + edge.mag[j:], hi_phase,
+                     wide(hi_phase[0], 0)))
+
+
 class TestSubdivide:
-    """Children counted from the cut alone agree with counts sampled afresh."""
+    """Children counted from the cuts alone agree with counts sampled afresh."""
 
     @pytest.mark.parametrize("p", [DELTA, INTERMEDIATE, DELTA_PRIME],
                              ids=["delta", "intermediate", "delta-prime"])
@@ -94,20 +127,91 @@ class TestSubdivide:
                 children = pf._subdivide(fn, parent, edges, count)
                 vertical.add(children[0][0].re_max < parent.re_max)
                 for child, child_edges, c in children:
-                    assert [e.z[0] for e in child_edges] == child.corners()
-                    assert all(e.z[-1] == f.z[0] for e, f in
-                               zip(child_edges, child_edges[1:] + child_edges[:1]))
-                    for e in child_edges:   # the state carried down to the next cut
-                        assert e.wide == ()
-                        assert e.mag == [abs(v) for v in e.f]
-                        assert len(e.phase) == len(e.f) - 1
-                        for i, step in enumerate(e.phase):
-                            assert abs(step - cmath.phase(e.f[i + 1] / e.f[i])) < 1e-12
-                            assert abs(step) < 0.5 * math.pi
+                    _assert_carried(child, child_edges)
                     assert c == count_zeros(p, ch, child)
                 nxt.extend(children)
             level = nxt
         assert vertical == {True, False}
+
+    # zeros stacked along Im k in a tall cell; none lies near a cut at frac 0.5
+    STACKED = [5.1 - 0.45j - 0.87j * j for j in range(8)]
+
+    @staticmethod
+    def _split(fn, region, count):
+        """Split a freshly counted region, recording the points of every det lambda call."""
+        calls = []
+
+        def recorded(k):
+            calls.append(k)
+            return fn(k)
+
+        edges, got = pf._winding(fn, region, pf._boundary(fn, region))
+        assert got == count
+        return pf._subdivide(recorded, region, edges, count), calls
+
+    @pytest.mark.parametrize("fn, region, count", [
+        (lambda k: det_lambda_balanced(DELTA, CH, k), SearchRegion(4.0, 40.0, -3.0, -0.0005), 11),
+        (_zeros_at(*STACKED), SearchRegion(4.0, 6.0, -8.0, -0.1), 8),
+    ], ids=["wide-delta", "tall-stacked"])
+    def test_strips_partition_the_parent(self, fn, region, count):
+        # a cell of c >= 6 zeros is cut into c // 2 strips across its longer side in one pass
+        strips, calls = self._split(fn, region, count)
+        m = count // 2
+        assert len(strips) == m >= 3
+        vertical = region.width >= region.height
+        lo, hi = ("re_min", "re_max") if vertical else ("im_min", "im_max")
+        start, side = getattr(region, lo), getattr(region, hi) - getattr(region, lo)
+        at = [start + (j / m) * side for j in range(1, m)]   # frac 0.5: equal strips
+        assert [getattr(s, lo) for s, _, _ in strips] == [getattr(region, lo)] + at
+        assert [getattr(s, hi) for s, _, _ in strips] == at + [getattr(region, hi)]
+        for strip, _, _ in strips:   # the other side is the parent's
+            assert ((strip.im_min, strip.im_max) == (region.im_min, region.im_max) if vertical
+                    else (strip.re_min, strip.re_max) == (region.re_min, region.re_max))
+        for strip, strip_edges, c in strips:
+            _assert_carried(strip, strip_edges)
+            assert c == pf._winding(fn, strip, pf._boundary(fn, strip))[1]
+        assert sum(c for _, _, c in strips) == count
+        # the first call samples all m - 1 cuts, each as a freshly sampled edge would be
+        span = region.height if vertical else region.width
+        per_cut = max(8, int(span / 0.4) + 1) + 1
+        first = calls[0].reshape(m - 1, per_cut)
+        across = first.real if vertical else first.imag
+        assert (across == np.array(at)[:, None]).all()
+
+    def test_multi_point_cut_matches_successive_cuts(self):
+        fn = lambda k: det_lambda_balanced(DELTA, CH, k)
+        region = SearchRegion(4.0, 40.0, -3.0, -0.0005)
+        bottom = pf._winding(fn, region, pf._boundary(fn, region))[0][0]
+        xs = [7.3, 7.31, 7.32,              # three points inside one step
+              19.0,
+              bottom.z[40].real,            # a point on a sample, which gives way to it
+              33.333]
+        cuts = pf._sample(fn, [(complex(x, region.im_min), complex(x, region.im_max)) for x in xs])
+        points = [(cut.z[0], cut.f[0], cut.mag[0]) for cut in cuts]
+        key = lambda z: z.real
+        want, rest = [], bottom
+        for point in points:
+            piece, rest = _cut_once(rest, point, key)
+            want.append(piece)
+        want.append(rest)
+        assert pf._cut(bottom, points, key) == want
+        assert sum(len(piece.z) for piece in want) == len(bottom.z) - 1 + 2 * len(xs)
+
+    def test_zero_on_a_cut_shifts_every_cut(self):
+        # an exact zero on the first cut at frac 0.5 makes the split retry at 0.53125
+        region = SearchRegion(1.0, 10.0, -2.0, -0.2)
+        on_cut = complex(region.re_min + (1 / 3) * region.width, -0.77)
+        fn = _zeros_at(1.7 - 0.5j, 2.9 - 1.1j, on_cut, 5.3 - 0.6j, 8.1 - 1.3j, 9.2 - 0.4j)
+        strips, calls = self._split(fn, region, 6)
+        frac = 0.53125
+        at = [region.re_min + ((j + 2.0 * frac - 1.0) / 3) * region.width for j in (1, 2)]
+        assert [s.re_min for s, _, _ in strips] == [region.re_min] + at
+        assert [s.re_max for s, _, _ in strips] == at + [region.re_max]
+        assert [c for _, _, c in strips] == [3, 1, 2]
+        for strip, strip_edges, c in strips:
+            _assert_carried(strip, strip_edges)
+            assert c == pf._winding(fn, strip, pf._boundary(fn, strip))[1]
+        assert on_cut.real in {k.real for k in calls[0]}   # the first try sampled the zero's line
 
 
 def _depth_first(fn, edge):
@@ -183,7 +287,7 @@ class TestResolve:
         region = SearchRegion(1.0, 2.0, -1.0, -0.5)
         c = region.corners()
         short = pf._Edge(c[:2], [fn(c[0]), fn(c[1])], [0.5, 0.5], [math.pi], (0,))
-        others = tuple(pf._edge(fn, c[i], c[(i + 1) % 4]) for i in (1, 2, 3))
+        others = tuple(pf._sample(fn, [(c[i], c[(i + 1) % 4]) for i in (1, 2, 3)]))
         with pytest.raises(BoundaryZero):
             pf._winding(fn, region, (short,) + others)
 
@@ -314,6 +418,28 @@ class TestFindPoles:
         assert len(poles) == 127
         assert points[0] <= 45 * len(poles)
 
+    def test_count_budget_per_pole(self, monkeypatch):
+        # a cell is cut into count // 2 strips at once, and a strip of two zeros goes
+        # straight to Newton: ~0.54 winding counts and ~0.21 det lambda calls per
+        # pole, against 1.0 and 0.80 when every cell was bisected
+        windings, calls = [0], [0]
+        winding, det = pf._winding, pf.det_lambda_balanced
+
+        def counted_winding(*args):
+            windings[0] += 1
+            return winding(*args)
+
+        def counted_det(p, ch, k):
+            calls[0] += 1
+            return det(p, ch, k)
+
+        monkeypatch.setattr(pf, "_winding", counted_winding)
+        monkeypatch.setattr(pf, "det_lambda_balanced", counted_det)
+        poles = find_poles(DELTA, CH, re_max=400.0)
+        assert len(poles) == 127
+        assert windings[0] <= 0.6 * len(poles)
+        assert calls[0] <= 0.3 * len(poles)
+
     def test_newton_points_per_pole(self, monkeypatch):
         # moment seeds and full steps that carry their next derivative: ~9 points
         # per pole, against ~18 for scalar Newton from the cell centroids
@@ -367,19 +493,39 @@ class TestFindPoles:
                        for order in itertools.permutations(roots))
 
     def test_failed_cell_is_split_and_refined_again(self, monkeypatch):
-        want = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
-        refine_, calls = pf.refine, []
+        # the first one-zero cell in Newton's order fails: it alone is counted afresh,
+        # split, and its one zero refined in a second call.  Of the 11 zeros here,
+        # a strip of three is split into cells of one and two.
+        want = find_poles(DELTA, CH, re_max=37.0, im_min=-3.0)
+        seed_of, boundary, refine_ = pf._seed, pf._boundary, pf.refine
+        single, fresh, failed, calls = [], [], [], []
 
-        def first_cell_fails(p, ch, seeds):
+        def recorded_seed(region, edges, count):
+            seeds = seed_of(region, edges, count)
+            if count == 1:
+                single.append((seeds[0], region))
+            return seeds
+
+        def recorded_boundary(fn, region):
+            fresh.append(region)
+            return boundary(fn, region)
+
+        def first_single_fails(p, ch, seeds):
             roots, residuals = refine_(p, ch, seeds)
             if not calls:
-                roots[0] = residuals[0] = np.nan
+                i, region = next((i, region) for i, k in enumerate(seeds)
+                                 for seed, region in single if k == seed)
+                roots[i] = residuals[i] = np.nan
+                failed.append(region)
             calls.append(len(seeds))
             return roots, residuals
 
-        monkeypatch.setattr(pf, "refine", first_cell_fails)
-        got = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
+        monkeypatch.setattr(pf, "_seed", recorded_seed)
+        monkeypatch.setattr(pf, "_boundary", recorded_boundary)
+        monkeypatch.setattr(pf, "refine", first_single_fails)
+        got = find_poles(DELTA, CH, re_max=37.0, im_min=-3.0)
         assert calls == [len(want), 1]
+        assert len(failed) == 1 and fresh[1:] == failed   # the first is the whole window
         assert len(got) == len(want)
         assert all(abs(a.k - b.k) < 1e-12 * abs(b.k) for a, b in zip(got, want))
 
