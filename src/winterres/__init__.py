@@ -15,31 +15,28 @@ from .gpi import (BoundaryData, DegenerateDenominator, GpiClass, GpiParams,
                   boundary_residual, canonical_real_gamma, classify,
                   classify_unitary, from_scale_invariant, is_separated,
                   to_transfer, to_unitary)
-from .krein import (KreinCoefficients, NotSeparated, PhiBoundaryValues,
-                    PoleAtK, det_lambda, det_lambda_balanced,
-                    krein_coefficients, phi_boundary, real_axis_roots)
+from .krein import (NotSeparated, PhiBoundaryValues, det_lambda,
+                    det_lambda_balanced, phi_boundary, real_axis_roots)
 from .polefinder import (BoundaryZero, ClusteredZeros, NonConvergence,
                          SearchRegion, count_zeros, default_im_min, find_poles,
                          refine)
 from .report import RunConfig, parse_complex, write_csv, write_pole_svg
 from .riccati import (Channel, OriginSingularity, ValueAndDerivative,
-                      riccati_s, riccati_xi, wronskian)
+                      riccati_s, riccati_xi)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousIndex", "AsymptoticPrediction", "BoundaryData", "BoundaryZero",
-    "Channel", "ClusteredZeros", "DegenerateDenominator",
-    "GpiClass", "GpiParams", "KreinCoefficients", "NonConvergence",
-    "NotSeparated", "OriginSingularity", "PhiBoundaryValues", "PoleAtK",
-    "Resonance", "RunConfig", "SearchRegion", "Separated",
-    "SeparatedInteraction", "TransferForm", "UnitaryForm",
+    "Channel", "ClusteredZeros", "DegenerateDenominator", "GpiClass",
+    "GpiParams", "NonConvergence", "NotSeparated", "OriginSingularity",
+    "PhiBoundaryValues", "Resonance", "RunConfig", "SearchRegion",
+    "Separated", "SeparatedInteraction", "TransferForm", "UnitaryForm",
     "ValueAndDerivative", "WinterresError", "ZeroCoupling",
     "boundary_residual", "canonical_real_gamma", "classify",
     "classify_unitary", "compare", "count_zeros", "default_im_min",
     "det_lambda", "det_lambda_balanced", "find_poles", "from_scale_invariant",
-    "index_poles", "is_separated", "krein_coefficients", "parse_complex",
-    "phi_boundary", "predict", "real_axis_roots", "refine", "riccati_s",
-    "riccati_xi", "to_transfer", "to_unitary", "wronskian", "write_csv",
-    "write_pole_svg",
+    "index_poles", "is_separated", "parse_complex", "phi_boundary", "predict",
+    "real_axis_roots", "refine", "riccati_s", "riccati_xi", "to_transfer",
+    "to_unitary", "write_csv", "write_pole_svg",
 ]

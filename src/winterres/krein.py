@@ -1,4 +1,4 @@
-"""Krein correction coefficients and the resonance denominator det lambda.
+"""Boundary values of the adjoint solutions and the resonance denominator det lambda.
 
 The resolvent of the coupled operator differs from the free one by a rank-two
 correction built on the two solutions of the adjoint radial equation at
@@ -53,10 +53,6 @@ from .riccati import Channel, OriginSingularity, pointwise, riccati_s, riccati_x
 EXCLUDED_DISC = 1e-3   # searches exclude the disc |k| < EXCLUDED_DISC / R around k = 0
 
 
-class PoleAtK(WinterresError):
-    """Krein coefficients requested at a zero of det lambda."""
-
-
 class NotSeparated(WinterresError):
     """Embedded-eigenvalue search requires a separated interaction."""
 
@@ -68,14 +64,6 @@ class PhiBoundaryValues:
     phi1_at_R: complex
     phi2_avg: complex
     phi2_prime: complex
-
-
-@dataclass(frozen=True)
-class KreinCoefficients:
-    """The 2x2 correction-coefficient matrix and its common denominator."""
-
-    lam: np.ndarray
-    det_lambda: complex
 
 
 @pointwise
@@ -110,28 +98,6 @@ def det_lambda(p: GpiParams, ch: Channel, k: complex) -> complex:
 def det_lambda_balanced(p: GpiParams, ch: Channel, k: complex) -> complex:
     """e^{-i k R} det lambda(k): same zeros, balanced growth off the axis."""
     return np.exp(-1j * k * ch.radius) * det_lambda(p, ch, k)
-
-
-def krein_coefficients(p: GpiParams, ch: Channel, k: complex) -> KreinCoefficients:
-    """The four correction coefficients lambda_mn at momentum k.
-
-    Numerators are exactly the displayed combinations of boundary values;
-    all four share det lambda as denominator.  Raises PoleAtK within 1e-14
-    of a zero of det lambda, where the coefficients cease to exist.
-    """
-    phi = phi_boundary(ch, k)
-    det = det_lambda(p, ch, k)
-    if abs(det) < 1e-14:
-        raise PoleAtK(f"det lambda vanishes at k = {k}: resonance or eigenvalue")
-    q = p.coupling_product
-    g = p.gamma
-    lam = np.array(
-        [[(p.alpha - phi.phi2_prime * q) / det,
-          (g + phi.phi2_avg * q) / det],
-         [(g.conjugate() + phi.phi2_avg * q) / det,
-          (-p.beta - phi.phi1_at_R * q) / det]]
-    )
-    return KreinCoefficients(lam, det)
 
 
 def _inside_condition(p: GpiParams) -> tuple[float, float]:

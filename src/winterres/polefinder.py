@@ -11,32 +11,32 @@ resonance inside the requested window can be silently missed.  The poles
 line up along Re k about pi/R apart, so a long window is cut once into
 strips of about two zeros each.
 
-A boundary is four counterclockwise edges of (z, f) samples.  Phase
-increments are accumulated along them and any step of pi/2 or more is
-bisected, which pins the total to the correct multiple of 2 pi as long as no
-zero sits on the boundary itself.  Boundary hits are detected by a magnitude
-floor relative to the median sample and raise BoundaryZero: a count always
-answers for exactly the rectangle it was given.
+A cell's boundary is one closed loop of (z, f) samples, counterclockwise
+from its lower left corner back to it, with the indices of its four corners.
+The phase f turns through from each sample to the next is taken from the
+values whenever a count needs it, and any step of pi/2 or more is bisected,
+which pins the total to the correct multiple of 2 pi as long as no zero sits
+on the boundary itself.  Boundary hits are detected by a magnitude floor
+relative to the median sample and raise BoundaryZero: a count always answers
+for exactly the rectangle it was given.
 
-Each rectangle on the subdivision stack keeps its resolved boundary, so a
-split evaluates det lambda only along the new cuts: a strip's boundary is
-its pieces of the parent's edges plus the cuts on either side, and every
-edge sample is computed once however deep the subdivision goes.  An edge
-carries |f| and the resolved phase of each step with its samples, so a
-strip's count sums the phases it inherits and computes (and checks against
-pi/2) only those of its new steps: the cuts, the steps where a parent edge
-is cut, and the samples added to short edges.  All the cuts of one split,
-end points included, are one array call of det lambda, and so are the
-samples added to one strip's short edges.  Steps of pi/2 or more are
-bisected in rounds, each round one array call for the midpoints of every
-such step on the four edges.  When a zero sits on (or too close to) a cut,
-subdivision catches BoundaryZero and cuts again with every line shifted,
-so the strips still partition the parent.
+Each rectangle on the subdivision stack keeps its resolved loop, so a split
+evaluates det lambda only along the new cuts: a strip's loop is its pieces of
+the parent's sides plus the cuts on either side, and every boundary sample is
+computed once however deep the subdivision goes.  A strip inherits samples
+and values only, never phases: its count takes the phase of every step
+afresh, one numpy operation over the loop.  All the cuts of one split, end
+points included, are one array call of det lambda, and so are the samples
+added to one strip's short sides.  Steps of pi/2 or more are bisected in
+rounds, each round one array call for the midpoints of every such step of
+the loop.  When a zero sits on (or too close to) a cut, subdivision catches
+BoundaryZero and cuts again with every line shifted, so the strips still
+partition the parent.
 
 A cell that holds one or two zeros is not refined when it is found, and a
 two-zero cell is not split: it waits in a queue with one Newton seed per
 zero, read off the contour moments of its resolved boundary (see
-``_seed``), and keeps no edges.  When the subdivision stack is empty, one
+``_seed``), and keeps no loop.  When the subdivision stack is empty, one
 ``refine`` call runs Newton on the seeds of every queued cell in lockstep,
 each round of it one array call of det lambda.  A two-zero cell is solved
 when both roots converge inside it at least _MIN_CELL_FACTOR / R apart
@@ -54,8 +54,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -126,181 +126,124 @@ class SearchRegion:
                 and self.im_min - slop <= k.imag <= self.im_max + slop)
 
 
-class _Edge(NamedTuple):
-    """Samples along one side of a boundary, with what a winding count needs.
+class _Loop(NamedTuple):
+    """A cell's boundary once around, counterclockwise from its lower left corner.
 
-    ``z`` and ``f`` are the sample points and det lambda there, ``mag`` is
-    |f|, and ``phase[i]`` is the phase f turns through from sample i to
-    i + 1.  ``wide`` lists the steps whose phase is pi/2 or more in modulus;
-    a resolved edge has none.
+    ``zf`` holds the samples z in its first row and det lambda at them in
+    its second, the first sample repeated at the end.  ``corners`` are the
+    column indices of the four corners; the first is 0.
     """
 
-    z: list
-    f: list
-    mag: list
-    phase: list
-    wide: tuple = ()
+    zf: np.ndarray
+    corners: list
 
 
-_HALF_PI = 0.5 * math.pi
+def _sample(fn, segments) -> list[np.ndarray]:
+    """Freshly sampled sides, one from a to b for each (a, b): one det lambda call for all.
 
-
-def _wide(phase: list, steps) -> tuple:
-    """Those of the given steps that turn by pi/2 or more: they need bisecting."""
-    return tuple(s for s in steps if abs(phase[s]) >= _HALF_PI)
-
-
-def _sample(fn, segments) -> list[_Edge]:
-    """Freshly sampled edges, one from a to b for each (a, b): one det lambda call for all.
-
-    The spacing stays below 0.4, which keeps the e^{+-ikR} factors from
-    turning far between samples.
+    Each side is a 2 x n array of z over f, both end points included.  The
+    spacing stays below 0.4, which keeps the e^{+-ikR} factors from turning
+    far between samples.
     """
     zs = []
     for a, b in segments:
         n = max(8, int(abs(b - a) / 0.4) + 1)
         zs.append([a] + [a + (b - a) * j / n for j in range(1, n)] + [b])
-    f = fn(np.array([w for z in zs for w in z]))
-    turn = np.angle(f[1:] / f[:-1])   # the steps between two edges are not used
-    wide = np.flatnonzero(np.abs(turn) >= _HALF_PI).tolist()
-    turn, f = turn.tolist(), f.tolist()
-    mag = list(map(abs, f))
-    edges, start = [], 0
-    for z in zs:
-        stop = start + len(z)
-        steps = wide[bisect_left(wide, start):bisect_left(wide, stop - 1)]
-        edges.append(_Edge(z, f[start:stop], mag[start:stop], turn[start:stop - 1],
-                           tuple(s - start for s in steps)))
-        start = stop
-    return edges
+    z = np.array([w for side in zs for w in side])
+    return np.split(np.array([z, fn(z)]), np.cumsum([len(side) for side in zs[:-1]]), axis=1)
 
 
-def _boundary(fn, region: SearchRegion) -> tuple:
-    """The region's four counterclockwise edges, freshly sampled."""
+def _close(sides) -> _Loop:
+    """The loop through four sides (bottom, right, top, left), each starting where the last ends."""
+    zf = np.concatenate([side[:, :-1] for side in sides] + [sides[0][:, :1]], axis=1)
+    return _Loop(zf, list(accumulate((side.shape[1] - 1 for side in sides[:3]), initial=0)))
+
+
+def _sides(loop: _Loop) -> list[np.ndarray]:
+    """The loop's four sides (bottom, right, top, left), each with both its corners."""
+    ends = loop.corners + [loop.zf.shape[1] - 1]
+    return [loop.zf[:, a:b + 1] for a, b in zip(ends, ends[1:])]
+
+
+def _boundary(fn, region: SearchRegion) -> _Loop:
+    """The region's boundary loop, freshly sampled."""
     corners = region.corners()
-    return tuple(_sample(fn, [(corners[i], corners[(i + 1) % 4]) for i in range(4)]))
+    return _close(_sample(fn, [(corners[i], corners[(i + 1) % 4]) for i in range(4)]))
 
 
-def _reversed(edge: _Edge) -> _Edge:
-    """The same edge walked the other way."""
-    last = len(edge.phase) - 1
-    return _Edge(edge.z[::-1], edge.f[::-1], edge.mag[::-1], [-p for p in reversed(edge.phase)],
-                 tuple(last - i for i in reversed(edge.wide)))
+def _insert(fn, loop: _Loop, steps: np.ndarray, z: np.ndarray, floor: float) -> _Loop:
+    """The loop with the samples z added, z[i] inside step steps[i], both in loop order.
 
-
-def _bisect(piece: tuple, i: int) -> None:
-    """Insert the midpoint of step i into a piece (z, f, phase), its value and phases None."""
-    z, f, phase = piece
-    z.insert(i + 1, 0.5 * (z[i] + z[i + 1]))
-    f.insert(i + 1, None)
-    phase[i:i + 1] = [None, None]
-
-
-def _fill(fn, pieces: list, floor: float = 0.0) -> list:
-    """Compute the pieces' None values in one det lambda call, then their None phases.
-
-    Returns the new steps of each piece that turn by pi/2 or more.  A new
-    value at or under the floor (an exact zero, without one) raises
-    BoundaryZero: no phase can be taken through it.
+    The new values take one det lambda call, and one at or under the floor
+    (an exact zero, without one) raises BoundaryZero: no phase can be taken
+    through it.
     """
-    z_new = [w for z, f, _ in pieces for w, v in zip(z, f) if v is None]
-    f_new = fn(np.array(z_new))
-    low = np.flatnonzero(np.abs(f_new) <= floor)
+    f = fn(z)
+    low = np.flatnonzero(np.abs(f) <= floor)
     if low.size:
-        raise BoundaryZero(f"|det lambda| below the floor at {z_new[low[0]]}")
-    values = iter(f_new.tolist())
-    wide = []
-    for z, f, phase in pieces:
-        f[:] = [next(values) if v is None else v for v in f]
-        new = [s for s, step in enumerate(phase) if step is None]
-        for s in new:
-            phase[s] = cmath.phase(f[s + 1] / f[s])
-        wide.append(_wide(phase, new))
-    return wide
+        raise BoundaryZero(f"|det lambda| below the floor at {z[low[0]]}")
+    n, m = loop.zf.shape[1], steps.size
+    at = steps + np.arange(1, m + 1)   # the columns of the new samples
+    old = np.ones(n + m, bool)
+    old[at] = False
+    zf = np.empty((2, n + m), complex)
+    zf[:, old], zf[0, at], zf[1, at] = loop.zf, z, f
+    return _Loop(zf, (loop.corners + np.searchsorted(steps, loop.corners)).tolist())
 
 
-def _densify(fn, edges: tuple) -> tuple:
-    """Bisect the widest steps of each short edge until it has at least 8.
+def _densify(fn, loop: _Loop) -> _Loop:
+    """Bisect the longest steps of each short side until it has at least 8.
 
-    A freshly sampled edge always has 8; a short piece of a parent's edge
-    may have fewer.  The new samples of all edges take one det lambda call;
-    the steps they split become new steps, and wide steps are tested again.
+    A freshly sampled side always has 8; a short piece of a parent's side
+    may have fewer.  The midpoints depend on z alone, so those of all sides
+    take one det lambda call.
     """
-    short = [i for i, edge in enumerate(edges) if len(edge.z) < 9]
-    pieces = [(list(edges[i].z), list(edges[i].f),
-               [None if s in edges[i].wide else step for s, step in enumerate(edges[i].phase)])
-              for i in short]
-    for piece in pieces:
-        z = piece[0]
-        while len(z) < 9:
-            _bisect(piece, max(range(len(z) - 1), key=lambda j: abs(z[j + 1] - z[j])))
-    out = list(edges)
-    for i, (z, f, phase), wide in zip(short, pieces, _fill(fn, pieces) if short else ()):
-        out[i] = _Edge(z, f, list(map(abs, f)), phase, wide)
-    return tuple(out)
+    ends = loop.corners + [loop.zf.shape[1] - 1]
+    steps, mids = [], []
+    for a, b in zip(ends, ends[1:]):
+        if b - a >= 8:
+            continue
+        pts = [(z, s, False) for s, z in enumerate(loop.zf[0, a:b + 1].tolist(), a)]
+        while len(pts) < 9:   # (z, the loop step it lies in, whether it is new)
+            i = max(range(len(pts) - 1), key=lambda j: abs(pts[j + 1][0] - pts[j][0]))
+            pts.insert(i + 1, (0.5 * (pts[i][0] + pts[i + 1][0]), pts[i][1], True))
+        steps += [s for _, s, new in pts if new]
+        mids += [z for z, _, new in pts if new]
+    return _insert(fn, loop, np.array(steps), np.array(mids), 0.0) if mids else loop
 
 
-def _resolve(fn, edges: tuple, floor: float) -> tuple:
-    """Bisect the wide steps of all edges until f turns by less than pi/2 between neighbours.
+def _winding(fn, region: SearchRegion, loop: _Loop) -> tuple[_Loop, int]:
+    """Winding number of fn along the region's boundary loop (exact integer).
 
-    Each wide step is a piece of its own.  A round bisects every step still
-    wide in the pieces of all four edges, in one det lambda call.  A split
-    depends only on its step's end values, so the rounds insert the samples
-    that bisecting each wide step depth first would.  A step still wide
-    after _MAX_PHASE_DEPTH rounds, or a midpoint under the floor, raises
-    BoundaryZero.
+    Returns the resolved loop with the count.  Each round takes the phase
+    of every step and bisects those of pi/2 or more, all in one det lambda
+    call.  A split depends only on its step's end values, so the rounds
+    insert the samples that bisecting each wide step depth first would.
+    Raises BoundaryZero when a sample falls under 1e-8 times the median
+    sample or a step is still wide after _MAX_PHASE_DEPTH rounds, both of
+    which signal a zero on or very near the contour.
     """
-    pieces = [(edge.z[s:s + 2], edge.f[s:s + 2], [None]) for edge in edges for s in edge.wide]
-    if not pieces:
-        return edges
-    wide = [(0,)] * len(pieces)
+    loop = _densify(fn, loop)
+    mag = np.sort(np.abs(loop.zf[1, :-1]))
+    med = mag[mag.size // 2]
+    floor = _FLOOR_REL * med
+    if med == 0.0 or mag[0] < floor:
+        raise BoundaryZero(f"zero of det lambda on the boundary of {region}")
     for depth in range(_MAX_PHASE_DEPTH + 1):
-        todo = [k for k, w in enumerate(wide) if w]
-        if not todo:
+        z, f = loop.zf
+        phase = np.angle(f[1:] / f[:-1])
+        wide = np.flatnonzero(np.abs(phase) >= 0.5 * math.pi)
+        if not wide.size:
             break
         if depth == _MAX_PHASE_DEPTH:
-            z, s = pieces[todo[0]][0], wide[todo[0]][0]
+            s = wide[0]
             raise BoundaryZero(f"phase increment from {z[s]} to {z[s + 1]} cannot be resolved")
-        for k in todo:
-            for s in reversed(wide[k]):
-                _bisect(pieces[k], s)
-        for k, w in zip(todo, _fill(fn, [pieces[k] for k in todo], floor)):
-            wide[k] = w
-    out, resolved = list(edges), iter(pieces)
-    for i, edge in enumerate(edges):   # splice each edge's resolved pieces in, in order
-        if edge.wide:
-            z, f, phase, start = [], [], [], 0
-            for s in edge.wide:
-                pz, pf, pphase = next(resolved)
-                z += edge.z[start:s] + pz[:-1]
-                f += edge.f[start:s] + pf[:-1]
-                phase += edge.phase[start:s] + pphase
-                start = s + 1
-            f += edge.f[start:]
-            out[i] = _Edge(z + edge.z[start:], f, list(map(abs, f)), phase + edge.phase[start:])
-    return tuple(out)
-
-
-def _winding(fn, region: SearchRegion, edges: tuple) -> tuple[tuple, int]:
-    """Winding number of fn along the region's boundary edges (exact integer).
-
-    Returns the resolved edges with the count.  Raises BoundaryZero when a
-    sample falls under 1e-8 times the median sample or a phase increment
-    cannot be tamed, both of which signal a zero on or very near the contour.
-    """
-    edges = _densify(fn, edges)
-    bottom, right, top, left = edges
-    vals = sorted(bottom.mag[:-1] + right.mag[:-1] + top.mag[:-1] + left.mag[:-1])
-    med = vals[len(vals) // 2]
-    floor = _FLOOR_REL * med
-    if med == 0.0 or vals[0] < floor:
-        raise BoundaryZero(f"zero of det lambda on the boundary of {region}")
-    edges = _resolve(fn, edges, floor)
-    total = sum(sum(edge.phase) for edge in edges)
+        loop = _insert(fn, loop, wide, 0.5 * (z[wide] + z[wide + 1]), floor)
+    total = float(phase.sum())
     n = round(total / (2.0 * math.pi))
     if abs(total / (2.0 * math.pi) - n) > 0.25:
         raise WinterresError(f"winding sum {total!r} failed to close to an integer")
-    return edges, n
+    return loop, n
 
 
 def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
@@ -413,15 +356,16 @@ def refine(p: GpiParams, ch: Channel, k0):
     return complex(root[0]), float(residual[0])
 
 
-def _seed(region: SearchRegion, edges: tuple, count: int) -> list[complex]:
+def _seed(region: SearchRegion, loop: _Loop, count: int) -> list[complex]:
     """Newton seeds of a cell that holds one or two zeros: from its contour moments.
 
     The moments s_p = (1/2 pi i) of the integral of (z - c)^p f'/f dz around
     the cell, c its centroid, are the power sums of its zeros measured from
     c (Delves & Lyness, Math. Comp. 21, 1967).  Each is summed as
-    (z_mid - c)^p (ln(|f_{i+1}| / |f_i|) + i phase_i) over the resolved steps
-    of the boundary: the samples a count already made, and no det lambda
-    call.  One zero is c + s_1.  Two zeros c + w solve
+    (z_mid - c)^p ln(f_{i+1} / f_i) over the steps of the resolved loop: the
+    samples a count already made, and no det lambda call.  Every resolved
+    step turns by less than pi/2, so the principal logarithm is the change
+    of ln f along it.  One zero is c + s_1.  Two zeros c + w solve
     w^2 - s_1 w + (s_1^2 - s_2)/2 = 0, whose roots are the eigenvalues of
     the 2 x 2 Hankel pencil of the moments (Kravanja & Van Barel, LNM 1727,
     2000).  A seed farther outside the cell than _SEED_SLOP of its diagonal
@@ -430,11 +374,8 @@ def _seed(region: SearchRegion, edges: tuple, count: int) -> list[complex]:
     """
     centroid = complex(0.5 * (region.re_min + region.re_max),
                        0.5 * (region.im_min + region.im_max))
-    bottom, right, top, left = edges   # the samples once around, the first one again at the end
-    z = np.array(bottom.z[:-1] + right.z[:-1] + top.z[:-1] + left.z)
-    mag = np.array(bottom.mag[:-1] + right.mag[:-1] + top.mag[:-1] + left.mag)
-    dlog = np.log(mag[1:] / mag[:-1]) + 1j * np.array(bottom.phase + right.phase + top.phase
-                                                      + left.phase)
+    z, f = loop.zf
+    dlog = np.log(f[1:] / f[:-1])
     w = 0.5 * (z[1:] + z[:-1]) - centroid
     s1 = np.dot(w, dlog) / (2j * math.pi)
     if count == 1:
@@ -488,29 +429,29 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
         raise ValueError(f"im_min must lie below {im_top}")
     top = SearchRegion(re_floor, re_max, im_min, im_top)
     fn = lambda k: det_lambda_balanced(p, ch, k)
-    edges, total = _winding(fn, top, _boundary(fn, top))
+    loop, total = _winding(fn, top, _boundary(fn, top))
 
     min_cell = _MIN_CELL_FACTOR / ch.radius
     found: list[tuple[complex, float]] = []
-    stack = [(top, total, 0, False, edges)] if total else []
+    stack = [(top, total, 0, False, loop)] if total else []
 
-    def split(region, count, depth, resplit, edges):
+    def split(region, count, depth, resplit, loop):
         """Push the strips of a cell with `count` zeros, unless it is a cluster."""
         if count > 1 and min(region.width, region.height) < min_cell:
             raise ClusteredZeros(f"{count} zeros in cell {region} below the size floor")
         if count > 1 and depth >= _MAX_TREE_DEPTH:
             raise ClusteredZeros(f"subdivision depth cap at {region}")
         stack.extend((r, c, depth + 1, resplit, e)
-                     for r, e, c in _subdivide(fn, region, edges, count) if c)
+                     for r, e, c in _subdivide(fn, region, loop, count) if c)
 
     while stack:
         queue = []   # cells (region, depth, resplit, seeds) of one or two zeros awaiting Newton
         while stack:
-            region, count, depth, resplit, edges = stack.pop()
+            region, count, depth, resplit, loop = stack.pop()
             if count <= 2:
-                queue.append((region, depth, resplit, _seed(region, edges, count)))
+                queue.append((region, depth, resplit, _seed(region, loop, count)))
             else:
-                split(region, count, depth, resplit, edges)
+                split(region, count, depth, resplit, loop)
         roots, residuals = refine(p, ch, np.array([k for cell in queue for k in cell[3]]))
         results = iter(zip(roots.tolist(), residuals.tolist()))
         for region, depth, resplit, seeds in queue:
@@ -526,11 +467,11 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
                 raise NonConvergence(f"could not pin the single zero of {region}")
             # count afresh and split; this is a one-zero cell's one re-split pass,
             # while a two-zero cell leaves its children theirs
-            edges, count = _winding(fn, region, _boundary(fn, region))
+            loop, count = _winding(fn, region, _boundary(fn, region))
             if count != len(cell):
                 raise WinterresError(
                     f"pole bookkeeping failed: {len(cell)}-zero cell {region} now counts {count}")
-            split(region, count, depth, count == 1, edges)
+            split(region, count, depth, count == 1, loop)
 
     found.sort(key=lambda item: (item[0].real, item[0].imag))
     merged: list[tuple[complex, float]] = []
@@ -550,90 +491,69 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
             for i, (k_root, residual) in enumerate(merged)]
 
 
-def _cut(edge: _Edge, points: list, key) -> list[_Edge]:
-    """Split a resolved edge at points (z, f, |f|) that lie on it, in the order it runs.
+def _cut(side: np.ndarray, points: np.ndarray, key) -> list[np.ndarray]:
+    """Split a resolved side at points (2 x p, z over f) that lie on it, in the order it runs.
 
-    key(z) never decreases along the edge.  The pieces keep the edge's
-    steps; only the steps to and from the points are new.  A sample at a
-    point gives way to it.  Returns len(points) + 1 pieces.
+    key(z) never decreases along the side.  A sample at a point gives way
+    to it.  Returns p + 1 pieces, each with its end points.
     """
-    pieces, lo, head = [], 0, None
-    for point in points + [None]:
-        hi = len(edge.z) if point is None else bisect_left(edge.z, key(point[0]), lo, key=key)
-        z, f, mag = edge.z[lo:hi], edge.f[lo:hi], edge.mag[lo:hi]
-        phase, new = edge.phase[lo:hi - 1], []
-        if head is not None:
-            if z:
-                phase.insert(0, cmath.phase(f[0] / head[1]))
-                new.append(0)
-            z.insert(0, head[0])
-            f.insert(0, head[1])
-            mag.insert(0, head[2])
-        if point is not None:
-            phase.append(cmath.phase(point[1] / f[-1]))
-            new.append(len(phase) - 1)
-            z.append(point[0])
-            f.append(point[1])
-            mag.append(point[2])
-            lo, head = bisect_right(edge.z, key(point[0]), hi, key=key), point
-        pieces.append(_Edge(z, f, mag, phase, _wide(phase, new)))
-    return pieces
+    keys, at = key(side[0]), key(points[0])
+    starts = [0] + np.searchsorted(keys, at, "right").tolist()
+    stops = np.searchsorted(keys, at, "left").tolist() + [keys.size]
+    return [np.concatenate([points[:, max(j - 1, 0):j], side[:, a:b], points[:, j:j + 1]], axis=1)
+            for j, (a, b) in enumerate(zip(starts, stops))]
 
 
-def _subdivide(fn, region: SearchRegion, edges: tuple, count: int):
+def _subdivide(fn, region: SearchRegion, loop: _Loop, count: int):
     """Cut a rectangle into strips whose counts add up to the parent's.
 
-    ``edges`` is the parent's resolved boundary (bottom, right, top, left).
-    The cuts run across the longer side and make m = max(2, count // 2)
-    equal strips, so a strip holds two zeros on average; all m - 1 cuts are
-    sampled in one det lambda call.  The strips are counted left to right
-    (or bottom to top): each one's boundary is its pieces of the parent's
-    edges, the cut after it, and the cut before it, which its neighbour has
-    resolved and it takes reversed.  Every check of a fresh count still
-    applies to each strip.  When a zero sits on (or too close to) a cut, or
-    the counts do not add up, every cut is shifted by 2 (frac - 0.5) / m of
-    the side for the next of _SPLIT_FRACTIONS.  With m = 2 the cut lies at
-    frac itself.  Returns [(strip, resolved edges, count)] for every strip.
+    ``loop`` is the parent's resolved boundary.  The cuts run across the
+    longer side and make m = max(2, count // 2) equal strips, so a strip
+    holds two zeros on average; all m - 1 cuts are sampled in one det lambda
+    call.  The strips are counted left to right (or bottom to top): each
+    one's loop is its pieces of the parent's sides, the cut after it, and
+    the cut before it, which its neighbour has resolved and it walks the
+    other way.  Only samples and values pass down, so every check of a
+    fresh count still applies to each strip.  When a zero sits on (or too
+    close to) a cut, or the counts do not add up, every cut is shifted by
+    2 (frac - 0.5) / m of the side for the next of _SPLIT_FRACTIONS.  With
+    m = 2 the cut lies at frac itself.  Returns [(strip, resolved loop,
+    count)] for every strip.
     """
-    bottom, right, top, left = edges
     vertical = region.width >= region.height
     m = max(2, count // 2)
+    # the parent's sides turned so that the cuts run like the second one:
+    # (bottom, right, top, left) for vertical cuts, (right, top, left, bottom)
+    # for horizontal ones
+    turn = 0 if vertical else 1
+    sides = _sides(loop)
+    along, last, across, first = sides[turn:] + sides[:turn]
     if vertical:
-        start, end, side = region.re_min, region.re_max, region.width
+        start, end, span, key = region.re_min, region.re_max, region.width, np.real
     else:
-        start, end, side = region.im_min, region.im_max, region.height
+        start, end, span, key = region.im_min, region.im_max, region.height, np.imag
     for frac in _SPLIT_FRACTIONS:
-        at = [start + ((j + 2.0 * frac - 1.0) / m) * side for j in range(1, m)]
+        at = [start + ((j + 2.0 * frac - 1.0) / m) * span for j in range(1, m)]
         bounds = zip([start] + at, at + [end])
         if vertical:  # cuts parallel to the imaginary axis, sampled upwards
             strips = [replace(region, re_min=lo, re_max=hi) for lo, hi in bounds]
             cuts = _sample(fn, [(complex(x, region.im_min), complex(x, region.im_max))
                                 for x in at])
-        else:         # cuts parallel to the real axis, sampled rightwards
+        else:         # cuts parallel to the real axis, sampled rightwards and walked leftwards
             strips = [replace(region, im_min=lo, im_max=hi) for lo, hi in bounds]
-            cuts = _sample(fn, [(complex(region.re_min, y), complex(region.re_max, y))
-                                for y in at])
-        starts = [(cut.z[0], cut.f[0], cut.mag[0]) for cut in cuts]
-        ends = [(cut.z[-1], cut.f[-1], cut.mag[-1]) for cut in cuts]
-        out = []
+            cuts = [cut[:, ::-1] for cut in _sample(
+                fn, [(complex(region.re_min, y), complex(region.re_max, y)) for y in at])]
+        pieces = zip(_cut(along, np.stack([cut[:, 0] for cut in cuts], axis=1), key),
+                     cuts + [last],
+                     _cut(across, np.stack([cut[:, -1] for cut in cuts[::-1]], axis=1),
+                          lambda z: -key(z))[::-1])
+        out, before = [], first
         try:
-            if vertical:
-                bottoms = _cut(bottom, starts, lambda z: z.real)
-                tops = _cut(top, ends[::-1], lambda z: -z.real)[::-1]
-                west = left
-                for strip, b, east, t in zip(strips, bottoms, cuts + [right], tops):
-                    strip_edges, c = _winding(fn, strip, (b, east, t, west))
-                    west = _reversed(strip_edges[1])
-                    out.append((strip, strip_edges, c))
-            else:
-                rights = _cut(right, ends, lambda z: z.imag)
-                lefts = _cut(left, starts[::-1], lambda z: -z.imag)[::-1]
-                south = bottom
-                norths = [_reversed(cut) for cut in cuts] + [top]
-                for strip, r, north, l in zip(strips, rights, norths, lefts):
-                    strip_edges, c = _winding(fn, strip, (south, r, north, l))
-                    south = _reversed(strip_edges[2])
-                    out.append((strip, strip_edges, c))
+            for strip, (a, cut, b) in zip(strips, pieces):
+                turned = [a, cut, b, before]   # turned back into loop order below
+                strip_loop, c = _winding(fn, strip, _close(turned[4 - turn:] + turned[:4 - turn]))
+                before = _sides(strip_loop)[1 + turn][:, ::-1]
+                out.append((strip, strip_loop, c))
         except BoundaryZero:
             continue
         if sum(c for _, _, c in out) == count:

@@ -197,15 +197,3 @@ def riccati_xi(l: int, z: complex) -> ValueAndDerivative:
     e = np.exp(1j * z)
     xi0 = -1j * e
     return ValueAndDerivative(xi0, e) if l == 0 else _upward(l, z, xi0, xi0 / z - e)
-
-
-@pointwise
-def wronskian(l: int, z: complex) -> complex:
-    """S_l(z) xi_l'(z) - S_l'(z) xi_l(z); analytically the constant i.
-
-    Kept as an explicit operation because it exercises both evaluation paths
-    (series and recurrence) against each other.
-    """
-    s = riccati_s(l, z)
-    x = riccati_xi(l, z)
-    return s.value * x.derivative - s.derivative * x.value

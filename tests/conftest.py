@@ -4,7 +4,9 @@ Everything here is deliberately independent of the evaluation paths inside
 the package: boundary-condition solutions come from a generic null-space
 solve of the jump conditions, and cylinder functions come from 30-term
 ascending power series of J_nu (with H1_nu assembled through the
-half-integer-order reflection Y_nu = (-1)^{l+1} J_{-nu}).
+half-integer-order reflection Y_nu = (-1)^{l+1} J_{-nu}).  The one
+exception is ``wronskian``, an identity that checks the package's own
+Riccati functions against each other.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from winterres import BoundaryData, GpiParams
+from winterres import BoundaryData, GpiParams, riccati_s, riccati_xi
 
 
 def eq1_basis(p: GpiParams) -> list[BoundaryData]:
@@ -70,3 +72,13 @@ def riccati_s_series(l: int, z: complex, terms: int = 30) -> complex:
 def riccati_xi_series(l: int, z: complex, terms: int = 30) -> complex:
     """xi_l(z) = sqrt(pi z / 2) H1_{l+1/2}(z), via the series oracle."""
     return cmath.sqrt(math.pi * z / 2.0) * hankel1_halfint(l, z, terms)
+
+
+def wronskian(l: int, z: complex) -> complex:
+    """S_l(z) xi_l'(z) - S_l'(z) xi_l(z), analytically the constant i.
+
+    Built on the public Riccati functions, so it checks their series and
+    recurrence paths against each other; z = 0 raises OriginSingularity.
+    """
+    s, x = riccati_s(l, z), riccati_xi(l, z)
+    return s.value * x.derivative - s.derivative * x.value

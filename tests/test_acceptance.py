@@ -17,11 +17,11 @@ import pytest
 
 from winterres import (Channel, GpiParams, classify, classify_unitary,
                        boundary_residual, det_lambda, find_poles, index_poles,
-                       real_axis_roots, to_transfer, to_unitary, wronskian,
+                       real_axis_roots, to_transfer, to_unitary,
                        is_separated)
 from winterres.cli import main as cli_main
 
-from conftest import eq1_basis, random_params
+from conftest import eq1_basis, random_params, wronskian
 
 CH = Channel(0, 1.0)
 DELTA = GpiParams(50.0, 0.0, 0.0)

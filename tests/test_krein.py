@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from winterres import (Channel, GpiParams, NotSeparated, OriginSingularity,
-                       PoleAtK, det_lambda, det_lambda_balanced, find_poles,
-                       krein_coefficients, phi_boundary, real_axis_roots,
-                       riccati_s, riccati_xi)
+                       det_lambda, det_lambda_balanced, find_poles, phi_boundary,
+                       real_axis_roots, riccati_s, riccati_xi)
 
 from conftest import bessel_j_series, hankel1_halfint
 
@@ -139,39 +138,6 @@ class TestBalanced:
         for pole in find_poles(p, CH, re_max=12.0, im_min=-2.0):
             assert abs(det_lambda(p, CH, pole.k)) < 1e-9
             assert abs(det_lambda_balanced(p, CH, pole.k)) < 1e-9
-
-
-class TestKreinCoefficients:
-    def test_free_correction_vanishes(self):
-        out = krein_coefficients(FREE, CH, 2.0 - 0.5j)
-        assert np.abs(out.lam).max() == 0.0
-        assert out.det_lambda == -1.0
-
-    def test_pure_delta_structure(self):
-        alpha = 7.0
-        out = krein_coefficients(GpiParams(alpha, 0, 0), CH, 3.0 - 0.2j)
-        assert out.lam[0, 0] == alpha / out.det_lambda
-        assert out.lam[0, 1] == 0 and out.lam[1, 0] == 0 and out.lam[1, 1] == 0
-
-    def test_offdiagonal_symmetry_for_real_gamma(self):
-        out = krein_coefficients(GpiParams(1.0, 0.5, 0.8), CH, 4.0 - 1.0j)
-        assert out.lam[0, 1] == out.lam[1, 0]
-
-    def test_numerators_reproduced_exactly(self):
-        p = GpiParams(2.0, -0.7, 0.3 + 0.9j)
-        k = 5.0 - 0.6j
-        out = krein_coefficients(p, CH, k)
-        phi = phi_boundary(CH, k)
-        q = p.coupling_product
-        numerators = np.array(
-            [[p.alpha - phi.phi2_prime * q, p.gamma + phi.phi2_avg * q],
-             [p.gamma.conjugate() + phi.phi2_avg * q, -p.beta - phi.phi1_at_R * q]])
-        assert np.abs(out.lam * out.det_lambda - numerators).max() < 1e-14 * np.abs(
-            numerators).max()
-
-    def test_pole_raises(self):
-        with pytest.raises(PoleAtK):
-            krein_coefficients(GpiParams(50, 0, 0), CH, FIRST_POLE_ALPHA50)
 
 
 class TestRealAxisRoots:

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from winterres import Channel, OriginSingularity, riccati_s, riccati_xi, wronskian
+from winterres import Channel, OriginSingularity, riccati_s, riccati_xi
 
-from conftest import riccati_xi_series
+from conftest import riccati_xi_series, wronskian
 
 
 def closed_s(l: int, z: complex) -> complex:
