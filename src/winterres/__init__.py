@@ -8,7 +8,7 @@ predictors for each interaction class.
 """
 
 from .asymptotics import (AmbiguousIndex, AsymptoticPrediction, Resonance,
-                          Separated, ZeroCoupling, compare, index_poles, predict)
+                          ZeroCoupling, compare, index_poles, predict)
 from .errors import WinterresError
 from .gpi import (BoundaryData, DegenerateDenominator, GpiClass, GpiParams,
                   SeparatedInteraction, TransferForm, UnitaryForm,
@@ -31,7 +31,7 @@ __all__ = [
     "Channel", "ClusteredZeros", "DegenerateDenominator", "GpiClass",
     "GpiParams", "NonConvergence", "NotSeparated", "OriginSingularity",
     "PhiBoundaryValues", "Resonance", "RunConfig", "SearchRegion",
-    "Separated", "SeparatedInteraction", "TransferForm", "UnitaryForm",
+    "SeparatedInteraction", "TransferForm", "UnitaryForm",
     "ValueAndDerivative", "WinterresError", "ZeroCoupling",
     "boundary_residual", "canonical_real_gamma", "classify",
     "classify_unitary", "compare", "count_zeros", "default_im_min",

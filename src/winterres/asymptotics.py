@@ -40,7 +40,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import WinterresError
-from .gpi import GpiClass, GpiParams, canonical_real_gamma, classify, is_separated
+from .gpi import (GpiClass, GpiParams, SeparatedInteraction, canonical_real_gamma, classify,
+                  is_separated)
 from .riccati import Channel
 
 _LATTICE_SPAN = 0.6  # accept indices within this fraction of the lattice spacing
@@ -48,10 +49,6 @@ _LATTICE_SPAN = 0.6  # accept indices within this fraction of the lattice spacin
 
 class ZeroCoupling(WinterresError):
     """The coupling is equivalent to the free one: there are no resonances."""
-
-
-class Separated(WinterresError):
-    """Separated interactions have embedded eigenvalues, not resonances."""
 
 
 class AmbiguousIndex(WinterresError):
@@ -121,12 +118,12 @@ def predict(p: GpiParams, ch: Channel, n: int) -> AsymptoticPrediction:
     next-order shift; the remainder scale is n^-1 ln n (ln floored at ln 2)
     for delta, n^-1 for intermediate and n^-3 for delta-prime.
 
-    Raises Separated on the embedded-eigenvalue locus, ZeroCoupling when
-    the coupling is unitarily equivalent to free (it has no resonances), and
-    ValueError for n < 1.
+    Raises SeparatedInteraction on the embedded-eigenvalue locus,
+    ZeroCoupling when the coupling is unitarily equivalent to free (it has no
+    resonances), and ValueError for n < 1.
     """
     if is_separated(p):
-        raise Separated("separated interaction: embedded eigenvalues, no lattice")
+        raise SeparatedInteraction("separated interaction: embedded eigenvalues, no lattice")
     cls, c, re = _lattice(p, ch, n)
     if c == 0:
         raise ZeroCoupling("delta asymptotics need alpha != 0")

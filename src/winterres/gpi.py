@@ -50,7 +50,7 @@ _MATRIX_TOL = 1e-10   # rounding allowance of the matrix criteria in classify_un
 
 
 class SeparatedInteraction(WinterresError):
-    """The interaction decouples inside from outside; no transfer matrix exists."""
+    """Inside and outside decouple: there is no transfer matrix and no resonance lattice."""
 
 
 class DegenerateDenominator(WinterresError):

@@ -20,31 +20,29 @@ on the boundary itself.  Boundary hits are detected by a magnitude floor
 relative to the median sample and raise BoundaryZero: a count always answers
 for exactly the rectangle it was given.
 
-Each rectangle on the subdivision stack keeps its resolved loop, so a split
-evaluates det lambda only along the new cuts: a strip's loop is its pieces of
-the parent's sides plus the cuts on either side, and every boundary sample is
-computed once however deep the subdivision goes.  A strip inherits samples
-and values only, never phases: its count takes the phase of every step
-afresh, one numpy operation over the loop.  All the cuts of one split, end
-points included, are one array call of det lambda, and so are the samples
-added to one strip's short sides.  Steps of pi/2 or more are bisected in
-rounds, each round one array call for the midpoints of every such step of
+Each cell on the subdivision stack and in the Newton queue keeps its resolved
+loop, so a split evaluates det lambda only along the new cuts: a strip's loop
+is its pieces of the parent's sides plus the cuts on either side, and every
+boundary sample is computed once however deep the subdivision goes.  A strip
+inherits samples and values only, never phases: its count takes the phase of
+every step afresh, one numpy operation over the loop.  All the cuts of one
+split, end points included, are one array call of det lambda, and so are the
+samples added to one strip's short sides.  Steps of pi/2 or more are bisected
+in rounds, each round one array call for the midpoints of every such step of
 the loop.  When a zero sits on (or too close to) a cut, subdivision catches
 BoundaryZero and cuts again with every line shifted, so the strips still
 partition the parent.
 
 A cell that holds one or two zeros is not refined when it is found, and a
-two-zero cell is not split: it waits in a queue with one Newton seed per
-zero, read off the contour moments of its resolved boundary (see
-``_seed``), and keeps no loop.  When the subdivision stack is empty, one
-``refine`` call runs Newton on the seeds of every queued cell in lockstep,
-each round of it one array call of det lambda.  A two-zero cell is solved
-when both roots converge inside it at least _MIN_CELL_FACTOR / R apart
-(closer pairs are clusters) and farther apart than deduplication merges.
-Any other outcome counts the cell afresh and splits it in two; a one-zero
-cell gets one such pass, and a two-zero cell's children still get theirs.
-The children go back on the stack, and the search ends when both the stack
-and the queue are empty.
+two-zero cell is not split: it waits in the queue.  When the stack is empty,
+one ``refine`` call runs Newton in lockstep from one seed per zero of every
+queued cell, read off the contour moments of its loop (see ``_seed``), each
+round one array call of det lambda.  A two-zero cell is solved when both roots
+converge inside it at least _MIN_CELL_FACTOR / R apart (closer pairs are
+clusters) and farther apart than deduplication merges.  Any other outcome
+splits the cell from the loop it was counted on, so its strips' counts add up
+to its own, and the strips go back on the stack; a one-zero cell gets one such
+pass, and a two-zero cell's children still get theirs.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 pole lists.
@@ -408,10 +406,10 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
 
     The window is cut into strips, and a cell of c > 2 zeros into
     max(2, c // 2) strips again, until every cell holds one or two zeros
-    (see ``_subdivide``).  Cells that count one or two zeros are not split
-    further: Newton runs from their contour-moment seeds.  A two-zero cell
-    whose two roots do not both converge inside it, at least
-    max(1e-6/R, 1e-8 |k|) apart, is split in two, so a double zero raises
+    (see ``_subdivide``).  Newton runs from the contour-moment seeds of those
+    cells; a cell whose roots are rejected is split in two from the loop it
+    was counted on.  A two-zero cell's roots must both converge inside it, at
+    least max(1e-6/R, 1e-8 |k|) apart, so a double zero raises
     ClusteredZeros or BoundaryZero and never comes back as two poles.
 
     The returned list is sorted by Re k, deduplicated, every pole carries
@@ -433,45 +431,40 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
 
     min_cell = _MIN_CELL_FACTOR / ch.radius
     found: list[tuple[complex, float]] = []
-    stack = [(top, total, 0, False, loop)] if total else []
+    stack = [(top, loop, total, 0, False)] if total else []
 
-    def split(region, count, depth, resplit, loop):
+    def split(region, loop, count, depth, resplit):
         """Push the strips of a cell with `count` zeros, unless it is a cluster."""
         if count > 1 and min(region.width, region.height) < min_cell:
             raise ClusteredZeros(f"{count} zeros in cell {region} below the size floor")
         if count > 1 and depth >= _MAX_TREE_DEPTH:
             raise ClusteredZeros(f"subdivision depth cap at {region}")
-        stack.extend((r, c, depth + 1, resplit, e)
+        stack.extend((r, e, c, depth + 1, resplit)
                      for r, e, c in _subdivide(fn, region, loop, count) if c)
 
     while stack:
-        queue = []   # cells (region, depth, resplit, seeds) of one or two zeros awaiting Newton
+        queue = []   # cells (region, loop, count, depth, resplit) of one or two zeros
         while stack:
-            region, count, depth, resplit, loop = stack.pop()
-            if count <= 2:
-                queue.append((region, depth, resplit, _seed(region, loop, count)))
+            cell = stack.pop()
+            if cell[2] <= 2:
+                queue.append(cell)
             else:
-                split(region, count, depth, resplit, loop)
-        roots, residuals = refine(p, ch, np.array([k for cell in queue for k in cell[3]]))
+                split(*cell)
+        seeds = [k for region, loop, count, _, _ in queue for k in _seed(region, loop, count)]
+        roots, residuals = refine(p, ch, np.array(seeds))
         results = iter(zip(roots.tolist(), residuals.tolist()))
-        for region, depth, resplit, seeds in queue:
-            cell = [next(results) for _ in seeds]
+        for region, loop, count, depth, resplit in queue:
+            cell = [next(results) for _ in range(count)]
             # a pair closer than min_cell is a cluster, and one that dedupe would merge is lost
             if (all(region.contains(k_root, slop=1e-9 * max(1.0, abs(k_root)))
                     for k_root, _ in cell)
-                    and (len(cell) == 1 or abs(cell[0][0] - cell[1][0])
+                    and (count == 1 or abs(cell[0][0] - cell[1][0])
                          >= max(min_cell, _DEDUPE_REL * abs(cell[0][0])))):
                 found.extend(cell)
-                continue
-            if resplit:
+            elif resplit:
                 raise NonConvergence(f"could not pin the single zero of {region}")
-            # count afresh and split; this is a one-zero cell's one re-split pass,
-            # while a two-zero cell leaves its children theirs
-            loop, count = _winding(fn, region, _boundary(fn, region))
-            if count != len(cell):
-                raise WinterresError(
-                    f"pole bookkeeping failed: {len(cell)}-zero cell {region} now counts {count}")
-            split(region, count, depth, count == 1, loop)
+            else:   # a one-zero cell's one re-split pass; a two-zero cell leaves its children theirs
+                split(region, loop, count, depth, count == 1)
 
     found.sort(key=lambda item: (item[0].real, item[0].imag))
     merged: list[tuple[complex, float]] = []

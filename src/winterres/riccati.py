@@ -39,8 +39,8 @@ shape, and a Python number runs as a numpy scalar and gives Python complex
 (see ``pointwise``).  numpy's array loops may fuse the multiply-adds of a
 complex product where its scalar arithmetic does not, so a point alone can
 differ in the last bits from the same point in an array.  The S_l series is
-chosen per element, always sums on an array, and stops each element at its
-own first negligible term.
+chosen per element, always sums on an array, and stops once every element
+has reached a negligible term.
 """
 
 from __future__ import annotations
@@ -119,32 +119,25 @@ def pointwise(fn):
 def _s_series(l: int, z: np.ndarray) -> ValueAndDerivative:
     # S_l(z) = sum_m t_m z^{l+1+2m},  t_0 = 1/(2l+1)!!,
     # t_m = t_{m-1} * (-z^2/2) / (m (2l+2m+1));  derivative termwise.
-    # z is a nonzero 1-d array.  A round sums the next 32 terms of each
-    # element still summing, by cumulative products and sums; an element
-    # stops at its own first term below 1e-18 of its sum.
+    # z is a nonzero 1-d array.  A round sums the next 32 terms of every
+    # element by cumulative products and sums; the rounds stop once each
+    # element's last term is below 1e-18 of its sum.  The terms after an
+    # element's first such term are smaller still and leave its sum as it is.
     zl = z ** (l + 1)  # integer power: exact parity under z -> -z
     m = np.arange(1, 400.0)[:, None]
     ratio_den, weight = m * (2 * l + 2 * m + 1), l + 1 + 2 * m
     t = np.full(z.size, 1 / math.prod(range(2 * l + 1, 1, -2)), complex)   # 1/(2l+1)!!
-    s, sp = t, t * (l + 1)
-    value, derivative = np.empty_like(z), np.empty_like(z)
-    live, zz = np.arange(z.size), -0.5 * z * z
+    s, sp, zz = t, t * (l + 1), -0.5 * z * z
     for start in range(0, 399, 32):
         rows = slice(start, start + 32)
         terms = np.cumprod(np.concatenate([t[None], zz / ratio_den[rows]]), axis=0)[1:]
-        sums = np.cumsum(np.concatenate([s[None], terms]), axis=0)[1:]
-        dsums = np.cumsum(np.concatenate([sp[None], terms * weight[rows]]), axis=0)[1:]
-        done = abs(terms) < 1e-18 * abs(sums)
-        stop = done.any(axis=0)
-        at = done.argmax(axis=0)[stop], np.flatnonzero(stop)
-        value[live[stop]], derivative[live[stop]] = sums[at], dsums[at]
-        go = ~stop
-        live, zz, t, s, sp = live[go], zz[go], terms[-1, go], sums[-1, go], dsums[-1, go]
-        if not live.size:
+        s = np.cumsum(np.concatenate([s[None], terms]), axis=0)[-1]
+        sp = np.cumsum(np.concatenate([sp[None], terms * weight[rows]]), axis=0)[-1]
+        t = terms[-1]
+        if np.all(abs(t) < 1e-18 * abs(s)):
             break
-    value[live], derivative[live] = s, sp
     # sp accumulated sum_m t_m (l+1+2m) z^{2m}; S' = z^l * sp
-    return ValueAndDerivative(zl * value, (zl / z) * derivative)
+    return ValueAndDerivative(zl * s, (zl / z) * sp)
 
 
 def _upward(l: int, z: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> ValueAndDerivative:

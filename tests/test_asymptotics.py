@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from winterres import (Channel, GpiParams, Resonance, Separated, ZeroCoupling,
+from winterres import (Channel, GpiParams, Resonance, SeparatedInteraction, ZeroCoupling,
                        compare, det_lambda, find_poles, index_poles, is_separated, predict)
 from winterres.asymptotics import _lattice
 
@@ -141,7 +141,7 @@ class TestPredictDispatch:
             predict(GpiParams(0, 0, 2j), CH, 10)
 
     def test_separated_raises(self):
-        with pytest.raises(Separated):
+        with pytest.raises(SeparatedInteraction):
             predict(GpiParams(0, 0, 2.0), CH, 3)
 
 

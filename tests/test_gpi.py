@@ -143,6 +143,18 @@ class TestToTransfer:
             for data in eq1_basis(p):
                 assert boundary_residual(t, data) < 1e-10
 
+    @pytest.mark.parametrize("p", [GpiParams(5, 1, 0), GpiParams(0, 0, 3), GpiParams(-2, -3, 0.5),
+                                   GpiParams(0, 0, complex(0.5, -1e-20))],
+                             ids=["delta-prime", "intermediate", "mixed", "phase-below-zero"])
+    def test_phase_reduces_to_zero(self, p):
+        # real gamma with q > 4 has phase(-1/den) = pi exactly; in the last case the
+        # phase is -1.07e-20, phase + pi rounds to pi, and a second reduction makes it 0
+        t = to_transfer(p)
+        assert t.chi == 0.0
+        assert abs(t.a * t.d - t.b * t.c - 1.0) < 1e-12
+        for data in eq1_basis(p):
+            assert boundary_residual(t, data) < 1e-10
+
 
 class TestClassifyUnitary:
     def test_agrees_with_parameter_classification(self):
@@ -177,6 +189,13 @@ class TestCanonicalRealGamma:
             assert out.gamma.imag == 0.0
             assert abs(to_unitary(out).u2) == pytest.approx(abs(to_unitary(p).u2),
                                                             abs=1e-12)
+
+    def test_negative_branch(self):
+        # here q + 4 ~ -(q - 4), so the s = +1 trace + 2 falls under its guard
+        p = GpiParams(1e6, -1e6, 1e-3j)
+        out = canonical_real_gamma(p)
+        assert out.gamma.imag == 0.0
+        assert abs(to_unitary(out).u2) == pytest.approx(abs(to_unitary(p).u2), abs=1e-12)
 
 
 class TestScaleInvariant:

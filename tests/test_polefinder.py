@@ -536,39 +536,46 @@ class TestFindPoles:
                        for order in itertools.permutations(roots))
 
     def test_failed_cell_is_split_and_refined_again(self, monkeypatch):
-        # the first one-zero cell in Newton's order fails: it alone is counted afresh,
-        # split, and its one zero refined in a second call.  Of the 11 zeros here,
-        # a strip of three is split into cells of one and two.
+        # the first one-zero cell in Newton's order fails: it alone is split from the
+        # loop it was counted on, and its one zero refined in a second call.  Of the
+        # 11 zeros here, a strip of three is split into cells of one and two.
         want = find_poles(DELTA, CH, re_max=37.0, im_min=-3.0)
-        seed_of, boundary, refine_ = pf._seed, pf._boundary, pf.refine
-        single, fresh, failed, calls = [], [], [], []
+        seed_of, boundary, subdivide, refine_ = pf._seed, pf._boundary, pf._subdivide, pf.refine
+        single, fresh, splits, failed, calls = [], [], [], [], []
 
         def recorded_seed(region, loop, count):
             seeds = seed_of(region, loop, count)
             if count == 1:
-                single.append((seeds[0], region))
+                single.append((seeds[0], region, loop))
             return seeds
 
         def recorded_boundary(fn, region):
             fresh.append(region)
             return boundary(fn, region)
 
+        def recorded_split(fn, region, loop, count):
+            splits.append((region, loop, count))
+            return subdivide(fn, region, loop, count)
+
         def first_single_fails(p, ch, seeds):
             roots, residuals = refine_(p, ch, seeds)
             if not calls:
-                i, region = next((i, region) for i, k in enumerate(seeds)
-                                 for seed, region in single if k == seed)
+                i, cell = next((i, (region, loop)) for i, k in enumerate(seeds)
+                               for seed, region, loop in single if k == seed)
                 roots[i] = residuals[i] = np.nan
-                failed.append(region)
+                failed.append(cell)
             calls.append(len(seeds))
             return roots, residuals
 
         monkeypatch.setattr(pf, "_seed", recorded_seed)
         monkeypatch.setattr(pf, "_boundary", recorded_boundary)
+        monkeypatch.setattr(pf, "_subdivide", recorded_split)
         monkeypatch.setattr(pf, "refine", first_single_fails)
         got = find_poles(DELTA, CH, re_max=37.0, im_min=-3.0)
         assert calls == [len(want), 1]
-        assert len(failed) == 1 and fresh[1:] == failed   # the first is the whole window
+        assert len(fresh) == 1   # the whole window; the failed cell is not counted again
+        ((region, loop),) = failed
+        assert [(r, c) for r, e, c in splits if e is loop] == [(region, 1)]
         assert len(got) == len(want)
         assert all(abs(a.k - b.k) < 1e-12 * abs(b.k) for a, b in zip(got, want))
 
@@ -587,8 +594,9 @@ class TestFindPoles:
     def _force_first_pair(monkeypatch, forced):
         """Replace the pencil roots of the first two-zero cell by forced(seeds).
 
-        Returns a log of that cell ("pair") and of the regions counted afresh
-        ("fresh") and split ("split") as the search goes on.
+        Returns a log of that cell and its loop ("pair"), of the regions whose
+        boundary is sampled afresh ("fresh") and of the cells split ("split",
+        as (region, loop, count)) as the search goes on.
         """
         seed_of, boundary, subdivide = pf._seed, pf._boundary, pf._subdivide
         log = {"pair": [], "fresh": [], "split": []}
@@ -596,7 +604,7 @@ class TestFindPoles:
         def forced_seed(region, loop, count):
             seeds = seed_of(region, loop, count)
             if count == 2 and not log["pair"]:
-                log["pair"].append(region)
+                log["pair"].append((region, loop))
                 return forced(seeds)
             return seeds
 
@@ -605,7 +613,7 @@ class TestFindPoles:
             return boundary(fn, region)
 
         def recorded_split(fn, region, loop, count):
-            log["split"].append((region, count))
+            log["split"].append((region, loop, count))
             return subdivide(fn, region, loop, count)
 
         monkeypatch.setattr(pf, "_seed", forced_seed)
@@ -616,13 +624,13 @@ class TestFindPoles:
     @pytest.mark.parametrize("forced", [lambda seeds: [complex(math.nan, math.nan)] * 2,
                                         lambda seeds: seeds[:1] * 2],
                              ids=["nan", "shared-root"])
-    def test_rejected_pair_is_counted_afresh_and_split(self, forced, monkeypatch):
+    def test_rejected_pair_is_split_from_its_own_loop(self, forced, monkeypatch):
         want = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
         log = self._force_first_pair(monkeypatch, forced)
         got = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
-        (pair,) = log["pair"]
-        assert log["fresh"][1:] == [pair]   # the first is the whole window
-        assert (pair, 2) in log["split"]
+        ((pair, loop),) = log["pair"]
+        assert len(log["fresh"]) == 1   # the whole window; the pair is not counted again
+        assert [(r, c) for r, e, c in log["split"] if e is loop] == [(pair, 2)]
         assert len(got) == len(want)
         assert all(abs(a.k - b.k) < 1e-12 * abs(b.k) for a, b in zip(got, want))
 
@@ -642,7 +650,11 @@ class TestFindPoles:
         monkeypatch.setattr(pf, "refine", first_child_fails)
         got = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
         assert calls == [len(want), 2, 1]
-        assert len(log["fresh"]) == 3
+        assert len(log["fresh"]) == 1   # neither the pair nor its child is counted again
+        ((pair, loop),) = log["pair"]
+        assert [(r, c) for r, e, c in log["split"] if e is loop] == [(pair, 2)]
+        child, _, count = log["split"][-1]   # the failed child, split with its one zero
+        assert count == 1 and all(pair.contains(z) for z in child.corners())
         assert len(got) == len(want)
         assert all(abs(a.k - b.k) < 1e-12 * abs(b.k) for a, b in zip(got, want))
 
