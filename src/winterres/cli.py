@@ -6,6 +6,7 @@ Exit codes: 0 on success, 2 on usage errors, 3 on solver failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -16,7 +17,7 @@ from .errors import WinterresError
 from .gpi import classify, is_separated, to_transfer, to_unitary, SeparatedInteraction
 from .krein import det_lambda, real_axis_roots
 from .polefinder import find_poles
-from .report import (RunConfig, config_from_dict, embedded_rows, format_complex,
+from .report import (_CONFIG_KEYS, RunConfig, config_from_dict, embedded_rows, format_complex,
                      format_table, interaction_and_channel, write_csv, write_pole_svg)
 
 USAGE_EXIT = 2
@@ -40,12 +41,15 @@ def _add_search(sub: argparse.ArgumentParser) -> None:
                      help="search floor Im k (number or 'auto'; one like -1e1 "
                      "needs the = form: --im-min=-1e1)")
     sub.add_argument("--config", type=str, default=None, help="JSON run configuration")
-    sub.add_argument("--csv", type=str, default=None, help="write the pole table here")
-    sub.add_argument("--svg", type=str, default=None, help="write the scatter chart here")
+    sub.add_argument("--csv", type=str, default=None, dest="csv_path", metavar="CSV",
+                     help="write the pole table here")
+    sub.add_argument("--svg", type=str, default=None, dest="svg_path", metavar="SVG",
+                     help="write the scatter chart here")
     sub.add_argument("--table", action="store_true", default=None,
                      help="print the table to stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="winterres",
@@ -66,23 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each flag's (block, key) in the run schema that report.config_from_dict checks.
-_FLAG_KEYS = {
-    "alpha": ("interaction", "alpha"), "beta": ("interaction", "beta"),
-    "gamma": ("interaction", "gamma"), "l": ("channel", "l"),
-    "radius": ("channel", "radius"), "re_max": ("search", "re_max"),
-    "im_min": ("search", "im_min"), "csv": ("outputs", "csv_path"),
-    "svg": ("outputs", "svg_path"), "table": ("outputs", "table"),
-}
-
-
 def _write_flags(raw, given: dict):
     """``raw`` with each flag in ``given`` that is not None written over its key;
-    a config or block that is not an object is left for config_from_dict."""
+    a flag's dest is its key in the run schema.  A config or block that is
+    not an object is left for config_from_dict."""
     if isinstance(raw, dict):
-        for dest, (block, key) in _FLAG_KEYS.items():
-            if given.get(dest) is not None and isinstance(raw.setdefault(block, {}), dict):
-                raw[block][key] = given[dest]
+        for block, keys in _CONFIG_KEYS.items():
+            for key in keys:
+                if given.get(key) is not None and isinstance(raw.setdefault(block, {}), dict):
+                    raw[block][key] = given[key]
     return raw
 
 

@@ -47,6 +47,7 @@ from .errors import WinterresError
 
 _NORM_TOL = 1e-12
 _MATRIX_TOL = 1e-10   # rounding allowance of the matrix criteria in classify_unitary
+_SEPARATION_TOL = 1e-12   # distance from the separated locus that is_separated allows
 
 
 class SeparatedInteraction(WinterresError):
@@ -167,13 +168,14 @@ def classify(p: GpiParams) -> GpiClass:
     return GpiClass.DELTA
 
 
-def is_separated(p: GpiParams, tol: float = 1e-12) -> bool:
-    """True iff alpha beta + |gamma|^2 = 4 and Im gamma = 0, within tol.
+def is_separated(p: GpiParams) -> bool:
+    """True iff alpha beta + |gamma|^2 = 4 and Im gamma = 0, within 1e-12.
 
     On this locus u2 vanishes, inside and outside decouple, and embedded
     eigenvalues appear on the positive real momentum axis.
     """
-    return abs(p.coupling_product - 4.0) <= tol and abs(p.gamma.imag) <= tol
+    return (abs(p.coupling_product - 4.0) <= _SEPARATION_TOL
+            and abs(p.gamma.imag) <= _SEPARATION_TOL)
 
 
 def to_unitary(p: GpiParams) -> UnitaryForm:

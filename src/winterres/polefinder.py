@@ -26,10 +26,11 @@ is its pieces of the parent's sides plus the cuts on either side, and every
 boundary sample is computed once however deep the subdivision goes.  A strip
 inherits samples and values only, never phases: its count takes the phase of
 every step afresh, one numpy operation over the loop.  All the cuts of one
-split, end points included, are one array call of det lambda, and so are the
-samples added to one strip's short sides.  Steps of pi/2 or more are bisected
-in rounds, each round one array call for the midpoints of every such step of
-the loop.  When a zero sits on (or too close to) a cut, subdivision catches
+split, end points included, are one array call of det lambda.  Steps of pi/2
+or more are bisected in rounds, each round one array call for the midpoints of
+every such step of the loop; a strip's side that is a short piece of its
+parent's gets the longest of its steps bisected in the same rounds until it
+has 8.  When a zero sits on (or too close to) a cut, subdivision catches
 BoundaryZero and cuts again with every line shifted, so the strips still
 partition the parent.
 
@@ -172,9 +173,10 @@ def _boundary(fn, region: SearchRegion) -> _Loop:
 def _insert(fn, loop: _Loop, steps: np.ndarray, z: np.ndarray, floor: float) -> _Loop:
     """The loop with the samples z added, z[i] inside step steps[i], both in loop order.
 
-    The new values take one det lambda call, and one at or under the floor
-    (an exact zero, without one) raises BoundaryZero: no phase can be taken
-    through it.
+    The one way a count adds samples to a loop: each round of _winding
+    calls it once.  The new values take one det lambda call, and one at
+    or under the floor raises BoundaryZero: no phase can be taken through
+    it.
     """
     f = fn(z)
     low = np.flatnonzero(np.abs(f) <= floor)
@@ -189,27 +191,6 @@ def _insert(fn, loop: _Loop, steps: np.ndarray, z: np.ndarray, floor: float) -> 
     return _Loop(zf, (loop.corners + np.searchsorted(steps, loop.corners)).tolist())
 
 
-def _densify(fn, loop: _Loop) -> _Loop:
-    """Bisect the longest steps of each short side until it has at least 8.
-
-    A freshly sampled side always has 8; a short piece of a parent's side
-    may have fewer.  The midpoints depend on z alone, so those of all sides
-    take one det lambda call.
-    """
-    ends = loop.corners + [loop.zf.shape[1] - 1]
-    steps, mids = [], []
-    for a, b in zip(ends, ends[1:]):
-        if b - a >= 8:
-            continue
-        pts = [(z, s, False) for s, z in enumerate(loop.zf[0, a:b + 1].tolist(), a)]
-        while len(pts) < 9:   # (z, the loop step it lies in, whether it is new)
-            i = max(range(len(pts) - 1), key=lambda j: abs(pts[j + 1][0] - pts[j][0]))
-            pts.insert(i + 1, (0.5 * (pts[i][0] + pts[i + 1][0]), pts[i][1], True))
-        steps += [s for _, s, new in pts if new]
-        mids += [z for z, _, new in pts if new]
-    return _insert(fn, loop, np.array(steps), np.array(mids), 0.0) if mids else loop
-
-
 def _winding(fn, region: SearchRegion, loop: _Loop) -> tuple[_Loop, int]:
     """Winding number of fn along the region's boundary loop (exact integer).
 
@@ -217,11 +198,17 @@ def _winding(fn, region: SearchRegion, loop: _Loop) -> tuple[_Loop, int]:
     of every step and bisects those of pi/2 or more, all in one det lambda
     call.  A split depends only on its step's end values, so the rounds
     insert the samples that bisecting each wide step depth first would.
-    Raises BoundaryZero when a sample falls under 1e-8 times the median
-    sample or a step is still wide after _MAX_PHASE_DEPTH rounds, both of
-    which signal a zero on or very near the contour.
+    A side of n < 8 steps (a short piece of a parent's side) also has
+    bisected, in the same rounds, its 8 - n longest steps (first on ties)
+    among those at least half its longest, until it has 8 steps.  These
+    are the samples that bisecting its longest step one at a time adds,
+    except that a step as long as half a longer one is taken with it,
+    where one at a time leaves that choice to rounding.  Raises BoundaryZero
+    when a sample of the given loop falls under 1e-8 times their median,
+    a new one at or under that floor, or a step is still wide after
+    _MAX_PHASE_DEPTH rounds, all of which signal a zero on or very near
+    the contour.
     """
-    loop = _densify(fn, loop)
     mag = np.sort(np.abs(loop.zf[1, :-1]))
     med = mag[mag.size // 2]
     floor = _FLOOR_REL * med
@@ -230,13 +217,20 @@ def _winding(fn, region: SearchRegion, loop: _Loop) -> tuple[_Loop, int]:
     for depth in range(_MAX_PHASE_DEPTH + 1):
         z, f = loop.zf
         phase = np.angle(f[1:] / f[:-1])
-        wide = np.flatnonzero(np.abs(phase) >= 0.5 * math.pi)
-        if not wide.size:
+        marked = np.abs(phase) >= 0.5 * math.pi
+        ends = loop.corners + [z.size - 1]
+        for a, b in zip(ends, ends[1:]):
+            if b - a < 8:   # short: the 8 - n longest of its steps at least half its longest
+                gap = np.abs(np.diff(z[a:b + 1]))
+                top = np.argsort(-gap, kind="stable")[:8 - (b - a)]
+                marked[a + top[gap[top] >= 0.4999995 * gap.max()]] = True
+        split = np.flatnonzero(marked)
+        if not split.size:
             break
         if depth == _MAX_PHASE_DEPTH:
-            s = wide[0]
+            s = split[0]
             raise BoundaryZero(f"phase increment from {z[s]} to {z[s + 1]} cannot be resolved")
-        loop = _insert(fn, loop, wide, 0.5 * (z[wide] + z[wide + 1]), floor)
+        loop = _insert(fn, loop, split, 0.5 * (z[split] + z[split + 1]), floor)
     total = float(phase.sum())
     n = round(total / (2.0 * math.pi))
     if abs(total / (2.0 * math.pi) - n) > 0.25:
@@ -260,7 +254,7 @@ _DAMPING = 0.5 ** np.arange(1, 11)   # t = 1/2 ... 1/1024, tried after a rejecte
 _MAX_STEPS = 100
 _FAILURES = {1: "vanishing derivative at k = {k}",
              2: "stuck at residual floor |f| = {f} near k = {k}",
-             3: "no convergence after 100 damped steps from {k0}"}
+             3: f"no convergence after {_MAX_STEPS} damped steps from {{k0}}"}
 
 
 def refine(p: GpiParams, ch: Channel, k0):

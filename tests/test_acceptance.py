@@ -186,7 +186,7 @@ def test_criterion_08_conversion_oracle():
         for data in eq1_basis(p):
             worst_res = max(worst_res, boundary_residual(u, data))
         assert classify_unitary(u) is classify(p)
-        if not is_separated(p, tol=1e-6):
+        if not is_separated(p):
             t = to_transfer(p)
             worst_det = max(worst_det, abs(t.a * t.d - t.b * t.c - 1.0))
     ok = worst_res < 1e-10 and worst_det < 1e-12

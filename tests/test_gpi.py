@@ -127,7 +127,7 @@ class TestToTransfer:
         rng = np.random.default_rng(5)
         for _ in range(300):
             p = random_params(rng, 6.0)
-            if is_separated(p, tol=1e-6):
+            if is_separated(p):
                 continue
             t = to_transfer(p)
             assert abs(t.a * t.d - t.b * t.c - 1.0) < 1e-12
@@ -137,7 +137,7 @@ class TestToTransfer:
         rng = np.random.default_rng(6)
         for _ in range(200):
             p = random_params(rng, 5.0)
-            if is_separated(p, tol=1e-6):
+            if is_separated(p):
                 continue
             t = to_transfer(p)
             for data in eq1_basis(p):

@@ -175,6 +175,32 @@ class TestSubdivide:
         across = first.real if vertical else first.imag
         assert (across == np.array(at)[:, None]).all()
 
+    @pytest.mark.parametrize("fn, region, levels", [
+        (lambda k: det_lambda_balanced(DELTA, CH, k), SearchRegion(4.0, 14.0, -3.0, -0.0005), 3),
+        (lambda k: det_lambda_balanced(DELTA, CH, k), SearchRegion(9.0, 13.0, -6.0, -0.0005), 3),
+        (_zeros_at(*STACKED), SearchRegion(4.0, 6.0, -8.0, -0.1), 1),
+    ], ids=["wide", "tall", "tall-stacked"])
+    def test_short_sides_get_the_greedy_samples(self, fn, region, levels, monkeypatch):
+        # a strip's pieces of its parent's sides are densified as bisecting the longest step would
+        counted = []
+        winding = pf._winding
+
+        def recorded(fn, strip, loop):
+            resolved = winding(fn, strip, loop)
+            counted.append((loop, resolved[0]))
+            return resolved
+
+        loop, count = winding(fn, region, pf._boundary(fn, region))
+        level = [(region, loop, count)]
+        monkeypatch.setattr(pf, "_winding", recorded)
+        for _ in range(levels):
+            level = [child for cell in level for child in pf._subdivide(fn, *cell)]
+        short = [(loop, resolved) for loop, resolved in counted
+                 if min(np.diff(loop.corners + [loop.zf.shape[1] - 1])) < 8]
+        assert len(short) >= 4
+        for loop, resolved in short:
+            assert resolved.zf[0].tolist() == _resolved(fn, loop)[0]
+
     def test_multi_point_cut_matches_successive_cuts(self):
         fn = lambda k: det_lambda_balanced(DELTA, CH, k)
         region = SearchRegion(4.0, 40.0, -3.0, -0.0005)
@@ -238,6 +264,33 @@ def _depth_first(fn, side):
     return z, deepest
 
 
+def _densify(z):
+    """Reference: bisect a side's longest step, the first on ties, until it has 8 steps."""
+    z = list(z)
+    while len(z) < 9:
+        i = max(range(len(z) - 1), key=lambda j: abs(z[j + 1] - z[j]))
+        z.insert(i + 1, 0.5 * (z[i] + z[i + 1]))
+    return z
+
+
+def _resolved(fn, loop):
+    """Reference: a loop's samples after its count, one point a call.
+
+    Every short side is densified, then every side is bisected depth first.
+    Returns the samples, closed, and the depth of the deepest phase split.
+    """
+    one = lambda k: complex(fn(np.array([k]))[0])
+    z, deepest = [], 0
+    for side in pf._sides(loop):
+        known = dict(zip(*side.tolist()))
+        dense = _densify(side[0].tolist())
+        values = [known[w] if w in known else one(w) for w in dense]
+        samples, depth = _depth_first(one, np.array([dense, values]))
+        z += samples[:-1]
+        deepest = max(deepest, depth)
+    return z + [loop.zf[0, 0]], deepest
+
+
 class TestResolve:
     """Wide steps are bisected in rounds, one det lambda call for the whole loop."""
 
@@ -271,6 +324,34 @@ class TestResolve:
         assert rounds >= 3
         assert len(calls) == rounds   # one call per round, every side in it
 
+    def test_short_sides_share_the_rounds(self):
+        # sides of 1, 3 and 5 steps; the left side, sampled afresh, passes 1e-3 from a zero
+        calls = []
+        zero = _zeros_at(complex(1.0 - 1e-3, -0.77))
+
+        def fn(k):
+            calls.append(np.array(k))
+            return zero(k)
+
+        region = SearchRegion(1.0, 2.0, -1.0, -0.5)
+        c = region.corners()
+        sides = [[c[0], c[1]],
+                 [c[1], 2.0 - 0.95j, 2.0 - 0.75j, c[2]],   # steps 0.05, 0.2 and 0.25
+                 [c[2] + (c[3] - c[2]) * j / 5 for j in range(5)] + [c[3]]]
+        loop = pf._close([np.array([z, fn(np.array(z))]) for z in sides]
+                         + pf._sample(fn, [(c[3], c[0])]))
+        want, deepest = _resolved(fn, loop)
+        del calls[:]
+        resolved, count = pf._winding(fn, region, loop)
+        assert count == 0
+        assert resolved.zf[0].tolist() == want
+        assert 2.0 - 0.975j not in want   # the 0.05 step is under half the longest
+        # densifying shares the first round's call with the wide steps of the left side
+        first = calls[0].tolist()
+        assert {1.5 - 1.0j, 2.0 - 0.85j, 2.0 - 0.625j} <= set(first)
+        assert any(k.real == 1.0 for k in first)
+        assert len(calls) == max(3, deepest)   # a one-step side takes three rounds
+
     def test_midpoint_under_the_floor_raises(self):
         # a zero exactly at the midpoint of a bottom-edge step
         region = SearchRegion(1.0, 2.0, -1.0, -0.5)
@@ -282,14 +363,14 @@ class TestResolve:
             pf._winding(fn, region, loop)
 
     def test_exact_zero_on_a_short_edge_raises(self):
-        # densifying a two-sample side puts a sample on the zero of f
+        # the first round bisects the one step of a two-sample side, on the zero of f
         k0 = complex(1.5, -1.0)
         fn = lambda k: k - k0
         region = SearchRegion(1.0, 2.0, -1.0, -0.5)
         c = region.corners()
         short = np.array([c[:2], [fn(c[0]), fn(c[1])]])
         others = pf._sample(fn, [(c[i], c[(i + 1) % 4]) for i in (1, 2, 3)])
-        with pytest.raises(BoundaryZero):
+        with pytest.raises(BoundaryZero, match="below the floor"):
             pf._winding(fn, region, pf._close([short] + others))
 
     def test_sign_jump_hits_the_depth_cap(self):
@@ -380,8 +461,17 @@ class TestRefine:
         assert residual < 1e-10
 
     def test_no_zero_means_no_convergence(self):
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence, match="no convergence after 100 damped steps"):
             refine(FREE, CH, 3.0 - 1.0j)
+
+    def test_flat_function_has_a_vanishing_derivative(self, monkeypatch):
+        monkeypatch.setattr(pf, "det_lambda_balanced", lambda p, ch, k: np.ones_like(k))
+        with pytest.raises(NonConvergence, match="vanishing derivative"):
+            refine(DELTA, CH, 3.0 - 0.1j)
+
+    def test_seed_next_to_the_origin_is_stuck(self):
+        with pytest.raises(NonConvergence, match="stuck at residual floor"):
+            refine(DELTA, CH, 1e-3 - 1e-3j)
 
     def test_rejects_zero_seed(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ import pytest
 import winterres
 from winterres import (Channel, GpiClass, GpiParams, Resonance, compare, find_poles,
                        index_poles)
-from winterres.cli import _FLAG_KEYS, build_parser, main
+from winterres.cli import build_parser, main
 from winterres.report import (_CONFIG_KEYS, CSV_COLUMNS, config_from_dict, embedded_rows,
                               format_complex, parse_complex, read_csv,
                               write_csv, write_pole_svg)
@@ -165,18 +165,35 @@ class TestConfig:
 
 class TestFlagAudit:
     def test_every_flag_reaches_the_config(self):
-        # a flag that is parsed and then ignored fails here
+        # a flag that is parsed and then ignored fails here: its dest is its key in the schema
+        keys = {key for block in _CONFIG_KEYS.values() for key in block}
         subparsers = next(action for action in build_parser()._actions
                           if isinstance(action, argparse._SubParsersAction))
         assert set(subparsers.choices) == {"classify", "poles", "compare"}
         for name, sub in subparsers.choices.items():
             for action in sub._actions:
-                if action.dest in _FLAG_KEYS:
-                    block, key = _FLAG_KEYS[action.dest]
-                    assert key in _CONFIG_KEYS[block], (name, action.option_strings)
-                else:
+                if action.dest not in keys:
                     assert action.option_strings in (["--config"], ["--interaction"],
                                                      ["-h", "--help"]), (name, action.dest)
+
+
+class TestParserCache:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_a_row_match_calls_alone(self, tmp_path, capsys):
+        # no flag of one call leaks into the next through the shared parser
+        runs = [["poles", "--alpha", "50", "--re-max", "12", "--im-min", "-2", "--table",
+                 "--csv", str(tmp_path / "poles.csv")],
+                ["classify", "--radius", "0"],
+                ["poles", "--re-max", "10"]]
+        alone = []
+        for argv in runs:
+            build_parser.cache_clear()
+            alone.append((main(argv), capsys.readouterr()))
+        assert [code for code, _ in alone] == [0, 2, 0]
+        assert alone[2][1].out == "no poles in the window\n"
+        assert [(main(argv), capsys.readouterr()) for argv in runs] == alone
 
 
 class TestCliClassify:
