@@ -11,38 +11,22 @@ resonance inside the requested window can be silently missed.  The poles
 line up along Re k about pi/R apart, so a long window is cut once into
 strips of about two zeros each.
 
-A cell's boundary is one closed loop of (z, f) samples, counterclockwise
-from its lower left corner back to it, with the indices of its four corners.
-The phase f turns through from each sample to the next is taken from the
-values whenever a count needs it, and any step of pi/2 or more is bisected,
-which pins the total to the correct multiple of 2 pi as long as no zero sits
-on the boundary itself.  Boundary hits are detected by a magnitude floor
-relative to the median sample and raise BoundaryZero: a count always answers
-for exactly the rectangle it was given.
+A cell's boundary is one closed loop of (z, f) samples; a step through which
+f turns by pi/2 or more is bisected, which pins the turn to a multiple of 2 pi
+unless a zero sits on the boundary (a floor relative to the median |f| then
+raises BoundaryZero).  A split is one array program for all its strips: the
+cuts (one det lambda call) and the parent's sides cut where they meet them are
+one array of pieces, each bisection round is one call for every piece, a
+strip's count is the sum of its pieces' phases, and the strips' loops are
+views into one array.  So every boundary sample is computed once however deep
+the subdivision goes; a zero on a cut moves every cut.
 
-Each cell on the subdivision stack and in the Newton queue keeps its resolved
-loop, so a split evaluates det lambda only along the new cuts: a strip's loop
-is its pieces of the parent's sides plus the cuts on either side, and every
-boundary sample is computed once however deep the subdivision goes.  A strip
-inherits samples and values only, never phases: its count takes the phase of
-every step afresh, one numpy operation over the loop.  All the cuts of one
-split, end points included, are one array call of det lambda.  Steps of pi/2
-or more are bisected in rounds, each round one array call for the midpoints of
-every such step of the loop; a strip's side that is a short piece of its
-parent's gets the longest of its steps bisected in the same rounds until it
-has 8.  When a zero sits on (or too close to) a cut, subdivision catches
-BoundaryZero and cuts again with every line shifted, so the strips still
-partition the parent.
-
-A cell that holds one or two zeros is not refined when it is found, and a
-two-zero cell is not split: it waits in the queue.  When the stack is empty,
-one ``refine`` call runs Newton in lockstep from one seed per zero of every
-queued cell, read off the contour moments of its loop (see ``_seed``), each
-round one array call of det lambda.  A two-zero cell is solved when both roots
-converge inside it at least _MIN_CELL_FACTOR / R apart (closer pairs are
-clusters) and farther apart than deduplication merges.  Any other outcome
-splits the cell from the loop it was counted on, so its strips' counts add up
-to its own, and the strips go back on the stack; a one-zero cell gets one such
+A strip of one or two zeros is seeded from its contour moments as its split
+is counted and waits in the queue; once the stack is empty, one ``refine``
+call runs Newton from every queued seed in lockstep.  A two-zero cell is
+solved when both roots converge inside it at least _MIN_CELL_FACTOR / R apart
+(closer pairs are clusters) and farther apart than deduplication merges.  Any
+other outcome splits the cell from its loop; a one-zero cell gets one such
 pass, and a two-zero cell's children still get theirs.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
@@ -52,9 +36,9 @@ pole lists.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, replace
-from itertools import accumulate
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -126,116 +110,210 @@ class SearchRegion:
 
 
 class _Loop(NamedTuple):
-    """A cell's boundary once around, counterclockwise from its lower left corner.
-
-    ``zf`` holds the samples z in its first row and det lambda at them in
-    its second, the first sample repeated at the end.  ``corners`` are the
-    column indices of the four corners; the first is 0.
-    """
+    """A cell's closed boundary from its lower left corner, z over f, and its corners' columns."""
 
     zf: np.ndarray
     corners: list
 
 
-def _sample(fn, segments) -> list[np.ndarray]:
-    """Freshly sampled sides, one from a to b for each (a, b): one det lambda call for all.
+def _runs(base, step, length) -> np.ndarray:
+    """Indices laid end to end: length[i] of them from base[i] on, step[i] apart."""
+    ends = length.cumsum()
+    out = np.arange(ends[-1], dtype=np.int32)
+    out -= (ends - length).repeat(length)
+    out *= step.repeat(length)
+    out += base.repeat(length)
+    return out
 
-    Each side is a 2 x n array of z over f, both end points included.  The
-    spacing stays below 0.4, which keeps the e^{+-ikR} factors from turning
-    far between samples.
+
+def _take(parts, col) -> np.ndarray:
+    """Columns col of the arrays parts side by side, without joining them."""
+    out, start = parts[0].take(col, axis=1, mode="clip"), parts[0].shape[1]
+    for part in parts[1:]:
+        inside = (col >= start) & (col < start + part.shape[1])
+        out[:, inside] = part[:, col[inside] - start]
+        start += part.shape[1]
+    return out
+
+
+def _sample(fn, segments) -> tuple[np.ndarray, np.ndarray]:
+    """Sides a to b for each (a, b), z over f end to end, and their offsets: one det lambda call.
+
+    A side has both ends and n >= 8 steps below 0.4; sample j is
+    a + (b - a) * j / n, taken part by part as Python does.
     """
-    zs = []
-    for a, b in segments:
-        n = max(8, int(abs(b - a) / 0.4) + 1)
-        zs.append([a] + [a + (b - a) * j / n for j in range(1, n)] + [b])
-    z = np.array([w for side in zs for w in side])
-    return np.split(np.array([z, fn(z)]), np.cumsum([len(side) for side in zs[:-1]]), axis=1)
+    ab = np.array(segments)
+    n = np.maximum(8, (abs(ab[:, 1] - ab[:, 0]) / 0.4).astype(int) + 1)
+    starts = np.concatenate([[0], (n + 1).cumsum()])
+    side = np.arange(n.size).repeat(n + 1)
+    parts = ab.view(float)   # rows (Re a, Im a, Re b, Im b)
+    z = (parts[side, :2] + (parts[:, 2:] - parts[:, :2])[side]
+         * (np.arange(side.size) - starts[side])[:, None] / n[side, None]).view(complex)[:, 0]
+    z[starts[1:] - 1] = ab[:, 1]
+    return np.array([z, fn(z)]), starts
 
 
-def _close(sides) -> _Loop:
-    """The loop through four sides (bottom, right, top, left), each starting where the last ends."""
-    zf = np.concatenate([side[:, :-1] for side in sides] + [sides[0][:, :1]], axis=1)
-    return _Loop(zf, list(accumulate((side.shape[1] - 1 for side in sides[:3]), initial=0)))
+@functools.lru_cache(maxsize=64)
+def _layout(m: int, turn: int):
+    """(piece, back, sign, owner) of m strips split across ``_subdivide``'s side `along`.
 
-
-def _sides(loop: _Loop) -> list[np.ndarray]:
-    """The loop's four sides (bottom, right, top, left), each with both its corners."""
-    ends = loop.corners + [loop.zf.shape[1] - 1]
-    return [loop.zf[:, a:b + 1] for a, b in zip(ends, ends[1:])]
-
-
-def _boundary(fn, region: SearchRegion) -> _Loop:
-    """The region's boundary loop, freshly sampled."""
-    corners = region.corners()
-    return _close(_sample(fn, [(corners[i], corners[(i + 1) % 4]) for i in range(4)]))
-
-
-def _insert(fn, loop: _Loop, steps: np.ndarray, z: np.ndarray, floor: float) -> _Loop:
-    """The loop with the samples z added, z[i] inside step steps[i], both in loop order.
-
-    The one way a count adds samples to a loop: each round of _winding
-    calls it once.  The new values take one det lambda call, and one at
-    or under the floor raises BoundaryZero: no phase can be taken through
-    it.
+    From side `turn` on, strip j runs along piece j, the cut after it (m + j)
+    or `last` (2m - 1), piece 3m - 1 - j of `across`, and the cut before it
+    back (sign -1) or `first` (3m); owner[i] walks piece i as it runs.
     """
-    f = fn(z)
-    low = np.flatnonzero(np.abs(f) <= floor)
-    if low.size:
-        raise BoundaryZero(f"|det lambda| below the floor at {z[low[0]]}")
-    n, m = loop.zf.shape[1], steps.size
-    at = steps + np.arange(1, m + 1)   # the columns of the new samples
-    old = np.ones(n + m, bool)
-    old[at] = False
-    zf = np.empty((2, n + m), complex)
-    zf[:, old], zf[0, at], zf[1, at] = loop.zf, z, f
-    return _Loop(zf, (loop.corners + np.searchsorted(steps, loop.corners)).tolist())
+    s, piece, back = np.arange(m), np.empty((m, 4), int), np.zeros((m, 4), bool)
+    piece[:, turn], piece[:, turn + 1], piece[:, (turn + 2) % 4] = s, m + s, 3 * m - 1 - s
+    piece[:, (turn + 3) % 4], back[1:, (turn + 3) % 4] = m - 1 + s, True
+    piece[-1, turn + 1], piece[0, (turn + 3) % 4] = 2 * m - 1, 3 * m
+    return piece, back, 1 - 2 * back, (~back).nonzero()[0][np.argsort(piece[~back])]
 
 
-def _winding(fn, region: SearchRegion, loop: _Loop) -> tuple[_Loop, int]:
-    """Winding number of fn along the region's boundary loop (exact integer).
+def _boundary(fn, region: SearchRegion):
+    """The region's boundary, freshly sampled and counted: (region, loop, count, seeds)."""
+    c = region.corners()
+    zf, starts = _sample(fn, list(zip(c, c[1:] + c[:1])))
+    return _strips([region], *_resolve(fn, [region], [zf], np.arange(starts[-1]), starts,
+                                       _layout(1, 0)))[0]
 
-    Returns the resolved loop with the count.  Each round takes the phase
-    of every step and bisects those of pi/2 or more, all in one det lambda
-    call.  A split depends only on its step's end values, so the rounds
-    insert the samples that bisecting each wide step depth first would.
-    A side of n < 8 steps (a short piece of a parent's side) also has
-    bisected, in the same rounds, its 8 - n longest steps (first on ties)
-    among those at least half its longest, until it has 8 steps.  These
-    are the samples that bisecting its longest step one at a time adds,
-    except that a step as long as half a longer one is taken with it,
-    where one at a time leaves that choice to rounding.  Raises BoundaryZero
-    when a sample of the given loop falls under 1e-8 times their median,
-    a new one at or under that floor, or a step is still wide after
-    _MAX_PHASE_DEPTH rounds, all of which signal a zero on or very near
-    the contour.
+
+def _resolve(fn, regions, parts: list, runs: np.ndarray, starts: np.ndarray, layout):
+    """Count the zeros of fn in each strip of ``regions``: the rest of ``_strips``'s arguments.
+
+    The pieces are columns ``runs`` of ``parts`` (z over f) side by side,
+    piece i from starts[i] to starts[i + 1] - 1; ``layout`` says which bound
+    each strip.  A count is the sum of its pieces' phases (see ``_rounds``).
     """
-    mag = np.sort(np.abs(loop.zf[1, :-1]))
-    med = mag[mag.size // 2]
-    floor = _FLOOR_REL * med
-    if med == 0.0 or mag[0] < floor:
-        raise BoundaryZero(f"zero of det lambda on the boundary of {region}")
+    piece, back, sign, _ = layout
+    total, new = _rounds(fn, regions, _take(parts, runs), starts, layout)
+    total = (total[piece] * sign).sum(axis=1) / (2.0 * math.pi)
+    counts = np.rint(total)
+    if (abs(total - counts) > 0.25).any():
+        raise WinterresError(f"winding sums {2 * math.pi * total} failed to close to integers")
+    # column c of the resolved pieces is column col[c] of the parts and the new samples
+    col, zm, fm = runs, [], []
+    if new:
+        zm, fm, slot = (np.concatenate(part) for part in zip(*new))
+        slot = slot.astype(int)   # the new samples in order along each step:
+        order = np.lexsort((abs(zm - _take(parts, runs[slot])[0]), slot))
+        slot, col, at = slot[order], np.empty(runs.size + zm.size, np.int32), np.arange(runs.size)
+        at += slot.searchsorted(at)
+        col[at] = runs
+        col[slot + np.arange(1, slot.size + 1)] = sum(part.shape[1] for part in parts) + order
+        starts = starts + slot.searchsorted(starts)
+    parts = parts + [np.array([zm, fm])]
+    # a loop: its sides without their last samples, but the left one back to the start
+    length = (starts[1:] - starts[:-1] - 1)[piece] + [0, 0, 0, 1]
+    offsets = np.concatenate([[0], length.sum(axis=1).cumsum()])
+    loops, first = np.empty((2, offsets[-1]), complex), (starts[piece + back] - back).ravel()
+    for lo in range(0, len(regions), 64):   # 64 loops at a time bound the memory
+        s = slice(4 * lo, 4 * lo + 256)
+        loops[:, offsets[lo]:offsets[min(lo + 64, len(regions))]] = _take(
+            parts, col[_runs(first[s], sign.ravel()[s], length.ravel()[s])])
+    return loops, offsets.tolist(), length[:, :3].cumsum(1).tolist(), counts.astype(int).tolist()
+
+
+def _rounds(fn, regions, zf: np.ndarray, starts: np.ndarray, layout):
+    """The phase each piece turns through, and per round its new samples (z, f, step of zf).
+
+    A round bisects, in one det lambda call for all, the steps of pi/2 or
+    more and a piece of n < 8 steps' 8 - n longest (first on ties) at least
+    half its longest, as bisecting each depth first would.  Raises
+    BoundaryZero for a given sample under 1e-8 times its strip's median
+    (taken only if within 1e-8 of its largest), a new one at or under that
+    floor of the strip walking its piece as it runs, or a step still wide.
+    """
+    piece, _, _, owner = layout
+    count, heads, mag = starts.size - 1, starts[:-1], abs(zf[1])
+    floor = _FLOOR_REL * np.maximum.reduceat(mag, heads)[piece].max(axis=1)   # a bound till exact
+    least, exact = np.minimum.reduceat(mag, heads)[piece].min(axis=1), np.zeros(floor.size, bool)
+    del mag
+
+    def median_floor(strips):
+        for s in strips[~exact[strips]]:
+            f = np.sort(abs(np.concatenate([zf[1, starts[i]:starts[i + 1] - 1] for i in piece[s]])))
+            floor[s], exact[s] = _FLOOR_REL * f[f.size // 2], True
+            if f[f.size // 2] == 0.0 or f[0] < floor[s]:
+                raise BoundaryZero(f"zero of det lambda on the boundary of {regions[s]}")
+
+    median_floor((least <= floor).nonzero()[0])
+    # the steps to look at, every one at first: their ends z, f, z, f and their step of zf
+    ends = (zf[0, :-1], zf[1, :-1], zf[0, 1:], zf[1, 1:])
+    slot = np.arange(zf.shape[1] - 1, dtype=np.int32)
+    steps = np.concatenate([starts[1:] - heads - 1, [8]])   # of each piece, and between them
+    short, total, new = steps.min() < 8, np.zeros(count + 1), []
     for depth in range(_MAX_PHASE_DEPTH + 1):
-        z, f = loop.zf
-        phase = np.angle(f[1:] / f[:-1])
-        marked = np.abs(phase) >= 0.5 * math.pi
-        ends = loop.corners + [z.size - 1]
-        for a, b in zip(ends, ends[1:]):
-            if b - a < 8:   # short: the 8 - n longest of its steps at least half its longest
-                gap = np.abs(np.diff(z[a:b + 1]))
-                top = np.argsort(-gap, kind="stable")[:8 - (b - a)]
-                marked[a + top[gap[top] >= 0.4999995 * gap.max()]] = True
-        split = np.flatnonzero(marked)
+        za, fa, zb, fb = ends
+        at = starts.searchsorted(slot, "right")
+        at -= 1
+        phase = np.angle(fb / fa)
+        if not depth:
+            at[heads[1:] - 1], phase[heads[1:] - 1] = count, 0.0
+        marked, stay = abs(phase) >= 0.5 * math.pi, at[:0]
+        if short:   # every step of a short piece is looked at
+            s = (steps[at] < 8).nonzero()[0]
+            gap = abs(zb[s] - za[s])
+            order = np.lexsort((abs(za[s] - zf[0, slot[s]]), slot[s], -gap, at[s]))
+            group, gap = at[s][order], gap[order]
+            first = group.searchsorted(group)
+            marked[s[order[(np.arange(s.size) - first < 8 - steps[group])
+                           & (gap >= 0.4999995 * gap[first])]]] = True
+            steps += np.bincount(at[marked], minlength=count + 1)
+            stay, short = (~marked & (steps[at] < 8)).nonzero()[0], steps.min() < 8
+        split = marked.nonzero()[0]
+        phase[split] = phase[stay] = 0.0   # looked at again
+        total += np.bincount(at, phase, count + 1)
         if not split.size:
-            break
+            return total, new
         if depth == _MAX_PHASE_DEPTH:
-            s = split[0]
-            raise BoundaryZero(f"phase increment from {z[s]} to {z[s + 1]} cannot be resolved")
-        loop = _insert(fn, loop, split, 0.5 * (z[split] + z[split + 1]), floor)
-    total = float(phase.sum())
-    n = round(total / (2.0 * math.pi))
-    if abs(total / (2.0 * math.pi) - n) > 0.25:
-        raise WinterresError(f"winding sum {total!r} failed to close to an integer")
-    return loop, n
+            raise BoundaryZero(f"phase increment from {za[split[0]]} to {zb[split[0]]} "
+                               "cannot be resolved")
+        zm = 0.5 * (za[split] + zb[split])
+        fm = fn(zm)
+        bound = owner[at[split]]
+        if abs(fm).min() <= floor.max() and (abs(fm) <= floor[bound]).any():
+            median_floor(bound[abs(fm) <= floor[bound]])
+            low = abs(fm) <= floor[bound]
+            if low.any():
+                raise BoundaryZero(f"|det lambda| below the floor at {zm[low.argmax()]}")
+        new.append((zm, fm, slot[split]))
+        # next: the halves of each split step, then the steps of short pieces kept
+        n, k = split.size, np.concatenate([split, split, stay])
+        ends = ends[:, k] if depth else np.concatenate([zf[:, k], zf[:, k + 1]])
+        slot = slot[k]
+        ends[2, :n], ends[3, :n], ends[0, n:2 * n], ends[1, n:2 * n] = zm, fm, zm, fm
+
+
+def _strips(regions, loops: np.ndarray, offsets: list, corners: list, counts: list):
+    """[(region, loop, count, seeds)] of counted strips, each loop a view into ``loops``.
+
+    A strip of one or two zeros is seeded from its moments s_p, the sums of
+    (z_mid - c)^p ln(f_{i+1} / f_i) / 2 pi i over its loop's steps, c its
+    centroid (Delves & Lyness, Math. Comp. 21, 1967): c + s_1, or c + w for
+    both roots of w^2 - s_1 w + (s_1^2 - s_2)/2 (Kravanja & Van Barel, LNM
+    1727, 2000).  A seed over _SEED_SLOP diagonals outside gives way to c.
+    """
+    seeds = [[] for _ in counts]
+    for lo in range(0, len(counts), 64):   # 64 loops at a time bound the memory
+        seeded = [s for s in range(lo, min(lo + 64, len(counts))) if counts[s] in (1, 2)]
+        if seeded:
+            o = offsets[seeded[0]]
+            z, f = loops[:, o:offsets[seeded[-1] + 1]]
+            dlog, mid = f[1:] / f[:-1], z[1:] + z[:-1]
+            np.log(dlog, out=dlog)
+            mid *= 0.5
+        for s in seeded:
+            region, a, b = regions[s], offsets[s] - o, offsets[s + 1] - 1 - o
+            c = 0.5 * complex(region.re_min + region.re_max, region.im_min + region.im_max)
+            w = mid[a:b] - c
+            s1 = np.dot(w, dlog[a:b]) / (2j * math.pi)
+            ks = [complex(c + s1)]
+            if counts[s] == 2:
+                half = cmath.sqrt(2 * complex(np.dot(w * w, dlog[a:b]) / (2j * math.pi)) - s1 * s1)
+                ks = [complex(c + 0.5 * (s1 + half)), complex(c + 0.5 * (s1 - half))]
+            slop = _SEED_SLOP * abs(complex(region.width, region.height))
+            seeds[s] = [k if region.contains(k, slop) else c for k in ks]
+    return [(region, _Loop(loops[:, a:b], [0] + corner), count, ks) for region, a, b, corner,
+            count, ks in zip(regions, offsets, offsets[1:], corners, counts, seeds)]
 
 
 def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
@@ -247,7 +325,7 @@ def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
     if region.re_min < re_floor * (1.0 - 1e-9):
         raise ValueError(f"re_min must stay above the excluded disc {re_floor}")
     fn = lambda k: det_lambda_balanced(p, ch, k)
-    return _winding(fn, region, _boundary(fn, region))[1]
+    return _boundary(fn, region)[2]
 
 
 _DAMPING = 0.5 ** np.arange(1, 11)   # t = 1/2 ... 1/1024, tried after a rejected full step
@@ -348,38 +426,6 @@ def refine(p: GpiParams, ch: Channel, k0):
     return complex(root[0]), float(residual[0])
 
 
-def _seed(region: SearchRegion, loop: _Loop, count: int) -> list[complex]:
-    """Newton seeds of a cell that holds one or two zeros: from its contour moments.
-
-    The moments s_p = (1/2 pi i) of the integral of (z - c)^p f'/f dz around
-    the cell, c its centroid, are the power sums of its zeros measured from
-    c (Delves & Lyness, Math. Comp. 21, 1967).  Each is summed as
-    (z_mid - c)^p ln(f_{i+1} / f_i) over the steps of the resolved loop: the
-    samples a count already made, and no det lambda call.  Every resolved
-    step turns by less than pi/2, so the principal logarithm is the change
-    of ln f along it.  One zero is c + s_1.  Two zeros c + w solve
-    w^2 - s_1 w + (s_1^2 - s_2)/2 = 0, whose roots are the eigenvalues of
-    the 2 x 2 Hankel pencil of the moments (Kravanja & Van Barel, LNM 1727,
-    2000).  A seed farther outside the cell than _SEED_SLOP of its diagonal
-    gives way to the centroid.  (A zero that hugs an edge can have its
-    moment just outside; the centroid would start Newton far from it.)
-    """
-    centroid = complex(0.5 * (region.re_min + region.re_max),
-                       0.5 * (region.im_min + region.im_max))
-    z, f = loop.zf
-    dlog = np.log(f[1:] / f[:-1])
-    w = 0.5 * (z[1:] + z[:-1]) - centroid
-    s1 = np.dot(w, dlog) / (2j * math.pi)
-    if count == 1:
-        seeds = [complex(centroid + s1)]
-    else:
-        half_gap = cmath.sqrt(2.0 * complex(np.dot(w * w, dlog) / (2j * math.pi)) - s1 * s1)
-        seeds = [complex(centroid + 0.5 * (s1 + half_gap)),
-                 complex(centroid + 0.5 * (s1 - half_gap))]
-    slop = _SEED_SLOP * abs(complex(region.width, region.height))
-    return [seed if region.contains(seed, slop) else centroid for seed in seeds]
-
-
 def default_im_min(re_max: float, radius: float) -> float:
     """Search floor deep enough for the logarithmic descent of delta poles."""
     return -(math.log(re_max * radius) + 5.0) / radius
@@ -398,13 +444,12 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     search then raises BoundaryZero, as
     ``find_poles(GpiParams(4, 1, 0), Channel(0, 1.0), 20.0)`` does.
 
-    The window is cut into strips, and a cell of c > 2 zeros into
-    max(2, c // 2) strips again, until every cell holds one or two zeros
-    (see ``_subdivide``).  Newton runs from the contour-moment seeds of those
-    cells; a cell whose roots are rejected is split in two from the loop it
-    was counted on.  A two-zero cell's roots must both converge inside it, at
-    least max(1e-6/R, 1e-8 |k|) apart, so a double zero raises
-    ClusteredZeros or BoundaryZero and never comes back as two poles.
+    A cell of c > 2 zeros is cut into max(2, c // 2) strips (see
+    ``_subdivide``) until every cell holds one or two, and Newton runs from
+    their moment seeds; a cell whose roots are rejected is split from its
+    loop.  A two-zero cell's roots must both converge inside it, at least
+    max(1e-6/R, 1e-8 |k|) apart, so a double zero raises ClusteredZeros or
+    BoundaryZero and never comes back as two poles.
 
     The returned list is sorted by Re k, deduplicated, every pole carries
     |det lambda| < 1e-9, and its length equals the top-level winding count.
@@ -421,33 +466,33 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
         raise ValueError(f"im_min must lie below {im_top}")
     top = SearchRegion(re_floor, re_max, im_min, im_top)
     fn = lambda k: det_lambda_balanced(p, ch, k)
-    loop, total = _winding(fn, top, _boundary(fn, top))
+    window = _boundary(fn, top)
+    total = window[2]
 
     min_cell = _MIN_CELL_FACTOR / ch.radius
     found: list[tuple[complex, float]] = []
-    stack = [(top, loop, total, 0, False)] if total else []
+    stack = [window + (0, False)] if total else []
 
-    def split(region, loop, count, depth, resplit):
+    def split(region, loop, count, seeds, depth, resplit):
         """Push the strips of a cell with `count` zeros, unless it is a cluster."""
         if count > 1 and min(region.width, region.height) < min_cell:
             raise ClusteredZeros(f"{count} zeros in cell {region} below the size floor")
         if count > 1 and depth >= _MAX_TREE_DEPTH:
             raise ClusteredZeros(f"subdivision depth cap at {region}")
-        stack.extend((r, e, c, depth + 1, resplit)
-                     for r, e, c in _subdivide(fn, region, loop, count) if c)
+        stack.extend(cell + (depth + 1, resplit)
+                     for cell in _subdivide(fn, region, loop, count) if cell[2])
 
     while stack:
-        queue = []   # cells (region, loop, count, depth, resplit) of one or two zeros
+        queue = []   # cells (region, loop, count, seeds, depth, resplit) of one or two zeros
         while stack:
             cell = stack.pop()
             if cell[2] <= 2:
                 queue.append(cell)
             else:
                 split(*cell)
-        seeds = [k for region, loop, count, _, _ in queue for k in _seed(region, loop, count)]
-        roots, residuals = refine(p, ch, np.array(seeds))
+        roots, residuals = refine(p, ch, np.array([k for cell in queue for k in cell[3]]))
         results = iter(zip(roots.tolist(), residuals.tolist()))
-        for region, loop, count, depth, resplit in queue:
+        for region, loop, count, seeds, depth, resplit in queue:
             cell = [next(results) for _ in range(count)]
             # a pair closer than min_cell is a cluster, and one that dedupe would merge is lost
             if (all(region.contains(k_root, slop=1e-9 * max(1.0, abs(k_root)))
@@ -458,7 +503,7 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
             elif resplit:
                 raise NonConvergence(f"could not pin the single zero of {region}")
             else:   # a one-zero cell's one re-split pass; a two-zero cell leaves its children theirs
-                split(region, loop, count, depth, count == 1)
+                split(region, loop, count, seeds, depth, count == 1)
 
     found.sort(key=lambda item: (item[0].real, item[0].imag))
     merged: list[tuple[complex, float]] = []
@@ -478,72 +523,67 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
             for i, (k_root, residual) in enumerate(merged)]
 
 
-def _cut(side: np.ndarray, points: np.ndarray, key) -> list[np.ndarray]:
-    """Split a resolved side at points (2 x p, z over f) that lie on it, in the order it runs.
+def _cut(base, length, first: int, keys: np.ndarray, at: np.ndarray, points: np.ndarray):
+    """Write into base and length (m x 3) the runs of a side's pieces between cut points.
 
-    key(z) never decreases along the side.  A sample at a point gives way
-    to it.  Returns p + 1 pieces, each with its end points.
+    The side is columns first, first + 1, ... of nondecreasing keys; a piece is
+    the point before it, its columns and the point after it.  A sample at a
+    point (key in ``at``, column in ``points``) gives way to it.
     """
-    keys, at = key(side[0]), key(points[0])
-    starts = [0] + np.searchsorted(keys, at, "right").tolist()
-    stops = np.searchsorted(keys, at, "left").tolist() + [keys.size]
-    return [np.concatenate([points[:, max(j - 1, 0):j], side[:, a:b], points[:, j:j + 1]], axis=1)
-            for j, (a, b) in enumerate(zip(starts, stops))]
+    lo, hi = keys.searchsorted(at), keys.searchsorted(at, "right")
+    base[1:, 0] = base[:-1, 2] = points
+    length[1:, 0] = length[:-1, 2] = 1
+    base[0, 1], base[1:, 1] = first, first + hi
+    length[:-1, 1], length[-1, 1] = lo, keys.size
+    length[1:, 1] -= hi
 
 
 def _subdivide(fn, region: SearchRegion, loop: _Loop, count: int):
-    """Cut a rectangle into strips whose counts add up to the parent's.
+    """Cut a rectangle into strips whose counts add up to the parent's, from its loop.
 
-    ``loop`` is the parent's resolved boundary.  The cuts run across the
-    longer side and make m = max(2, count // 2) equal strips, so a strip
-    holds two zeros on average; all m - 1 cuts are sampled in one det lambda
-    call.  The strips are counted left to right (or bottom to top): each
-    one's loop is its pieces of the parent's sides, the cut after it, and
-    the cut before it, which its neighbour has resolved and it walks the
-    other way.  Only samples and values pass down, so every check of a
-    fresh count still applies to each strip.  When a zero sits on (or too
-    close to) a cut, or the counts do not add up, every cut is shifted by
-    2 (frac - 0.5) / m of the side for the next of _SPLIT_FRACTIONS.  With
-    m = 2 the cut lies at frac itself.  Returns [(strip, resolved loop,
-    count)] for every strip.
+    The cuts (one det lambda call) run across the longer side into
+    m = max(2, count // 2) equal strips; with the parent's sides cut at
+    their ends they are the pieces ``_resolve`` counts and ``_strips``
+    seeds.  When a zero sits on (or near) a cut, or the counts do not add
+    up, every cut moves 2 (frac - 0.5) / m of the side for the next of
+    _SPLIT_FRACTIONS.  Returns ``_strips`` left to right (or up).
     """
-    vertical = region.width >= region.height
-    m = max(2, count // 2)
-    # the parent's sides turned so that the cuts run like the second one:
-    # (bottom, right, top, left) for vertical cuts, (right, top, left, bottom)
-    # for horizontal ones
+    vertical, m = region.width >= region.height, max(2, count // 2)
+    # the parent's sides turned so that the cuts run like the second, as columns of its loop
     turn = 0 if vertical else 1
-    sides = _sides(loop)
-    along, last, across, first = sides[turn:] + sides[:turn]
-    if vertical:
-        start, end, span, key = region.re_min, region.re_max, region.width, np.real
-    else:
-        start, end, span, key = region.im_min, region.im_max, region.height, np.imag
+    ends = list(loop.corners) + [loop.zf.shape[1] - 1]
+    along, last, across, first = [(ends[i % 4], ends[i % 4 + 1]) for i in range(turn, turn + 4)]
+    start, end = (region.re_min, region.re_max) if vertical else (region.im_min, region.im_max)
+    z = loop.zf[0].real if vertical else loop.zf[0].imag
+    along_keys, across_keys = z[along[0]:along[1] + 1], -z[across[0]:across[1] + 1]
     for frac in _SPLIT_FRACTIONS:
-        at = [start + ((j + 2.0 * frac - 1.0) / m) * span for j in range(1, m)]
+        at = [start + ((j + 2.0 * frac - 1.0) / m) * (end - start) for j in range(1, m)]
         bounds = zip([start] + at, at + [end])
-        if vertical:  # cuts parallel to the imaginary axis, sampled upwards
-            strips = [replace(region, re_min=lo, re_max=hi) for lo, hi in bounds]
-            cuts = _sample(fn, [(complex(x, region.im_min), complex(x, region.im_max))
-                                for x in at])
+        if vertical:  # cuts parallel to the imaginary axis, sampled and walked upwards
+            strips = [SearchRegion(lo, hi, region.im_min, region.im_max) for lo, hi in bounds]
+            lines = [(complex(x, region.im_min), complex(x, region.im_max)) for x in at]
         else:         # cuts parallel to the real axis, sampled rightwards and walked leftwards
-            strips = [replace(region, im_min=lo, im_max=hi) for lo, hi in bounds]
-            cuts = [cut[:, ::-1] for cut in _sample(
-                fn, [(complex(region.re_min, y), complex(region.re_max, y)) for y in at])]
-        pieces = zip(_cut(along, np.stack([cut[:, 0] for cut in cuts], axis=1), key),
-                     cuts + [last],
-                     _cut(across, np.stack([cut[:, -1] for cut in cuts[::-1]], axis=1),
-                          lambda z: -key(z))[::-1])
-        out, before = [], first
+            strips = [SearchRegion(region.re_min, region.re_max, lo, hi) for lo, hi in bounds]
+            lines = [(complex(region.re_min, y), complex(region.re_max, y)) for y in at]
+        cuts, offsets = _sample(fn, lines)
+        # the cuts' ends on `along` and on `across`: columns past the loop's
+        head, tail = loop.zf.shape[1] + offsets[:-1], loop.zf.shape[1] + offsets[1:] - 1
+        head, tail = (head, tail) if vertical else (tail, head)
+        at = np.array(at)
+        # three runs (base, step, length) a piece: `along`'s, the cuts, `last`, `across`'s, `first`
+        base, step, length = (np.full((3 * m + 1, 3), v) for v in (0, 1, 0))
+        _cut(base[:m], length[:m], along[0], along_keys, at, head)
+        _cut(base[2 * m:3 * m], length[2 * m:3 * m], across[0], across_keys, -at[::-1], tail[::-1])
+        base[m:2 * m - 1, 1], base[2 * m - 1, 1], base[3 * m, 1] = head, last[0], first[0]
+        length[m:2 * m - 1, 1], step[m:2 * m - 1, 1] = offsets[1:] - offsets[:-1], 1 - 2 * turn
+        length[2 * m - 1, 1], length[3 * m, 1] = last[1] - last[0] + 1, first[1] - first[0] + 1
+        starts = np.concatenate([[0], length.sum(axis=1).cumsum()])
         try:
-            for strip, (a, cut, b) in zip(strips, pieces):
-                turned = [a, cut, b, before]   # turned back into loop order below
-                strip_loop, c = _winding(fn, strip, _close(turned[4 - turn:] + turned[:4 - turn]))
-                before = _sides(strip_loop)[1 + turn][:, ::-1]
-                out.append((strip, strip_loop, c))
+            counted = _resolve(fn, strips, [loop.zf, cuts], _runs(
+                base.ravel(), step.ravel(), length.ravel()), starts, _layout(m, turn))
         except BoundaryZero:
             continue
-        if sum(c for _, _, c in out) == count:
-            return out
+        if sum(counted[3]) == count:
+            return _strips(strips, *counted)
         # counts disagree: a zero slipped between the sampled cut lines
     raise BoundaryZero(f"no clean split line found inside {region}")

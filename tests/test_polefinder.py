@@ -86,6 +86,26 @@ def _assert_carried(child, loop):
     assert (np.abs(_phases(loop.zf)) < 0.5 * math.pi).all()
 
 
+def _sides(loop):
+    """A loop's four sides (bottom, right, top, left), each with both its corners."""
+    ends = list(loop.corners) + [loop.zf.shape[1] - 1]
+    return [loop.zf[:, a:b + 1] for a, b in zip(ends, ends[1:])]
+
+
+def _fresh_sides(fn, region):
+    """A region's four sides, freshly sampled, each with both its corners."""
+    c = region.corners()
+    zf, starts = pf._sample(fn, [(c[i], c[(i + 1) % 4]) for i in range(4)])
+    return np.split(zf, starts[1:-1], axis=1)
+
+
+def _resolve_one(fn, region, sides):
+    """The (region, loop, count, seeds) of a region counted from its four given sides."""
+    zf, starts = np.concatenate(sides, axis=1), np.cumsum([0] + [side.shape[1] for side in sides])
+    counted = pf._resolve(fn, [region], [zf], np.arange(zf.shape[1]), starts, pf._layout(1, 0))
+    return pf._strips([region], *counted)[0]
+
+
 def _zeros_at(*zeros):
     """A polynomial with the given simple zeros, evaluated elementwise."""
     return lambda k: np.prod([k - z for z in zeros], axis=0)
@@ -101,6 +121,36 @@ def _cut_once(side, point, key):
             np.concatenate([point, side[:, j:]], axis=1))
 
 
+class TestSample:
+    SEGMENTS = [(3.0 - 2.5j, 3.0 - 0.0005j), (7.3 - 0.0005j, 7.3 - 2.5j),   # vertical
+                (1e-3 - 3.1j, 40.0 - 3.1j), (2000.0 + 0j, 1e-3 + 0j),      # horizontal
+                (4.0 - 1e-7j, 4.7 - 1e-7j), (9.9 - 13.2j, 0.3 - 13.2j)]
+
+    @staticmethod
+    def _python(a, b):
+        """Reference: the side from a to b in Python complex arithmetic."""
+        n = max(8, int(abs(b - a) / 0.4) + 1)
+        return [a] + [a + (b - a) * j / n for j in range(1, n)] + [b]
+
+    def test_points_are_the_python_sum(self):
+        rng = np.random.default_rng(7)
+        segments = list(self.SEGMENTS)
+        for _ in range(200):   # random vertical and horizontal sides
+            a, length = rng.uniform(1e-3, 50.0), rng.uniform(-40.0, 40.0)
+            across = rng.uniform(-20.0, 0.0)
+            if rng.random() < 0.5:
+                segments.append((complex(across + 30, -a), complex(across + 30, -a + length)))
+            else:
+                segments.append((complex(a, across), complex(a + length, across)))
+        zf, starts = pf._sample(lambda k: 2 * k, segments)
+        sides = np.split(zf, starts[1:-1], axis=1)
+        assert len(sides) == len(segments)
+        for side, (a, b) in zip(sides, segments):
+            # bitwise, zero signs included
+            assert side[0].tobytes() == np.array(self._python(a, b)).tobytes()
+            assert side[1].tobytes() == (2 * side[0]).tobytes()
+
+
 class TestSubdivide:
     """Children counted from the cuts alone agree with counts sampled afresh."""
 
@@ -114,7 +164,7 @@ class TestSubdivide:
     def test_child_counts_match_fresh_counts(self, p, l, region):
         ch = Channel(l, 1.0)
         fn = lambda k: det_lambda_balanced(p, ch, k)
-        loop, count = pf._winding(fn, region, pf._boundary(fn, region))
+        _, loop, count, _ = pf._boundary(fn, region)
         assert count == count_zeros(p, ch, region)
         vertical = set()   # orientation of every cut made
         level = [(region, loop, count)]
@@ -123,10 +173,10 @@ class TestSubdivide:
             for parent, loop, count in level:
                 children = pf._subdivide(fn, parent, loop, count)
                 vertical.add(children[0][0].re_max < parent.re_max)
-                for child, child_loop, c in children:
+                for child, child_loop, c, _ in children:
                     _assert_carried(child, child_loop)
                     assert c == count_zeros(p, ch, child)
-                nxt.extend(children)
+                nxt.extend(cell[:3] for cell in children)
             level = nxt
         assert vertical == {True, False}
 
@@ -142,7 +192,7 @@ class TestSubdivide:
             calls.append(k)
             return fn(k)
 
-        loop, got = pf._winding(fn, region, pf._boundary(fn, region))
+        _, loop, got, _ = pf._boundary(fn, region)
         assert got == count
         return pf._subdivide(recorded, region, loop, count), calls
 
@@ -159,15 +209,15 @@ class TestSubdivide:
         lo, hi = ("re_min", "re_max") if vertical else ("im_min", "im_max")
         start, side = getattr(region, lo), getattr(region, hi) - getattr(region, lo)
         at = [start + (j / m) * side for j in range(1, m)]   # frac 0.5: equal strips
-        assert [getattr(s, lo) for s, _, _ in strips] == [getattr(region, lo)] + at
-        assert [getattr(s, hi) for s, _, _ in strips] == at + [getattr(region, hi)]
-        for strip, _, _ in strips:   # the other side is the parent's
+        assert [getattr(s, lo) for s, *_ in strips] == [getattr(region, lo)] + at
+        assert [getattr(s, hi) for s, *_ in strips] == at + [getattr(region, hi)]
+        for strip, *_ in strips:   # the other side is the parent's
             assert ((strip.im_min, strip.im_max) == (region.im_min, region.im_max) if vertical
                     else (strip.re_min, strip.re_max) == (region.re_min, region.re_max))
-        for strip, strip_loop, c in strips:
+        for strip, strip_loop, c, _ in strips:
             _assert_carried(strip, strip_loop)
-            assert c == pf._winding(fn, strip, pf._boundary(fn, strip))[1]
-        assert sum(c for _, _, c in strips) == count
+            assert c == pf._boundary(fn, strip)[2]
+        assert sum(cell[2] for cell in strips) == count
         # the first call samples all m - 1 cuts, each as a freshly sampled edge would be
         span = region.height if vertical else region.width
         per_cut = max(8, int(span / 0.4) + 1) + 1
@@ -182,42 +232,48 @@ class TestSubdivide:
     ], ids=["wide", "tall", "tall-stacked"])
     def test_short_sides_get_the_greedy_samples(self, fn, region, levels, monkeypatch):
         # a strip's pieces of its parent's sides are densified as bisecting the longest step would
-        counted = []
-        winding = pf._winding
+        short, resolve = [], pf._resolve
 
-        def recorded(fn, strip, loop):
-            resolved = winding(fn, strip, loop)
-            counted.append((loop, resolved[0]))
-            return resolved
+        def recorded(fn, strips, parts, runs, starts, layout):
+            zf, out = pf._take(parts, runs), resolve(fn, strips, parts, runs, starts, layout)
+            for (_, loop, _, _), row, back in zip(pf._strips(strips, *out), *layout[:2]):
+                for side, i, b in zip(_sides(loop), row, back):
+                    if not b and starts[i + 1] - starts[i] < 9:   # a piece of fewer than 8 steps
+                        short.append((zf[:, starts[i]:starts[i + 1]], side))
+            return out
 
-        loop, count = winding(fn, region, pf._boundary(fn, region))
+        _, loop, count, _ = pf._boundary(fn, region)
         level = [(region, loop, count)]
-        monkeypatch.setattr(pf, "_winding", recorded)
+        monkeypatch.setattr(pf, "_resolve", recorded)
         for _ in range(levels):
-            level = [child for cell in level for child in pf._subdivide(fn, *cell)]
-        short = [(loop, resolved) for loop, resolved in counted
-                 if min(np.diff(loop.corners + [loop.zf.shape[1] - 1])) < 8]
+            level = [cell[:3] for parent in level for cell in pf._subdivide(fn, *parent)]
         assert len(short) >= 4
-        for loop, resolved in short:
-            assert resolved.zf[0].tolist() == _resolved(fn, loop)[0]
+        one = lambda k: complex(fn(np.array([k]))[0])
+        for given, resolved in short:
+            assert resolved[0].tolist() == _resolved_side(one, given)[0]
 
     def test_multi_point_cut_matches_successive_cuts(self):
         fn = lambda k: det_lambda_balanced(DELTA, CH, k)
         region = SearchRegion(4.0, 40.0, -3.0, -0.0005)
-        bottom = pf._sides(pf._winding(fn, region, pf._boundary(fn, region))[0])[0]
+        bottom = _sides(pf._boundary(fn, region)[1])[0]
         xs = [7.3, 7.31, 7.32,              # three points inside one step
               19.0,
               bottom[0, 40].real,           # a point on a sample, which gives way to it
               33.333]
-        cuts = pf._sample(fn, [(complex(x, region.im_min), complex(x, region.im_max)) for x in xs])
-        points = [cut[:, 0] for cut in cuts]
+        cuts, offsets = pf._sample(fn, [(complex(x, region.im_min), complex(x, region.im_max))
+                                        for x in xs])
+        points = [cuts[:, i] for i in offsets[:-1]]
         key = lambda z: z.real
         want, rest = [], bottom
         for point in points:
             piece, rest = _cut_once(rest, point, key)
             want.append(piece)
         want.append(rest)
-        got = pf._cut(bottom, np.stack(points, axis=1), key)
+        base, length = np.zeros((len(xs) + 1, 3), int), np.zeros((len(xs) + 1, 3), int)
+        pf._cut(base, length, 0, key(bottom[0]), np.array(xs), bottom.shape[1] + offsets[:-1])
+        runs = pf._runs(base.ravel(), np.ones(base.size, int), length.ravel())
+        got = np.split(np.concatenate([bottom, cuts], axis=1)[:, runs],
+                       np.cumsum(length.sum(axis=1))[:-1], axis=1)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert sum(piece.shape[1] for piece in want) == bottom.shape[1] - 1 + 2 * len(xs)
@@ -230,12 +286,12 @@ class TestSubdivide:
         strips, calls = self._split(fn, region, 6)
         frac = 0.53125
         at = [region.re_min + ((j + 2.0 * frac - 1.0) / 3) * region.width for j in (1, 2)]
-        assert [s.re_min for s, _, _ in strips] == [region.re_min] + at
-        assert [s.re_max for s, _, _ in strips] == at + [region.re_max]
-        assert [c for _, _, c in strips] == [3, 1, 2]
-        for strip, strip_loop, c in strips:
+        assert [s.re_min for s, *_ in strips] == [region.re_min] + at
+        assert [s.re_max for s, *_ in strips] == at + [region.re_max]
+        assert [cell[2] for cell in strips] == [3, 1, 2]
+        for strip, strip_loop, c, _ in strips:
             _assert_carried(strip, strip_loop)
-            assert c == pf._winding(fn, strip, pf._boundary(fn, strip))[1]
+            assert c == pf._boundary(fn, strip)[2]
         assert on_cut.real in {k.real for k in calls[0]}   # the first try sampled the zero's line
 
 
@@ -273,26 +329,28 @@ def _densify(z):
     return z
 
 
-def _resolved(fn, loop):
-    """Reference: a loop's samples after its count, one point a call.
+def _resolved_side(one, side):
+    """Reference: a side's samples after its count, one point a call of one.
 
-    Every short side is densified, then every side is bisected depth first.
-    Returns the samples, closed, and the depth of the deepest phase split.
+    A short side is densified, then bisected depth first.  Returns the
+    samples and the depth of the deepest phase split.
     """
+    known = dict(zip(*side.tolist()))
+    dense = _densify(side[0].tolist())
+    values = [known[w] if w in known else one(w) for w in dense]
+    return _depth_first(one, np.array([dense, values]))
+
+
+def _resolved(fn, sides):
+    """Reference: the loop through four sides after its count, closed, and the deepest split."""
     one = lambda k: complex(fn(np.array([k]))[0])
-    z, deepest = [], 0
-    for side in pf._sides(loop):
-        known = dict(zip(*side.tolist()))
-        dense = _densify(side[0].tolist())
-        values = [known[w] if w in known else one(w) for w in dense]
-        samples, depth = _depth_first(one, np.array([dense, values]))
-        z += samples[:-1]
-        deepest = max(deepest, depth)
-    return z + [loop.zf[0, 0]], deepest
+    resolved = [_resolved_side(one, side) for side in sides]
+    return ([w for z, _ in resolved for w in z[:-1]] + [sides[0][0, 0]],
+            max(depth for _, depth in resolved))
 
 
 class TestResolve:
-    """Wide steps are bisected in rounds, one det lambda call for the whole loop."""
+    """Wide steps are bisected in rounds, one det lambda call for every side."""
 
     @pytest.mark.parametrize("l, pole", [
         (0, 3.0802868857096795 - 0.003693967328605281j),
@@ -312,13 +370,12 @@ class TestResolve:
 
         region = SearchRegion(round(pole.real) - 1.0, round(pole.real) + 1.0,
                               pole.imag - offset, 0.0)
-        loop = pf._boundary(fn, region)
+        sides = _fresh_sides(fn, region)
         # the reference takes one point at a time, through the array path
-        reference = [_depth_first(lambda k: complex(fn(np.array([k]))[0]), side)
-                     for side in pf._sides(loop)]
+        reference = [_depth_first(lambda k: complex(fn(np.array([k]))[0]), side) for side in sides]
         del calls[:]
-        resolved, _ = pf._winding(fn, region, loop)
-        want = [w for z, _ in reference for w in z[:-1]] + [loop.zf[0, 0]]   # closed again
+        resolved = _resolve_one(fn, region, sides)[1]
+        want = [w for z, _ in reference for w in z[:-1]] + [sides[0][0, 0]]   # closed again
         assert resolved.zf[0].tolist() == want
         rounds = max(depth for _, depth in reference)
         assert rounds >= 3
@@ -338,11 +395,11 @@ class TestResolve:
         sides = [[c[0], c[1]],
                  [c[1], 2.0 - 0.95j, 2.0 - 0.75j, c[2]],   # steps 0.05, 0.2 and 0.25
                  [c[2] + (c[3] - c[2]) * j / 5 for j in range(5)] + [c[3]]]
-        loop = pf._close([np.array([z, fn(np.array(z))]) for z in sides]
-                         + pf._sample(fn, [(c[3], c[0])]))
-        want, deepest = _resolved(fn, loop)
+        sides = ([np.array([z, fn(np.array(z))]) for z in sides]
+                 + [pf._sample(fn, [(c[3], c[0])])[0]])
+        want, deepest = _resolved(fn, sides)
         del calls[:]
-        resolved, count = pf._winding(fn, region, loop)
+        _, resolved, count, _ = _resolve_one(fn, region, sides)
         assert count == 0
         assert resolved.zf[0].tolist() == want
         assert 2.0 - 0.975j not in want   # the 0.05 step is under half the longest
@@ -357,10 +414,11 @@ class TestResolve:
         region = SearchRegion(1.0, 2.0, -1.0, -0.5)
         k0 = complex(1.0 + 3.5 / 8, -1.0)
         fn = lambda k: k - k0
-        loop = pf._boundary(fn, region)
-        assert np.flatnonzero(np.abs(_phases(loop.zf)) >= 0.5 * math.pi).tolist() == [3]
+        sides = _fresh_sides(fn, region)
+        assert [np.flatnonzero(np.abs(_phases(side)) >= 0.5 * math.pi).tolist()
+                for side in sides] == [[3], [], [], []]
         with pytest.raises(BoundaryZero, match="below the floor"):
-            pf._winding(fn, region, loop)
+            _resolve_one(fn, region, sides)
 
     def test_exact_zero_on_a_short_edge_raises(self):
         # the first round bisects the one step of a two-sample side, on the zero of f
@@ -369,21 +427,21 @@ class TestResolve:
         region = SearchRegion(1.0, 2.0, -1.0, -0.5)
         c = region.corners()
         short = np.array([c[:2], [fn(c[0]), fn(c[1])]])
-        others = pf._sample(fn, [(c[i], c[(i + 1) % 4]) for i in (1, 2, 3)])
+        others = _fresh_sides(fn, region)[1:]
         with pytest.raises(BoundaryZero, match="below the floor"):
-            pf._winding(fn, region, pf._close([short] + others))
+            _resolve_one(fn, region, [short] + others)
 
     def test_sign_jump_hits_the_depth_cap(self):
         # |f| = 1 everywhere, and f changes sign at a non-dyadic Re k: the
         # step across the jump stays wide however often it is halved
         region = SearchRegion(1.0, 2.0, -1.0, -0.5)
         fn = lambda k: np.where(k.real < 1.0 + 1.0 / 3.0, -1.0, 1.0).astype(complex)
-        loop = pf._boundary(fn, region)
-        bottom, _, top, _ = pf._sides(loop)
+        sides = _fresh_sides(fn, region)
+        bottom, _, top, _ = sides
         assert (np.abs(_phases(bottom)) >= 0.5 * math.pi).any()
         assert (np.abs(_phases(top)) >= 0.5 * math.pi).any()
         with pytest.raises(BoundaryZero, match="cannot be resolved"):
-            pf._winding(fn, region, loop)
+            _resolve_one(fn, region, sides)
 
 
 def _inside(region, z):
@@ -408,7 +466,7 @@ def _rectangles_with_zeros(draw):
 
 
 class TestExactZeros:
-    """Counts and strip counts equal the simple zeros a polynomial has inside.
+    """Counts, strip loops and seeds agree with the simple zeros a polynomial has inside.
 
     Double and clustered zeros are left out: they hit the aliasing defect
     that TestDoubleZero pins.
@@ -419,11 +477,18 @@ class TestExactZeros:
     def test_counts_match_the_zeros_inside(self, case):
         region, zeros = case
         fn = _zeros_at(-5.0, *zeros)   # -5 lies outside every rectangle
-        loop, count = pf._winding(fn, region, pf._boundary(fn, region))
+        _, loop, count, _ = pf._boundary(fn, region)
         assert count == sum(_inside(region, z) for z in zeros)
         if count > 2:
-            for strip, _, c in pf._subdivide(fn, region, loop, count):
-                assert c == sum(_inside(strip, z) for z in zeros)
+            for strip, strip_loop, c, seeds in pf._subdivide(fn, region, loop, count):
+                _assert_carried(strip, strip_loop)
+                inside = [z for z in zeros if _inside(strip, z)]
+                assert c == len(inside)
+                assert len(seeds) == (c if c <= 2 else 0)
+                if c <= 2:   # each seed within 5% of the strip's diagonal of a zero of its own
+                    reach = 0.05 * abs(complex(strip.width, strip.height))
+                    assert any(all(abs(seed - z) <= reach for seed, z in zip(seeds, order))
+                               for order in itertools.permutations(inside))
 
 
 def _scalar_newton(p, ch, k):
@@ -551,27 +616,32 @@ class TestFindPoles:
         assert len(poles) == 127
         assert points[0] <= 45 * len(poles)
 
-    def test_count_budget_per_pole(self, monkeypatch):
-        # a cell is cut into count // 2 strips at once, and a strip of two zeros goes
-        # straight to Newton: ~0.54 winding counts and ~0.21 det lambda calls per
-        # pole, against 1.0 and 0.80 when every cell was bisected
-        windings, calls = [0], [0]
-        winding, det = pf._winding, pf.det_lambda_balanced
-
-        def counted_winding(*args):
-            windings[0] += 1
-            return winding(*args)
+    @staticmethod
+    def _calls(monkeypatch, p, re_max):
+        """The poles of a search and the number of det lambda array calls it made."""
+        calls, det = [0], pf.det_lambda_balanced
 
         def counted_det(p, ch, k):
             calls[0] += 1
             return det(p, ch, k)
 
-        monkeypatch.setattr(pf, "_winding", counted_winding)
         monkeypatch.setattr(pf, "det_lambda_balanced", counted_det)
-        poles = find_poles(DELTA, CH, re_max=400.0)
+        return find_poles(p, CH, re_max), calls[0]
+
+    def test_count_budget_per_pole(self, monkeypatch):
+        # a cell is cut into count // 2 strips at once, a strip of two zeros goes
+        # straight to Newton, and every round of a split's counts is one call:
+        # 22 det lambda calls (0.17 per pole), against 27 with a call per strip
+        # and round and 0.80 per pole when every cell was bisected
+        poles, calls = self._calls(monkeypatch, DELTA, 400.0)
         assert len(poles) == 127
-        assert windings[0] <= 0.6 * len(poles)
-        assert calls[0] <= 0.3 * len(poles)
+        assert calls <= 0.2 * len(poles)
+
+    def test_call_budget_of_a_long_window(self, monkeypatch):
+        # 27 calls; 113 with one call per strip and bisection round
+        poles, calls = self._calls(monkeypatch, INTERMEDIATE, 2000.0)
+        assert len(poles) == 637
+        assert calls <= 30
 
     def test_newton_points_per_pole(self, monkeypatch):
         # moment seeds and full steps that carry their next derivative: ~9 points
@@ -602,17 +672,14 @@ class TestFindPoles:
         # each seed of a one- or two-zero cell starts near a root of its own;
         # the centroid, which seeds a cell whose moment is off, reaches 0.5 diagonals
         cells, split_counts = [], []
-        seed_of, subdivide = pf._seed, pf._subdivide
-
-        def recorded(region, loop, count):
-            cells.append((region, seed_of(region, loop, count)))
-            return cells[-1][1]
+        subdivide = pf._subdivide
 
         def recorded_split(fn, region, loop, count):
             split_counts.append(count)
-            return subdivide(fn, region, loop, count)
+            strips = subdivide(fn, region, loop, count)
+            cells.extend((strip, seeds) for strip, _, c, seeds in strips if c in (1, 2))
+            return strips
 
-        monkeypatch.setattr(pf, "_seed", recorded)
         monkeypatch.setattr(pf, "_subdivide", recorded_split)
         poles = find_poles(p, Channel(l, 1.0), re_max=400.0)
         assert sum(len(seeds) for _, seeds in cells) == len(poles)
@@ -630,14 +697,8 @@ class TestFindPoles:
         # loop it was counted on, and its one zero refined in a second call.  Of the
         # 11 zeros here, a strip of three is split into cells of one and two.
         want = find_poles(DELTA, CH, re_max=37.0, im_min=-3.0)
-        seed_of, boundary, subdivide, refine_ = pf._seed, pf._boundary, pf._subdivide, pf.refine
+        boundary, subdivide, refine_ = pf._boundary, pf._subdivide, pf.refine
         single, fresh, splits, failed, calls = [], [], [], [], []
-
-        def recorded_seed(region, loop, count):
-            seeds = seed_of(region, loop, count)
-            if count == 1:
-                single.append((seeds[0], region, loop))
-            return seeds
 
         def recorded_boundary(fn, region):
             fresh.append(region)
@@ -645,7 +706,10 @@ class TestFindPoles:
 
         def recorded_split(fn, region, loop, count):
             splits.append((region, loop, count))
-            return subdivide(fn, region, loop, count)
+            strips = subdivide(fn, region, loop, count)
+            single.extend((seeds[0], strip, strip_loop)
+                          for strip, strip_loop, c, seeds in strips if c == 1)
+            return strips
 
         def first_single_fails(p, ch, seeds):
             roots, residuals = refine_(p, ch, seeds)
@@ -657,7 +721,6 @@ class TestFindPoles:
             calls.append(len(seeds))
             return roots, residuals
 
-        monkeypatch.setattr(pf, "_seed", recorded_seed)
         monkeypatch.setattr(pf, "_boundary", recorded_boundary)
         monkeypatch.setattr(pf, "_subdivide", recorded_split)
         monkeypatch.setattr(pf, "refine", first_single_fails)
@@ -682,21 +745,14 @@ class TestFindPoles:
 
     @staticmethod
     def _force_first_pair(monkeypatch, forced):
-        """Replace the pencil roots of the first two-zero cell by forced(seeds).
+        """Replace the pencil roots of the first two-zero strip a split makes by forced(seeds).
 
         Returns a log of that cell and its loop ("pair"), of the regions whose
         boundary is sampled afresh ("fresh") and of the cells split ("split",
         as (region, loop, count)) as the search goes on.
         """
-        seed_of, boundary, subdivide = pf._seed, pf._boundary, pf._subdivide
+        boundary, subdivide = pf._boundary, pf._subdivide
         log = {"pair": [], "fresh": [], "split": []}
-
-        def forced_seed(region, loop, count):
-            seeds = seed_of(region, loop, count)
-            if count == 2 and not log["pair"]:
-                log["pair"].append((region, loop))
-                return forced(seeds)
-            return seeds
 
         def recorded_boundary(fn, region):
             log["fresh"].append(region)
@@ -704,9 +760,13 @@ class TestFindPoles:
 
         def recorded_split(fn, region, loop, count):
             log["split"].append((region, loop, count))
-            return subdivide(fn, region, loop, count)
+            strips = subdivide(fn, region, loop, count)
+            for i, (strip, strip_loop, c, seeds) in enumerate(strips):
+                if c == 2 and not log["pair"]:
+                    log["pair"].append((strip, strip_loop))
+                    strips[i] = (strip, strip_loop, c, forced(seeds))
+            return strips
 
-        monkeypatch.setattr(pf, "_seed", forced_seed)
         monkeypatch.setattr(pf, "_boundary", recorded_boundary)
         monkeypatch.setattr(pf, "_subdivide", recorded_split)
         return log
