@@ -14,12 +14,12 @@ strips of about two zeros each.
 A cell's boundary is one closed loop of (z, f) samples; a step through which
 f turns by pi/2 or more is bisected, which pins the turn to a multiple of 2 pi
 unless a zero sits on the boundary (a floor relative to the median |f| then
-raises BoundaryZero).  A split is one array program for all its strips: the
-cuts (one det lambda call) and the parent's sides cut where they meet them are
-one array of pieces, each bisection round is one call for every piece, a
-strip's count is the sum of its pieces' phases, and the strips' loops are
-views into one array.  So every boundary sample is computed once however deep
-the subdivision goes; a zero on a cut moves every cut.
+raises BoundaryZero).  A split is one array program for all its strips: each
+strip's loop is gathered from the parent's loop and the cuts (one det lambda
+call), a cut walked by both strips it bounds, each bisection round is one call
+for every loop, and the strips' loops are views into one array.  So a sample
+of the parent's boundary is never computed again however deep the subdivision
+goes; a zero on a cut moves every cut.
 
 A strip of one or two zeros is seeded from its contour moments as its split
 is counted and waits in the queue; once the stack is empty, one ``refine``
@@ -36,7 +36,6 @@ pole lists.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -126,16 +125,6 @@ def _runs(base, step, length) -> np.ndarray:
     return out
 
 
-def _take(parts, col) -> np.ndarray:
-    """Columns col of the arrays parts side by side, without joining them."""
-    out, start = parts[0].take(col, axis=1, mode="clip"), parts[0].shape[1]
-    for part in parts[1:]:
-        inside = (col >= start) & (col < start + part.shape[1])
-        out[:, inside] = part[:, col[inside] - start]
-        start += part.shape[1]
-    return out
-
-
 def _sample(fn, segments) -> tuple[np.ndarray, np.ndarray]:
     """Sides a to b for each (a, b), z over f end to end, and their offsets: one det lambda call.
 
@@ -153,84 +142,63 @@ def _sample(fn, segments) -> tuple[np.ndarray, np.ndarray]:
     return np.array([z, fn(z)]), starts
 
 
-@functools.lru_cache(maxsize=64)
-def _layout(m: int, turn: int):
-    """(piece, back, sign, owner) of m strips split across ``_subdivide``'s side `along`.
-
-    From side `turn` on, strip j runs along piece j, the cut after it (m + j)
-    or `last` (2m - 1), piece 3m - 1 - j of `across`, and the cut before it
-    back (sign -1) or `first` (3m); owner[i] walks piece i as it runs.
-    """
-    s, piece, back = np.arange(m), np.empty((m, 4), int), np.zeros((m, 4), bool)
-    piece[:, turn], piece[:, turn + 1], piece[:, (turn + 2) % 4] = s, m + s, 3 * m - 1 - s
-    piece[:, (turn + 3) % 4], back[1:, (turn + 3) % 4] = m - 1 + s, True
-    piece[-1, turn + 1], piece[0, (turn + 3) % 4] = 2 * m - 1, 3 * m
-    return piece, back, 1 - 2 * back, (~back).nonzero()[0][np.argsort(piece[~back])]
-
-
 def _boundary(fn, region: SearchRegion):
-    """The region's boundary, freshly sampled and counted: (region, loop, count, seeds)."""
+    """The region's boundary, freshly sampled and counted: (region, loop, count, seeds).
+
+    Its four sides close into a loop: each but the left one stops one
+    sample short of its end, the next side's first sample.
+    """
     c = region.corners()
     zf, starts = _sample(fn, list(zip(c, c[1:] + c[:1])))
-    return _strips([region], *_resolve(fn, [region], [zf], np.arange(starts[-1]), starts,
-                                       _layout(1, 0)))[0]
+    corners = starts[1:4] - [1, 2, 3]
+    return _strips([region], *_resolve(fn, [region], np.delete(zf, starts[1:4] - 1, axis=1),
+                                       np.array([0, zf.shape[1] - 3]), corners[None]))[0]
 
 
-def _resolve(fn, regions, parts: list, runs: np.ndarray, starts: np.ndarray, layout):
-    """Count the zeros of fn in each strip of ``regions``: the rest of ``_strips``'s arguments.
+def _resolve(fn, regions, zf: np.ndarray, offsets: np.ndarray, corners: np.ndarray):
+    """Count the zeros of fn in each region from its loop: the rest of ``_strips``'s arguments.
 
-    The pieces are columns ``runs`` of ``parts`` (z over f) side by side,
-    piece i from starts[i] to starts[i + 1] - 1; ``layout`` says which bound
-    each strip.  A count is the sum of its pieces' phases (see ``_rounds``).
+    Loop s is columns offsets[s] to offsets[s + 1] - 1 of zf (z over f),
+    closed on its first sample, with its corners at offsets[s] + corners[s]
+    (m x 3).  A count is the sum of the phases along its loop's four sides
+    (see ``_rounds``); the new samples are then inserted into the loops.
     """
-    piece, back, sign, _ = layout
-    total, new = _rounds(fn, regions, _take(parts, runs), starts, layout)
-    total = (total[piece] * sign).sum(axis=1) / (2.0 * math.pi)
+    heads = np.column_stack([offsets[:-1], offsets[:-1, None] + corners, offsets[1:] - 1])
+    total, new = _rounds(fn, regions, zf, heads.ravel())
+    total = total.reshape(-1, 5).sum(axis=1) / (2.0 * math.pi)
     counts = np.rint(total)
     if (abs(total - counts) > 0.25).any():
         raise WinterresError(f"winding sums {2 * math.pi * total} failed to close to integers")
-    # column c of the resolved pieces is column col[c] of the parts and the new samples
-    col, zm, fm = runs, [], []
     if new:
         zm, fm, slot = (np.concatenate(part) for part in zip(*new))
-        slot = slot.astype(int)   # the new samples in order along each step:
-        order = np.lexsort((abs(zm - _take(parts, runs[slot])[0]), slot))
-        slot, col, at = slot[order], np.empty(runs.size + zm.size, np.int32), np.arange(runs.size)
-        at += slot.searchsorted(at)
-        col[at] = runs
-        col[slot + np.arange(1, slot.size + 1)] = sum(part.shape[1] for part in parts) + order
-        starts = starts + slot.searchsorted(starts)
-    parts = parts + [np.array([zm, fm])]
-    # a loop: its sides without their last samples, but the left one back to the start
-    length = (starts[1:] - starts[:-1] - 1)[piece] + [0, 0, 0, 1]
-    offsets = np.concatenate([[0], length.sum(axis=1).cumsum()])
-    loops, first = np.empty((2, offsets[-1]), complex), (starts[piece + back] - back).ravel()
-    for lo in range(0, len(regions), 64):   # 64 loops at a time bound the memory
-        s = slice(4 * lo, 4 * lo + 256)
-        loops[:, offsets[lo]:offsets[min(lo + 64, len(regions))]] = _take(
-            parts, col[_runs(first[s], sign.ravel()[s], length.ravel()[s])])
-    return loops, offsets.tolist(), length[:, :3].cumsum(1).tolist(), counts.astype(int).tolist()
+        order = np.lexsort((abs(zm - zf[0, slot]), slot))   # in order along each step
+        slot = slot[order]
+        zf = np.insert(zf, slot + 1, np.array([zm, fm])[:, order], axis=1)
+        heads += slot.searchsorted(heads)
+    corners, offsets = heads[:, 1:4] - heads[:, :1], np.append(heads[:, 0], heads[-1, 4] + 1)
+    return zf, offsets.tolist(), corners.tolist(), counts.astype(int).tolist()
 
 
-def _rounds(fn, regions, zf: np.ndarray, starts: np.ndarray, layout):
-    """The phase each piece turns through, and per round its new samples (z, f, step of zf).
+def _rounds(fn, regions, zf: np.ndarray, heads: np.ndarray):
+    """The phase each side turns through, and per round its new samples (z, f, step of zf).
 
-    A round bisects, in one det lambda call for all, the steps of pi/2 or
-    more and a piece of n < 8 steps' 8 - n longest (first on ties) at least
-    half its longest, as bisecting each depth first would.  Raises
-    BoundaryZero for a given sample under 1e-8 times its strip's median
-    (taken only if within 1e-8 of its largest), a new one at or under that
-    floor of the strip walking its piece as it runs, or a step still wide.
+    ``heads`` holds the first columns of each loop's four sides and of its
+    closing step, to the next loop, which no one looks at.  A round bisects,
+    in one det lambda call for all, the steps of pi/2 or more and a side of
+    n < 8 steps' 8 - n longest (first on ties) at least half its longest, as
+    bisecting each depth first would.  Raises BoundaryZero for a given sample
+    under 1e-8 times its loop's median (taken only if within 1e-8 of its
+    largest), a new one at or under that floor of its loop, or a step still
+    wide.
     """
-    piece, _, _, owner = layout
-    count, heads, mag = starts.size - 1, starts[:-1], abs(zf[1])
-    floor = _FLOOR_REL * np.maximum.reduceat(mag, heads)[piece].max(axis=1)   # a bound till exact
-    least, exact = np.minimum.reduceat(mag, heads)[piece].min(axis=1), np.zeros(floor.size, bool)
+    count, loops, mag = heads.size, heads[::5], abs(zf[1])
+    floor = _FLOOR_REL * np.maximum.reduceat(mag, loops)   # a bound till exact
+    least, exact = np.minimum.reduceat(mag, loops), np.zeros(floor.size, bool)
     del mag
 
     def median_floor(strips):
         for s in strips[~exact[strips]]:
-            f = np.sort(abs(np.concatenate([zf[1, starts[i]:starts[i + 1] - 1] for i in piece[s]])))
+            f = np.sort(abs(zf[1, heads[5 * s]:heads[5 * s + 4]]))   # each sample once
             floor[s], exact[s] = _FLOOR_REL * f[f.size // 2], True
             if f[f.size // 2] == 0.0 or f[0] < floor[s]:
                 raise BoundaryZero(f"zero of det lambda on the boundary of {regions[s]}")
@@ -239,17 +207,18 @@ def _rounds(fn, regions, zf: np.ndarray, starts: np.ndarray, layout):
     # the steps to look at, every one at first: their ends z, f, z, f and their step of zf
     ends = (zf[0, :-1], zf[1, :-1], zf[0, 1:], zf[1, 1:])
     slot = np.arange(zf.shape[1] - 1, dtype=np.int32)
-    steps = np.concatenate([starts[1:] - heads - 1, [8]])   # of each piece, and between them
-    short, total, new = steps.min() < 8, np.zeros(count + 1), []
+    steps = np.append(np.diff(heads), 8)   # of each side
+    steps[4::5] = 8   # a closing step is never short
+    short, total, new = steps.min() < 8, np.zeros(count), []
     for depth in range(_MAX_PHASE_DEPTH + 1):
         za, fa, zb, fb = ends
-        at = starts.searchsorted(slot, "right")
+        at = heads.searchsorted(slot, "right")
         at -= 1
         phase = np.angle(fb / fa)
         if not depth:
-            at[heads[1:] - 1], phase[heads[1:] - 1] = count, 0.0
+            phase[heads[4:-1:5]] = 0.0   # the steps between loops
         marked, stay = abs(phase) >= 0.5 * math.pi, at[:0]
-        if short:   # every step of a short piece is looked at
+        if short:   # every step of a short side is looked at
             s = (steps[at] < 8).nonzero()[0]
             gap = abs(zb[s] - za[s])
             order = np.lexsort((abs(za[s] - zf[0, slot[s]]), slot[s], -gap, at[s]))
@@ -257,11 +226,11 @@ def _rounds(fn, regions, zf: np.ndarray, starts: np.ndarray, layout):
             first = group.searchsorted(group)
             marked[s[order[(np.arange(s.size) - first < 8 - steps[group])
                            & (gap >= 0.4999995 * gap[first])]]] = True
-            steps += np.bincount(at[marked], minlength=count + 1)
+            steps += np.bincount(at[marked], minlength=count)
             stay, short = (~marked & (steps[at] < 8)).nonzero()[0], steps.min() < 8
         split = marked.nonzero()[0]
         phase[split] = phase[stay] = 0.0   # looked at again
-        total += np.bincount(at, phase, count + 1)
+        total += np.bincount(at, phase, count)
         if not split.size:
             return total, new
         if depth == _MAX_PHASE_DEPTH:
@@ -269,14 +238,14 @@ def _rounds(fn, regions, zf: np.ndarray, starts: np.ndarray, layout):
                                "cannot be resolved")
         zm = 0.5 * (za[split] + zb[split])
         fm = fn(zm)
-        bound = owner[at[split]]
+        bound = at[split] // 5
         if abs(fm).min() <= floor.max() and (abs(fm) <= floor[bound]).any():
             median_floor(bound[abs(fm) <= floor[bound]])
             low = abs(fm) <= floor[bound]
             if low.any():
                 raise BoundaryZero(f"|det lambda| below the floor at {zm[low.argmax()]}")
         new.append((zm, fm, slot[split]))
-        # next: the halves of each split step, then the steps of short pieces kept
+        # next: the halves of each split step, then the steps of short sides kept
         n, k = split.size, np.concatenate([split, split, stay])
         ends = ends[:, k] if depth else np.concatenate([zf[:, k], zf[:, k + 1]])
         slot = slot[k]
@@ -542,11 +511,12 @@ def _subdivide(fn, region: SearchRegion, loop: _Loop, count: int):
     """Cut a rectangle into strips whose counts add up to the parent's, from its loop.
 
     The cuts (one det lambda call) run across the longer side into
-    m = max(2, count // 2) equal strips; with the parent's sides cut at
-    their ends they are the pieces ``_resolve`` counts and ``_strips``
-    seeds.  When a zero sits on (or near) a cut, or the counts do not add
-    up, every cut moves 2 (frac - 0.5) / m of the side for the next of
-    _SPLIT_FRACTIONS.  Returns ``_strips`` left to right (or up).
+    m = max(2, count // 2) equal strips.  Each strip's loop is gathered
+    from the parent's loop and the cuts, a cut walked by both its strips,
+    and ``_resolve`` counts all of them at once.  When a zero sits on (or
+    near) a cut, or the counts do not add up, every cut moves
+    2 (frac - 0.5) / m of the side for the next of _SPLIT_FRACTIONS.
+    Returns ``_strips`` left to right (or up).
     """
     vertical, m = region.width >= region.height, max(2, count // 2)
     # the parent's sides turned so that the cuts run like the second, as columns of its loop
@@ -569,18 +539,28 @@ def _subdivide(fn, region: SearchRegion, loop: _Loop, count: int):
         # the cuts' ends on `along` and on `across`: columns past the loop's
         head, tail = loop.zf.shape[1] + offsets[:-1], loop.zf.shape[1] + offsets[1:] - 1
         head, tail = (head, tail) if vertical else (tail, head)
-        at = np.array(at)
-        # three runs (base, step, length) a piece: `along`'s, the cuts, `last`, `across`'s, `first`
-        base, step, length = (np.full((3 * m + 1, 3), v) for v in (0, 1, 0))
-        _cut(base[:m], length[:m], along[0], along_keys, at, head)
-        _cut(base[2 * m:3 * m], length[2 * m:3 * m], across[0], across_keys, -at[::-1], tail[::-1])
-        base[m:2 * m - 1, 1], base[2 * m - 1, 1], base[3 * m, 1] = head, last[0], first[0]
-        length[m:2 * m - 1, 1], step[m:2 * m - 1, 1] = offsets[1:] - offsets[:-1], 1 - 2 * turn
-        length[2 * m - 1, 1], length[3 * m, 1] = last[1] - last[0] + 1, first[1] - first[0] + 1
-        starts = np.concatenate([[0], length.sum(axis=1).cumsum()])
-        try:
-            counted = _resolve(fn, strips, [loop.zf, cuts], _runs(
-                base.ravel(), step.ravel(), length.ravel()), starts, _layout(m, turn))
+        at, size = np.array(at), offsets[1:] - offsets[:-1]
+        # a strip's sides from side `turn` on, three runs (base, step, length) each: its
+        # piece of `along`, the cut after it or `last`, its piece of `across`, the cut
+        # before it walked back or `first`; then turned back to start from side 0
+        base, step, length = (np.full((m, 4, 3), v) for v in (0, 1, 0))
+        _cut(base[:, 0], length[:, 0], along[0], along_keys, at, head)
+        _cut(base[::-1, 2], length[::-1, 2], across[0], across_keys, -at[::-1], tail[::-1])
+        base[:-1, 1, 1], step[:-1, 1, 1], length[:-1, 1, 1] = head, 1 - 2 * turn, size
+        base[1:, 3, 1], step[1:, 3, 1], length[1:, 3, 1] = tail, 2 * turn - 1, size
+        base[-1, 1, 1], length[-1, 1, 1] = last[0], last[1] - last[0] + 1
+        base[0, 3, 1], length[0, 3, 1] = first[0], first[1] - first[0] + 1
+        base, step, length = (a[:, range(-turn, 4 - turn)] for a in (base, step, length))
+        # every side but the left one stops one sample short of its end
+        sides = length.sum(axis=2)
+        sides[:, :3] -= 1
+        stop = length.cumsum(axis=2)
+        length = np.minimum(stop, sides[..., None]) - np.minimum(stop - length, sides[..., None])
+        runs = _runs(base.ravel(), step.ravel(), length.ravel())
+        try:   # the loops are not held here, so the insert of new samples frees them
+            counted = _resolve(fn, strips, np.concatenate([loop.zf, cuts], axis=1)[:, runs],
+                               np.append(0, sides.sum(axis=1).cumsum()),
+                               sides[:, :3].cumsum(axis=1))
         except BoundaryZero:
             continue
         if sum(counted[3]) == count:

@@ -169,14 +169,18 @@ class TestRealAxisRoots:
         for root in roots:
             assert abs(det_lambda(p, CH, complex(root))) < 1e-10
 
-    def test_general_separated_family(self):
-        # alpha beta + gamma^2 = 4 with all three couplings active
-        p = GpiParams(3.0, 1.0, 1.0)
+    # alpha beta + gamma^2 = 4 with all three couplings active; (0.5, 6, 1) eliminates
+    # the exterior entries through the second column of the jump conditions
+    @pytest.mark.parametrize("l", [0, 1, 3], ids=["l0", "l1", "l3"])
+    @pytest.mark.parametrize("p", [GpiParams(3.0, 1.0, 1.0), GpiParams(0.5, 6.0, 1.0)],
+                             ids=["3-1-1", "0.5-6-1"])
+    def test_general_separated_family(self, p, l):
         assert p.coupling_product == 4.0
-        roots = real_axis_roots(p, CH, 25.0)
-        assert roots
+        ch = Channel(l, 1.0)
+        roots = real_axis_roots(p, ch, 25.0)
+        assert len(roots) >= 7
         for root in roots:
-            assert abs(det_lambda(p, CH, complex(root))) < 1e-10
+            assert abs(det_lambda(p, ch, complex(root))) < 1e-10
 
     def test_requires_separation(self):
         with pytest.raises(NotSeparated):

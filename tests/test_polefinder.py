@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import winterres.polefinder as pf
 from winterres import (AmbiguousIndex, BoundaryZero, Channel, ClusteredZeros, GpiParams,
-                       NonConvergence, SearchRegion, count_zeros, det_lambda,
+                       NonConvergence, SearchRegion, WinterresError, count_zeros, det_lambda,
                        det_lambda_balanced, find_poles, index_poles, refine)
 
 CH = Channel(0, 1.0)
@@ -72,6 +72,13 @@ class TestCountZeros:
         with pytest.raises(BoundaryZero):
             count_zeros(DELTA, CH, region)
 
+    def test_given_sample_under_the_floor_raises(self, monkeypatch):
+        # a zero exactly on the lower left corner, a given sample: the median
+        # floor of the given samples catches it before any bisection
+        monkeypatch.setattr(pf, "det_lambda_balanced", lambda p, ch, k: (k - (2 - 1j)) * (k + 5))
+        with pytest.raises(BoundaryZero, match="zero of det lambda on the boundary"):
+            count_zeros(DELTA, CH, SearchRegion(2, 6, -1, 0))
+
 
 def _phases(zf):
     """The phase f turns through on each step of samples z over values f."""
@@ -100,9 +107,14 @@ def _fresh_sides(fn, region):
 
 
 def _resolve_one(fn, region, sides):
-    """The (region, loop, count, seeds) of a region counted from its four given sides."""
-    zf, starts = np.concatenate(sides, axis=1), np.cumsum([0] + [side.shape[1] for side in sides])
-    counted = pf._resolve(fn, [region], [zf], np.arange(zf.shape[1]), starts, pf._layout(1, 0))
+    """The (region, loop, count, seeds) of a region counted from its four given sides.
+
+    The sides close into a loop as ``_boundary`` closes them: each but the
+    left one without its last sample.
+    """
+    zf = np.concatenate([side[:, :-1] for side in sides[:3]] + [sides[3]], axis=1)
+    corners = np.cumsum([side.shape[1] - 1 for side in sides[:3]])
+    counted = pf._resolve(fn, [region], zf, np.array([0, zf.shape[1]]), corners[None])
     return pf._strips([region], *counted)[0]
 
 
@@ -231,15 +243,16 @@ class TestSubdivide:
         (_zeros_at(*STACKED), SearchRegion(4.0, 6.0, -8.0, -0.1), 1),
     ], ids=["wide", "tall", "tall-stacked"])
     def test_short_sides_get_the_greedy_samples(self, fn, region, levels, monkeypatch):
-        # a strip's pieces of its parent's sides are densified as bisecting the longest step would
+        # a strip's short sides, pieces of its parent's, are densified as bisecting the
+        # longest step would
         short, resolve = [], pf._resolve
 
-        def recorded(fn, strips, parts, runs, starts, layout):
-            zf, out = pf._take(parts, runs), resolve(fn, strips, parts, runs, starts, layout)
-            for (_, loop, _, _), row, back in zip(pf._strips(strips, *out), *layout[:2]):
-                for side, i, b in zip(_sides(loop), row, back):
-                    if not b and starts[i + 1] - starts[i] < 9:   # a piece of fewer than 8 steps
-                        short.append((zf[:, starts[i]:starts[i + 1]], side))
+        def recorded(fn, strips, zf, offsets, corners):
+            out = resolve(fn, strips, zf, offsets, corners)
+            for s, (_, loop, _, _) in enumerate(pf._strips(strips, *out)):
+                given = pf._Loop(zf[:, offsets[s]:offsets[s + 1]], [0, *corners[s]])
+                short.extend((side, got) for side, got in zip(_sides(given), _sides(loop))
+                             if side.shape[1] < 9)   # a side of fewer than 8 steps
             return out
 
         _, loop, count, _ = pf._boundary(fn, region)
@@ -277,6 +290,28 @@ class TestSubdivide:
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert sum(piece.shape[1] for piece in want) == bottom.shape[1] - 1 + 2 * len(xs)
+
+    def test_neighbours_agree_on_their_shared_cut(self, monkeypatch):
+        # both strips by a cut bisect their own copy of it, one walked back: the
+        # copies must agree, sample for sample, in z and in f
+        splits, subdivide = [], pf._subdivide
+
+        def recorded_split(fn, region, loop, count):
+            strips = subdivide(fn, region, loop, count)
+            splits.append((region, strips))
+            return strips
+
+        monkeypatch.setattr(pf, "_subdivide", recorded_split)
+        for p, l, re_max in [(DELTA, 0, 400.0), (DELTA_PRIME, 5, 400.0), (DELTA, 5, 60.0)]:
+            find_poles(p, Channel(l, 1.0), re_max)
+        shared = []
+        for region, strips in splits:
+            vertical = strips[0][0].re_max < region.re_max
+            for (_, below, _, _), (_, above, _, _) in zip(strips, strips[1:]):
+                walked = _sides(below)[1 if vertical else 2]
+                assert walked[:, ::-1].tobytes() == _sides(above)[3 if vertical else 0].tobytes()
+                shared.append(vertical)
+        assert len(shared) >= 100 and set(shared) == {True, False}
 
     def test_zero_on_a_cut_shifts_every_cut(self):
         # an exact zero on the first cut at frac 0.5 makes the split retry at 0.53125
@@ -603,8 +638,10 @@ class TestFindPoles:
         assert len(poles) == n
 
     def test_det_budget_per_pole(self, monkeypatch):
-        # every contour sample is computed once: subdivision samples only cuts.
-        # Points are counted, not calls, so batching cannot hide evaluations.
+        # a contour sample is computed once, but for the midpoints of cut steps,
+        # which both strips by a cut bisect: subdivision samples the cuts and
+        # little else.  Points are counted, not calls, so batching cannot hide
+        # evaluations.
         points = [0]
 
         def counted(p, ch, k):
@@ -807,6 +844,31 @@ class TestFindPoles:
         assert count == 1 and all(pair.contains(z) for z in child.corners())
         assert len(got) == len(want)
         assert all(abs(a.k - b.k) < 1e-12 * abs(b.k) for a, b in zip(got, want))
+
+    def test_bookkeeping_failure_raises(self, monkeypatch):
+        # a dedupe radius of half |k| merges two distinct poles, so fewer come
+        # back than the window counts
+        monkeypatch.setattr(pf, "_DEDUPE_REL", 0.5)
+        with pytest.raises(WinterresError, match="pole bookkeeping failed: counted 3, refined 2"):
+            find_poles(DELTA, CH, 12.0, -2.0)
+
+    def test_residual_over_the_tolerance_raises(self, monkeypatch):
+        refine_ = pf.refine
+
+        def one_residual_high(p, ch, seeds):
+            roots, residuals = refine_(p, ch, seeds)
+            residuals[0] = 2e-9
+            return roots, residuals
+
+        monkeypatch.setattr(pf, "refine", one_residual_high)
+        with pytest.raises(NonConvergence, match="1 poles above the residual tolerance"):
+            find_poles(DELTA, CH, 12.0, -2.0)
+
+    def test_cell_under_the_size_floor_raises(self, monkeypatch):
+        # a floor of 10/R makes the window itself a cluster
+        monkeypatch.setattr(pf, "_MIN_CELL_FACTOR", 10.0)
+        with pytest.raises(ClusteredZeros, match="12 zeros in cell .* below the size floor"):
+            find_poles(DELTA, CH, 40.0, -3.0)
 
     def test_determinism(self):
         a = find_poles(INTERMEDIATE, CH, re_max=30.0, im_min=-1.5)
