@@ -22,12 +22,12 @@ of the parent's boundary is never computed again however deep the subdivision
 goes; a zero on a cut moves every cut.
 
 A strip of one or two zeros is seeded from its contour moments as its split
-is counted and waits in the queue; once the stack is empty, one ``refine``
-call runs Newton from every queued seed in lockstep.  A two-zero cell is
-solved when both roots converge inside it at least _MIN_CELL_FACTOR / R apart
-(closer pairs are clusters) and farther apart than deduplication merges.  Any
-other outcome splits the cell from its loop; a one-zero cell gets one such
-pass, and a two-zero cell's children still get theirs.
+is counted; once the stack is empty, one ``refine`` call runs Newton from
+every queued seed in lockstep, and one array test judges all the cells.  A
+two-zero cell is solved when both roots converge inside it at least
+_MIN_CELL_FACTOR / R apart (closer pairs are clusters) and farther apart than
+deduplication merges.  Any other outcome splits the cell from its loop; a
+one-zero cell gets one such pass, and a two-zero cell's children theirs.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 pole lists.
@@ -35,7 +35,7 @@ pole lists.
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -252,37 +252,50 @@ def _rounds(fn, regions, zf: np.ndarray, heads: np.ndarray):
         ends[2, :n], ends[3, :n], ends[0, n:2 * n], ends[1, n:2 * n] = zm, fm, zm, fm
 
 
+def _boxes(regions) -> np.ndarray:
+    """Rows re_min, re_max, im_min, im_max of the regions' rectangles."""
+    return np.array([(r.re_min, r.re_max, r.im_min, r.im_max) for r in regions]).T
+
+
+def _inside(box: np.ndarray, k: np.ndarray, slop) -> np.ndarray:
+    """Whether each k lies in its box (rows as ``_boxes``) widened by slop."""
+    return ((box[0] - slop <= k.real) & (k.real <= box[1] + slop)
+            & (box[2] - slop <= k.imag) & (k.imag <= box[3] + slop))
+
+
 def _strips(regions, loops: np.ndarray, offsets: list, corners: list, counts: list):
     """[(region, loop, count, seeds)] of counted strips, each loop a view into ``loops``.
 
     A strip of one or two zeros is seeded from its moments s_p, the sums of
-    (z_mid - c)^p ln(f_{i+1} / f_i) / 2 pi i over its loop's steps, c its
+    (z_mid - c)^p ln r / 2 pi i over its loop's steps of ratio r, c its
     centroid (Delves & Lyness, Math. Comp. 21, 1967): c + s_1, or c + w for
     both roots of w^2 - s_1 w + (s_1^2 - s_2)/2 (Kravanja & Van Barel, LNM
-    1727, 2000).  A seed over _SEED_SLOP diagonals outside gives way to c.
+    1727, 2000), ln r = ln|r| + i arg r as no step turns by pi/2.  A seed
+    over _SEED_SLOP diagonals outside gives way to c.
     """
-    seeds = [[] for _ in counts]
+    box = _boxes(regions)[..., None]
+    centre = 0.5 * (box[0] + box[1]) + 0.5j * (box[2] + box[3])
+    slop, seeds = _SEED_SLOP * np.hypot(box[1] - box[0], box[3] - box[2]), centre.repeat(2, 1)
     for lo in range(0, len(counts), 64):   # 64 loops at a time bound the memory
         seeded = [s for s in range(lo, min(lo + 64, len(counts))) if counts[s] in (1, 2)]
-        if seeded:
-            o = offsets[seeded[0]]
-            z, f = loops[:, o:offsets[seeded[-1] + 1]]
-            dlog, mid = f[1:] / f[:-1], z[1:] + z[:-1]
-            np.log(dlog, out=dlog)
-            mid *= 0.5
-        for s in seeded:
-            region, a, b = regions[s], offsets[s] - o, offsets[s + 1] - 1 - o
-            c = 0.5 * complex(region.re_min + region.re_max, region.im_min + region.im_max)
-            w = mid[a:b] - c
-            s1 = np.dot(w, dlog[a:b]) / (2j * math.pi)
-            ks = [complex(c + s1)]
-            if counts[s] == 2:
-                half = cmath.sqrt(2 * complex(np.dot(w * w, dlog[a:b]) / (2j * math.pi)) - s1 * s1)
-                ks = [complex(c + 0.5 * (s1 + half)), complex(c + 0.5 * (s1 - half))]
-            slop = _SEED_SLOP * abs(complex(region.width, region.height))
-            seeds[s] = [k if region.contains(k, slop) else c for k in ks]
-    return [(region, _Loop(loops[:, a:b], [0] + corner), count, ks) for region, a, b, corner,
-            count, ks in zip(regions, offsets, offsets[1:], corners, counts, seeds)]
+        if not seeded:
+            continue
+        a, b = seeded[0], seeded[-1] + 1
+        starts = np.subtract(offsets[a:b + 1], offsets[a])
+        z, f = loops[:, offsets[a]:offsets[b]]
+        r = f[1:] / f[:-1]
+        dlog = np.log(abs(r)) + 1j * np.angle(r)   # a complex log is slow at |r| ~ 1
+        dlog[starts[1:-1] - 1] = 0.0   # the steps between loops
+        w = 0.5 * (z[1:] + z[:-1]) - centre[a:b, 0].repeat(np.diff(starts))[:-1]
+        dlog *= w
+        s1, s2 = np.add.reduceat([dlog, dlog * w], starts[:-1], axis=1) / (2j * math.pi)
+        half = np.sqrt(2 * s2 - s1 * s1)
+        ks = np.column_stack([np.where(np.equal(counts[a:b], 1), s1, 0.5 * (s1 + half)),
+                              0.5 * (s1 - half)]) + centre[a:b]
+        seeds[a:b] = np.where(_inside(box[:, a:b], ks, slop[a:b]), ks, centre[a:b])
+    return [(region, _Loop(loops[:, a:b], [0] + corner), count, ks[:count] if count < 3 else [])
+            for region, a, b, corner, count, ks in zip(regions, offsets, offsets[1:], corners,
+                                                       counts, seeds.tolist())]
 
 
 def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
@@ -396,15 +409,15 @@ def refine(p: GpiParams, ch: Channel, k0):
 
 
 def default_im_min(re_max: float, radius: float) -> float:
-    """Search floor deep enough for the logarithmic descent of delta poles."""
-    return -(math.log(re_max * radius) + 5.0) / radius
+    """Search floor deep enough for the logarithmic descent of delta poles, at most -5/R."""
+    return -(max(math.log(re_max * radius), 0.0) + 5.0) / radius
 
 
 def find_poles(p: GpiParams, ch: Channel, re_max: float,
                im_min: float | None = None) -> list[Resonance]:
     """All zeros of det lambda in [1e-3/R, re_max] x [im_min, 0], refined.
 
-    ``im_min=None`` selects the default floor -(ln(re_max R) + 5)/R.  For
+    ``im_min=None`` selects the default floor -(max(ln(re_max R), 0) + 5)/R.  For
     separated interactions the top edge is lowered by a 1e-7/R sliver: their
     real-axis zeros are embedded eigenvalues, which belong to
     ``real_axis_roots``, not to the resonance list.  The sliver does not
@@ -460,19 +473,21 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
             else:
                 split(*cell)
         roots, residuals = refine(p, ch, np.array([k for cell in queue for k in cell[3]]))
-        results = iter(zip(roots.tolist(), residuals.tolist()))
-        for region, loop, count, seeds, depth, resplit in queue:
-            cell = [next(results) for _ in range(count)]
-            # a pair closer than min_cell is a cluster, and one that dedupe would merge is lost
-            if (all(region.contains(k_root, slop=1e-9 * max(1.0, abs(k_root)))
-                    for k_root, _ in cell)
-                    and (count == 1 or abs(cell[0][0] - cell[1][0])
-                         >= max(min_cell, _DEDUPE_REL * abs(cell[0][0])))):
-                found.extend(cell)
-            elif resplit:
+        counts = np.array([cell[2] for cell in queue])
+        first = counts.cumsum() - counts   # each cell's first root
+        inside = _inside(_boxes([cell[0] for cell in queue]).repeat(counts, axis=1), roots,
+                         1e-9 * np.maximum(1.0, abs(roots)))
+        # a pair closer than min_cell is a cluster, and one that dedupe would merge is lost
+        ok = np.logical_and.reduceat(inside, first) & ((counts == 1) | (
+            abs(roots[first] - roots[first + counts - 1])
+            >= np.maximum(min_cell, _DEDUPE_REL * abs(roots[first]))))
+        keep = ok.repeat(counts)
+        found.extend(zip(roots[keep].tolist(), residuals[keep].tolist()))
+        for region, loop, count, seeds, depth, resplit in itertools.compress(queue, ~ok):
+            if resplit:
                 raise NonConvergence(f"could not pin the single zero of {region}")
-            else:   # a one-zero cell's one re-split pass; a two-zero cell leaves its children theirs
-                split(region, loop, count, seeds, depth, count == 1)
+            # a one-zero cell's one re-split pass; a two-zero cell leaves its children theirs
+            split(region, loop, count, seeds, depth, count == 1)
 
     found.sort(key=lambda item: (item[0].real, item[0].imag))
     merged: list[tuple[complex, float]] = []

@@ -40,10 +40,10 @@ def test_search_knows_no_interaction_classes():
     assert not names & {"GpiClass", "classify", "canonical_real_gamma"}
 
 
-@pytest.mark.parametrize("module", ["riccati", "krein"])
+@pytest.mark.parametrize("module", ["riccati", "krein", "polefinder"])
 def test_one_arithmetic(module):
-    # numpy alone computes the Riccati functions and det lambda, for one
-    # point as for many; cmath would bring back a second arithmetic
+    # numpy alone computes the Riccati functions, det lambda and the search's
+    # sums, for one point as for many; cmath would bring back a second arithmetic
     tree = ast.parse((PKG / f"{module}.py").read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names}

@@ -65,6 +65,15 @@ class TestCountZeros:
         with pytest.raises(ValueError):
             count_zeros(FREE, CH, SearchRegion(1e-5, 1.0, -1.0, 0.0))
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 13: two zeros 0.002 outside the left edge turn det lambda by "
+        "-6.21 rad along one sampled step whose end values differ by +0.07 rad, so the "
+        "pi/2 rule does not bisect it and the count reads 1"))
+    def test_zeros_just_outside_an_edge_are_not_counted(self):
+        p = GpiParams(-10.153856357759496, -0.380926874988312, 0.36348759065265357)
+        region = SearchRegion(0.002, 80.0, -17.37775890822787, -1.0)
+        assert count_zeros(p, Channel(1, 0.5), region) == 0
+
     def test_boundary_zero_raises(self):
         # bottom edge running exactly through a pole: the count answers only
         # for the rectangle it was given, so it raises instead of guessing
@@ -729,6 +738,41 @@ class TestFindPoles:
             assert any(all(abs(seed - root) <= reach for seed, root in zip(seeds, order))
                        for order in itertools.permutations(roots))
 
+    @staticmethod
+    def _per_strip_seeds(region, loop, count):
+        """A strip's seeds by its own sums: complex log of the step ratios, np.dot, cmath.sqrt."""
+        z, f = loop.zf
+        dlog = np.log(f[1:] / f[:-1])
+        c = 0.5 * complex(region.re_min + region.re_max, region.im_min + region.im_max)
+        w = 0.5 * (z[1:] + z[:-1]) - c
+        s1 = complex(np.dot(w, dlog)) / (2j * math.pi)
+        ks = [c + s1]
+        if count == 2:
+            half = cmath.sqrt(2 * (complex(np.dot(w * w, dlog)) / (2j * math.pi)) - s1 * s1)
+            ks = [c + 0.5 * (s1 + half), c + 0.5 * (s1 - half)]
+        slop = pf._SEED_SLOP * abs(complex(region.width, region.height))
+        return [k if region.contains(k, slop) else c for k in ks]
+
+    @pytest.mark.parametrize("p, l", [(DELTA, 0), (DELTA_PRIME, 5)],
+                             ids=["delta-l0", "delta-prime-l5"])
+    def test_seeds_match_the_per_strip_sums(self, p, l, monkeypatch):
+        # every strip's seeds, summed for all loops at once, are its own sums to rounding
+        strips_, seeded = pf._strips, []
+
+        def recorded_strips(*args):
+            strips = strips_(*args)
+            seeded.extend(strip for strip in strips if strip[2] in (1, 2))
+            return strips
+
+        monkeypatch.setattr(pf, "_strips", recorded_strips)
+        find_poles(p, Channel(l, 1.0), re_max=400.0)
+        assert len(seeded) > 50
+        for region, loop, count, seeds in seeded:
+            want = self._per_strip_seeds(region, loop, count)
+            assert len(seeds) == count
+            diagonal = abs(complex(region.width, region.height))
+            assert all(abs(a - b) <= 1e-12 * diagonal for a, b in zip(seeds, want))
+
     def test_failed_cell_is_split_and_refined_again(self, monkeypatch):
         # the first one-zero cell in Newton's order fails: it alone is split from the
         # loop it was counted on, and its one zero refined in a second call.  Of the
@@ -889,6 +933,14 @@ class TestFindPoles:
     def test_separated_search_returns_certified_poles(self):
         poles = find_poles(GpiParams(4, 1, 0), CH, 20.0)
         assert all(pole.k.imag < 0.0 and pole.residual < 1e-9 for pole in poles)
+
+    @pytest.mark.parametrize("p, l, radius", [(DELTA, 0, 1.0), (DELTA, 3, 2.0),
+                                              (DELTA_PRIME, 0, 1.0), (INTERMEDIATE, 0, 1.0)],
+                             ids=["delta-l0", "delta-l3-R2", "delta-prime", "intermediate"])
+    def test_tiny_window_gets_a_floor_below_the_axis(self, p, l, radius):
+        # ln(re_max R) < 0 here: the default floor stays at -5/R, not above the axis
+        assert pf.default_im_min(0.005, radius) == -5.0 / radius
+        assert find_poles(p, Channel(l, radius), 0.005) == []
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):

@@ -236,6 +236,11 @@ class TestCliPoles:
         assert rows[0].k == pytest.approx(3.0802868857096793 - 0.0036939673286052818j)
         assert all(not row.embedded for row in rows)
 
+    def test_tiny_window_has_no_poles(self, capsys):
+        # re_max R < e^-5: the automatic floor stays at -5/R, below the axis
+        assert main(["poles", "--alpha=50", "--re-max=0.005"]) == 0
+        assert "no poles in the window" in capsys.readouterr().out
+
     def test_separated_run_flags_embedded(self, tmp_path):
         csv_path = tmp_path / "emb.csv"
         code = main(["poles", "--gamma", "2", "--re-max", "20",

@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Compare two outputs of ``tools/same_results.py`` up to rounding of the poles.
+
+    python3 tools/near_results.py OLD NEW
+
+matches the lines of the two files by workload, index and inputs.  A
+``find_poles`` search must raise the same exception class, or return as many
+poles, each within REL_TOL * max(1, |k|) of its old place.  A ``winterres
+poles`` call must keep its exit code; its CSV and SVG bytes may change.  For
+each workload it prints the largest relative pole move, the number of CLI
+calls whose CSV or SVG bytes changed, and the det lambda array calls and
+points, old -> new.  Every mismatch is printed too, and makes the exit
+status 1:
+
+    python3 tools/same_results.py ../parent > old.txt
+    python3 tools/same_results.py . > new.txt
+    python3 tools/near_results.py old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import sys
+
+REL_TOL = 1e-13   # the rounding a reordered sum may leave on a refined pole
+
+
+def _read(path: str) -> tuple[dict, dict]:
+    """{(workload, index, inputs): result} and {workload: 'calls C points P'} of one file."""
+    results, totals = {}, {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            name, rest = line.rstrip("\n").split(" ", 1)
+            if rest.startswith("det_lambda "):
+                totals[name] = rest.split(" ", 1)[1]
+                continue
+            index, rest = rest.split(" ", 1)
+            inputs, _, result = rest.partition("]")
+            results[name, int(index), inputs + "]"] = result.strip()
+    return results, totals
+
+
+def _poles(result: str) -> list[complex] | None:
+    """The poles of a search's result, or None for an exception class or a CLI call."""
+    tokens = result.split()
+    if tokens and "," not in tokens[0]:
+        return None
+    return [complex(float.fromhex(re), float.fromhex(im))
+            for re, im, _ in (token.split(",") for token in tokens)]
+
+
+def compare(old_path: str, new_path: str) -> tuple[list[str], list[str]]:
+    """(summary lines, one per workload; mismatch lines)."""
+    old, old_totals = _read(old_path)
+    new, new_totals = _read(new_path)
+    mismatches = [f"{key[0]} {key[1]} {key[2]}: only in {path}"
+                  for keys, other, path in ((old, new, old_path), (new, old, new_path))
+                  for key in keys if key not in other]
+    move, changed = {}, {}
+    for key in (key for key in old if key in new):
+        a, b = old[key], new[key]
+        name, where = key[0], f"{key[0]} {key[1]} {key[2]}"
+        if a.startswith("exit ") or b.startswith("exit "):
+            if a.split()[:2] != b.split()[:2]:
+                mismatches.append(f"{where}: {' '.join(a.split()[:2])} -> "
+                                  f"{' '.join(b.split()[:2])}")
+            changed[name] = changed.get(name, 0) + (a != b)
+            continue
+        ka, kb = _poles(a), _poles(b)
+        if ka is None or kb is None or len(ka) != len(kb):
+            if a != b:
+                mismatches.append(f"{where}: {a[:60]} -> {b[:60]}")
+            continue
+        worst = max((abs(x - y) / max(1.0, abs(x)) for x, y in zip(ka, kb)), default=0.0)
+        move[name] = max(move.get(name, 0.0), worst)
+        if worst > REL_TOL:
+            mismatches.append(f"{where}: a pole moved {worst:.3g} relative")
+    summary = [f"{name}: largest relative pole move "
+               f"{format(move[name], '.3g') if name in move else '-'}, "
+               f"{changed.get(name, 0)} CLI calls with changed bytes, det_lambda "
+               f"{old_totals.get(name, '-')} -> {new_totals.get(name, '-')}"
+               for name in dict.fromkeys(key[0] for key in [*old, *new])]
+    return summary, mismatches
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    summary, mismatches = compare(*argv)
+    print("\n".join(summary + [f"MISMATCH {line}" for line in mismatches]))
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
