@@ -30,7 +30,12 @@ so analytic continuation is plain evaluation.
 raw determinant contains competing e^{2 i k R} and O(1) parts; one growing
 and one flat term make phase tracking along deep contours ill-conditioned,
 while the balanced version splits the growth evenly and leaves the zero set
-untouched.  Root finding uses the balanced form throughout.
+untouched.  Root finding uses the balanced form throughout.  Since xi_l is
+e^{iz} times a polynomial in 1/z, the balanced form is computed from S_l and
+eta_l = e^{-iz} xi_l (``riccati._s_eta``): the Phi expressions, linear in
+xi_l, take eta_l in its place and the constant terms take e^{-ikR}, so
+e^{ikR} is never formed.  ``det_lambda`` runs the same expressions on xi_l
+with the factor 1; the two agree to rounding, not bit for bit.
 
 ``phi_boundary``, ``det_lambda`` and ``det_lambda_balanced`` take one
 momentum or a numpy array of momenta, like the Riccati functions they call,
@@ -47,7 +52,8 @@ import numpy as np
 
 from .errors import WinterresError
 from .gpi import GpiParams, is_separated
-from .riccati import Channel, OriginSingularity, pointwise, riccati_s, riccati_xi
+from .riccati import (Channel, OriginSingularity, ValueAndDerivative, _s_eta, pointwise,
+                      riccati_s, riccati_xi)
 
 
 EXCLUDED_DISC = 1e-3   # searches exclude the disc |k| < EXCLUDED_DISC / R around k = 0
@@ -66,16 +72,29 @@ class PhiBoundaryValues:
     phi2_prime: complex
 
 
-@pointwise
-def phi_boundary(ch: Channel, k: complex) -> PhiBoundaryValues:
-    """Boundary values Phi1(R), Phi2(Rbar), Phi2'(R); k = 0 raises OriginSingularity."""
-    z = k * ch.radius
-    s = riccati_s(ch.l, z)
-    x = riccati_xi(ch.l, z)
+def _phi(k: np.ndarray, s: ValueAndDerivative, x: ValueAndDerivative) -> PhiBoundaryValues:
+    # the boundary values from S_l and X = xi_l, or unit * (each of them) from X = unit * xi_l
     phi1 = (1j / k) * s.value * x.value
     phi2_avg = 0.5j * (s.value * x.derivative + s.derivative * x.value)
     phi2_prime = 1j * k * s.derivative * x.derivative
     return PhiBoundaryValues(phi1, phi2_avg, phi2_prime)
+
+
+def _det(p: GpiParams, phi: PhiBoundaryValues, unit: complex | np.ndarray) -> complex | np.ndarray:
+    # unit * det lambda from the boundary values times unit
+    q = p.coupling_product
+    return (-unit
+            - p.alpha * phi.phi1_at_R
+            + p.beta * phi.phi2_prime
+            - 2.0 * p.gamma.real * phi.phi2_avg
+            - 0.25 * q * unit)
+
+
+@pointwise
+def phi_boundary(ch: Channel, k: complex) -> PhiBoundaryValues:
+    """Boundary values Phi1(R), Phi2(Rbar), Phi2'(R); k = 0 raises OriginSingularity."""
+    z = k * ch.radius
+    return _phi(k, riccati_s(ch.l, z), riccati_xi(ch.l, z))
 
 
 @pointwise
@@ -85,19 +104,17 @@ def det_lambda(p: GpiParams, ch: Channel, k: complex) -> complex:
     Identically -1 for the free interaction, which is the cheapest full
     cross-check of the prefactor bookkeeping above.
     """
-    phi = phi_boundary(ch, k)
-    q = p.coupling_product
-    return (-1.0
-            - p.alpha * phi.phi1_at_R
-            + p.beta * phi.phi2_prime
-            - 2.0 * p.gamma.real * phi.phi2_avg
-            - 0.25 * q)
+    return _det(p, phi_boundary(ch, k), 1.0)
 
 
 @pointwise
 def det_lambda_balanced(p: GpiParams, ch: Channel, k: complex) -> complex:
-    """e^{-i k R} det lambda(k): same zeros, balanced growth off the axis."""
-    return np.exp(-1j * k * ch.radius) * det_lambda(p, ch, k)
+    """e^{-i k R} det lambda(k): same zeros, balanced growth off the axis.
+
+    Built from S_l and e^{-i k R} xi_l, so e^{i k R} is never formed.
+    """
+    s, eta, unit = _s_eta(ch.l, k * ch.radius)
+    return _det(p, _phi(k, s, eta), unit)
 
 
 def _inside_condition(p: GpiParams) -> tuple[float, float]:

@@ -19,11 +19,21 @@ which serves as the main cross-consistency oracle in the test suite.
 
 Evaluation strategy:
 
-* closed forms for l <= 1,
-* upward recurrence f_{l+1} = ((2l+1)/z) f_l - f_{l-1} for xi_l and for S_l
-  once |z| is comfortably above the order,
-* ascending power series for S_l when |z| < l + 2, where the upward
-  recurrence would amplify the admixture of the dominant solution.
+* upward recurrence f_{l+1} = ((2l+1)/z) f_l - f_{l-1} from f_0 and f_1:
+  for S_l from sin z and cos z, and for eta_l = e^{-iz} xi_l, a polynomial
+  in 1/z, from eta_0 = -i and eta_1 = -i/z - 1; xi_l is e^{iz} eta_l,
+* ascending power series for S_l when l >= 1 and |z| < l + 2, where the
+  upward recurrence would amplify the admixture of the dominant solution (at
+  l = 1, sin z / z - cos z cancels near the origin).
+
+``_s_eta`` serves ``det_lambda_balanced``: it returns S_l, eta_l and e^{-iz}
+from one real sine, cosine, exponential and sinh of Re z and Im z, with S_l
+and eta_l recurring as the two rows of one stack, so e^{iz} is never formed
+and no complex transcendental is taken.  ``riccati_s`` takes numpy's complex
+sine and cosine instead: its callers pass a few points at a time (a
+real-axis bisection round), where two complex calls cost less than twenty
+real ones; on the thousand-point arrays of a search the real ones cost a
+third as much.
 
 The upward recurrence for xi_l is accurate where xi_l is the dominant
 solution, which is not everywhere: for |z| <~ l deep in the lower
@@ -116,17 +126,43 @@ def pointwise(fn):
     return wrapper
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    # re + i im, written into place (a real plus an imaginary array would cast
+    # re to complex and add)
+    out = np.empty(np.shape(re), complex)
+    out.real, out.imag = re, im
+    return out[()]
+
+
+def _trig(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # sin z, cos z and e^{-iz} from one real sine, cosine, exponential and sinh
+    # of x = Re z and y = Im z.  cosh y = (e^y + e^-y)/2 adds two positive
+    # terms; sinh y takes its own call, since (e^y - e^-y)/2 cancels for small y.
+    x, y = z.real, z.imag
+    sin_x, cos_x, exp_y, sinh_y = np.sin(x), np.cos(x), np.exp(y), np.sinh(y)
+    cosh_y, msin_x = 0.5 * (exp_y + 1 / exp_y), -sin_x
+    return (_complex(sin_x * cosh_y, cos_x * sinh_y), _complex(cos_x * cosh_y, msin_x * sinh_y),
+            _complex(exp_y * cos_x, exp_y * msin_x))
+
+
+@functools.lru_cache(maxsize=None)
+def _series_tables(l: int) -> tuple[np.ndarray, np.ndarray, float]:
+    # the term ratios' denominators m (2l+2m+1), the derivative weights l+1+2m
+    # for m = 1..399 as columns, and t_0 = 1/(2l+1)!!
+    m = np.arange(1, 400.0)[:, None]
+    return m * (2 * l + 2 * m + 1), l + 1 + 2 * m, 1 / math.prod(range(2 * l + 1, 1, -2))
+
+
 def _s_series(l: int, z: np.ndarray) -> ValueAndDerivative:
     # S_l(z) = sum_m t_m z^{l+1+2m},  t_0 = 1/(2l+1)!!,
     # t_m = t_{m-1} * (-z^2/2) / (m (2l+2m+1));  derivative termwise.
-    # z is a nonzero 1-d array.  A round sums the next 32 terms of every
-    # element by cumulative products and sums; the rounds stop once each
-    # element's last term is below 1e-18 of its sum.  The terms after an
-    # element's first such term are smaller still and leave its sum as it is.
-    zl = z ** (l + 1)  # integer power: exact parity under z -> -z
-    m = np.arange(1, 400.0)[:, None]
-    ratio_den, weight = m * (2 * l + 2 * m + 1), l + 1 + 2 * m
-    t = np.full(z.size, 1 / math.prod(range(2 * l + 1, 1, -2)), complex)   # 1/(2l+1)!!
+    # z is a 1-d array.  A round sums the next 32 terms of every element by
+    # cumulative products and sums; the rounds stop once each element's last
+    # term is below 1e-18 of its sum.  The terms after an element's first such
+    # term are smaller still and leave its sum as it is.
+    zl = z ** l  # integer power: exact parity under z -> -z, and 0 at the origin for l >= 1
+    ratio_den, weight, t0 = _series_tables(l)
+    t = np.full(z.size, t0, complex)
     s, sp, zz = t, t * (l + 1), -0.5 * z * z
     for start in range(0, 399, 32):
         rows = slice(start, start + 32)
@@ -134,22 +170,30 @@ def _s_series(l: int, z: np.ndarray) -> ValueAndDerivative:
         s = np.cumsum(np.concatenate([s[None], terms]), axis=0)[-1]
         sp = np.cumsum(np.concatenate([sp[None], terms * weight[rows]]), axis=0)[-1]
         t = terms[-1]
-        if np.all(abs(t) < 1e-18 * abs(s)):
+        if (abs(t) < 1e-18 * abs(s)).all():
             break
     # sp accumulated sum_m t_m (l+1+2m) z^{2m}; S' = z^l * sp
-    return ValueAndDerivative(zl * s, (zl / z) * sp)
+    return ValueAndDerivative(zl * z * s, zl * sp)
 
 
 def _upward(l: int, z: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> ValueAndDerivative:
-    # f_l and f_l' from f_0 and f_1 by f_{ll+1} = ((2 ll + 1)/z) f_ll - f_{ll-1}
+    # f_l and f_l' from f_0 and f_1 by f_{ll+1} = ((2 ll + 1)/z) f_ll - f_{ll-1};
+    # the rows of a stack f0, f1 recur together
     prev, cur = f0, f1
-    for ll in range(1, l):
-        prev, cur = cur, ((2 * ll + 1) / z) * cur - prev
+    factors = np.arange(3, 2 * l, 2).reshape((-1,) + (1,) * np.ndim(z)) / z   # (2 ll + 1)/z
+    for factor in factors:
+        prev, cur = cur, factor * cur - prev
     return ValueAndDerivative(cur, prev - (l / z) * cur)
 
 
+def _series_points(l: int, z: np.ndarray) -> np.ndarray | bool:
+    # where S_l takes its series (see the module docstring)
+    return abs(z) < l + 2 if l else False
+
+
 def _s_upward(l: int, z: np.ndarray) -> ValueAndDerivative:
-    # closed forms for l <= 1, upward recurrence in the oscillatory regime |z| >~ l
+    # closed forms for l <= 1, upward recurrence in the oscillatory regime |z| >~ l;
+    # numpy's complex sine and cosine, not _trig (see the module docstring)
     s0 = np.sin(z)
     return ValueAndDerivative(s0, np.cos(z)) if l == 0 else _upward(l, z, s0, s0 / z - np.cos(z))
 
@@ -160,20 +204,43 @@ def riccati_s(l: int, z: complex) -> ValueAndDerivative:
 
     Entire in z; safe at z = 0 where S_l(0) = 0 and S_l'(0) is 1 for l = 0
     and 0 otherwise.  Each element of z takes its own branch: the series
-    where l >= 2 and |z| < l + 2, the closed form or recurrence elsewhere.
+    where l >= 1 and |z| < l + 2, sin z and cos z or the recurrence elsewhere.
     """
     if l < 0:
         raise ValueError("order l must be >= 0")
-    origin = z == 0
-    special = origin | (abs(z) < l + 2) if l >= 2 else origin
-    if not np.count_nonzero(special):
+    series = _series_points(l, z)
+    if not np.count_nonzero(series):
         return _s_upward(l, z)   # the common case: one branch for every element
-    value, derivative = np.zeros_like(z), np.where(origin, 1.0 if l == 0 else 0.0, 0j)
-    for part, branch in ((special & ~origin, _s_series), (~special, _s_upward)):
+    value, derivative = np.zeros_like(z), np.zeros_like(z)
+    for part, branch in ((series, _s_series), (~series, _s_upward)):
         if part.any():
             out = branch(l, z[part])
             value[part], derivative[part] = out.value, out.derivative
     return ValueAndDerivative(value, derivative)
+
+
+def _s_eta(l: int, z: np.ndarray) -> tuple[ValueAndDerivative, ValueAndDerivative, np.ndarray]:
+    """S_l, eta_l = e^{-iz} xi_l (with e^{-iz} xi_l' as its derivative) and e^{-iz} at z.
+
+    eta_l is a polynomial in 1/z, so e^{iz} is never formed.  Raises
+    OriginSingularity when any element of z is 0.
+    """
+    if np.count_nonzero(z == 0):
+        raise OriginSingularity("xi_l is singular at z = 0")
+    sin, cos, unit = _trig(z)
+    if l == 0:
+        return ValueAndDerivative(sin, cos), ValueAndDerivative(-1j, 1.0), unit
+    # S_l and eta_l recur as the two rows of one stack, eta_l from eta_0 = -i
+    # and eta_1 = -i/z - 1; then the series points take S_l from the series
+    f0 = np.empty((2,) + np.shape(z), complex)
+    f0[0], f0[1] = sin, -1j
+    f = _upward(l, z, f0, np.array([sin / z - cos, -1j / z - 1]))
+    s = ValueAndDerivative(np.asarray(f.value[0]), np.asarray(f.derivative[0]))
+    series = _series_points(l, z)
+    if np.count_nonzero(series):
+        out = _s_series(l, z[series])
+        s.value[series], s.derivative[series] = out.value, out.derivative
+    return s, ValueAndDerivative(f.value[1], f.derivative[1]), unit
 
 
 @pointwise
@@ -187,6 +254,7 @@ def riccati_xi(l: int, z: complex) -> ValueAndDerivative:
         raise ValueError("order l must be >= 0")
     if np.count_nonzero(z == 0):
         raise OriginSingularity("xi_l is singular at z = 0")
+    # xi_l = e^{iz} eta_l, with eta_l as in _s_eta
+    eta = ValueAndDerivative(-1j, 1.0) if l == 0 else _upward(l, z, -1j, -1j / z - 1)
     e = np.exp(1j * z)
-    xi0 = -1j * e
-    return ValueAndDerivative(xi0, e) if l == 0 else _upward(l, z, xi0, xi0 / z - e)
+    return ValueAndDerivative(e * eta.value, e * eta.derivative)

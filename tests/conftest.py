@@ -4,7 +4,8 @@ Everything here is deliberately independent of the evaluation paths inside
 the package: boundary-condition solutions come from a generic null-space
 solve of the jump conditions, and cylinder functions come from 30-term
 ascending power series of J_nu (with H1_nu assembled through the
-half-integer-order reflection Y_nu = (-1)^{l+1} J_{-nu}).  The one
+half-integer-order reflection Y_nu = (-1)^{l+1} J_{-nu}), or from mpmath's
+Bessel and Hankel functions at 40 digits.  The one
 exception is ``wronskian``, an identity that checks the package's own
 Riccati functions against each other.
 """
@@ -12,8 +13,10 @@ Riccati functions against each other.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
 
 from winterres import BoundaryData, GpiParams, riccati_s, riccati_xi
@@ -82,3 +85,29 @@ def wronskian(l: int, z: complex) -> complex:
     """
     s, x = riccati_s(l, z), riccati_xi(l, z)
     return s.value * x.derivative - s.derivative * x.value
+
+
+# |z| from near the excluded disc to a deep window's far end; arg z in
+# [-pi/2, 0] with Im z >= -13, about the deepest a default search floor goes
+MPMATH_ORDERS = (0, 1, 2, 5, 20)
+MPMATH_GRID = tuple(
+    complex(r * math.cos(t), r * math.sin(t))
+    for r in (1e-3, 1e-2, 0.3, 3.0, 30.0, 300.0, 2000.0)
+    for t in [*(t for t in np.linspace(-math.pi / 2, 0.0, 7) if r * math.sin(t) >= -13.0),
+              *([-math.asin(13.0 / r)] if r > 13.0 else [])])
+
+
+@functools.lru_cache(maxsize=None)
+def mpmath_riccati(l: int, z: complex) -> tuple[mp.mpc, mp.mpc, mp.mpc, mp.mpc]:
+    """S_l, S_l', xi_l, xi_l' at z to 40 digits, from mpmath's J_nu and H1_nu.
+
+    f_l = sqrt(pi z / 2) C_{l+1/2}(z) for C = J (S) and H1 (xi), and
+    f_l' = f_{l-1} - (l/z) f_l, where order -1/2 gives S_{-1} = cos z and
+    xi_{-1} = e^{iz}.
+    """
+    with mp.workdps(40):
+        w = mp.mpc(z)
+        pre = mp.sqrt(mp.pi * w / 2)
+        s0, s1 = (pre * mp.besselj(n + mp.mpf(1) / 2, w) for n in (l - 1, l))
+        x0, x1 = (pre * mp.hankel1(n + mp.mpf(1) / 2, w) for n in (l - 1, l))
+        return s1, s0 - l / w * s1, x1, x0 - l / w * x1

@@ -1,9 +1,10 @@
 """The search paths evaluate det lambda and the Riccati functions on arrays only.
 
-Every global through which a search reaches det lambda, its boundary values
-or the Riccati functions is wrapped where its caller looks it up (the way
-``bench/tracer.py`` patches them), and each call records the shape of its
-points.  A scalar among them would be a point evaluated on its own.
+Every global through which a search reaches det lambda, its boundary values,
+the Riccati functions or their balanced evaluator ``_s_eta`` is wrapped where
+its caller looks it up (the way ``bench/tracer.py`` patches them), and each
+call records the shape of its points.  A scalar among them would be a point
+evaluated on its own.
 """
 
 import importlib
@@ -23,6 +24,7 @@ WRAPPED = (
     ("winterres.krein", "phi_boundary"),
     ("winterres.krein", "riccati_s"),
     ("winterres.krein", "riccati_xi"),
+    ("winterres.krein", "_s_eta"),
 )
 
 
@@ -53,13 +55,13 @@ def test_find_poles(shapes, p, l):
     # l = 5 at re_max = 60 has two poles below the lattice and a series region
     assert find_poles(p, Channel(l, 1.0), 60.0)
     _assert_arrays_only(shapes, "polefinder.det_lambda_balanced", "polefinder.det_lambda",
-                        "krein.det_lambda", "krein.phi_boundary", "krein.riccati_s",
+                        "krein._s_eta", "krein.phi_boundary", "krein.riccati_s",
                         "krein.riccati_xi")
 
 
 def test_count_zeros(shapes):
     assert count_zeros(GpiParams(50, 0, 0), Channel(5, 1.0), SearchRegion(1.0, 20.0, -4.0, 0.0))
-    _assert_arrays_only(shapes, "polefinder.det_lambda_balanced", "krein.riccati_s")
+    _assert_arrays_only(shapes, "polefinder.det_lambda_balanced", "krein._s_eta")
 
 
 def test_real_axis_roots(shapes):
@@ -68,7 +70,7 @@ def test_real_axis_roots(shapes):
 
 
 @pytest.mark.parametrize("flags, called", [
-    (["--alpha=50", "--l=0"], ("polefinder.det_lambda_balanced", "krein.det_lambda")),
+    (["--alpha=50", "--l=0"], ("polefinder.det_lambda_balanced", "krein._s_eta")),
     (["--alpha=4", "--beta=1", "--l=2"], ("cli.det_lambda", "krein.phi_boundary")),
 ], ids=["delta", "separated"])
 def test_cli_poles(shapes, tmp_path, capsys, flags, called):

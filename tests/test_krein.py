@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -10,7 +11,8 @@ from winterres import (Channel, GpiParams, NotSeparated, OriginSingularity,
                        det_lambda, det_lambda_balanced, find_poles, phi_boundary,
                        real_axis_roots, riccati_s, riccati_xi)
 
-from conftest import bessel_j_series, hankel1_halfint
+from conftest import (MPMATH_GRID, MPMATH_ORDERS, bessel_j_series, hankel1_halfint,
+                      mpmath_riccati)
 
 CH = Channel(0, 1.0)
 FREE = GpiParams(0, 0, 0)
@@ -99,10 +101,34 @@ class TestDetLambda:
 
 class TestBalanced:
     def test_definition(self):
+        # the balanced form never forms e^{ikR}, so it agrees with e^{-ikR}
+        # det lambda to rounding, not bit for bit
         p = GpiParams(3.0, -0.2, 0.4 + 0.1j)
         for k in (2.0 - 0.3j, 7.7 + 0.9j):
             want = cmath.exp(-1j * k * CH.radius) * det_lambda(p, CH, k)
-            assert det_lambda_balanced(p, CH, k) == want
+            assert abs(det_lambda_balanced(p, CH, k) - want) <= 4 * 2.0 ** -52 * abs(want)
+
+    # worst error in units of 2^-52 of the largest of the five balanced terms;
+    # the Riccati recurrences lose digits at l = 5 and 20 (see test_riccati)
+    ULPS = {0: 6, 1: 6, 2: 8, 5: 256, 20: 1024}
+
+    @pytest.mark.parametrize("l", MPMATH_ORDERS)
+    def test_against_mpmath(self, l):
+        k = np.array(MPMATH_GRID)
+        worst = 0.0
+        for a, b, g in ((50, 0, 0), (0, 0, 1 + 1j), (0, 0.1, 0), (0, 0.01, 0),
+                        (3.0, -0.2, 0.4 + 0.1j)):
+            got = det_lambda_balanced(GpiParams(a, b, g), Channel(l, 1.0), k)
+            with mp.workdps(40):
+                for point, value in zip(MPMATH_GRID, got):
+                    s, sd, x, xd = mpmath_riccati(l, point)
+                    w, re_g = mp.mpc(point), mp.mpf(complex(g).real)
+                    terms = [mp.mpf(-1), -a * 1j / w * s * x, b * 1j * w * sd * xd,
+                             -re_g * 1j * (s * xd + sd * x), -mp.mpf(a * b + abs(g) ** 2) / 4]
+                    unit = mp.exp(-1j * w)
+                    err = abs(mp.mpc(value) - unit * mp.fsum(terms))
+                    worst = max(worst, float(err / (abs(unit) * max(abs(t) for t in terms))))
+        assert worst <= self.ULPS[l] * 2.0 ** -52, f"worst error {worst}"
 
     def test_modulus_matches_on_real_axis(self):
         p = GpiParams(5.0, 0.0, 0.0)

@@ -3,12 +3,14 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from winterres import Channel, OriginSingularity, riccati_s, riccati_xi
 
-from conftest import riccati_xi_series, wronskian
+from conftest import (MPMATH_GRID, MPMATH_ORDERS, mpmath_riccati, riccati_xi_series,
+                      wronskian)
 
 
 def closed_s(l: int, z: complex) -> complex:
@@ -161,3 +163,30 @@ class TestWronskian:
                     checked += 1
         assert checked > 2000
         assert worst < 1e-10, f"worst Wronskian defect {worst}"
+
+
+class TestAgainstMpmath:
+    # worst relative error in units of 2^-52 over MPMATH_GRID.  The upward
+    # recurrence of xi_l loses digits for |z| <~ l deep in the lower
+    # half-plane (ROADMAP item 2), and at l = 20 both recurrences lose some
+    # near |z| = 30, Im z = -13; elsewhere a few ulps hold
+    S_ULPS = {0: 4, 1: 4, 2: 6, 5: 6, 20: 1024}
+    XI_ULPS = {0: 4, 1: 4, 2: 6, 5: 256, 20: 1024}
+
+    @pytest.mark.parametrize("l", MPMATH_ORDERS)
+    def test_riccati_functions(self, l):
+        z = np.array(MPMATH_GRID)
+        s, x = riccati_s(l, z), riccati_xi(l, z)
+        got = zip(s.value, s.derivative, x.value, x.derivative)
+        worst = np.zeros(4)
+        for point, values in zip(MPMATH_GRID, got):
+            for i, (a, want) in enumerate(zip(values, mpmath_riccati(l, point))):
+                worst[i] = max(worst[i], float(abs(mp.mpc(a) - want) / abs(want)))
+        bound = np.array([self.S_ULPS[l]] * 2 + [self.XI_ULPS[l]] * 2) * 2.0 ** -52
+        assert np.all(worst <= bound), f"worst S, S', xi, xi' errors {worst}"
+
+    def test_s1_near_the_origin(self):
+        # sin z / z - cos z cancels there; the series keeps every digit
+        for z in (1e-3, 1e-3 - 1e-3j, 1e-2 - 3e-3j):
+            want = mpmath_riccati(1, z)[0]
+            assert float(abs(mp.mpc(riccati_s(1, z).value) - want) / abs(want)) <= 2.0 ** -50

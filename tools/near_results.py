@@ -9,8 +9,9 @@ poles, each within REL_TOL * max(1, |k|) of its old place.  A ``winterres
 poles`` call must keep its exit code; its CSV and SVG bytes may change.  For
 each workload it prints the largest relative pole move, the number of CLI
 calls whose CSV or SVG bytes changed, and the det lambda array calls and
-points, old -> new.  Every mismatch is printed too, and makes the exit
-status 1:
+points, old -> new.  Then it prints each search whose det lambda calls or
+points changed, which is not a mismatch.  Every mismatch is printed too, and
+makes the exit status 1:
 
     python3 tools/same_results.py ../parent > old.txt
     python3 tools/same_results.py . > new.txt
@@ -24,9 +25,10 @@ import sys
 REL_TOL = 1e-13   # the rounding a reordered sum may leave on a refined pole
 
 
-def _read(path: str) -> tuple[dict, dict]:
-    """{(workload, index, inputs): result} and {workload: 'calls C points P'} of one file."""
-    results, totals = {}, {}
+def _read(path: str) -> tuple[dict, dict, dict]:
+    """{(workload, index, inputs): result}, {same key: 'calls C points P'} and
+    {workload: 'calls C points P'} of one file."""
+    results, counts, totals = {}, {}, {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             name, rest = line.rstrip("\n").split(" ", 1)
@@ -34,9 +36,11 @@ def _read(path: str) -> tuple[dict, dict]:
                 totals[name] = rest.split(" ", 1)[1]
                 continue
             index, rest = rest.split(" ", 1)
-            inputs, _, result = rest.partition("]")
-            results[name, int(index), inputs + "]"] = result.strip()
-    return results, totals
+            inputs, _, rest = rest.partition("]")
+            result, _, count = rest.partition("| det_lambda ")
+            key = name, int(index), inputs + "]"
+            results[key], counts[key] = result.strip(), count
+    return results, counts, totals
 
 
 def _poles(result: str) -> list[complex] | None:
@@ -49,9 +53,10 @@ def _poles(result: str) -> list[complex] | None:
 
 
 def compare(old_path: str, new_path: str) -> tuple[list[str], list[str]]:
-    """(summary lines, one per workload; mismatch lines)."""
-    old, old_totals = _read(old_path)
-    new, new_totals = _read(new_path)
+    """(summary lines, one per workload, then one per search whose det lambda
+    counts changed; mismatch lines)."""
+    old, old_counts, old_totals = _read(old_path)
+    new, new_counts, new_totals = _read(new_path)
     mismatches = [f"{key[0]} {key[1]} {key[2]}: only in {path}"
                   for keys, other, path in ((old, new, old_path), (new, old, new_path))
                   for key in keys if key not in other]
@@ -79,6 +84,8 @@ def compare(old_path: str, new_path: str) -> tuple[list[str], list[str]]:
                f"{changed.get(name, 0)} CLI calls with changed bytes, det_lambda "
                f"{old_totals.get(name, '-')} -> {new_totals.get(name, '-')}"
                for name in dict.fromkeys(key[0] for key in [*old, *new])]
+    summary += [f"{key[0]} {key[1]} {key[2]}: det_lambda {old_counts[key]} -> {new_counts[key]}"
+                for key in old if key in new and old_counts[key] != new_counts[key]]
     return summary, mismatches
 
 

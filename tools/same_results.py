@@ -8,10 +8,11 @@ three bench workloads (``bench/workloads.make(name, 1)`` of this checkout)
 in order.  It prints one line per search: a ``find_poles`` search gives each
 pole's k and residual as float hex, or the exception class it raised; a
 ``winterres poles`` call gives its exit code and the sha256 of the CSV and
-SVG files it wrote.  Last comes one line per workload with the number of
-det lambda array calls and points the pole finder made.  Two checkouts give
-the same results when the outputs are equal.  Each search runs under the
-bench's memory cap, so a runaway ends as a MemoryError line:
+SVG files it wrote.  Each search's line ends with ``| det_lambda calls C
+points P``, the det lambda array calls and points the pole finder made in
+it, and last comes one line per workload with their totals.  Two checkouts
+give the same results when the outputs are equal.  Each search runs under
+the bench's memory cap, so a runaway ends as a MemoryError line:
 
     diff <(python3 tools/same_results.py ../parent) <(python3 tools/same_results.py .)
 """
@@ -24,6 +25,7 @@ import io
 import os
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 
@@ -76,15 +78,18 @@ def main(argv: list[str]) -> int:
         counts[1] += np.size(k)
         return det(p, ch, k)
 
-    pf.det_lambda_balanced = counted
     totals = []
-    with tempfile.TemporaryDirectory() as out_dir:
+    with tempfile.TemporaryDirectory() as out_dir, \
+            mock.patch.object(pf, "det_lambda_balanced", counted):
         for name in workloads.GENERATORS:
-            counts[:] = [0, 0]
+            calls = points = 0
             for i, s in enumerate(workloads.make(name, 1).searches):
+                counts[:] = [0, 0]
                 result = _search(winterres, winterres.cli, s, out_dir)
-                print(f"{name} {i} {workloads.to_json(s)} {result}")
-            totals.append(f"{name} det_lambda calls {counts[0]} points {counts[1]}")
+                print(f"{name} {i} {workloads.to_json(s)} {result} "
+                      f"| det_lambda calls {counts[0]} points {counts[1]}")
+                calls, points = calls + counts[0], points + counts[1]
+            totals.append(f"{name} det_lambda calls {calls} points {points}")
     print("\n".join(totals))
     return 0
 
