@@ -184,12 +184,12 @@ def _rounds(fn, regions, zf: np.ndarray, heads: np.ndarray):
 
     ``heads`` holds the first columns of each loop's four sides and of its
     closing step, to the next loop, which no one looks at.  A round bisects,
-    in one det lambda call for all, the steps of pi/2 or more and a side of
-    n < 8 steps' 8 - n longest (first on ties) at least half its longest, as
-    bisecting each depth first would.  Raises BoundaryZero for a given sample
-    under 1e-8 times its loop's median (taken only if within 1e-8 of its
-    largest), a new one at or under that floor of its loop, or a step still
-    wide.
+    in one det lambda call for all, the steps of pi/2 or more and, in each of
+    the first ceil(log2(8 / n)) rounds, every step of a side of n < 8 steps,
+    so that every side ends with 8 steps or more.  Raises BoundaryZero for a
+    given sample under 1e-8 times its loop's median (taken only if within
+    1e-8 of its largest), a new one at or under that floor of its loop, or a
+    step still wide.
     """
     count, loops, mag = heads.size, heads[::5], abs(zf[1])
     floor = _FLOOR_REL * np.maximum.reduceat(mag, loops)   # a bound till exact
@@ -204,32 +204,25 @@ def _rounds(fn, regions, zf: np.ndarray, heads: np.ndarray):
                 raise BoundaryZero(f"zero of det lambda on the boundary of {regions[s]}")
 
     median_floor((least <= floor).nonzero()[0])
-    # the steps to look at, every one at first: their ends z, f, z, f and their step of zf
+    # the steps to look at, every one at first: their ends z, f, z, f, step of zf and side
     ends = (zf[0, :-1], zf[1, :-1], zf[0, 1:], zf[1, 1:])
     slot = np.arange(zf.shape[1] - 1, dtype=np.int32)
+    at = heads.searchsorted(slot, "right") - 1
     steps = np.append(np.diff(heads), 8)   # of each side
     steps[4::5] = 8   # a closing step is never short
-    short, total, new = steps.min() < 8, np.zeros(count), []
+    halvings = np.ceil(np.log2(8 / steps))   # the rounds that halve every step of a side
+    short = halvings.max()   # the rounds in which some side is short
+    total, new = np.zeros(count), []
     for depth in range(_MAX_PHASE_DEPTH + 1):
         za, fa, zb, fb = ends
-        at = heads.searchsorted(slot, "right")
-        at -= 1
         phase = np.angle(fb / fa)
         if not depth:
             phase[heads[4:-1:5]] = 0.0   # the steps between loops
-        marked, stay = abs(phase) >= 0.5 * math.pi, at[:0]
-        if short:   # every step of a short side is looked at
-            s = (steps[at] < 8).nonzero()[0]
-            gap = abs(zb[s] - za[s])
-            order = np.lexsort((abs(za[s] - zf[0, slot[s]]), slot[s], -gap, at[s]))
-            group, gap = at[s][order], gap[order]
-            first = group.searchsorted(group)
-            marked[s[order[(np.arange(s.size) - first < 8 - steps[group])
-                           & (gap >= 0.4999995 * gap[first])]]] = True
-            steps += np.bincount(at[marked], minlength=count)
-            stay, short = (~marked & (steps[at] < 8)).nonzero()[0], steps.min() < 8
+        marked = abs(phase) >= 0.5 * math.pi
+        if depth < short:
+            marked |= halvings[at] > depth
         split = marked.nonzero()[0]
-        phase[split] = phase[stay] = 0.0   # looked at again
+        phase[split] = 0.0   # looked at again, as two halves
         total += np.bincount(at, phase, count)
         if not split.size:
             return total, new
@@ -245,11 +238,11 @@ def _rounds(fn, regions, zf: np.ndarray, heads: np.ndarray):
             if low.any():
                 raise BoundaryZero(f"|det lambda| below the floor at {zm[low.argmax()]}")
         new.append((zm, fm, slot[split]))
-        # next: the halves of each split step, then the steps of short sides kept
-        n, k = split.size, np.concatenate([split, split, stay])
+        # next: the halves of each split step
+        n, k = split.size, np.tile(split, 2)
         ends = ends[:, k] if depth else np.concatenate([zf[:, k], zf[:, k + 1]])
-        slot = slot[k]
-        ends[2, :n], ends[3, :n], ends[0, n:2 * n], ends[1, n:2 * n] = zm, fm, zm, fm
+        slot, at = slot[k], at[k]
+        ends[2, :n], ends[3, :n], ends[0, n:], ends[1, n:] = zm, fm, zm, fm
 
 
 def _boxes(regions) -> np.ndarray:

@@ -251,9 +251,9 @@ class TestSubdivide:
         (lambda k: det_lambda_balanced(DELTA, CH, k), SearchRegion(9.0, 13.0, -6.0, -0.0005), 3),
         (_zeros_at(*STACKED), SearchRegion(4.0, 6.0, -8.0, -0.1), 1),
     ], ids=["wide", "tall", "tall-stacked"])
-    def test_short_sides_get_the_greedy_samples(self, fn, region, levels, monkeypatch):
-        # a strip's short sides, pieces of its parent's, are densified as bisecting the
-        # longest step would
+    def test_short_sides_get_the_halved_samples(self, fn, region, levels, monkeypatch):
+        # a strip's short sides, pieces of its parent's, have every step halved until
+        # they have 8 steps or more
         short, resolve = [], pf._resolve
 
         def recorded(fn, strips, zf, offsets, corners):
@@ -364,23 +364,22 @@ def _depth_first(fn, side):
     return z, deepest
 
 
-def _densify(z):
-    """Reference: bisect a side's longest step, the first on ties, until it has 8 steps."""
+def _halved(z):
+    """Reference: halve every step of a side until it has 8 steps or more."""
     z = list(z)
     while len(z) < 9:
-        i = max(range(len(z) - 1), key=lambda j: abs(z[j + 1] - z[j]))
-        z.insert(i + 1, 0.5 * (z[i] + z[i + 1]))
+        z = [w for a, b in zip(z, z[1:]) for w in (a, 0.5 * (a + b))] + z[-1:]
     return z
 
 
 def _resolved_side(one, side):
     """Reference: a side's samples after its count, one point a call of one.
 
-    A short side is densified, then bisected depth first.  Returns the
+    A short side is halved, then bisected depth first.  Returns the
     samples and the depth of the deepest phase split.
     """
     known = dict(zip(*side.tolist()))
-    dense = _densify(side[0].tolist())
+    dense = _halved(side[0].tolist())
     values = [known[w] if w in known else one(w) for w in dense]
     return _depth_first(one, np.array([dense, values]))
 
@@ -446,8 +445,8 @@ class TestResolve:
         _, resolved, count, _ = _resolve_one(fn, region, sides)
         assert count == 0
         assert resolved.zf[0].tolist() == want
-        assert 2.0 - 0.975j not in want   # the 0.05 step is under half the longest
-        # densifying shares the first round's call with the wide steps of the left side
+        assert 2.0 - 0.975j in want   # every step of a short side is halved, the 0.05 one too
+        # halving shares the first round's call with the wide steps of the left side
         first = calls[0].tolist()
         assert {1.5 - 1.0j, 2.0 - 0.85j, 2.0 - 0.625j} <= set(first)
         assert any(k.real == 1.0 for k in first)
@@ -526,6 +525,7 @@ class TestExactZeros:
         if count > 2:
             for strip, strip_loop, c, seeds in pf._subdivide(fn, region, loop, count):
                 _assert_carried(strip, strip_loop)
+                assert all(side.shape[1] > 8 for side in _sides(strip_loop))   # 8 steps or more
                 inside = [z for z in zeros if _inside(strip, z)]
                 assert c == len(inside)
                 assert len(seeds) == (c if c <= 2 else 0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from winterres import Channel, OriginSingularity, riccati_s, riccati_xi
+from winterres.riccati import _series_tables
 
 from conftest import (MPMATH_GRID, MPMATH_ORDERS, mpmath_riccati, riccati_xi_series,
                       wronskian)
@@ -48,6 +49,13 @@ class TestChannel:
     def test_rejects_bad_channel(self, l, r):
         with pytest.raises(ValueError):
             Channel(l, r)
+
+
+@pytest.mark.parametrize("fn", [riccati_s, riccati_xi], ids=["s", "xi"])
+@pytest.mark.parametrize("l", [1.5, 2.0, -1])
+def test_order_must_be_a_nonnegative_int(fn, l):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        fn(l, 1 + 0.5j)
 
 
 class TestRiccatiS:
@@ -100,6 +108,16 @@ class TestRiccatiS:
                     ref = closed_s(l, z) if l <= 5 else None
                     if ref is not None:
                         assert abs(v.value - ref) < 1e-11 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("l", [*range(1, 61), 100, 200])
+    def test_series_table_reaches_the_switch(self, l):
+        # on |z| = l + 2, where the series' terms are largest against its sum, the
+        # table's last term lies under 1e-18 of the partial sum (t_0 taken as 1)
+        ratio_den, _, _ = _series_tables(l)
+        z = (l + 2) * np.exp(2j * np.pi * np.arange(720) / 720)
+        terms = np.cumprod(np.concatenate([np.ones((1, z.size)), -0.5 * z * z / ratio_den]),
+                           axis=0)
+        assert (abs(terms[-1]) < 1e-18 * abs(terms.cumsum(axis=0)[-1])).all()
 
 
 class TestRiccatiXi:

@@ -20,6 +20,7 @@ makes the exit status 1:
 
 from __future__ import annotations
 
+import os
 import sys
 
 REL_TOL = 1e-13   # the rounding a reordered sum may leave on a refined pole
@@ -99,4 +100,10 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:   # the reader stopped early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())   # no flush error at exit
+        status = 141   # 128 + SIGPIPE, as a shell reports a writer the pipe ended
+    sys.exit(status)
