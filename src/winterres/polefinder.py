@@ -13,13 +13,16 @@ strips of about two zeros each.
 
 A cell's boundary is one closed loop of (z, f) samples; a step through which
 f turns by pi/2 or more is bisected, which pins the turn to a multiple of 2 pi
-unless a zero sits on the boundary (a floor relative to the median |f| then
-raises BoundaryZero).  A split is one array program for all its strips: each
-strip's loop is gathered from the parent's loop and the cuts (one det lambda
-call), a cut walked by both strips it bounds, each bisection round is one call
-for every loop, and the strips' loops are views into one array.  So a sample
-of the parent's boundary is never computed again however deep the subdivision
-goes; a zero on a cut moves every cut.
+unless a zero sits on the boundary (a sample whose |f| is at most 1e-8 of
+a neighbour's, or a midpoint's at most 1e-8 of its step's larger end, then
+raises BoundaryZero; |f| grows like e^{R |Im k|} down a loop's sides, so a
+floor taken from the whole loop would lie above |f| near the axis).  A split
+is one array program for all its strips: each strip's loop is gathered from
+the parent's loop and the cuts (one det lambda call), a cut walked by both
+strips it bounds, each bisection round is one call for every loop, and the
+strips' loops are views into one array.  So a sample of the parent's
+boundary is never computed again however deep the subdivision goes; a zero on
+a cut moves every cut.
 
 A strip of one or two zeros is seeded from its contour moments as its split
 is counted; once the stack is empty, one ``refine`` call runs Newton from
@@ -48,7 +51,7 @@ from .gpi import GpiParams, is_separated
 from .krein import EXCLUDED_DISC, det_lambda, det_lambda_balanced
 from .riccati import Channel
 
-_FLOOR_REL = 1e-8            # boundary-zero floor relative to median |f|
+_FLOOR_REL = 1e-8            # boundary-zero floor relative to |f| at a step's ends
 _MAX_PHASE_DEPTH = 48        # bisection depth per boundary segment
 _MAX_TREE_DEPTH = 40         # rectangle subdivision depth cap
 _MIN_CELL_FACTOR = 1e-6      # cells below 1e-6/R with count >= 2 are clusters
@@ -151,11 +154,11 @@ def _boundary(fn, region: SearchRegion):
     c = region.corners()
     zf, starts = _sample(fn, list(zip(c, c[1:] + c[:1])))
     corners = starts[1:4] - [1, 2, 3]
-    return _strips([region], *_resolve(fn, [region], np.delete(zf, starts[1:4] - 1, axis=1),
+    return _strips([region], *_resolve(fn, np.delete(zf, starts[1:4] - 1, axis=1),
                                        np.array([0, zf.shape[1] - 3]), corners[None]))[0]
 
 
-def _resolve(fn, regions, zf: np.ndarray, offsets: np.ndarray, corners: np.ndarray):
+def _resolve(fn, zf: np.ndarray, offsets: np.ndarray, corners: np.ndarray):
     """Count the zeros of fn in each region from its loop: the rest of ``_strips``'s arguments.
 
     Loop s is columns offsets[s] to offsets[s + 1] - 1 of zf (z over f),
@@ -164,7 +167,7 @@ def _resolve(fn, regions, zf: np.ndarray, offsets: np.ndarray, corners: np.ndarr
     (see ``_rounds``); the new samples are then inserted into the loops.
     """
     heads = np.column_stack([offsets[:-1], offsets[:-1, None] + corners, offsets[1:] - 1])
-    total, new = _rounds(fn, regions, zf, heads.ravel())
+    total, new = _rounds(fn, zf, heads.ravel())
     total = total.reshape(-1, 5).sum(axis=1) / (2.0 * math.pi)
     counts = np.rint(total)
     if (abs(total - counts) > 0.25).any():
@@ -179,31 +182,25 @@ def _resolve(fn, regions, zf: np.ndarray, offsets: np.ndarray, corners: np.ndarr
     return zf, offsets.tolist(), corners.tolist(), counts.astype(int).tolist()
 
 
-def _rounds(fn, regions, zf: np.ndarray, heads: np.ndarray):
+def _rounds(fn, zf: np.ndarray, heads: np.ndarray):
     """The phase each side turns through, and per round its new samples (z, f, step of zf).
 
     ``heads`` holds the first columns of each loop's four sides and of its
     closing step, to the next loop, which no one looks at.  A round bisects,
     in one det lambda call for all, the steps of pi/2 or more and, in each of
     the first ceil(log2(8 / n)) rounds, every step of a side of n < 8 steps,
-    so that every side ends with 8 steps or more.  Raises BoundaryZero for a
-    given sample under 1e-8 times its loop's median (taken only if within
-    1e-8 of its largest), a new one at or under that floor of its loop, or a
-    step still wide.
+    so that every side ends with 8 steps or more.  Each floor is local: a
+    given sample at or under 1e-8 times |f| at a neighbour in its loop, a new
+    one at or under 1e-8 times the larger |f| at the ends of the step it
+    splits, and a step still wide raise BoundaryZero.
     """
-    count, loops, mag = heads.size, heads[::5], abs(zf[1])
-    floor = _FLOOR_REL * np.maximum.reduceat(mag, loops)   # a bound till exact
-    least, exact = np.minimum.reduceat(mag, loops), np.zeros(floor.size, bool)
-    del mag
-
-    def median_floor(strips):
-        for s in strips[~exact[strips]]:
-            f = np.sort(abs(zf[1, heads[5 * s]:heads[5 * s + 4]]))   # each sample once
-            floor[s], exact[s] = _FLOOR_REL * f[f.size // 2], True
-            if f[f.size // 2] == 0.0 or f[0] < floor[s]:
-                raise BoundaryZero(f"zero of det lambda on the boundary of {regions[s]}")
-
-    median_floor((least <= floor).nonzero()[0])
+    count, mag = heads.size, abs(zf[1])
+    low = np.minimum(mag[:-1], mag[1:]) <= _FLOOR_REL * np.maximum(mag[:-1], mag[1:])
+    low[heads[4:-1:5]] = False   # the steps between loops
+    if low.any():
+        i = low.argmax()
+        i += mag[i + 1] < mag[i]
+        raise BoundaryZero(f"zero of det lambda on the boundary at {zf[0, i]}")
     # the steps to look at, every one at first: their ends z, f, z, f, step of zf and side
     ends = (zf[0, :-1], zf[1, :-1], zf[0, 1:], zf[1, 1:])
     slot = np.arange(zf.shape[1] - 1, dtype=np.int32)
@@ -231,12 +228,9 @@ def _rounds(fn, regions, zf: np.ndarray, heads: np.ndarray):
                                "cannot be resolved")
         zm = 0.5 * (za[split] + zb[split])
         fm = fn(zm)
-        bound = at[split] // 5
-        if abs(fm).min() <= floor.max() and (abs(fm) <= floor[bound]).any():
-            median_floor(bound[abs(fm) <= floor[bound]])
-            low = abs(fm) <= floor[bound]
-            if low.any():
-                raise BoundaryZero(f"|det lambda| below the floor at {zm[low.argmax()]}")
+        low = abs(fm) <= _FLOOR_REL * np.maximum(abs(fa[split]), abs(fb[split]))
+        if low.any():
+            raise BoundaryZero(f"|det lambda| below the floor at {zm[low.argmax()]}")
         new.append((zm, fm, slot[split]))
         # next: the halves of each split step
         n, k = split.size, np.tile(split, 2)
@@ -413,11 +407,8 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     ``im_min=None`` selects the default floor -(max(ln(re_max R), 0) + 5)/R.  For
     separated interactions the top edge is lowered by a 1e-7/R sliver: their
     real-axis zeros are embedded eigenvalues, which belong to
-    ``real_axis_roots``, not to the resonance list.  The sliver does not
-    always keep them off the contour: an embedded eigenvalue 1e-7/R above
-    the top edge can pull |det lambda| there under the floor, and the
-    search then raises BoundaryZero, as
-    ``find_poles(GpiParams(4, 1, 0), Channel(0, 1.0), 20.0)`` does.
+    ``real_axis_roots``, not to the resonance list, and would sit on a top
+    edge at 0.  Below the sliver such a search returns its resonances.
 
     A cell of c > 2 zeros is cut into max(2, c // 2) strips (see
     ``_subdivide``) until every cell holds one or two, and Newton runs from
@@ -566,7 +557,7 @@ def _subdivide(fn, region: SearchRegion, loop: _Loop, count: int):
         length = np.minimum(stop, sides[..., None]) - np.minimum(stop - length, sides[..., None])
         runs = _runs(base.ravel(), step.ravel(), length.ravel())
         try:   # the loops are not held here, so the insert of new samples frees them
-            counted = _resolve(fn, strips, np.concatenate([loop.zf, cuts], axis=1)[:, runs],
+            counted = _resolve(fn, np.concatenate([loop.zf, cuts], axis=1)[:, runs],
                                np.append(0, sides.sum(axis=1).cumsum()),
                                sides[:, :3].cumsum(axis=1))
         except BoundaryZero:

@@ -66,13 +66,20 @@ class TestCountZeros:
             count_zeros(FREE, CH, SearchRegion(1e-5, 1.0, -1.0, 0.0))
 
     @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 13: two zeros 0.002 outside the left edge turn det lambda by "
-        "-6.21 rad along one sampled step whose end values differ by +0.07 rad, so the "
-        "pi/2 rule does not bisect it and the count reads 1"))
-    def test_zeros_just_outside_an_edge_are_not_counted(self):
-        p = GpiParams(-10.153856357759496, -0.380926874988312, 0.36348759065265357)
-        region = SearchRegion(0.002, 80.0, -17.37775890822787, -1.0)
-        assert count_zeros(p, Channel(1, 0.5), region) == 0
+        "ROADMAP item 13: zeros just outside the left edge turn det lambda along one "
+        "sampled step by 2 pi less than its end values show (-6.21 rad against +0.07 "
+        "for two zeros 0.002 outside, -4.77 against +1.51 for one 0.001 outside), so "
+        "the pi/2 rule does not bisect it and the count reads 1"))
+    @pytest.mark.parametrize("p, ch, region", [
+        (GpiParams(-10.153856357759496, -0.380926874988312, 0.36348759065265357),
+         Channel(1, 0.5), SearchRegion(0.002, 80.0, -17.37775890822787, -1.0)),
+        # the zero at k = -2i; a 200,000-point dense count gives 0, and so does
+        # the same region from re_min = 0.002
+        (GpiParams(3, 1, 1), Channel(1, 1.0),
+         SearchRegion(0.001, 5.0, -7.99573227355399, -1e-7)),
+    ], ids=["two-zeros", "one-zero"])
+    def test_zeros_just_outside_an_edge_are_not_counted(self, p, ch, region):
+        assert count_zeros(p, ch, region) == 0
 
     def test_boundary_zero_raises(self):
         # bottom edge running exactly through a pole: the count answers only
@@ -82,11 +89,12 @@ class TestCountZeros:
             count_zeros(DELTA, CH, region)
 
     def test_given_sample_under_the_floor_raises(self, monkeypatch):
-        # a zero exactly on the lower left corner, a given sample: the median
-        # floor of the given samples catches it before any bisection
-        monkeypatch.setattr(pf, "det_lambda_balanced", lambda p, ch, k: (k - (2 - 1j)) * (k + 5))
-        with pytest.raises(BoundaryZero, match="zero of det lambda on the boundary"):
-            count_zeros(DELTA, CH, SearchRegion(2, 6, -1, 0))
+        # a zero on the lower left corner, a given sample, or 1e-12 off it: the
+        # floor against its neighbours catches it before any bisection
+        for k0 in (2 - 1j, complex(2 - 1e-12, -1)):
+            monkeypatch.setattr(pf, "det_lambda_balanced", lambda p, ch, k: (k - k0) * (k + 5))
+            with pytest.raises(BoundaryZero, match="zero of det lambda on the boundary"):
+                count_zeros(DELTA, CH, SearchRegion(2, 6, -1, 0))
 
 
 def _phases(zf):
@@ -123,7 +131,7 @@ def _resolve_one(fn, region, sides):
     """
     zf = np.concatenate([side[:, :-1] for side in sides[:3]] + [sides[3]], axis=1)
     corners = np.cumsum([side.shape[1] - 1 for side in sides[:3]])
-    counted = pf._resolve(fn, [region], zf, np.array([0, zf.shape[1]]), corners[None])
+    counted = pf._resolve(fn, zf, np.array([0, zf.shape[1]]), corners[None])
     return pf._strips([region], *counted)[0]
 
 
@@ -256,11 +264,13 @@ class TestSubdivide:
         # they have 8 steps or more
         short, resolve = [], pf._resolve
 
-        def recorded(fn, strips, zf, offsets, corners):
-            out = resolve(fn, strips, zf, offsets, corners)
-            for s, (_, loop, _, _) in enumerate(pf._strips(strips, *out)):
-                given = pf._Loop(zf[:, offsets[s]:offsets[s + 1]], [0, *corners[s]])
-                short.extend((side, got) for side, got in zip(_sides(given), _sides(loop))
+        def recorded(fn, zf, offsets, corners):
+            out = resolve(fn, zf, offsets, corners)
+            loop = lambda zf, offsets, corners, s: pf._Loop(zf[:, offsets[s]:offsets[s + 1]],
+                                                            [0, *corners[s]])
+            for s in range(len(corners)):
+                given, resolved = loop(zf, offsets, corners, s), loop(*out[:3], s)
+                short.extend((side, got) for side, got in zip(_sides(given), _sides(resolved))
                              if side.shape[1] < 9)   # a side of fewer than 8 steps
             return out
 
@@ -927,12 +937,15 @@ class TestFindPoles:
     def test_separated_has_no_off_axis_poles(self):
         assert find_poles(GpiParams(0, 0, 2), CH, re_max=30.0, im_min=-2.0) == []
 
-    @pytest.mark.xfail(strict=True, raises=BoundaryZero, reason=(
-        "an embedded eigenvalue 1e-7/R above the lowered top edge pulls |det lambda| "
-        "there under the floor; separated couplings need their own search"))
     def test_separated_search_returns_certified_poles(self):
-        poles = find_poles(GpiParams(4, 1, 0), CH, 20.0)
-        assert all(pole.k.imag < 0.0 and pole.residual < 1e-9 for pole in poles)
+        # embedded eigenvalues 1e-7/R above the lowered top edge are not under
+        # the floor of any step there
+        p = GpiParams(4, 1, 0)
+        poles = find_poles(p, Channel(1, 1.0), 20.0)
+        assert len(poles) == 1
+        assert abs(poles[0].k - complex(math.sqrt(3) / 2, -1.5)) < 1e-14
+        assert poles[0].residual < 1e-9
+        assert find_poles(p, CH, 20.0) == []
 
     @pytest.mark.parametrize("p, l, radius", [(DELTA, 0, 1.0), (DELTA, 3, 2.0),
                                               (DELTA_PRIME, 0, 1.0), (INTERMEDIATE, 0, 1.0)],
@@ -965,6 +978,21 @@ class TestRegressions:
         for pole in poles:
             assert pole.residual < 1e-9
             assert abs(det_lambda(p, ch, pole.k)) < 1e-9
+
+    @pytest.mark.parametrize("p, l, radius, im_min, n", [
+        (DELTA, 1, 1.0, -30.0, 31), (DELTA_PRIME, 0, 3.0, -25.0 / 3.0, 32),
+        (INTERMEDIATE, 3, 1.0, -25.0, 31), (DELTA, 0, 3.0, -10.0, 31),
+    ], ids=["delta-l1", "delta-prime-R3", "intermediate-l3", "delta-R3"])
+    def test_deep_window_finds_the_default_windows_poles(self, p, l, radius, im_min, n):
+        # |det lambda| grows like e^{R |Im k|} down a deep window's sides, which
+        # must not lift the floor of the steps near the axis
+        ch = Channel(l, radius)
+        deep = find_poles(p, ch, 100.0 / radius, im_min)
+        want = find_poles(p, ch, 100.0 / radius)
+        assert len(deep) == len(want) == n
+        for pole, ref in zip(deep, want):
+            assert pole.residual < 1e-9
+            assert abs(pole.k - ref.k) <= 1e-12 * abs(ref.k)
 
     def test_delta_l5_low_poles(self):
         # the two poles below the lattice make index_poles raise AmbiguousIndex
