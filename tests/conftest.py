@@ -19,7 +19,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from winterres import BoundaryData, GpiParams, riccati_s, riccati_xi
+from winterres import BoundaryData, Channel, GpiParams, riccati_s, riccati_xi
 
 
 def eq1_basis(p: GpiParams) -> list[BoundaryData]:
@@ -111,3 +111,26 @@ def mpmath_riccati(l: int, z: complex) -> tuple[mp.mpc, mp.mpc, mp.mpc, mp.mpc]:
         s0, s1 = (pre * mp.besselj(n + mp.mpf(1) / 2, w) for n in (l - 1, l))
         x0, x1 = (pre * mp.hankel1(n + mp.mpf(1) / 2, w) for n in (l - 1, l))
         return s1, s0 - l / w * s1, x1, x0 - l / w * x1
+
+
+def mpmath_det_lambda(p: GpiParams, ch: Channel, k) -> mp.mpc:
+    """det lambda(k) at 40 digits from ``mpmath_riccati`` at z = k R (k may be an mpc)."""
+    with mp.workdps(40):
+        k = mp.mpc(k)
+        s, sd, x, xd = mpmath_riccati(ch.l, k * ch.radius)
+        return (-1 - p.alpha * 1j / k * s * x + p.beta * 1j * k * sd * xd
+                - mp.mpf(p.gamma.real) * 1j * (s * xd + sd * x)
+                - mp.mpf(p.alpha * p.beta + abs(p.gamma) ** 2) / 4)
+
+
+def mpmath_pole(p: GpiParams, ch: Channel, k0: complex) -> complex:
+    """The zero of det lambda next to k0, by secant steps at 40 digits from k0."""
+    with mp.workdps(40):
+        a, b = mp.mpc(k0), mp.mpc(k0) * (1 + mp.mpf(10) ** -7)
+        fa, fb = mpmath_det_lambda(p, ch, a), mpmath_det_lambda(p, ch, b)
+        for _ in range(30):
+            a, b, fa = b, b - fb * (b - a) / (fb - fa), fb
+            if abs(b - a) < mp.mpf(10) ** -30 * abs(b):
+                return complex(b)
+            fb = mpmath_det_lambda(p, ch, b)
+    raise AssertionError(f"no zero of det lambda found next to {k0}")

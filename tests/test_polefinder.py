@@ -14,6 +14,8 @@ from winterres import (AmbiguousIndex, BoundaryZero, Channel, ClusteredZeros, Gp
                        NonConvergence, SearchRegion, WinterresError, count_zeros, det_lambda,
                        det_lambda_balanced, find_poles, index_poles, refine)
 
+from conftest import mpmath_pole
+
 CH = Channel(0, 1.0)
 FREE = GpiParams(0, 0, 0)
 DELTA = GpiParams(50, 0, 0)
@@ -962,6 +964,22 @@ class TestFindPoles:
             find_poles(DELTA, CH, re_max=10.0, im_min=0.0)
         with pytest.raises(ValueError):
             find_poles(DELTA, CH, re_max=math.inf)
+
+
+class TestHighOrder:
+    # ROADMAP item 2: before xi_l took its product over its zeros inside the series
+    # disc, these searches raised NonConvergence (delta at l = 20; delta-prime
+    # beta=0.1 at l = 30) or returned poles up to ~6e-12 off
+    @pytest.mark.parametrize("p,l,re_max", [
+        *((p, 20, 40.0) for p in (DELTA, INTERMEDIATE, DELTA_PRIME, GpiParams(0, 0.01, 0))),
+        (DELTA_PRIME, 30, 100.0),
+    ], ids=["delta-20", "intermediate-20", "beta0.1-20", "beta0.01-20", "beta0.1-30"])
+    def test_poles_match_mpmath(self, p, l, re_max):
+        ch = Channel(l, 1.0)
+        poles = find_poles(p, ch, re_max)
+        assert poles
+        for pole in poles:
+            assert abs(pole.k - mpmath_pole(p, ch, pole.k)) <= 1e-12 * max(1.0, abs(pole.k))
 
 
 class TestRegressions:

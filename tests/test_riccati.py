@@ -1,6 +1,7 @@
 """Riccati-Bessel function tests: closed forms, recurrence, Wronskian."""
 
 import cmath
+import itertools
 import math
 
 import mpmath as mp
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from winterres import Channel, OriginSingularity, riccati_s, riccati_xi
-from winterres.riccati import _series_tables
+from winterres.riccati import _s_eta, _series_tables, _zeros
 
 from conftest import (MPMATH_GRID, MPMATH_ORDERS, mpmath_riccati, riccati_xi_series,
                       wronskian)
@@ -184,27 +185,88 @@ class TestWronskian:
 
 
 class TestAgainstMpmath:
-    # worst relative error in units of 2^-52 over MPMATH_GRID.  The upward
-    # recurrence of xi_l loses digits for |z| <~ l deep in the lower
-    # half-plane (ROADMAP item 2), and at l = 20 both recurrences lose some
-    # near |z| = 30, Im z = -13; elsewhere a few ulps hold
+    # worst relative error in units of 2^-52 over MPMATH_GRID.  At l = 20 both
+    # recurrences lose some outside the series disc, near |z| = 30, Im z = -13
+    # (worst at 27.04 - 13i); elsewhere a few ulps hold
     S_ULPS = {0: 4, 1: 4, 2: 6, 5: 6, 20: 1024}
-    XI_ULPS = {0: 4, 1: 4, 2: 6, 5: 256, 20: 1024}
+    XI_ULPS = {0: 4, 1: 4, 2: 6, 5: 6, 20: 1024}
 
-    @pytest.mark.parametrize("l", MPMATH_ORDERS)
-    def test_riccati_functions(self, l):
-        z = np.array(MPMATH_GRID)
+    @staticmethod
+    def worst_errors(l, points):
+        # worst relative errors of S_l, S_l', xi_l, xi_l' over the points, each
+        # function called once on the array of them
+        z = np.array(points)
         s, x = riccati_s(l, z), riccati_xi(l, z)
         got = zip(s.value, s.derivative, x.value, x.derivative)
         worst = np.zeros(4)
-        for point, values in zip(MPMATH_GRID, got):
+        for point, values in zip(points, got):
             for i, (a, want) in enumerate(zip(values, mpmath_riccati(l, point))):
                 worst[i] = max(worst[i], float(abs(mp.mpc(a) - want) / abs(want)))
+        return worst
+
+    @pytest.mark.parametrize("l", MPMATH_ORDERS)
+    def test_riccati_functions(self, l):
+        worst = self.worst_errors(l, MPMATH_GRID)
         bound = np.array([self.S_ULPS[l]] * 2 + [self.XI_ULPS[l]] * 2) * 2.0 ** -52
         assert np.all(worst <= bound), f"worst S, S', xi, xi' errors {worst}"
+
+    def test_series_where_the_hankel_terms_overflow(self):
+        # eta_l ~ (2l-1)!!/z^l passes 1e308 at l = 100, |z| = 0.05; S_l is subnormal there
+        for z in (0.05, 0.05 - 0.02j, 1e-3 - 1e-3j):
+            s = riccati_s(100, z)
+            want = mpmath_riccati(100, z)
+            assert abs(s.value - complex(want[0])) <= 1e-322
+            assert abs(s.derivative - complex(want[1])) <= 1e-320
 
     def test_s1_near_the_origin(self):
         # sin z / z - cos z cancels there; the series keeps every digit
         for z in (1e-3, 1e-3 - 1e-3j, 1e-2 - 3e-3j):
             want = mpmath_riccati(1, z)[0]
             assert float(abs(mp.mpc(riccati_s(1, z).value) - want) / abs(want)) <= 2.0 ** -50
+
+    # deep in the series disc, where the upward recurrence of xi_l cancels and the
+    # product over its zeros does not.  S_l takes the Hankel terms or the series,
+    # whichever cancels less; at l = 30 both lose some on a ring about |z| = 0.75 l
+    # (up to 4e-13 on this grid), which bounds S there
+    DISC_S_TOL = {12: 1e-14, 30: 1e-12}
+
+    @pytest.mark.parametrize("l", [12, 30])
+    def test_deep_in_the_series_disc(self, l):
+        points = [complex(x, y) for y in (-0.5, -2.0, -5.0, -9.0, -15.0)
+                  for x in np.linspace(0.5, l, 9) if abs(complex(x, y)) < l]
+        worst = self.worst_errors(l, points)
+        assert np.all(worst <= [self.DISC_S_TOL[l]] * 2 + [1e-14] * 2), \
+            f"worst S, S', xi, xi' errors {worst}"
+
+    def test_s20_inside_the_switch(self):
+        # on |z| = 21.9, just inside the series disc of l = 20, the series' terms
+        # reach 1e4 times its sum; the Hankel terms keep every digit there
+        z = np.array([cmath.rect(21.9, -math.asin(depth / 21.9))
+                      for depth in (3.0, 2.0, 1.5, 0.9, 0.5, 0.1, 0.01)])
+        for name, s in (("riccati_s", riccati_s(20, z)), ("_s_eta", _s_eta(20, z)[0])):
+            for point, value, derivative in zip(z.tolist(), s.value, s.derivative):
+                want = mpmath_riccati(20, point)
+                for got, ref in ((value, want[0]), (derivative, want[1])):
+                    assert float(abs(mp.mpc(got) - ref) / abs(ref)) <= 1e-14, (name, point)
+
+
+@pytest.mark.parametrize("l", [2, 5, 12, 20, 30, 40])
+def test_zeros_of_xi(l):
+    # zeta_j = i/x_j for the zeros x_j of the Bessel polynomial
+    # y_l(x) = sum_m (l+m)!/(m!(l-m)!) (x/2)^m.  Newton on y_l at 60 digits from
+    # each x_j moves it by under 1e-15 relative, onto l distinct zeros
+    zeta = _zeros(l)
+    assert zeta.shape == (l,)
+    with mp.workdps(60):
+        coeffs = [mp.factorial(l + m) / (mp.factorial(m) * mp.factorial(l - m) * 2 ** m)
+                  for m in range(l, -1, -1)]
+        roots = []
+        for start in zeta:
+            x = mp.mpc(1j / start)
+            for _ in range(8):
+                value, slope = mp.polyval(coeffs, x, derivative=True)
+                x -= value / slope
+            roots.append(x)
+        for start, x in zip(zeta, roots):
+            assert float(abs(mp.mpc(start) - 1j / x) * abs(x)) <= 1e-15
+        assert min(abs(a - b) for a, b in itertools.combinations(roots, 2)) > 1e-3 / l
