@@ -145,21 +145,33 @@ def real_axis_roots(p: GpiParams, ch: Channel, k_max: float) -> list[float]:
     """Momenta of the embedded eigenvalues in (1e-3/R, k_max].
 
     Only meaningful for separated interactions (raises NotSeparated
-    otherwise).  Roots are located by sign-change bisection on the real
-    interior quantization function, all brackets in lockstep; each root is a
-    zero of det lambda.  A disc |k| < 1e-3/R around the singular point
-    k = 0 is excluded, and an infinite k_max raises ValueError.
+    otherwise).  The roots are the zeros of the real interior quantization
+    function g(k) = c1 S_l(kR) + c2 k S_l'(kR), each a zero of det lambda:
+    those on a grid of steps pi/(24R), and one in each grid step where g
+    changes sign.  Each such bracket starts at its midpoint; each round the
+    sign of g narrows it, and the iterate takes a Newton step with the exact
+    g' (S_l'' = (l(l+1)/z^2 - 1) S_l) where that lands strictly inside it,
+    or bisects it.  All brackets run in lockstep, one Riccati array call a
+    round over those still running.  A root is the Newton iterate after a
+    step of at most 1e-14 of it, or the midpoint of a bracket shrunk below
+    1e-15 of it.  A disc |k| < 1e-3/R
+    around the singular point k = 0 is excluded, and an infinite k_max
+    raises ValueError.
     """
     if not is_separated(p):
         raise NotSeparated("real-axis root search needs a separated interaction")
     if not math.isfinite(k_max):
         raise ValueError(f"k_max must be finite, got {k_max}")
     c1, c2 = _inside_condition(p)
-    r = ch.radius
+    r, centrifugal = ch.radius, ch.l * (ch.l + 1)
 
-    def g(k: np.ndarray) -> np.ndarray:
-        s = riccati_s(ch.l, k * r)
-        return (c1 * s.value + c2 * k * s.derivative).real
+    def g(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # g and g' = (c1 R + c2) S' + c2 k R S'' at the points k
+        z = k * r
+        s = riccati_s(ch.l, z)
+        value, slope = s.value.real, s.derivative.real
+        return (c1 * value + c2 * k * slope,
+                (c1 * r + c2) * slope + c2 * k * r * (centrifugal / z**2 - 1.0) * value)
 
     k_lo = EXCLUDED_DISC / r
     if k_max <= k_lo:
@@ -167,17 +179,25 @@ def real_axis_roots(p: GpiParams, ch: Channel, k_max: float) -> list[float]:
     step = math.pi / (24.0 * r)
     n_steps = max(2, int(math.ceil((k_max - k_lo) / step)))
     grid = k_lo + (k_max - k_lo) * np.arange(n_steps + 1) / n_steps
-    vals = g(grid)
+    vals = g(grid)[0]
     on_grid = np.flatnonzero(vals == 0.0)
     bracket = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)   # sign changes in step i
     a, b, fa = grid[bracket], grid[bracket + 1], vals[bracket]
-    for _ in range(200 if bracket.size else 0):   # a finished bracket stays a = b = mid
+    k, roots = 0.5 * (a + b), np.empty(bracket.size)
+    live = np.arange(bracket.size)   # the brackets still running, as indices into roots
+    for _ in range(200 if bracket.size else 0):
+        f, fp = g(k)
+        left = fa * f < 0.0   # the root lies in [a, k]
+        a, b, fa = np.where(left, a, k), np.where(left, k, b), np.where(left, fa, f)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dk = np.where(f == 0.0, 0.0, f / fp)
+        newton, converged = k - dk, abs(dk) <= 1e-14 * k
         mid = 0.5 * (a + b)
-        fm = g(mid)
-        done, left = (fm == 0.0) | (b - a < 1e-15 * mid), fa * fm < 0.0
-        a, b = np.where(done | ~left, mid, a), np.where(done | left, mid, b)
-        fa = np.where(left, fa, fm)
-        if done.all():
+        roots[live] = np.where(converged, newton, mid)   # a bracket cut off by the cap keeps mid
+        running = ~converged & (b - a >= 1e-15 * k)
+        k = np.where((a < newton) & (newton < b), newton, mid)[running]
+        a, b, fa, live = a[running], b[running], fa[running], live[running]
+        if not live.size:
             break
-    roots = np.concatenate([grid[on_grid], 0.5 * (a + b)])
+    roots = np.concatenate([grid[on_grid], roots])
     return roots[np.argsort(np.concatenate([on_grid, bracket]), kind="stable")].tolist()

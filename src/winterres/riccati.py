@@ -42,7 +42,7 @@ and eta_l recurring as the two rows of one stack (not at all when every
 point lies in the disc), so e^{iz} is never formed and no complex
 transcendental is taken.  ``riccati_s`` takes numpy's complex
 sine and cosine instead: its callers pass a few points at a time (a
-real-axis bisection round), where two complex calls cost less than twenty
+real-axis Newton round), where two complex calls cost less than twenty
 real ones; on the thousand-point arrays of a search the real ones cost a
 third as much.
 

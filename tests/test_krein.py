@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import winterres.krein
 from winterres import (Channel, GpiParams, NotSeparated, OriginSingularity,
                        det_lambda, det_lambda_balanced, find_poles, phi_boundary,
                        real_axis_roots, riccati_s, riccati_xi)
@@ -167,7 +168,62 @@ class TestBalanced:
             assert abs(det_lambda_balanced(p, CH, pole.k)) < 1e-9
 
 
+def mpmath_real_root(p: GpiParams, ch: Channel, k0: float) -> float:
+    """The zero of c1 S_l(kR) + c2 k S_l'(kR) next to k0, at 40 digits from besselj.
+
+    (c1, c2) are the package's own coefficients taken as exact, so the root is
+    that of the function ``real_axis_roots`` solves; ``test_roots_kill_det_lambda``
+    and ``test_general_separated_family`` check the coefficients through det lambda.
+    """
+    c1, c2 = (mp.mpf(c) for c in winterres.krein._inside_condition(p))
+    l = ch.l
+
+    def g(k):
+        z = k * ch.radius
+        pre = mp.sqrt(mp.pi * z / 2)
+        s, s_prev = (pre * mp.besselj(n + mp.mpf(1) / 2, z) for n in (l, l - 1))
+        return c1 * s + c2 * k * (s_prev - l / z * s)
+
+    with mp.workdps(40):
+        return mp.findroot(g, mp.mpf(k0))
+
+
+# three separated couplings, with an l = 1 coupling of the bench sweep whose root
+# near k = 0.716 is ill-conditioned: |g'| ~ 0.025 there
+SEPARATED_ROOT_INPUTS = [
+    *((p, Channel(l, radius), 20.0 / radius)
+      for p in (GpiParams(0, 0, 2), GpiParams(4, 1, 0), GpiParams(3, 1, 1))
+      for l in (0, 1, 2, 5) for radius in (0.5, 2.0)),
+    (GpiParams(-2.0957895394274355, -1.526762720696827, -0.8945538892519659),
+     Channel(1, 1.0), 40.0),
+]
+SEPARATED_ROOT_IDS = [f"{p.alpha:g}-{p.beta:g}-{p.gamma.real:g}-l{ch.l}-R{ch.radius:g}"
+                      for p, ch, _ in SEPARATED_ROOT_INPUTS]
+
+
 class TestRealAxisRoots:
+    @pytest.mark.parametrize("p, ch, k_max", SEPARATED_ROOT_INPUTS, ids=SEPARATED_ROOT_IDS)
+    def test_roots_match_mpmath(self, p, ch, k_max):
+        roots = real_axis_roots(p, ch, k_max)
+        assert len(roots) >= 4
+        for root in roots:
+            want = mpmath_real_root(p, ch, root)
+            assert abs(root - want) <= 4e-15 * want
+
+    @pytest.mark.parametrize("p, ch, k_max", SEPARATED_ROOT_INPUTS, ids=SEPARATED_ROOT_IDS)
+    def test_rounds_per_search(self, monkeypatch, p, ch, k_max):
+        # one Riccati array call for the grid and one a round; Newton from each
+        # bracket's midpoint takes ~4 rounds, where bisection to 1e-15 took ~45
+        calls, riccati = [0], winterres.krein.riccati_s
+
+        def counted(l, z):
+            calls[0] += 1
+            return riccati(l, z)
+
+        monkeypatch.setattr(winterres.krein, "riccati_s", counted)
+        assert real_axis_roots(p, ch, k_max)
+        assert calls[0] <= 1 + 8
+
     def test_neumann_lattice_for_gamma_two(self):
         # (0, 0, 2) decouples into interior Neumann + exterior Dirichlet;
         # the interior eigenmomenta sit at cos(kR) = 0, k = (n + 1/2) pi / R

@@ -5,6 +5,7 @@ import cmath
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -980,6 +981,49 @@ class TestHighOrder:
         assert poles
         for pole in poles:
             assert abs(pole.k - mpmath_pole(p, ch, pole.k)) <= 1e-12 * max(1.0, abs(pole.k))
+
+
+def _closed_form_l0(p: GpiParams, radius: float, re_max: float) -> list[complex]:
+    """The l = 0 poles in find_poles' default window, from closed forms at 30 digits.
+
+    With beta = 0, det lambda = -(1 + |gamma|^2/4) - alpha sin(kR) e^{ikR}/k
+    - Re(gamma) e^{2ikR}.  Delta (Re gamma = 0): with alpha' = alpha/(1 + |gamma|^2/4),
+    e^{2ikR} = 1 - 2ik/alpha', so k = i alpha' (w - 1)/2 on each branch
+    alpha' R w = W_n(alpha' R e^{alpha' R}) of Lambert's W.  Intermediate
+    (alpha = 0): e^{2ikR} = -(1 + |gamma|^2/4)/Re(gamma) =: rho, so
+    k = (arg rho + 2 pi n)/(2R) - i ln|rho|/(2R).
+    """
+    im_min = -(max(math.log(re_max * radius), 0.0) + 5.0) / radius   # the default floor
+    branches = range(-int(re_max * radius / math.pi) - 3, int(re_max * radius / math.pi) + 4)
+    with mp.workdps(30):
+        scale, r = 1 + mp.mpf(abs(p.gamma) ** 2) / 4, mp.mpf(radius)
+        if p.gamma.real == 0.0:
+            a = mp.mpf(p.alpha) / scale
+            poles = [1j * a * (mp.lambertw(a * r * mp.exp(a * r), n) / (a * r) - 1) / 2
+                     for n in branches]
+        else:
+            rho = -scale / mp.mpf(p.gamma.real)
+            poles = [((mp.arg(rho) + 2 * mp.pi * n) - 1j * mp.log(abs(rho))) / (2 * r)
+                     for n in branches]
+        poles = [complex(k) for k in poles]
+    return sorted((k for k in poles if 1e-3 / radius <= k.real <= re_max and im_min <= k.imag < 0),
+                  key=lambda k: (k.real, k.imag))
+
+
+class TestClosedFormL0:
+    """find_poles at l = 0 against the exact delta and intermediate poles."""
+
+    @pytest.mark.parametrize("p", [DELTA, GpiParams(-12, 0, 0.8j), INTERMEDIATE,
+                                   GpiParams(0, 0, -0.6 + 0.4j)],
+                             ids=["delta", "delta-im-gamma", "intermediate", "intermediate-neg"])
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("span", [40.0, 400.0])   # re_max R
+    def test_poles_match_closed_form(self, p, radius, span):
+        want = _closed_form_l0(p, radius, span / radius)
+        got = [pole.k for pole in find_poles(p, Channel(0, radius), span / radius)]
+        assert len(got) == len(want) > 10
+        for k, ref in zip(got, want):
+            assert abs(k - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestRegressions:

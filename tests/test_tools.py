@@ -1,5 +1,6 @@
-"""The result tools: one line per search with its det lambda counts, and a
-comparison where poles may move by rounding and nothing else may change."""
+"""The result tools: one line per search with its det lambda and riccati_s
+counts, and a comparison where poles, of a search or in a CLI call's CSV, may
+move by rounding and nothing else may change."""
 
 import importlib.util
 import pathlib
@@ -7,7 +8,7 @@ import re
 
 import pytest
 
-from winterres import polefinder
+from winterres import Channel, GpiParams, krein, polefinder, real_axis_roots
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -30,14 +31,17 @@ def _pole(k: complex, residual: float = 1e-15) -> str:
     return f"{k.real.hex()},{k.imag.hex()},{residual.hex()}"
 
 
-def _write(path, poles, raised="NonConvergence", code=0, csv="aa", totals=(9, 900), calls=5):
+def _write(path, poles, raised="NonConvergence", code=0, csv="aa", totals=(9, 900), calls=5,
+           cli_poles=("1.5707963267948966,0", "4.7123889803846897,0"), riccati=(40, 44)):
     path.write_text("\n".join([
-        f"wide 0 {INPUTS} {' '.join(_pole(k) for k in poles)} | det_lambda calls 3 points 300",
-        f"wide 1 {INPUTS}  | det_lambda calls 1 points 200",
-        f"wide 2 {INPUTS} {raised} | det_lambda calls {calls} points 400",
-        f"sweep 0 {CLI_INPUTS} exit {code} csv {csv} svg bb | det_lambda calls 3 points 30",
-        f"wide det_lambda calls {totals[0]} points {totals[1]}",
-        "sweep det_lambda calls 3 points 30",
+        f"wide 0 {INPUTS} {' '.join(_pole(k) for k in poles)} "
+        "| det_lambda calls 3 points 300 | riccati_s calls 1",
+        f"wide 1 {INPUTS}  | det_lambda calls 1 points 200 | riccati_s calls 0",
+        f"wide 2 {INPUTS} {raised} | det_lambda calls {calls} points 400 | riccati_s calls 0",
+        f"sweep 0 {CLI_INPUTS} exit {code} csv {csv} svg bb poles {' '.join(cli_poles)} "
+        f"| det_lambda calls 0 points 0 | riccati_s calls {riccati[0]}",
+        f"wide det_lambda calls {totals[0]} points {totals[1]} | riccati_s calls 1",
+        f"sweep det_lambda calls 0 points 0 | riccati_s calls {riccati[1]}",
     ]) + "\n")
     return str(path)
 
@@ -47,12 +51,17 @@ POLES = [3.08 - 0.0037j, 120.5 - 2.25j]
 
 def test_rounding_moves_pass(tmp_path, capsys):
     old = _write(tmp_path / "old", POLES)
-    new = _write(tmp_path / "new", [k * (1 + 4e-16) for k in POLES], csv="cc", totals=(9, 901))
+    new = _write(tmp_path / "new", [k * (1 + 4e-16) for k in POLES], csv="cc", totals=(9, 901),
+                 cli_poles=("1.5707963267948970,0", "4.7123889803846897,0"), riccati=(5, 9))
     assert near_results.main([old, new]) == 0
-    wide, sweep = capsys.readouterr().out.splitlines()
+    wide, sweep, changed = capsys.readouterr().out.splitlines()
     assert wide.startswith("wide: largest relative pole move 4")
-    assert "det_lambda calls 9 points 900 -> calls 9 points 901" in wide
+    assert ("det_lambda calls 9 points 900 -> calls 9 points 901, riccati_s calls 1 -> 1"
+            in wide)
+    assert sweep.startswith("sweep: largest relative pole move 2.")
     assert "1 CLI calls with changed bytes" in sweep
+    assert sweep.endswith("riccati_s calls 44 -> 9")
+    assert changed.endswith("riccati_s calls 40 -> 5")
 
 
 def test_changed_search_counts_are_printed_not_mismatched(tmp_path, capsys):
@@ -60,24 +69,33 @@ def test_changed_search_counts_are_printed_not_mismatched(tmp_path, capsys):
     new = _write(tmp_path / "new", POLES, calls=8)
     assert near_results.main([old, new]) == 0
     changed = capsys.readouterr().out.splitlines()[2:]
-    assert changed == [f"wide 2 {INPUTS}: det_lambda calls 5 points 400 -> calls 8 points 400"]
+    assert changed == [f"wide 2 {INPUTS}: det_lambda calls 5 points 400 -> calls 8 points 400, "
+                       "riccati_s calls 0 -> 0"]
 
 
 def test_each_search_line_ends_with_its_counts(monkeypatch, capsys):
     w = same_results.workloads
-    delta = w.Coupling(50.0, 0.0, 0j)
-    searches = (w.Search(delta, 0, 1.0, 20.0), w.Search(delta, 1, 1.0, 10.0, via_cli=True))
+    delta, separated = w.Coupling(50.0, 0.0, 0j), w.Coupling(4.0, 1.0, 0j)
+    searches = (w.Search(delta, 0, 1.0, 20.0), w.Search(delta, 1, 1.0, 10.0, via_cli=True),
+                w.Search(separated, 1, 1.0, 10.0, via_cli=True))
     monkeypatch.setattr(w, "GENERATORS", {"tiny": None})
     monkeypatch.setattr(w, "make", lambda name, seed: w.Workload(name, searches, searches[0]))
-    det = polefinder.det_lambda_balanced
+    det, riccati_s = polefinder.det_lambda_balanced, krein.riccati_s
     assert same_results.main([str(ROOT)]) == 0
-    assert polefinder.det_lambda_balanced is det
+    assert polefinder.det_lambda_balanced is det and krein.riccati_s is riccati_s
     *lines, total = capsys.readouterr().out.splitlines()
-    counts = [re.fullmatch(r"tiny \d .*\| det_lambda calls (\d+) points (\d+)", line).groups()
-              for line in lines]
-    assert len(counts) == 2 and all(int(c) > 0 for pair in counts for c in pair)
-    assert total == (f"tiny det_lambda calls {sum(int(c) for c, _ in counts)} "
-                     f"points {sum(int(p) for _, p in counts)}")
+    found = [re.fullmatch(r"tiny \d (.*\]) (.*) \| det_lambda calls (\d+) points (\d+) "
+                          r"\| riccati_s calls (\d+)", line).groups() for line in lines]
+    counts = [tuple(map(int, match[2:])) for match in found]
+    assert [c > 0 for c in counts[0]] == [True, True, True]   # residuals take riccati_s
+    assert counts[1][2] > 0 and counts[2] == (0, 0, counts[2][2]) and counts[2][2] > 1
+    assert total == "tiny det_lambda calls {} points {} | riccati_s calls {}".format(
+        *map(sum, zip(*counts)))
+    # a CLI call's line lists its CSV poles: the embedded eigenvalues, as written
+    result = found[2][1]
+    assert result.startswith("exit 0 csv ") and " poles " in result
+    assert near_results._poles(result) == [
+        complex(k) for k in real_axis_roots(GpiParams(4.0, 1.0, 0), Channel(1, 1.0), 10.0)]
 
 
 @pytest.mark.parametrize("change", [
@@ -85,7 +103,10 @@ def test_each_search_line_ends_with_its_counts(monkeypatch, capsys):
     dict(poles=POLES[:1]),
     dict(poles=POLES, raised="BoundaryZero"),
     dict(poles=POLES, code=3),
-], ids=["pole-moved", "pole-lost", "exception-class", "exit-code"])
+    dict(poles=POLES, cli_poles=("1.5707963267950966,0", "4.7123889803846897,0")),
+    dict(poles=POLES, cli_poles=("1.5707963267948966,0",)),
+], ids=["pole-moved", "pole-lost", "exception-class", "exit-code", "cli-pole-moved",
+        "cli-pole-lost"])
 def test_any_other_change_is_a_mismatch(tmp_path, capsys, change):
     old = _write(tmp_path / "old", POLES)
     new = _write(tmp_path / "new", **change)

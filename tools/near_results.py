@@ -6,12 +6,13 @@
 matches the lines of the two files by workload, index and inputs.  A
 ``find_poles`` search must raise the same exception class, or return as many
 poles, each within REL_TOL * max(1, |k|) of its old place.  A ``winterres
-poles`` call must keep its exit code; its CSV and SVG bytes may change.  For
-each workload it prints the largest relative pole move, the number of CLI
-calls whose CSV or SVG bytes changed, and the det lambda array calls and
-points, old -> new.  Then it prints each search whose det lambda calls or
-points changed, which is not a mismatch.  Every mismatch is printed too, and
-makes the exit status 1:
+poles`` call must keep its exit code and hold the poles of its CSV rows to
+the same rule; its CSV and SVG bytes may change.  For each workload it
+prints the largest relative pole move, the number of CLI calls whose CSV or
+SVG bytes changed, the det lambda array calls and points and the riccati_s
+calls, old -> new.  Then it prints each search whose counts changed, which
+is not a mismatch.  Every mismatch is printed too, and makes the exit status
+1:
 
     python3 tools/same_results.py ../parent > old.txt
     python3 tools/same_results.py . > new.txt
@@ -26,36 +27,52 @@ import sys
 REL_TOL = 1e-13   # the rounding a reordered sum may leave on a refined pole
 
 
+def _counts(text: str) -> tuple[str, str]:
+    """('calls C points P', 'N') from 'calls C points P | riccati_s calls N'."""
+    det, _, riccati = text.partition(" | riccati_s calls ")
+    return det, riccati
+
+
 def _read(path: str) -> tuple[dict, dict, dict]:
-    """{(workload, index, inputs): result}, {same key: 'calls C points P'} and
-    {workload: 'calls C points P'} of one file."""
+    """{(workload, index, inputs): result}, {same key: counts} and {workload: counts}
+    of one file, with counts as ``_counts`` gives them."""
     results, counts, totals = {}, {}, {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             name, rest = line.rstrip("\n").split(" ", 1)
             if rest.startswith("det_lambda "):
-                totals[name] = rest.split(" ", 1)[1]
+                totals[name] = _counts(rest.split(" ", 1)[1])
                 continue
             index, rest = rest.split(" ", 1)
             inputs, _, rest = rest.partition("]")
             result, _, count = rest.partition("| det_lambda ")
             key = name, int(index), inputs + "]"
-            results[key], counts[key] = result.strip(), count
+            results[key], counts[key] = result.strip(), _counts(count)
     return results, counts, totals
 
 
 def _poles(result: str) -> list[complex] | None:
-    """The poles of a search's result, or None for an exception class or a CLI call."""
+    """The poles of a search's result, or None for an exception class.
+
+    A ``find_poles`` result lists k and residual as float hex; a CLI call
+    lists its CSV's ``re_k,im_k`` after ``poles``."""
     tokens = result.split()
+    if tokens and tokens[0] == "exit":
+        return [complex(*map(float, token.split(",")))
+                for token in tokens[tokens.index("poles") + 1:]]
     if tokens and "," not in tokens[0]:
         return None
     return [complex(float.fromhex(re), float.fromhex(im))
             for re, im, _ in (token.split(",") for token in tokens)]
 
 
+def _change(old: tuple[str, str], new: tuple[str, str]) -> str:
+    return f"det_lambda {old[0]} -> {new[0]}, riccati_s calls {old[1]} -> {new[1]}"
+
+
 def compare(old_path: str, new_path: str) -> tuple[list[str], list[str]]:
-    """(summary lines, one per workload, then one per search whose det lambda
-    counts changed; mismatch lines)."""
+    """(summary lines, one per workload, then one per search whose counts
+    changed; mismatch lines)."""
     old, old_counts, old_totals = _read(old_path)
     new, new_counts, new_totals = _read(new_path)
     mismatches = [f"{key[0]} {key[1]} {key[2]}: only in {path}"
@@ -66,15 +83,18 @@ def compare(old_path: str, new_path: str) -> tuple[list[str], list[str]]:
         a, b = old[key], new[key]
         name, where = key[0], f"{key[0]} {key[1]} {key[2]}"
         if a.startswith("exit ") or b.startswith("exit "):
+            changed[name] = changed.get(name, 0) + (a.split()[:6] != b.split()[:6])
             if a.split()[:2] != b.split()[:2]:
                 mismatches.append(f"{where}: {' '.join(a.split()[:2])} -> "
                                   f"{' '.join(b.split()[:2])}")
-            changed[name] = changed.get(name, 0) + (a != b)
-            continue
+                continue
         ka, kb = _poles(a), _poles(b)
-        if ka is None or kb is None or len(ka) != len(kb):
+        if ka is None or kb is None:
             if a != b:
                 mismatches.append(f"{where}: {a[:60]} -> {b[:60]}")
+            continue
+        if len(ka) != len(kb):
+            mismatches.append(f"{where}: {len(ka)} poles -> {len(kb)} poles")
             continue
         worst = max((abs(x - y) / max(1.0, abs(x)) for x, y in zip(ka, kb)), default=0.0)
         move[name] = max(move.get(name, 0.0), worst)
@@ -82,10 +102,10 @@ def compare(old_path: str, new_path: str) -> tuple[list[str], list[str]]:
             mismatches.append(f"{where}: a pole moved {worst:.3g} relative")
     summary = [f"{name}: largest relative pole move "
                f"{format(move[name], '.3g') if name in move else '-'}, "
-               f"{changed.get(name, 0)} CLI calls with changed bytes, det_lambda "
-               f"{old_totals.get(name, '-')} -> {new_totals.get(name, '-')}"
+               f"{changed.get(name, 0)} CLI calls with changed bytes, "
+               f"{_change(old_totals.get(name, ('-', '-')), new_totals.get(name, ('-', '-')))}"
                for name in dict.fromkeys(key[0] for key in [*old, *new])]
-    summary += [f"{key[0]} {key[1]} {key[2]}: det_lambda {old_counts[key]} -> {new_counts[key]}"
+    summary += [f"{key[0]} {key[1]} {key[2]}: {_change(old_counts[key], new_counts[key])}"
                 for key in old if key in new and old_counts[key] != new_counts[key]]
     return summary, mismatches
 

@@ -7,12 +7,15 @@ imports ``winterres`` from ``CHECKOUT/src`` and runs the searches of the
 three bench workloads (``bench/workloads.make(name, 1)`` of this checkout)
 in order.  It prints one line per search: a ``find_poles`` search gives each
 pole's k and residual as float hex, or the exception class it raised; a
-``winterres poles`` call gives its exit code and the sha256 of the CSV and
-SVG files it wrote.  Each search's line ends with ``| det_lambda calls C
-points P``, the det lambda array calls and points the pole finder made in
-it, and last comes one line per workload with their totals.  Two checkouts
-give the same results when the outputs are equal.  Each search runs under
-the bench's memory cap, so a runaway ends as a MemoryError line:
+``winterres poles`` call gives its exit code, the sha256 of the CSV and SVG
+files it wrote and, after ``poles``, the ``re_k,im_k`` columns of its CSV
+rows as written.  Each search's line ends with ``| det_lambda calls C points
+P | riccati_s calls N``: the det lambda array calls and points the pole
+finder made in it, and the calls of ``riccati_s`` that ``krein`` made
+(real-axis roots and the raw det lambda of residuals and embedded rows).
+Last comes one line per workload with their totals.  Two checkouts give the
+same results when the outputs are equal.  Each search runs under the
+bench's memory cap, so a runaway ends as a MemoryError line:
 
     diff <(python3 tools/same_results.py ../parent) <(python3 tools/same_results.py .)
 """
@@ -20,6 +23,7 @@ the bench's memory cap, so a runaway ends as a MemoryError line:
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -42,8 +46,16 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _csv_poles(path: str) -> str:
+    if not os.path.exists(path):
+        return ""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return " ".join(f"{row['re_k']},{row['im_k']}" for row in csv.DictReader(fh))
+
+
 def _search(pkg, cli, s: workloads.Search, out_dir: str) -> str:
-    """One search's poles, or its exit code and file hashes, or its exception class."""
+    """One search's poles, or its exit code, file hashes and CSV poles, or its
+    exception class."""
     paths = [os.path.join(out_dir, name) for name in ("poles.csv", "poles.svg")]
     for path in paths:
         with contextlib.suppress(FileNotFoundError):
@@ -54,7 +66,8 @@ def _search(pkg, cli, s: workloads.Search, out_dir: str) -> str:
                 contextlib.redirect_stderr(sink):
             if s.via_cli:
                 code = cli.main(s.cli_argv(*paths))
-                return f"exit {code} csv {_digest(paths[0])} svg {_digest(paths[1])}"
+                return (f"exit {code} csv {_digest(paths[0])} svg {_digest(paths[1])} "
+                        f"poles {_csv_poles(paths[0])}").rstrip()
             poles = pkg.find_poles(pkg.GpiParams(c.alpha, c.beta, c.gamma),
                                    pkg.Channel(s.l, s.radius), s.re_max)
     except Exception as exc:  # noqa: BLE001 -- the class is the result
@@ -69,27 +82,35 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(argv[0]), "src"))
     import winterres
     import winterres.cli
+    import winterres.krein as kr
     import winterres.polefinder as pf
 
-    det, counts = pf.det_lambda_balanced, [0, 0]
+    det, riccati_s, counts = pf.det_lambda_balanced, kr.riccati_s, [0, 0, 0]
 
-    def counted(p, ch, k):
+    def counted_det(p, ch, k):
         counts[0] += 1
         counts[1] += np.size(k)
         return det(p, ch, k)
 
+    def counted_riccati_s(l, z):
+        counts[2] += 1
+        return riccati_s(l, z)
+
+    def text(c):
+        return f"det_lambda calls {c[0]} points {c[1]} | riccati_s calls {c[2]}"
+
     totals = []
     with tempfile.TemporaryDirectory() as out_dir, \
-            mock.patch.object(pf, "det_lambda_balanced", counted):
+            mock.patch.object(pf, "det_lambda_balanced", counted_det), \
+            mock.patch.object(kr, "riccati_s", counted_riccati_s):
         for name in workloads.GENERATORS:
-            calls = points = 0
+            total = [0, 0, 0]
             for i, s in enumerate(workloads.make(name, 1).searches):
-                counts[:] = [0, 0]
+                counts[:] = [0, 0, 0]
                 result = _search(winterres, winterres.cli, s, out_dir)
-                print(f"{name} {i} {workloads.to_json(s)} {result} "
-                      f"| det_lambda calls {counts[0]} points {counts[1]}")
-                calls, points = calls + counts[0], points + counts[1]
-            totals.append(f"{name} det_lambda calls {calls} points {points}")
+                print(f"{name} {i} {workloads.to_json(s)} {result} | {text(counts)}")
+                total = [t + c for t, c in zip(total, counts)]
+            totals.append(f"{name} {text(total)}")
     print("\n".join(totals))
     return 0
 
