@@ -3,34 +3,37 @@
 Zeros of det lambda are localized by the argument principle: the winding
 number of the balanced determinant around a rectangle equals the number of
 enclosed zeros (all poles of the function live at k = 0, outside every
-search region).  A rectangle that counts c > 2 zeros is cut across its longer
-side into max(2, c // 2) equal strips, and so on until every cell holds at
-most two zeros; those cells seed damped Newton iterations, and the refined
-roots are deduplicated and checked against the top-level count, so no
-resonance inside the requested window can be silently missed.  The poles
-line up along Re k about pi/R apart, so a long window is cut once into
-strips of about two zeros each.
+search region).  A rectangle that counts c > 2 zeros is cut into
+max(2, c // 2) equal strips across the way its zeros spread, which its
+contour moments tell, and so on until every cell holds at most two zeros;
+those cells seed damped Newton iterations, and the refined roots are
+deduplicated and checked against the top-level count, so no resonance
+inside the requested window can be silently missed.  The poles line up
+along Re k about pi/R apart, so a long window is cut once into strips of
+about two zeros each, and a strip of three is cut across its row.
 
 A cell's boundary is one closed loop of (z, f) samples; a step through which
 f turns by pi/2 or more is bisected, which pins the turn to a multiple of 2 pi
 unless a zero sits on the boundary (a sample whose |f| is at most 1e-8 of
 a neighbour's, or a midpoint's at most 1e-8 of its step's larger end, then
-raises BoundaryZero; |f| grows like e^{R |Im k|} down a loop's sides, so a
-floor taken from the whole loop would lie above |f| near the axis).  A split
-is one array program for all its strips: each strip's loop is gathered from
-the parent's loop and the cuts (one det lambda call), a cut walked by both
-strips it bounds, each bisection round is one call for every loop, and the
-strips' loops are views into one array.  So a sample of the parent's
-boundary is never computed again however deep the subdivision goes; a zero on
-a cut moves every cut.
+stops that loop's count; |f| grows like e^{R |Im k|} down a loop's sides, so
+a floor taken from the whole loop would lie above |f| near the axis).  A
+split is one array program for a whole generation of cells: every cut is
+laid by one det lambda call, each strip's loop is gathered from its
+parent's loop and the cuts, a cut walked by both strips it bounds, each
+bisection round is one call for every loop, and the strips' loops are views
+into one array.  So a sample of the parent's boundary is never computed
+again however deep the subdivision goes; a zero on a cut moves every cut of
+that cell, in the next program.
 
 A strip of one or two zeros is seeded from its contour moments as its split
-is counted; once the stack is empty, one ``refine`` call runs Newton from
-every queued seed in lockstep, and one array test judges all the cells.  A
-two-zero cell is solved when both roots converge inside it at least
-_MIN_CELL_FACTOR / R apart (closer pairs are clusters) and farther apart than
-deduplication merges.  Any other outcome splits the cell from its loop; a
-one-zero cell gets one such pass, and a two-zero cell's children theirs.
+is counted; once every cell holds one or two, one ``refine`` call runs
+Newton from every queued seed in lockstep, and one array test judges all
+the cells.  A two-zero cell is solved when both roots converge inside it at
+least _MIN_CELL_FACTOR / R apart (closer pairs are clusters) and farther
+apart than deduplication merges.  Any other outcome splits the cell from its
+loop; a one-zero cell gets one such pass, and a two-zero cell's children
+theirs.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 pole lists.
@@ -118,6 +121,20 @@ class _Loop(NamedTuple):
     corners: list
 
 
+class _Cell(NamedTuple):
+    """A counted rectangle, from the window through the splits and the Newton queue.
+
+    ``seeds`` are Newton's starts for a cell of one or two zeros (none for
+    more); ``vertical`` says its cuts run parallel to the imaginary axis.
+    """
+
+    region: SearchRegion
+    loop: _Loop
+    count: int
+    seeds: list
+    vertical: bool
+
+
 def _runs(base, step, length) -> np.ndarray:
     """Indices laid end to end: length[i] of them from base[i] on, step[i] apart."""
     ends = length.cumsum()
@@ -145,30 +162,37 @@ def _sample(fn, segments) -> tuple[np.ndarray, np.ndarray]:
     return np.array([z, fn(z)]), starts
 
 
-def _boundary(fn, region: SearchRegion):
-    """The region's boundary, freshly sampled and counted: (region, loop, count, seeds).
+def _boundary(fn, region: SearchRegion) -> _Cell:
+    """The region's boundary, freshly sampled and counted.
 
     Its four sides close into a loop: each but the left one stops one
-    sample short of its end, the next side's first sample.
+    sample short of its end, the next side's first sample.  Raises
+    BoundaryZero when the loop hits a floor.
     """
     c = region.corners()
     zf, starts = _sample(fn, list(zip(c, c[1:] + c[:1])))
     corners = starts[1:4] - [1, 2, 3]
-    return _strips([region], *_resolve(fn, np.delete(zf, starts[1:4] - 1, axis=1),
-                                       np.array([0, zf.shape[1] - 3]), corners[None]))[0]
+    *counted, why = _resolve(fn, np.delete(zf, starts[1:4] - 1, axis=1),
+                             np.array([0, zf.shape[1] - 3]), corners[None])
+    if why:
+        raise BoundaryZero(why[0])
+    return _strips([region], *counted)[0]
 
 
 def _resolve(fn, zf: np.ndarray, offsets: np.ndarray, corners: np.ndarray):
-    """Count the zeros of fn in each region from its loop: the rest of ``_strips``'s arguments.
+    """Count the zeros of fn in each region from its loop: the rest of ``_strips``'s
+    arguments, then {loop: why} for each loop that hit a floor.
 
     Loop s is columns offsets[s] to offsets[s + 1] - 1 of zf (z over f),
     closed on its first sample, with its corners at offsets[s] + corners[s]
     (m x 3).  A count is the sum of the phases along its loop's four sides
-    (see ``_rounds``); the new samples are then inserted into the loops.
+    (see ``_rounds``), 0 for a loop that hit a floor; the new samples are
+    then inserted into the loops.
     """
     heads = np.column_stack([offsets[:-1], offsets[:-1, None] + corners, offsets[1:] - 1])
-    total, new = _rounds(fn, zf, heads.ravel())
+    total, new, why = _rounds(fn, zf, heads.ravel())
     total = total.reshape(-1, 5).sum(axis=1) / (2.0 * math.pi)
+    total[list(why)] = 0.0
     counts = np.rint(total)
     if (abs(total - counts) > 0.25).any():
         raise WinterresError(f"winding sums {2 * math.pi * total} failed to close to integers")
@@ -179,11 +203,12 @@ def _resolve(fn, zf: np.ndarray, offsets: np.ndarray, corners: np.ndarray):
         zf = np.insert(zf, slot + 1, np.array([zm, fm])[:, order], axis=1)
         heads += slot.searchsorted(heads)
     corners, offsets = heads[:, 1:4] - heads[:, :1], np.append(heads[:, 0], heads[-1, 4] + 1)
-    return zf, offsets.tolist(), corners.tolist(), counts.astype(int).tolist()
+    return zf, offsets.tolist(), corners.tolist(), counts.astype(int).tolist(), why
 
 
 def _rounds(fn, zf: np.ndarray, heads: np.ndarray):
-    """The phase each side turns through, and per round its new samples (z, f, step of zf).
+    """The phase each side turns through, per round its new samples (z, f, step of zf),
+    and {loop: why} for each loop that hit a floor.
 
     ``heads`` holds the first columns of each loop's four sides and of its
     closing step, to the next loop, which no one looks at.  A round bisects,
@@ -192,19 +217,34 @@ def _rounds(fn, zf: np.ndarray, heads: np.ndarray):
     so that every side ends with 8 steps or more.  Each floor is local: a
     given sample at or under 1e-8 times |f| at a neighbour in its loop, a new
     one at or under 1e-8 times the larger |f| at the ends of the step it
-    splits, and a step still wide raise BoundaryZero.
+    splits, and a step still wide drop the loop from the rounds; the phase of
+    its sides then means nothing.
     """
     count, mag = heads.size, abs(zf[1])
-    low = np.minimum(mag[:-1], mag[1:]) <= _FLOOR_REL * np.maximum(mag[:-1], mag[1:])
-    low[heads[4:-1:5]] = False   # the steps between loops
-    if low.any():
-        i = low.argmax()
-        i += mag[i + 1] < mag[i]
-        raise BoundaryZero(f"zero of det lambda on the boundary at {zf[0, i]}")
+    lost, why = np.zeros(count // 5, bool), {}
+
+    def lose(sides, text):
+        """Drop the loops of these steps' sides; each keeps text(j) of its first step j."""
+        loops, first = np.unique(sides // 5, return_index=True)
+        lost[loops] = True
+        for s, j in zip(loops.tolist(), first.tolist()):
+            why[s] = text(j)
+
     # the steps to look at, every one at first: their ends z, f, z, f, step of zf and side
     ends = (zf[0, :-1], zf[1, :-1], zf[0, 1:], zf[1, 1:])
     slot = np.arange(zf.shape[1] - 1, dtype=np.int32)
     at = heads.searchsorted(slot, "right") - 1
+    closing = heads[4:-1:5]   # the steps between loops
+    low = np.minimum(mag[:-1], mag[1:]) <= _FLOOR_REL * np.maximum(mag[:-1], mag[1:])
+    low[closing] = False
+    if low.any():
+        bad = low.nonzero()[0]
+        given = bad + (mag[bad + 1] < mag[bad])
+        lose(at[bad], lambda j: f"zero of det lambda on the boundary at {zf[0, given[j]]}")
+        keep = ~lost[at // 5]
+        slot, at = slot[keep], at[keep]
+        ends = tuple(end[keep] for end in ends)
+        closing = (at % 5 == 4).nonzero()[0]
     steps = np.append(np.diff(heads), 8)   # of each side
     steps[4::5] = 8   # a closing step is never short
     halvings = np.ceil(np.log2(8 / steps))   # the rounds that halve every step of a side
@@ -214,7 +254,7 @@ def _rounds(fn, zf: np.ndarray, heads: np.ndarray):
         za, fa, zb, fb = ends
         phase = np.angle(fb / fa)
         if not depth:
-            phase[heads[4:-1:5]] = 0.0   # the steps between loops
+            phase[closing] = 0.0
         marked = abs(phase) >= 0.5 * math.pi
         if depth < short:
             marked |= halvings[at] > depth
@@ -222,20 +262,24 @@ def _rounds(fn, zf: np.ndarray, heads: np.ndarray):
         phase[split] = 0.0   # looked at again, as two halves
         total += np.bincount(at, phase, count)
         if not split.size:
-            return total, new
+            return total, new, why
         if depth == _MAX_PHASE_DEPTH:
-            raise BoundaryZero(f"phase increment from {za[split[0]]} to {zb[split[0]]} "
-                               "cannot be resolved")
+            lose(at[split], lambda j: f"phase increment from {za[split[j]]} to {zb[split[j]]} "
+                                      "cannot be resolved")
+            return total, new, why
         zm = 0.5 * (za[split] + zb[split])
         fm = fn(zm)
         low = abs(fm) <= _FLOOR_REL * np.maximum(abs(fa[split]), abs(fb[split]))
         if low.any():
-            raise BoundaryZero(f"|det lambda| below the floor at {zm[low.argmax()]}")
+            bad = low.nonzero()[0]
+            lose(at[split[bad]], lambda j: f"|det lambda| below the floor at {zm[bad[j]]}")
+            keep = ~lost[at[split] // 5]
+            split, zm, fm = split[keep], zm[keep], fm[keep]
         new.append((zm, fm, slot[split]))
         # next: the halves of each split step
         n, k = split.size, np.tile(split, 2)
-        ends = ends[:, k] if depth else np.concatenate([zf[:, k], zf[:, k + 1]])
         slot, at = slot[k], at[k]
+        ends = ends[:, k] if depth else np.concatenate([zf[:, slot], zf[:, slot + 1]])
         ends[2, :n], ends[3, :n], ends[0, n:], ends[1, n:] = zm, fm, zm, fm
 
 
@@ -251,38 +295,53 @@ def _inside(box: np.ndarray, k: np.ndarray, slop) -> np.ndarray:
 
 
 def _strips(regions, loops: np.ndarray, offsets: list, corners: list, counts: list):
-    """[(region, loop, count, seeds)] of counted strips, each loop a view into ``loops``.
+    """The ``_Cell`` of each counted strip, its loop a view into ``loops``.
 
-    A strip of one or two zeros is seeded from its moments s_p, the sums of
+    Every strip that holds a zero takes its moments s_p, the sums of
     (z_mid - c)^p ln r / 2 pi i over its loop's steps of ratio r, c its
-    centroid (Delves & Lyness, Math. Comp. 21, 1967): c + s_1, or c + w for
-    both roots of w^2 - s_1 w + (s_1^2 - s_2)/2 (Kravanja & Van Barel, LNM
-    1727, 2000), ln r = ln|r| + i arg r as no step turns by pi/2.  A seed
-    over _SEED_SLOP diagonals outside gives way to c.
+    centroid (Delves & Lyness, Math. Comp. 21, 1967), ln r = ln|r| + i arg r
+    as no step turns by pi/2.  A strip of one or two zeros is seeded with
+    c + s_1, or c + w for both roots of w^2 - s_1 w + (s_1^2 - s_2)/2
+    (Kravanja & Van Barel, LNM 1727, 2000); a seed over _SEED_SLOP diagonals
+    outside gives way to c.  A strip of n >= 2 zeros is cut across the way
+    they spread: ``vertical`` when Re(s_2/n - (s_1/n)^2), the sum of
+    (x - x_mean)^2 - (y - y_mean)^2 over its zeros divided by n, is 0 or
+    more.  A strip of one or none is cut across its longer side.
     """
     box = _boxes(regions)[..., None]
     centre = 0.5 * (box[0] + box[1]) + 0.5j * (box[2] + box[3])
     slop, seeds = _SEED_SLOP * np.hypot(box[1] - box[0], box[3] - box[2]), centre.repeat(2, 1)
+    spreads = np.zeros(len(counts))   # Re(n s_2 - s_1^2), n^2 times the mean spread
     for lo in range(0, len(counts), 64):   # 64 loops at a time bound the memory
-        seeded = [s for s in range(lo, min(lo + 64, len(counts))) if counts[s] in (1, 2)]
-        if not seeded:
+        counted = [s for s in range(lo, min(lo + 64, len(counts))) if counts[s]]
+        if not counted:
             continue
-        a, b = seeded[0], seeded[-1] + 1
+        a, b = counted[0], counted[-1] + 1
+        n = np.array(counts[a:b])
         starts = np.subtract(offsets[a:b + 1], offsets[a])
         z, f = loops[:, offsets[a]:offsets[b]]
         r = f[1:] / f[:-1]
-        dlog = np.log(abs(r)) + 1j * np.angle(r)   # a complex log is slow at |r| ~ 1
+        dlog = np.empty_like(r)   # ln|r| + i arg r: a complex log is slow at |r| ~ 1
+        np.log(abs(r), out=dlog.real)
+        np.arctan2(r.imag, r.real, out=dlog.imag)
         dlog[starts[1:-1] - 1] = 0.0   # the steps between loops
         w = 0.5 * (z[1:] + z[:-1]) - centre[a:b, 0].repeat(np.diff(starts))[:-1]
         dlog *= w
-        s1, s2 = np.add.reduceat([dlog, dlog * w], starts[:-1], axis=1) / (2j * math.pi)
+        s1 = np.add.reduceat(dlog, starts[:-1]) / (2j * math.pi)
+        s2 = np.add.reduceat(dlog * w, starts[:-1]) / (2j * math.pi)
+        spreads[a:b] = (n * s2 - s1 * s1).real
+        if all(counts[s] > 2 for s in counted):   # none to seed
+            continue
         half = np.sqrt(2 * s2 - s1 * s1)
-        ks = np.column_stack([np.where(np.equal(counts[a:b], 1), s1, 0.5 * (s1 + half)),
+        ks = np.column_stack([np.where(n == 1, s1, 0.5 * (s1 + half)),
                               0.5 * (s1 - half)]) + centre[a:b]
         seeds[a:b] = np.where(_inside(box[:, a:b], ks, slop[a:b]), ks, centre[a:b])
-    return [(region, _Loop(loops[:, a:b], [0] + corner), count, ks[:count] if count < 3 else [])
-            for region, a, b, corner, count, ks in zip(regions, offsets, offsets[1:], corners,
-                                                       counts, seeds.tolist())]
+    return [_Cell(region, _Loop(loops[:, a:b], [0] + corner), count,
+                  ks[:count] if count < 3 else [],
+                  spread >= 0.0 if count >= 2 else region.width >= region.height)
+            for region, a, b, corner, count, ks, spread
+            in zip(regions, offsets, offsets[1:], corners, counts, seeds.tolist(),
+                   spreads.tolist())]
 
 
 def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
@@ -294,7 +353,7 @@ def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
     if region.re_min < re_floor * (1.0 - 1e-9):
         raise ValueError(f"re_min must stay above the excluded disc {re_floor}")
     fn = lambda k: det_lambda_balanced(p, ch, k)
-    return _boundary(fn, region)[2]
+    return _boundary(fn, region).count
 
 
 _DAMPING = 0.5 ** np.arange(1, 11)   # t = 1/2 ... 1/1024, tried after a rejected full step
@@ -410,10 +469,11 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     ``real_axis_roots``, not to the resonance list, and would sit on a top
     edge at 0.  Below the sliver such a search returns its resonances.
 
-    A cell of c > 2 zeros is cut into max(2, c // 2) strips (see
-    ``_subdivide``) until every cell holds one or two, and Newton runs from
-    their moment seeds; a cell whose roots are rejected is split from its
-    loop.  A two-zero cell's roots must both converge inside it, at least
+    A cell of c > 2 zeros is cut into max(2, c // 2) strips across the way
+    its zeros spread, one generation of cells at a time (see ``_subdivide``),
+    until every cell holds one or two, and Newton runs from their moment
+    seeds; a cell whose roots are rejected is split from its loop.  A
+    two-zero cell's roots must both converge inside it, at least
     max(1e-6/R, 1e-8 |k|) apart, so a double zero raises ClusteredZeros or
     BoundaryZero and never comes back as two poles.
 
@@ -433,33 +493,36 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     top = SearchRegion(re_floor, re_max, im_min, im_top)
     fn = lambda k: det_lambda_balanced(p, ch, k)
     window = _boundary(fn, top)
-    total = window[2]
 
     min_cell = _MIN_CELL_FACTOR / ch.radius
     found: list[tuple[complex, float]] = []
-    stack = [window + (0, False)] if total else []
 
-    def split(region, loop, count, seeds, depth, resplit):
-        """Push the strips of a cell with `count` zeros, unless it is a cluster."""
-        if count > 1 and min(region.width, region.height) < min_cell:
-            raise ClusteredZeros(f"{count} zeros in cell {region} below the size floor")
-        if count > 1 and depth >= _MAX_TREE_DEPTH:
-            raise ClusteredZeros(f"subdivision depth cap at {region}")
-        stack.extend(cell + (depth + 1, resplit)
-                     for cell in _subdivide(fn, region, loop, count) if cell[2])
+    def split(due):
+        """The (strip, depth, resplit) of each strip that holds zeros, for a generation of
+        (cell, depth, resplit), unless a cell is a cluster."""
+        if not due:
+            return []
+        for (region, _, count, _, _), depth, _ in due:
+            if count > 1 and min(region.width, region.height) < min_cell:
+                raise ClusteredZeros(f"{count} zeros in cell {region} below the size floor")
+            if count > 1 and depth >= _MAX_TREE_DEPTH:
+                raise ClusteredZeros(f"subdivision depth cap at {region}")
+        return [(strip, depth + 1, resplit)
+                for (_, depth, resplit), strips in zip(due, _subdivide(fn, [c for c, _, _ in due]))
+                for strip in strips if strip.count]
 
-    while stack:
-        queue = []   # cells (region, loop, count, seeds, depth, resplit) of one or two zeros
-        while stack:
-            cell = stack.pop()
-            if cell[2] <= 2:
-                queue.append(cell)
-            else:
-                split(*cell)
-        roots, residuals = refine(p, ch, np.array([k for cell in queue for k in cell[3]]))
-        counts = np.array([cell[2] for cell in queue])
+    # a cell, its depth, and whether it is a one-zero cell that has had its re-split pass
+    due = [(window, 0, False)] if window.count else []
+    while due:
+        queue = []   # cells of one or two zeros
+        while due:   # one generation: every cell of three zeros or more, in one program
+            queue += [item for item in due if item[0].count <= 2]
+            due = split([item for item in due if item[0].count > 2])
+        cells = [cell for cell, _, _ in queue]
+        roots, residuals = refine(p, ch, np.array([k for cell in cells for k in cell.seeds]))
+        counts = np.array([cell.count for cell in cells])
         first = counts.cumsum() - counts   # each cell's first root
-        inside = _inside(_boxes([cell[0] for cell in queue]).repeat(counts, axis=1), roots,
+        inside = _inside(_boxes([cell.region for cell in cells]).repeat(counts, axis=1), roots,
                          1e-9 * np.maximum(1.0, abs(roots)))
         # a pair closer than min_cell is a cluster, and one that dedupe would merge is lost
         ok = np.logical_and.reduceat(inside, first) & ((counts == 1) | (
@@ -467,11 +530,12 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
             >= np.maximum(min_cell, _DEDUPE_REL * abs(roots[first]))))
         keep = ok.repeat(counts)
         found.extend(zip(roots[keep].tolist(), residuals[keep].tolist()))
-        for region, loop, count, seeds, depth, resplit in itertools.compress(queue, ~ok):
+        rejected = list(itertools.compress(queue, ~ok))
+        for cell, _, resplit in rejected:
             if resplit:
-                raise NonConvergence(f"could not pin the single zero of {region}")
-            # a one-zero cell's one re-split pass; a two-zero cell leaves its children theirs
-            split(region, loop, count, seeds, depth, count == 1)
+                raise NonConvergence(f"could not pin the single zero of {cell.region}")
+        # a one-zero cell's one re-split pass; a two-zero cell leaves its children theirs
+        due = split([(cell, depth, cell.count == 1) for cell, depth, _ in rejected])
 
     found.sort(key=lambda item: (item[0].real, item[0].imag))
     merged: list[tuple[complex, float]] = []
@@ -481,9 +545,9 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
                 merged[-1] = (k_root, residual)
             continue
         merged.append((k_root, residual))
-    if len(merged) != total:
+    if len(merged) != window.count:
         raise WinterresError(
-            f"pole bookkeeping failed: counted {total}, refined {len(merged)}")
+            f"pole bookkeeping failed: counted {window.count}, refined {len(merged)}")
     bad = [item for item in merged if item[1] >= _RESIDUAL_TOL]
     if bad:
         raise NonConvergence(f"{len(bad)} poles above the residual tolerance: {bad}")
@@ -506,63 +570,106 @@ def _cut(base, length, first: int, keys: np.ndarray, at: np.ndarray, points: np.
     length[1:, 1] -= hi
 
 
-def _subdivide(fn, region: SearchRegion, loop: _Loop, count: int):
-    """Cut a rectangle into strips whose counts add up to the parent's, from its loop.
+def _layout(loop: _Loop, vertical: bool, at: np.ndarray, starts: np.ndarray):
+    """Each strip's loop as three runs (base, step, length) a side, m x 4 x 3, every side whole.
 
-    The cuts (one det lambda call) run across the longer side into
-    m = max(2, count // 2) equal strips.  Each strip's loop is gathered
-    from the parent's loop and the cuts, a cut walked by both its strips,
-    and ``_resolve`` counts all of them at once.  When a zero sits on (or
-    near) a cut, or the counts do not add up, every cut moves
-    2 (frac - 0.5) / m of the side for the next of _SPLIT_FRACTIONS.
-    Returns ``_strips`` left to right (or up).
+    The runs index [loop | cuts] with cut j, at ``at[j]``, in its columns
+    starts[j] to starts[j + 1] - 1.  From the side that runs like the cuts'
+    walk on (the second if ``vertical``, else the third) a strip's sides are
+    its piece of `along`, the cut after it or `last`, its piece of `across`
+    and the cut before it walked back or `first`; they are then turned back
+    to start from side 0.
     """
-    vertical, m = region.width >= region.height, max(2, count // 2)
+    m, turn = at.size + 1, 0 if vertical else 1
     # the parent's sides turned so that the cuts run like the second, as columns of its loop
-    turn = 0 if vertical else 1
     ends = list(loop.corners) + [loop.zf.shape[1] - 1]
     along, last, across, first = [(ends[i % 4], ends[i % 4 + 1]) for i in range(turn, turn + 4)]
-    start, end = (region.re_min, region.re_max) if vertical else (region.im_min, region.im_max)
     z = loop.zf[0].real if vertical else loop.zf[0].imag
-    along_keys, across_keys = z[along[0]:along[1] + 1], -z[across[0]:across[1] + 1]
-    for frac in _SPLIT_FRACTIONS:
-        at = [start + ((j + 2.0 * frac - 1.0) / m) * (end - start) for j in range(1, m)]
-        bounds = zip([start] + at, at + [end])
-        if vertical:  # cuts parallel to the imaginary axis, sampled and walked upwards
-            strips = [SearchRegion(lo, hi, region.im_min, region.im_max) for lo, hi in bounds]
-            lines = [(complex(x, region.im_min), complex(x, region.im_max)) for x in at]
-        else:         # cuts parallel to the real axis, sampled rightwards and walked leftwards
-            strips = [SearchRegion(region.re_min, region.re_max, lo, hi) for lo, hi in bounds]
-            lines = [(complex(region.re_min, y), complex(region.re_max, y)) for y in at]
+    # the cuts' ends on `along` and on `across`
+    head, tail, size = starts[:-1], starts[1:] - 1, np.diff(starts)
+    head, tail = (head, tail) if vertical else (tail, head)
+    base, step, length = (np.full((m, 4, 3), v) for v in (0, 1, 0))
+    _cut(base[:, 0], length[:, 0], along[0], z[along[0]:along[1] + 1], at, head)
+    _cut(base[::-1, 2], length[::-1, 2], across[0], -z[across[0]:across[1] + 1], -at[::-1],
+         tail[::-1])
+    base[:-1, 1, 1], step[:-1, 1, 1], length[:-1, 1, 1] = head, 1 - 2 * turn, size
+    base[1:, 3, 1], step[1:, 3, 1], length[1:, 3, 1] = tail, 2 * turn - 1, size
+    base[-1, 1, 1], length[-1, 1, 1] = last[0], last[1] - last[0] + 1
+    base[0, 3, 1], length[0, 3, 1] = first[0], first[1] - first[0] + 1
+    return [a[:, range(-turn, 4 - turn)] for a in (base, step, length)]
+
+
+def _subdivide(fn, cells: list) -> list:
+    """Cut each cell into strips whose counts add up to its own, from its loop: one array
+    program for a whole generation.
+
+    A cell of c zeros is cut into m = max(2, c // 2) equal strips, by cuts
+    parallel to the imaginary axis if it is ``vertical`` and to the real
+    axis if not.  One det lambda call lays every cut; each strip's loop is
+    gathered from its parent's loop and the cuts, a cut walked by both its
+    strips, and one ``_resolve`` counts them all.  A cell whose strips hit a
+    floor (a zero on or near a cut), or whose counts do not add up, moves
+    every cut 2 (frac - 0.5) / m of the side for the next of
+    _SPLIT_FRACTIONS, in the next program with the other such cells; the
+    rest keep their strips.  Returns each cell's strips left to right (or
+    up).
+    """
+    out, tries, todo = [None] * len(cells), [0] * len(cells), list(range(len(cells)))
+    while todo:
+        regions, ats, lines = [], [], []
+        for i in todo:
+            region, _, count, _, vertical = cells[i]
+            m, frac = max(2, count // 2), _SPLIT_FRACTIONS[tries[i]]
+            start, end = ((region.re_min, region.re_max) if vertical
+                          else (region.im_min, region.im_max))
+            at = [start + ((j + 2.0 * frac - 1.0) / m) * (end - start) for j in range(1, m)]
+            bounds = zip([start] + at, at + [end])
+            if vertical:  # cuts parallel to the imaginary axis, sampled and walked upwards
+                regions.append([SearchRegion(lo, hi, region.im_min, region.im_max)
+                                for lo, hi in bounds])
+                lines += [(complex(x, region.im_min), complex(x, region.im_max)) for x in at]
+            else:         # cuts parallel to the real axis, sampled rightwards and walked leftwards
+                regions.append([SearchRegion(region.re_min, region.re_max, lo, hi)
+                                for lo, hi in bounds])
+                lines += [(complex(region.re_min, y), complex(region.re_max, y)) for y in at]
+            ats.append(np.array(at))
         cuts, offsets = _sample(fn, lines)
-        # the cuts' ends on `along` and on `across`: columns past the loop's
-        head, tail = loop.zf.shape[1] + offsets[:-1], loop.zf.shape[1] + offsets[1:] - 1
-        head, tail = (head, tail) if vertical else (tail, head)
-        at, size = np.array(at), offsets[1:] - offsets[:-1]
-        # a strip's sides from side `turn` on, three runs (base, step, length) each: its
-        # piece of `along`, the cut after it or `last`, its piece of `across`, the cut
-        # before it walked back or `first`; then turned back to start from side 0
-        base, step, length = (np.full((m, 4, 3), v) for v in (0, 1, 0))
-        _cut(base[:, 0], length[:, 0], along[0], along_keys, at, head)
-        _cut(base[::-1, 2], length[::-1, 2], across[0], across_keys, -at[::-1], tail[::-1])
-        base[:-1, 1, 1], step[:-1, 1, 1], length[:-1, 1, 1] = head, 1 - 2 * turn, size
-        base[1:, 3, 1], step[1:, 3, 1], length[1:, 3, 1] = tail, 2 * turn - 1, size
-        base[-1, 1, 1], length[-1, 1, 1] = last[0], last[1] - last[0] + 1
-        base[0, 3, 1], length[0, 3, 1] = first[0], first[1] - first[0] + 1
-        base, step, length = (a[:, range(-turn, 4 - turn)] for a in (base, step, length))
+        # the strips' loops as runs over [every parent's loop | every cut]
+        loops = [cells[i].loop.zf for i in todo]
+        column = np.cumsum([0] + [zf.shape[1] for zf in loops])
+        layouts, k = [], 0
+        for i, at, col in zip(todo, ats, column):
+            layouts.append(_layout(cells[i].loop, cells[i].vertical, at,
+                                   column[-1] - col + offsets[k:k + at.size + 1]))
+            layouts[-1][0] += col
+            k += at.size
+        base, step, length = (np.concatenate(part) for part in zip(*layouts))
         # every side but the left one stops one sample short of its end
         sides = length.sum(axis=2)
         sides[:, :3] -= 1
         stop = length.cumsum(axis=2)
         length = np.minimum(stop, sides[..., None]) - np.minimum(stop - length, sides[..., None])
         runs = _runs(base.ravel(), step.ravel(), length.ravel())
-        try:   # the loops are not held here, so the insert of new samples frees them
-            counted = _resolve(fn, np.concatenate([loop.zf, cuts], axis=1)[:, runs],
-                               np.append(0, sides.sum(axis=1).cumsum()),
-                               sides[:, :3].cumsum(axis=1))
-        except BoundaryZero:
-            continue
-        if sum(counted[3]) == count:
-            return _strips(strips, *counted)
-        # counts disagree: a zero slipped between the sampled cut lines
-    raise BoundaryZero(f"no clean split line found inside {region}")
+        # the loops are not held here, so the insert of new samples frees them
+        zf, offsets, corners, counts, why = _resolve(
+            fn, np.concatenate(loops + [cuts], axis=1)[:, runs],
+            np.append(0, sides.sum(axis=1).cumsum()), sides[:, :3].cumsum(axis=1))
+        first = np.cumsum([0] + [len(strips) for strips in regions]).tolist()
+        # counts that disagree: a zero slipped between the sampled cut lines
+        ok = [sum(counts[a:b]) == cells[i].count and not any(a <= s < b for s in why)
+              for i, a, b in zip(todo, first, first[1:])]
+        for good, run in itertools.groupby(range(len(todo)), ok.__getitem__):
+            if not good:
+                continue
+            run = list(run)
+            a, b = first[run[0]], first[run[-1] + 1]
+            strips = _strips([strip for j in run for strip in regions[j]], zf, offsets[a:b + 1],
+                             corners[a:b], counts[a:b])
+            for j in run:
+                out[todo[j]] = strips[first[j] - a:first[j + 1] - a]
+        todo = [i for i, good in zip(todo, ok) if not good]
+        for i in todo:
+            tries[i] += 1
+            if tries[i] == len(_SPLIT_FRACTIONS):
+                raise BoundaryZero(f"no clean split line found inside {cells[i].region}")
+    return out

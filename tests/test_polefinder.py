@@ -127,14 +127,17 @@ def _fresh_sides(fn, region):
 
 
 def _resolve_one(fn, region, sides):
-    """The (region, loop, count, seeds) of a region counted from its four given sides.
+    """The cell of a region counted from its four given sides.
 
     The sides close into a loop as ``_boundary`` closes them: each but the
-    left one without its last sample.
+    left one without its last sample; and as there, a loop that hits a floor
+    raises BoundaryZero.
     """
     zf = np.concatenate([side[:, :-1] for side in sides[:3]] + [sides[3]], axis=1)
     corners = np.cumsum([side.shape[1] - 1 for side in sides[:3]])
-    counted = pf._resolve(fn, zf, np.array([0, zf.shape[1]]), corners[None])
+    *counted, why = pf._resolve(fn, zf, np.array([0, zf.shape[1]]), corners[None])
+    if why:
+        raise BoundaryZero(why[0])
     return pf._strips([region], *counted)[0]
 
 
@@ -196,19 +199,19 @@ class TestSubdivide:
     def test_child_counts_match_fresh_counts(self, p, l, region):
         ch = Channel(l, 1.0)
         fn = lambda k: det_lambda_balanced(p, ch, k)
-        _, loop, count, _ = pf._boundary(fn, region)
-        assert count == count_zeros(p, ch, region)
+        level = [pf._boundary(fn, region)]
+        assert level[0].count == count_zeros(p, ch, region)
         vertical = set()   # orientation of every cut made
-        level = [(region, loop, count)]
         for _ in range(3):   # grandchildren inherit pieces of earlier cuts
             nxt = []
-            for parent, loop, count in level:
-                children = pf._subdivide(fn, parent, loop, count)
-                vertical.add(children[0][0].re_max < parent.re_max)
-                for child, child_loop, c, _ in children:
-                    _assert_carried(child, child_loop)
-                    assert c == count_zeros(p, ch, child)
-                nxt.extend(cell[:3] for cell in children)
+            for parent, children in zip(level, pf._subdivide(fn, level)):   # one generation
+                cut_vertically = children[0].region.re_max < parent.region.re_max
+                assert cut_vertically == parent.vertical
+                vertical.add(cut_vertically)
+                for child in children:
+                    _assert_carried(child.region, child.loop)
+                    assert child.count == count_zeros(p, ch, child.region)
+                nxt.extend(children)
             level = nxt
         assert vertical == {True, False}
 
@@ -224,32 +227,36 @@ class TestSubdivide:
             calls.append(k)
             return fn(k)
 
-        _, loop, got, _ = pf._boundary(fn, region)
-        assert got == count
-        return pf._subdivide(recorded, region, loop, count), calls
+        cell = pf._boundary(fn, region)
+        assert cell.count == count
+        (strips,) = pf._subdivide(recorded, [cell])
+        return cell, strips, calls
 
     @pytest.mark.parametrize("fn, region, count", [
         (lambda k: det_lambda_balanced(DELTA, CH, k), SearchRegion(4.0, 40.0, -3.0, -0.0005), 11),
         (_zeros_at(*STACKED), SearchRegion(4.0, 6.0, -8.0, -0.1), 8),
     ], ids=["wide-delta", "tall-stacked"])
     def test_strips_partition_the_parent(self, fn, region, count):
-        # a cell of c >= 6 zeros is cut into c // 2 strips across its longer side in one pass
-        strips, calls = self._split(fn, region, count)
+        # a cell of c >= 6 zeros is cut into c // 2 strips in one pass, across the way its
+        # zeros spread: across the row in the wide cell, across the column in the tall one
+        cell, strips, calls = self._split(fn, region, count)
         m = count // 2
         assert len(strips) == m >= 3
         vertical = region.width >= region.height
+        assert cell.vertical == vertical
         lo, hi = ("re_min", "re_max") if vertical else ("im_min", "im_max")
         start, side = getattr(region, lo), getattr(region, hi) - getattr(region, lo)
         at = [start + (j / m) * side for j in range(1, m)]   # frac 0.5: equal strips
-        assert [getattr(s, lo) for s, *_ in strips] == [getattr(region, lo)] + at
-        assert [getattr(s, hi) for s, *_ in strips] == at + [getattr(region, hi)]
-        for strip, *_ in strips:   # the other side is the parent's
-            assert ((strip.im_min, strip.im_max) == (region.im_min, region.im_max) if vertical
-                    else (strip.re_min, strip.re_max) == (region.re_min, region.re_max))
-        for strip, strip_loop, c, _ in strips:
-            _assert_carried(strip, strip_loop)
-            assert c == pf._boundary(fn, strip)[2]
-        assert sum(cell[2] for cell in strips) == count
+        assert [getattr(s.region, lo) for s in strips] == [getattr(region, lo)] + at
+        assert [getattr(s.region, hi) for s in strips] == at + [getattr(region, hi)]
+        for strip in strips:   # the other side is the parent's
+            r = strip.region
+            assert ((r.im_min, r.im_max) == (region.im_min, region.im_max) if vertical
+                    else (r.re_min, r.re_max) == (region.re_min, region.re_max))
+        for strip in strips:
+            _assert_carried(strip.region, strip.loop)
+            assert strip.count == pf._boundary(fn, strip.region).count
+        assert sum(strip.count for strip in strips) == count
         # the first call samples all m - 1 cuts, each as a freshly sampled edge would be
         span = region.height if vertical else region.width
         per_cut = max(8, int(span / 0.4) + 1) + 1
@@ -277,11 +284,10 @@ class TestSubdivide:
                              if side.shape[1] < 9)   # a side of fewer than 8 steps
             return out
 
-        _, loop, count, _ = pf._boundary(fn, region)
-        level = [(region, loop, count)]
+        level = [pf._boundary(fn, region)]
         monkeypatch.setattr(pf, "_resolve", recorded)
         for _ in range(levels):
-            level = [cell[:3] for parent in level for cell in pf._subdivide(fn, *parent)]
+            level = [strip for strips in pf._subdivide(fn, level) for strip in strips]
         assert len(short) >= 4
         one = lambda k: complex(fn(np.array([k]))[0])
         for given, resolved in short:
@@ -318,20 +324,26 @@ class TestSubdivide:
         # copies must agree, sample for sample, in z and in f
         splits, subdivide = [], pf._subdivide
 
-        def recorded_split(fn, region, loop, count):
-            strips = subdivide(fn, region, loop, count)
-            splits.append((region, strips))
+        def recorded_split(fn, cells):
+            strips = subdivide(fn, cells)
+            splits.extend(zip(cells, strips))
             return strips
 
         monkeypatch.setattr(pf, "_subdivide", recorded_split)
         for p, l, re_max in [(DELTA, 0, 400.0), (DELTA_PRIME, 5, 400.0), (DELTA, 5, 60.0)]:
             find_poles(p, Channel(l, 1.0), re_max)
+        # zeros in a column are cut apart by cuts parallel to the real axis
+        column = _zeros_at(-5.0, *self.STACKED)
+        monkeypatch.setattr(pf, "det_lambda_balanced", lambda p, ch, k: column(k))
+        monkeypatch.setattr(pf, "det_lambda", lambda p, ch, k: column(k))
+        assert len(find_poles(DELTA, CH, 6.0, -8.0)) == len(self.STACKED)
         shared = []
-        for region, strips in splits:
-            vertical = strips[0][0].re_max < region.re_max
-            for (_, below, _, _), (_, above, _, _) in zip(strips, strips[1:]):
-                walked = _sides(below)[1 if vertical else 2]
-                assert walked[:, ::-1].tobytes() == _sides(above)[3 if vertical else 0].tobytes()
+        for cell, strips in splits:
+            vertical = strips[0].region.re_max < cell.region.re_max
+            for below, above in zip(strips, strips[1:]):
+                walked = _sides(below.loop)[1 if vertical else 2]
+                assert (walked[:, ::-1].tobytes()
+                        == _sides(above.loop)[3 if vertical else 0].tobytes())
                 shared.append(vertical)
         assert len(shared) >= 100 and set(shared) == {True, False}
 
@@ -340,15 +352,15 @@ class TestSubdivide:
         region = SearchRegion(1.0, 10.0, -2.0, -0.2)
         on_cut = complex(region.re_min + (1 / 3) * region.width, -0.77)
         fn = _zeros_at(1.7 - 0.5j, 2.9 - 1.1j, on_cut, 5.3 - 0.6j, 8.1 - 1.3j, 9.2 - 0.4j)
-        strips, calls = self._split(fn, region, 6)
+        _, strips, calls = self._split(fn, region, 6)
         frac = 0.53125
         at = [region.re_min + ((j + 2.0 * frac - 1.0) / 3) * region.width for j in (1, 2)]
-        assert [s.re_min for s, *_ in strips] == [region.re_min] + at
-        assert [s.re_max for s, *_ in strips] == at + [region.re_max]
-        assert [cell[2] for cell in strips] == [3, 1, 2]
-        for strip, strip_loop, c, _ in strips:
-            _assert_carried(strip, strip_loop)
-            assert c == pf._boundary(fn, strip)[2]
+        assert [s.region.re_min for s in strips] == [region.re_min] + at
+        assert [s.region.re_max for s in strips] == at + [region.re_max]
+        assert [s.count for s in strips] == [3, 1, 2]
+        for strip in strips:
+            _assert_carried(strip.region, strip.loop)
+            assert strip.count == pf._boundary(fn, strip.region).count
         assert on_cut.real in {k.real for k in calls[0]}   # the first try sampled the zero's line
 
 
@@ -455,9 +467,9 @@ class TestResolve:
                  + [pf._sample(fn, [(c[3], c[0])])[0]])
         want, deepest = _resolved(fn, sides)
         del calls[:]
-        _, resolved, count, _ = _resolve_one(fn, region, sides)
-        assert count == 0
-        assert resolved.zf[0].tolist() == want
+        cell = _resolve_one(fn, region, sides)
+        assert cell.count == 0
+        assert cell.loop.zf[0].tolist() == want
         assert 2.0 - 0.975j in want   # every step of a short side is halved, the 0.05 one too
         # halving shares the first round's call with the wide steps of the left side
         first = calls[0].tolist()
@@ -506,19 +518,37 @@ def _inside(region, z):
 
 @st.composite
 def _rectangles_with_zeros(draw):
-    """A rectangle and simple zeros 0.5 apart or more, none within 1e-3 of a side's line."""
-    re_min, im_max = draw(st.floats(0.5, 10.0)), draw(st.floats(-3.0, 0.0))
-    region = SearchRegion(re_min, re_min + draw(st.floats(0.5, 12.0)),
-                          im_max - draw(st.floats(0.5, 6.0)), im_max)
-    zeros = []
-    for _ in range(draw(st.integers(0, 10))):
-        z = complex(draw(st.floats(region.re_min - 1.0, region.re_max + 1.0)),
-                    draw(st.floats(region.im_min - 1.0, region.im_max + 1.0)))
-        if (min(abs(z.real - region.re_min), abs(z.real - region.re_max),
-                abs(z.imag - region.im_min), abs(z.imag - region.im_max)) >= 1e-3
-                and all(abs(z - w) >= 0.5 for w in zeros)):
-            zeros.append(z)
-    return region, zeros
+    """A rectangle, simple zeros 0.5 apart or more, none within 1e-3 of a side's line, and
+    how they lie: "scattered" in and around it, or in a "row" that shares Im k or a
+    "column" that shares Re k, spread along the rectangle's full width or height.
+    """
+    line = draw(st.sampled_from(["scattered", "row", "column"]))
+    if line == "scattered":
+        re_min, im_max = draw(st.floats(0.5, 10.0)), draw(st.floats(-3.0, 0.0))
+        region = SearchRegion(re_min, re_min + draw(st.floats(0.5, 12.0)),
+                              im_max - draw(st.floats(0.5, 6.0)), im_max)
+        zeros = []
+        for _ in range(draw(st.integers(0, 10))):
+            z = complex(draw(st.floats(region.re_min - 1.0, region.re_max + 1.0)),
+                        draw(st.floats(region.im_min - 1.0, region.im_max + 1.0)))
+            if (min(abs(z.real - region.re_min), abs(z.real - region.re_max),
+                    abs(z.imag - region.im_min), abs(z.imag - region.im_max)) >= 1e-3
+                    and all(abs(z - w) >= 0.5 for w in zeros)):
+                zeros.append(z)
+        return region, zeros, line
+    # n zeros, one to each of n equal pieces of the line, each within 0.2 pieces of its
+    # piece's middle; the line lies a tenth of the way across or more from either side,
+    # and across it the rectangle may be far longer than along it
+    n, piece = draw(st.integers(3, 8)), draw(st.floats(0.9, 2.0))
+    across, shared = draw(st.floats(0.5, 12.0)), draw(st.floats(0.1, 0.9))
+    along = [(j + 0.5 + draw(st.floats(-0.2, 0.2))) * piece for j in range(n)]
+    if line == "row":
+        region = SearchRegion(1.0, 1.0 + n * piece, -0.5 - across, -0.5)
+        zeros = [complex(1.0 + x, region.im_min + shared * across) for x in along]
+    else:
+        region = SearchRegion(1.0, 1.0 + across, -0.5 - n * piece, -0.5)
+        zeros = [complex(region.re_min + shared * across, region.im_min + y) for y in along]
+    return region, zeros, line
 
 
 class TestExactZeros:
@@ -531,21 +561,30 @@ class TestExactZeros:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(_rectangles_with_zeros())
     def test_counts_match_the_zeros_inside(self, case):
-        region, zeros = case
+        region, zeros, line = case
         fn = _zeros_at(-5.0, *zeros)   # -5 lies outside every rectangle
-        _, loop, count, _ = pf._boundary(fn, region)
-        assert count == sum(_inside(region, z) for z in zeros)
-        if count > 2:
-            for strip, strip_loop, c, seeds in pf._subdivide(fn, region, loop, count):
-                _assert_carried(strip, strip_loop)
-                assert all(side.shape[1] > 8 for side in _sides(strip_loop))   # 8 steps or more
-                inside = [z for z in zeros if _inside(strip, z)]
-                assert c == len(inside)
-                assert len(seeds) == (c if c <= 2 else 0)
-                if c <= 2:   # each seed within 5% of the strip's diagonal of a zero of its own
-                    reach = 0.05 * abs(complex(strip.width, strip.height))
-                    assert any(all(abs(seed - z) <= reach for seed, z in zip(seeds, order))
-                               for order in itertools.permutations(inside))
+        cell = pf._boundary(fn, region)
+        assert cell.count == sum(_inside(region, z) for z in zeros)
+        level = [cell] if cell.count > 2 else []
+        while level:   # one generation at a time, down to cells of one or two zeros
+            split = pf._subdivide(fn, level)
+            for parent, strips in zip(level, split):
+                if line != "scattered":   # a row is cut across, and so is a column
+                    assert parent.vertical == (line == "row")
+                for strip in strips:
+                    _assert_carried(strip.region, strip.loop)
+                    assert all(side.shape[1] > 8 for side in _sides(strip.loop))   # 8 steps or more
+                    inside = [z for z in zeros if _inside(strip.region, z)]
+                    assert strip.count == len(inside)
+                    if line != "scattered":   # every split leaves each strip fewer zeros
+                        assert strip.count < parent.count
+                    assert len(strip.seeds) == (strip.count if strip.count <= 2 else 0)
+                    if strip.count <= 2:   # each seed within 5% of the strip's diagonal of a zero
+                        reach = 0.05 * abs(complex(strip.region.width, strip.region.height))
+                        assert any(all(abs(seed - z) <= reach
+                                       for seed, z in zip(strip.seeds, order))
+                                   for order in itertools.permutations(inside))
+            level = [strip for strips in split for strip in strips if strip.count > 2]
 
 
 def _scalar_newton(p, ch, k):
@@ -733,11 +772,12 @@ class TestFindPoles:
         cells, split_counts = [], []
         subdivide = pf._subdivide
 
-        def recorded_split(fn, region, loop, count):
-            split_counts.append(count)
-            strips = subdivide(fn, region, loop, count)
-            cells.extend((strip, seeds) for strip, _, c, seeds in strips if c in (1, 2))
-            return strips
+        def recorded_split(fn, due):
+            split_counts.extend(cell.count for cell in due)
+            split = subdivide(fn, due)
+            cells.extend((strip.region, strip.seeds) for strips in split for strip in strips
+                         if strip.count in (1, 2))
+            return split
 
         monkeypatch.setattr(pf, "_subdivide", recorded_split)
         poles = find_poles(p, Channel(l, 1.0), re_max=400.0)
@@ -780,7 +820,7 @@ class TestFindPoles:
         monkeypatch.setattr(pf, "_strips", recorded_strips)
         find_poles(p, Channel(l, 1.0), re_max=400.0)
         assert len(seeded) > 50
-        for region, loop, count, seeds in seeded:
+        for region, loop, count, seeds, *_ in seeded:
             want = self._per_strip_seeds(region, loop, count)
             assert len(seeds) == count
             diagonal = abs(complex(region.width, region.height))
@@ -798,12 +838,12 @@ class TestFindPoles:
             fresh.append(region)
             return boundary(fn, region)
 
-        def recorded_split(fn, region, loop, count):
-            splits.append((region, loop, count))
-            strips = subdivide(fn, region, loop, count)
-            single.extend((seeds[0], strip, strip_loop)
-                          for strip, strip_loop, c, seeds in strips if c == 1)
-            return strips
+        def recorded_split(fn, due):
+            splits.extend((cell.region, cell.loop, cell.count) for cell in due)
+            split = subdivide(fn, due)
+            single.extend((strip.seeds[0], strip.region, strip.loop)
+                          for strips in split for strip in strips if strip.count == 1)
+            return split
 
         def first_single_fails(p, ch, seeds):
             roots, residuals = refine_(p, ch, seeds)
@@ -852,14 +892,15 @@ class TestFindPoles:
             log["fresh"].append(region)
             return boundary(fn, region)
 
-        def recorded_split(fn, region, loop, count):
-            log["split"].append((region, loop, count))
-            strips = subdivide(fn, region, loop, count)
-            for i, (strip, strip_loop, c, seeds) in enumerate(strips):
-                if c == 2 and not log["pair"]:
-                    log["pair"].append((strip, strip_loop))
-                    strips[i] = (strip, strip_loop, c, forced(seeds))
-            return strips
+        def recorded_split(fn, due):
+            log["split"].extend((cell.region, cell.loop, cell.count) for cell in due)
+            split = subdivide(fn, due)
+            for strips in split:
+                for i, strip in enumerate(strips):
+                    if strip.count == 2 and not log["pair"]:
+                        log["pair"].append((strip.region, strip.loop))
+                        strips[i] = strip._replace(seeds=forced(strip.seeds))
+            return split
 
         monkeypatch.setattr(pf, "_boundary", recorded_boundary)
         monkeypatch.setattr(pf, "_subdivide", recorded_split)
@@ -965,6 +1006,96 @@ class TestFindPoles:
             find_poles(DELTA, CH, re_max=10.0, im_min=0.0)
         with pytest.raises(ValueError):
             find_poles(DELTA, CH, re_max=math.inf)
+
+
+class TestGenerations:
+    """Each cell is cut across the way its zeros spread, and a whole generation of cells
+    is split in one array program."""
+
+    @pytest.mark.parametrize("p", [GpiParams(0, 0.01, 0), DELTA_PRIME, INTERMEDIATE],
+                             ids=["beta0.01", "beta0.1", "intermediate"])
+    def test_no_split_leaves_every_zero_in_one_strip(self, p, monkeypatch):
+        # the window's strips are taller than wide, and a strip of three zeros in a row
+        # along Re k is cut across the row, not along it
+        splits, subdivide = [], pf._subdivide
+
+        def recorded_split(fn, cells):
+            split = subdivide(fn, cells)
+            splits.extend((cell.count, [strip.count for strip in strips])
+                          for cell, strips in zip(cells, split))
+            return split
+
+        monkeypatch.setattr(pf, "_subdivide", recorded_split)
+        assert len(find_poles(p, CH, 2000.0)) == 637
+        assert 3 in [count for count, _ in splits]
+        assert all(max(strips) < count for count, strips in splits)
+
+    def test_an_l20_search_runs_two_split_programs(self, monkeypatch):
+        # the window's split, then every strip of three in one more program (12 programs
+        # when each cell was split on its own, across its longer side)
+        programs, resolve, boundary = [0], pf._resolve, pf._boundary
+
+        def counted_resolve(*args):
+            programs[0] += 1
+            return resolve(*args)
+
+        def counted_boundary(*args):   # the window's count is not a split
+            programs[0] -= 1
+            return boundary(*args)
+
+        monkeypatch.setattr(pf, "_resolve", counted_resolve)
+        monkeypatch.setattr(pf, "_boundary", counted_boundary)
+        assert len(find_poles(INTERMEDIATE, Channel(20, 1.0), 400.0)) == 121
+        assert programs[0] <= 2
+
+    def test_a_cell_with_a_zero_on_its_cut_retries_alone(self, monkeypatch):
+        # the window's 6 zeros: three strips, the middle one empty.  The outer two, of 3
+        # zeros each, are one generation; a zero sits on a sample of the first one's cut
+        # at frac 0.5, so that cell alone moves its cut to 0.53125 in a second program
+        # while the other keeps its strips from the first
+        re_floor, re_max = pf.EXCLUDED_DISC, 12.0
+        window_cut = re_floor + (1 / 3) * (re_max - re_floor)
+        at = lambda start, end, frac: start + ((1 + 2.0 * frac - 1.0) / 2) * (end - start)
+        on_cut = complex(at(re_floor, window_cut, 0.5), -1.0)   # sample 4 of 8 down the cut
+        zeros = [0.9 - 0.6j, on_cut, 3.1 - 1.4j, 8.7 - 0.9j, 10.3 - 1.3j, 11.2 - 0.6j]
+        det = lambda p, ch, k: _zeros_at(-5.0, *zeros)(k)
+        monkeypatch.setattr(pf, "det_lambda_balanced", det)
+        monkeypatch.setattr(pf, "det_lambda", det)
+        generations, segments, subdivide, sample = [], [], pf._subdivide, pf._sample
+
+        def recorded_split(fn, cells):
+            split = subdivide(fn, cells)
+            generations.append(list(zip(cells, split)))
+            return split
+
+        def recorded_sample(fn, lines):
+            segments.append(lines)
+            return sample(fn, lines)
+
+        monkeypatch.setattr(pf, "_subdivide", recorded_split)
+        monkeypatch.setattr(pf, "_sample", recorded_sample)
+        poles = find_poles(DELTA, CH, re_max, -2.0)
+        window, (first, third) = generations
+        assert [strip.count for strip in window[0][1]] == [3, 0, 3]
+        assert [cell.region for cell, _ in (first, third)] == [window[0][1][0].region,
+                                                               window[0][1][2].region]
+        moved = at(re_floor, window_cut, 0.53125)
+        kept = at(window[0][1][2].region.re_min, re_max, 0.5)
+        # the window's sides and cuts, the generation's cuts at 0.5, then the one moved cut
+        assert [[a.real for a, _ in lines] for lines in segments[1:]] == [
+            [window[0][1][1].region.re_min, window[0][1][2].region.re_min],
+            [on_cut.real, kept], [moved]]
+        for (cell, strips), cut in zip((first, third), (moved, kept)):
+            assert [strip.region.re_max for strip in strips] == [cut, cell.region.re_max]
+            for strip in strips:
+                _assert_carried(strip.region, strip.loop)
+                assert strip.count == sum(_inside(strip.region, z) for z in zeros)
+        assert [strip.count for strip in first[1]] == [2, 1]
+        assert [strip.count for strip in third[1]] == [1, 2]
+        # every exact zero comes back, as from the search that split one cell at a time
+        assert len(poles) == len(zeros)
+        for pole, z in zip(poles, sorted(zeros, key=lambda z: (z.real, z.imag))):
+            assert abs(pole.k - z) <= 1e-12 * abs(z)
 
 
 class TestHighOrder:

@@ -1,5 +1,5 @@
-"""The result tools: one line per search with its det lambda and riccati_s
-counts, and a comparison where poles, of a search or in a CLI call's CSV, may
+"""The result tools: one line per search with its det lambda, split program
+and riccati_s counts, and a comparison where poles, of a search or in a CLI call's CSV, may
 move by rounding and nothing else may change."""
 
 import importlib.util
@@ -32,16 +32,20 @@ def _pole(k: complex, residual: float = 1e-15) -> str:
 
 
 def _write(path, poles, raised="NonConvergence", code=0, csv="aa", totals=(9, 900), calls=5,
-           cli_poles=("1.5707963267948966,0", "4.7123889803846897,0"), riccati=(40, 44)):
+           cli_poles=("1.5707963267948966,0", "4.7123889803846897,0"), riccati=(40, 44),
+           splits=(2, 3)):
     path.write_text("\n".join([
         f"wide 0 {INPUTS} {' '.join(_pole(k) for k in poles)} "
-        "| det_lambda calls 3 points 300 | riccati_s calls 1",
-        f"wide 1 {INPUTS}  | det_lambda calls 1 points 200 | riccati_s calls 0",
-        f"wide 2 {INPUTS} {raised} | det_lambda calls {calls} points 400 | riccati_s calls 0",
+        f"| det_lambda calls 3 points 300 | split programs {splits[0]} | riccati_s calls 1",
+        f"wide 1 {INPUTS}  | det_lambda calls 1 points 200 | split programs 0 "
+        "| riccati_s calls 0",
+        f"wide 2 {INPUTS} {raised} | det_lambda calls {calls} points 400 | split programs 1 "
+        "| riccati_s calls 0",
         f"sweep 0 {CLI_INPUTS} exit {code} csv {csv} svg bb poles {' '.join(cli_poles)} "
-        f"| det_lambda calls 0 points 0 | riccati_s calls {riccati[0]}",
-        f"wide det_lambda calls {totals[0]} points {totals[1]} | riccati_s calls 1",
-        f"sweep det_lambda calls 0 points 0 | riccati_s calls {riccati[1]}",
+        f"| det_lambda calls 0 points 0 | split programs 0 | riccati_s calls {riccati[0]}",
+        f"wide det_lambda calls {totals[0]} points {totals[1]} | split programs {splits[1]} "
+        "| riccati_s calls 1",
+        f"sweep det_lambda calls 0 points 0 | split programs 0 | riccati_s calls {riccati[1]}",
     ]) + "\n")
     return str(path)
 
@@ -56,8 +60,8 @@ def test_rounding_moves_pass(tmp_path, capsys):
     assert near_results.main([old, new]) == 0
     wide, sweep, changed = capsys.readouterr().out.splitlines()
     assert wide.startswith("wide: largest relative pole move 4")
-    assert ("det_lambda calls 9 points 900 -> calls 9 points 901, riccati_s calls 1 -> 1"
-            in wide)
+    assert ("det_lambda calls 9 points 900 -> calls 9 points 901, split programs 3 -> 3, "
+            "riccati_s calls 1 -> 1" in wide)
     assert sweep.startswith("sweep: largest relative pole move 2.")
     assert "1 CLI calls with changed bytes" in sweep
     assert sweep.endswith("riccati_s calls 44 -> 9")
@@ -66,11 +70,15 @@ def test_rounding_moves_pass(tmp_path, capsys):
 
 def test_changed_search_counts_are_printed_not_mismatched(tmp_path, capsys):
     old = _write(tmp_path / "old", POLES)
-    new = _write(tmp_path / "new", POLES, calls=8)
+    new = _write(tmp_path / "new", POLES, calls=8, splits=(1, 2))
     assert near_results.main([old, new]) == 0
-    changed = capsys.readouterr().out.splitlines()[2:]
-    assert changed == [f"wide 2 {INPUTS}: det_lambda calls 5 points 400 -> calls 8 points 400, "
-                       "riccati_s calls 0 -> 0"]
+    wide, _, *changed = capsys.readouterr().out.splitlines()
+    assert wide.endswith("split programs 3 -> 2, riccati_s calls 1 -> 1")
+    assert changed == [
+        f"wide 0 {INPUTS}: det_lambda calls 3 points 300 -> calls 3 points 300, "
+        "split programs 2 -> 1, riccati_s calls 1 -> 1",
+        f"wide 2 {INPUTS}: det_lambda calls 5 points 400 -> calls 8 points 400, "
+        "split programs 1 -> 1, riccati_s calls 0 -> 0"]
 
 
 def test_each_search_line_ends_with_its_counts(monkeypatch, capsys):
@@ -80,17 +88,22 @@ def test_each_search_line_ends_with_its_counts(monkeypatch, capsys):
                 w.Search(separated, 1, 1.0, 10.0, via_cli=True))
     monkeypatch.setattr(w, "GENERATORS", {"tiny": None})
     monkeypatch.setattr(w, "make", lambda name, seed: w.Workload(name, searches, searches[0]))
-    det, riccati_s = polefinder.det_lambda_balanced, krein.riccati_s
+    patched = polefinder.det_lambda_balanced, polefinder._resolve, polefinder._boundary
+    riccati_s = krein.riccati_s
     assert same_results.main([str(ROOT)]) == 0
-    assert polefinder.det_lambda_balanced is det and krein.riccati_s is riccati_s
+    assert (polefinder.det_lambda_balanced, polefinder._resolve, polefinder._boundary) == patched
+    assert krein.riccati_s is riccati_s
     *lines, total = capsys.readouterr().out.splitlines()
     found = [re.fullmatch(r"tiny \d (.*\]) (.*) \| det_lambda calls (\d+) points (\d+) "
-                          r"\| riccati_s calls (\d+)", line).groups() for line in lines]
+                          r"\| split programs (\d+) \| riccati_s calls (\d+)", line).groups()
+             for line in lines]
     counts = [tuple(map(int, match[2:])) for match in found]
-    assert [c > 0 for c in counts[0]] == [True, True, True]   # residuals take riccati_s
-    assert counts[1][2] > 0 and counts[2] == (0, 0, counts[2][2]) and counts[2][2] > 1
-    assert total == "tiny det_lambda calls {} points {} | riccati_s calls {}".format(
-        *map(sum, zip(*counts)))
+    # residuals take riccati_s; a window of 6 zeros is split once, one of 2 not at all
+    assert counts[0][:2] > (0, 0) and counts[0][2:] == (1, 1)
+    assert counts[1][2] == 0 and counts[1][3] > 0
+    assert counts[2] == (0, 0, 0, counts[2][3]) and counts[2][3] > 1
+    assert total == "tiny det_lambda calls {} points {} | split programs {} " \
+                    "| riccati_s calls {}".format(*map(sum, zip(*counts)))
     # a CLI call's line lists its CSV poles: the embedded eigenvalues, as written
     result = found[2][1]
     assert result.startswith("exit 0 csv ") and " poles " in result

@@ -9,9 +9,9 @@ poles, each within REL_TOL * max(1, |k|) of its old place.  A ``winterres
 poles`` call must keep its exit code and hold the poles of its CSV rows to
 the same rule; its CSV and SVG bytes may change.  For each workload it
 prints the largest relative pole move, the number of CLI calls whose CSV or
-SVG bytes changed, the det lambda array calls and points and the riccati_s
-calls, old -> new.  Then it prints each search whose counts changed, which
-is not a mismatch.  Every mismatch is printed too, and makes the exit status
+SVG bytes changed, the det lambda array calls and points, the split
+programs and the riccati_s calls, old -> new.  Then it prints each search
+whose counts changed, which is not a mismatch.  Every mismatch is printed too, and makes the exit status
 1:
 
     python3 tools/same_results.py ../parent > old.txt
@@ -27,10 +27,12 @@ import sys
 REL_TOL = 1e-13   # the rounding a reordered sum may leave on a refined pole
 
 
-def _counts(text: str) -> tuple[str, str]:
-    """('calls C points P', 'N') from 'calls C points P | riccati_s calls N'."""
-    det, _, riccati = text.partition(" | riccati_s calls ")
-    return det, riccati
+def _counts(text: str) -> tuple[str, str, str]:
+    """('calls C points P', 'S', 'N') from
+    'calls C points P | split programs S | riccati_s calls N'."""
+    det, _, rest = text.partition(" | split programs ")
+    splits, _, riccati = rest.partition(" | riccati_s calls ")
+    return det, splits, riccati
 
 
 def _read(path: str) -> tuple[dict, dict, dict]:
@@ -66,8 +68,9 @@ def _poles(result: str) -> list[complex] | None:
             for re, im, _ in (token.split(",") for token in tokens)]
 
 
-def _change(old: tuple[str, str], new: tuple[str, str]) -> str:
-    return f"det_lambda {old[0]} -> {new[0]}, riccati_s calls {old[1]} -> {new[1]}"
+def _change(old: tuple[str, str, str], new: tuple[str, str, str]) -> str:
+    return (f"det_lambda {old[0]} -> {new[0]}, split programs {old[1]} -> {new[1]}, "
+            f"riccati_s calls {old[2]} -> {new[2]}")
 
 
 def compare(old_path: str, new_path: str) -> tuple[list[str], list[str]]:
@@ -103,7 +106,7 @@ def compare(old_path: str, new_path: str) -> tuple[list[str], list[str]]:
     summary = [f"{name}: largest relative pole move "
                f"{format(move[name], '.3g') if name in move else '-'}, "
                f"{changed.get(name, 0)} CLI calls with changed bytes, "
-               f"{_change(old_totals.get(name, ('-', '-')), new_totals.get(name, ('-', '-')))}"
+               f"{_change(old_totals.get(name, ('-',) * 3), new_totals.get(name, ('-',) * 3))}"
                for name in dict.fromkeys(key[0] for key in [*old, *new])]
     summary += [f"{key[0]} {key[1]} {key[2]}: {_change(old_counts[key], new_counts[key])}"
                 for key in old if key in new and old_counts[key] != new_counts[key]]

@@ -10,9 +10,11 @@ pole's k and residual as float hex, or the exception class it raised; a
 ``winterres poles`` call gives its exit code, the sha256 of the CSV and SVG
 files it wrote and, after ``poles``, the ``re_k,im_k`` columns of its CSV
 rows as written.  Each search's line ends with ``| det_lambda calls C points
-P | riccati_s calls N``: the det lambda array calls and points the pole
-finder made in it, and the calls of ``riccati_s`` that ``krein`` made
-(real-axis roots and the raw det lambda of residuals and embedded rows).
+P | split programs S | riccati_s calls N``: the det lambda array calls and
+points the pole finder made in it, its split programs (the counts of its
+cells' strips, one ``_resolve`` call each beside the window's) and the calls
+of ``riccati_s`` that ``krein`` made (real-axis roots and the raw det lambda
+of residuals and embedded rows).
 Last comes one line per workload with their totals.  Two checkouts give the
 same results when the outputs are equal.  Each search runs under the
 bench's memory cap, so a runaway ends as a MemoryError line:
@@ -85,28 +87,40 @@ def main(argv: list[str]) -> int:
     import winterres.krein as kr
     import winterres.polefinder as pf
 
-    det, riccati_s, counts = pf.det_lambda_balanced, kr.riccati_s, [0, 0, 0]
+    det, riccati_s, counts = pf.det_lambda_balanced, kr.riccati_s, [0, 0, 0, 0]
+    resolve, boundary = pf._resolve, pf._boundary
 
     def counted_det(p, ch, k):
         counts[0] += 1
         counts[1] += np.size(k)
         return det(p, ch, k)
 
-    def counted_riccati_s(l, z):
+    def counted_resolve(*args):
         counts[2] += 1
+        return resolve(*args)
+
+    def counted_boundary(*args):   # its one _resolve call is not a split
+        counts[2] -= 1
+        return boundary(*args)
+
+    def counted_riccati_s(l, z):
+        counts[3] += 1
         return riccati_s(l, z)
 
     def text(c):
-        return f"det_lambda calls {c[0]} points {c[1]} | riccati_s calls {c[2]}"
+        return (f"det_lambda calls {c[0]} points {c[1]} | split programs {c[2]} "
+                f"| riccati_s calls {c[3]}")
 
     totals = []
     with tempfile.TemporaryDirectory() as out_dir, \
             mock.patch.object(pf, "det_lambda_balanced", counted_det), \
+            mock.patch.object(pf, "_resolve", counted_resolve), \
+            mock.patch.object(pf, "_boundary", counted_boundary), \
             mock.patch.object(kr, "riccati_s", counted_riccati_s):
         for name in workloads.GENERATORS:
-            total = [0, 0, 0]
+            total = [0, 0, 0, 0]
             for i, s in enumerate(workloads.make(name, 1).searches):
-                counts[:] = [0, 0, 0]
+                counts[:] = [0, 0, 0, 0]
                 result = _search(winterres, winterres.cli, s, out_dir)
                 print(f"{name} {i} {workloads.to_json(s)} {result} | {text(counts)}")
                 total = [t + c for t, c in zip(total, counts)]
