@@ -15,8 +15,8 @@ from .gpi import (BoundaryData, DegenerateDenominator, GpiClass, GpiParams,
                   boundary_residual, canonical_real_gamma, classify,
                   classify_unitary, from_scale_invariant, is_separated,
                   to_transfer, to_unitary)
-from .krein import (NotSeparated, PhiBoundaryValues, det_lambda,
-                    det_lambda_balanced, phi_boundary, real_axis_roots)
+from .krein import (PhiBoundaryValues, det_lambda, det_lambda_balanced,
+                    phi_boundary, real_axis_roots)
 from .polefinder import (BoundaryZero, ClusteredZeros, NonConvergence,
                          SearchRegion, count_zeros, default_im_min, find_poles,
                          refine)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousIndex", "AsymptoticPrediction", "BoundaryData", "BoundaryZero",
     "Channel", "ClusteredZeros", "DegenerateDenominator", "GpiClass",
-    "GpiParams", "NonConvergence", "NotSeparated", "OriginSingularity",
+    "GpiParams", "NonConvergence", "OriginSingularity",
     "PhiBoundaryValues", "Resonance", "RunConfig", "SearchRegion",
     "SeparatedInteraction", "TransferForm", "UnitaryForm",
     "ValueAndDerivative", "WinterresError", "ZeroCoupling",

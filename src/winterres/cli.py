@@ -46,7 +46,8 @@ def _add_search(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--svg", type=str, default=None, dest="svg_path", metavar="SVG",
                      help="write the scatter chart here")
     sub.add_argument("--table", action="store_true", default=None,
-                     help="print the table to stdout")
+                     help="print the table to stdout even where the config sets "
+                     "outputs.table to false")
 
 
 @functools.cache
@@ -129,7 +130,8 @@ def cmd_classify(args) -> int:
 def _run_and_emit(cfgs: list[RunConfig], empty: str, always_table: bool) -> list[Resonance]:
     """The poles of each run with their predictions (embedded eigenvalues if
     separated); writes the CSV and SVG the outputs name, and prints the table (or
-    ``empty`` when no run has a row) unless the files take its place."""
+    ``empty`` when no run has a row) unless ``outputs.table`` is false and a CSV
+    or SVG is written.  ``always_table`` prints it in any case."""
     all_rows, series = [], []
     for cfg in cfgs:
         p, ch = cfg.interaction, cfg.channel

@@ -50,17 +50,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WinterresError
 from .gpi import GpiParams, is_separated
 from .riccati import (Channel, OriginSingularity, ValueAndDerivative, _s_eta, pointwise,
                       riccati_s, riccati_xi)
 
 
 EXCLUDED_DISC = 1e-3   # searches exclude the disc |k| < EXCLUDED_DISC / R around k = 0
-
-
-class NotSeparated(WinterresError):
-    """Embedded-eigenvalue search requires a separated interaction."""
 
 
 @dataclass(frozen=True)
@@ -118,25 +113,18 @@ def det_lambda_balanced(p: GpiParams, ch: Channel, k: complex) -> complex:
 
 
 def _inside_condition(p: GpiParams) -> tuple[float, float]:
-    """Coefficients (c1, c2) of the decoupled interior condition.
+    """(c1, c2) of the interior condition c1 f(R-) + c2 f'(R-) = 0, in closed form.
 
-    For separated interactions the jump conditions split into one condition
-    on each side of the shell.  Eliminating the exterior entries from the
-    two-row system leaves c1 f(R-) + c2 f'(R-) = 0 with real c1, c2 (gamma
-    is real on the separated locus), and the interior quantization function
-    g(k) = c1 S_l(kR) + c2 k S_l'(kR) is real on the real axis.
+    With (a, b, g) = (alpha, beta, gamma) and f+- = f(R+-), twice the jump
+    conditions read -a f+ + (2 - g) f'+ = a f- + (2 + g) f'- and
+    (2 + g) f+ - b f'+ = (2 - g) f- + b f'-.  On the separated locus
+    ab + g^2 = 4 (g real) the left sides are proportional; the row weights
+    (2 + g, a) and (b, 2 - g) cancel them and leave a f- + (2 + g) f'- = 0
+    and (2 - g) f- + b f'- = 0.  Either pair may vanish, so the one of
+    larger 1-norm is taken, scaled to max(|c1|, |c2|) = 1.
     """
     a, b, g = p.alpha, p.beta, p.gamma.real
-    # rows = the two jump conditions; columns = coefficients of (f+, f'+)
-    c = np.array([[-a / 2, 1 - g / 2],
-                  [1 + g / 2, -b / 2]])
-    if abs(c[1, 0]) + abs(c[0, 0]) > abs(c[1, 1]) + abs(c[0, 1]):
-        w = (c[1, 0], -c[0, 0])
-    else:
-        w = (c[1, 1], -c[0, 1])
-    # dot the null row into the (f-, f'-) coefficient columns
-    c1 = w[0] * (-a / 2) + w[1] * (-1 + g / 2)
-    c2 = w[0] * (-1 - g / 2) + w[1] * (-b / 2)
+    c1, c2 = (a, 2 + g) if abs(a) + abs(2 + g) > abs(b) + abs(2 - g) else (2 - g, b)
     scale = max(abs(c1), abs(c2))
     return c1 / scale, c2 / scale
 
@@ -144,22 +132,21 @@ def _inside_condition(p: GpiParams) -> tuple[float, float]:
 def real_axis_roots(p: GpiParams, ch: Channel, k_max: float) -> list[float]:
     """Momenta of the embedded eigenvalues in (1e-3/R, k_max].
 
-    Only meaningful for separated interactions (raises NotSeparated
-    otherwise).  The roots are the zeros of the real interior quantization
-    function g(k) = c1 S_l(kR) + c2 k S_l'(kR), each a zero of det lambda:
-    those on a grid of steps pi/(24R), and one in each grid step where g
-    changes sign.  Each such bracket starts at its midpoint; each round the
-    sign of g narrows it, and the iterate takes a Newton step with the exact
-    g' (S_l'' = (l(l+1)/z^2 - 1) S_l) where that lands strictly inside it,
-    or bisects it.  All brackets run in lockstep, one Riccati array call a
+    The roots are the zeros of the real interior quantization function
+    g(k) = c1 S_l(kR) + c2 k S_l'(kR) (closed-form c1, c2 from
+    ``_inside_condition``), each a zero of det lambda: those on a grid of
+    steps pi/(24R), and one in each grid step where g changes sign.  Each
+    such bracket starts at its midpoint; each round the sign of g narrows
+    it, and the iterate takes a Newton step with the exact g'
+    (S_l'' = (l(l+1)/z^2 - 1) S_l) where that lands strictly inside it, or
+    bisects it.  All brackets run in lockstep, one Riccati array call a
     round over those still running.  A root is the Newton iterate after a
     step of at most 1e-14 of it, or the midpoint of a bracket shrunk below
-    1e-15 of it.  A disc |k| < 1e-3/R
-    around the singular point k = 0 is excluded, and an infinite k_max
-    raises ValueError.
+    1e-15 of it.  A disc |k| < 1e-3/R around k = 0 is excluded.  A coupling
+    that is not separated and an infinite k_max raise ValueError.
     """
     if not is_separated(p):
-        raise NotSeparated("real-axis root search needs a separated interaction")
+        raise ValueError(f"real-axis root search needs a separated interaction, got {p}")
     if not math.isfinite(k_max):
         raise ValueError(f"k_max must be finite, got {k_max}")
     c1, c2 = _inside_condition(p)

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import winterres.krein
-from winterres import (Channel, GpiParams, NotSeparated, OriginSingularity,
+from winterres import (Channel, GpiParams, OriginSingularity,
                        det_lambda, det_lambda_balanced, find_poles, phi_boundary,
                        real_axis_roots, riccati_s, riccati_xi)
 
 from conftest import (MPMATH_GRID, MPMATH_ORDERS, bessel_j_series, hankel1_halfint,
-                      mpmath_riccati)
+                      mpmath_det_lambda, mpmath_riccati)
 
 CH = Channel(0, 1.0)
 FREE = GpiParams(0, 0, 0)
@@ -224,17 +224,33 @@ class TestRealAxisRoots:
         assert real_axis_roots(p, ch, k_max)
         assert calls[0] <= 1 + 8
 
+    def test_roots_are_zeros_of_det_lambda(self):
+        # the bench sweep's coupling: its l = 1 root near k = 0.716 moves with any
+        # rounding in (c1, c2), so each root is held to a 40-digit zero of det
+        # lambda itself, not of the package's own interior function
+        p, ch, k_max = SEPARATED_ROOT_INPUTS[-1]
+        roots = real_axis_roots(p, ch, k_max)
+        assert len(roots) >= 4
+        for root in roots:
+            with mp.workdps(40):
+                want = complex(mp.findroot(lambda k: mpmath_det_lambda(p, ch, k),
+                                           mp.mpc(root)))
+            assert abs(root - want) <= 5e-16 * max(1.0, abs(root))
+
     def test_neumann_lattice_for_gamma_two(self):
-        # (0, 0, 2) decouples into interior Neumann + exterior Dirichlet;
-        # the interior eigenmomenta sit at cos(kR) = 0, k = (n + 1/2) pi / R
-        for radius, count in ((1.0, 13), (0.5, 6), (2.0, 25)):
-            roots = real_axis_roots(GpiParams(0, 0, 2), Channel(0, radius), 40.0)
-            assert len(roots) == count
-            assert all(type(root) is float for root in roots)
-            for n, root in enumerate(roots):
-                assert root == pytest.approx((n + 0.5) * math.pi / radius, abs=1e-9)
-            diffs = np.diff(roots)
-            assert np.allclose(diffs, math.pi / radius, atol=1e-9)
+        # gamma = +-2 with beta = 0 decouples into an interior Neumann or Dirichlet
+        # condition: (0, 0, 2) has cos(kR) = 0, k = (n + 1/2) pi / R, and (5, 0, -2)
+        # and (3, 0, -2), one through each pair of _inside_condition, sin(kR) = 0,
+        # k = (n + 1) pi / R
+        for p, phase in ((GpiParams(0, 0, 2), 0.5), (GpiParams(5, 0, -2), 1.0),
+                         (GpiParams(3, 0, -2), 1.0)):
+            for radius in (1.0, 0.5, 2.0):
+                roots = real_axis_roots(p, Channel(0, radius), 40.0)
+                lattice = [(n + phase) * math.pi / radius
+                           for n in range(int(40.0 * radius / math.pi - phase) + 1)]
+                assert len(roots) == len(lattice) >= 6
+                assert all(type(root) is float for root in roots)
+                assert roots == pytest.approx(lattice, abs=1e-9)
 
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("k_max", [
@@ -252,8 +268,8 @@ class TestRealAxisRoots:
         for root in roots:
             assert abs(det_lambda(p, CH, complex(root))) < 1e-10
 
-    # alpha beta + gamma^2 = 4 with all three couplings active; (0.5, 6, 1) eliminates
-    # the exterior entries through the second column of the jump conditions
+    # alpha beta + gamma^2 = 4 with all three couplings active; (0.5, 6, 1) takes
+    # the (2 - gamma, beta) pair of _inside_condition, (3, 1, 1) the (alpha, 2 + gamma) one
     @pytest.mark.parametrize("l", [0, 1, 3], ids=["l0", "l1", "l3"])
     @pytest.mark.parametrize("p", [GpiParams(3.0, 1.0, 1.0), GpiParams(0.5, 6.0, 1.0)],
                              ids=["3-1-1", "0.5-6-1"])
@@ -266,5 +282,5 @@ class TestRealAxisRoots:
             assert abs(det_lambda(p, ch, complex(root))) < 1e-10
 
     def test_requires_separation(self):
-        with pytest.raises(NotSeparated):
+        with pytest.raises(ValueError, match="separated"):
             real_axis_roots(FREE, CH, 10.0)
