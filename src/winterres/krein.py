@@ -34,12 +34,14 @@ untouched.  Root finding uses the balanced form throughout.  Since xi_l is
 e^{iz} times a polynomial in 1/z, the balanced form is computed from S_l and
 eta_l = e^{-iz} xi_l (``riccati._s_eta``): the Phi expressions, linear in
 xi_l, take eta_l in its place and the constant terms take e^{-ikR}, so
-e^{ikR} is never formed.  ``det_lambda`` runs the same expressions on xi_l
-with the factor 1; the two agree to rounding, not bit for bit.
+e^{ikR} is never formed.  ``det_lambda`` is e^{ikR} times the balanced
+value, which it divides by the e^{-ikR} of the same ``_s_eta`` call.
+``phi_boundary`` evaluates the same Phi expressions on ``riccati_s`` and
+``riccati_xi``, the S_l and e^{iz} eta_l of ``_s_eta``.
 
 ``phi_boundary``, ``det_lambda`` and ``det_lambda_balanced`` take one
 momentum or a numpy array of momenta, like the Riccati functions they call,
-and compute both with numpy through the same expressions: a scalar gives
+and compute with numpy through the same expressions: a scalar gives
 Python complex values, an array gives arrays of its shape.
 """
 
@@ -51,8 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gpi import GpiParams, is_separated
-from .riccati import (Channel, OriginSingularity, ValueAndDerivative, _s_eta, pointwise,
-                      riccati_s, riccati_xi)
+from .riccati import Channel, ValueAndDerivative, _s_eta, pointwise, riccati_s, riccati_xi
 
 
 EXCLUDED_DISC = 1e-3   # searches exclude the disc |k| < EXCLUDED_DISC / R around k = 0
@@ -96,10 +97,12 @@ def phi_boundary(ch: Channel, k: complex) -> PhiBoundaryValues:
 def det_lambda(p: GpiParams, ch: Channel, k: complex) -> complex:
     """The pole denominator det lambda(k); analytic on the punctured plane.
 
-    Identically -1 for the free interaction, which is the cheapest full
-    cross-check of the prefactor bookkeeping above.
+    Identically -1 for the free interaction (to rounding: the balanced
+    value -e^{-ikR} over e^{-ikR}), which is the cheapest full cross-check
+    of the prefactor bookkeeping above.
     """
-    return _det(p, phi_boundary(ch, k), 1.0)
+    s, eta, unit = _s_eta(ch.l, k * ch.radius)
+    return _det(p, _phi(k, s, eta), unit) / unit
 
 
 @pointwise

@@ -22,7 +22,7 @@ Evaluation strategy:
 * upward recurrence f_{l+1} = ((2l+1)/z) f_l - f_{l-1} from f_0 and f_1:
   for S_l from sin z and cos z, and for eta_l = e^{-iz} xi_l, a polynomial
   in 1/z, from eta_0 = -i and eta_1 = -i/z - 1; xi_l is e^{iz} eta_l,
-* inside the series disc |z| < l + 2 (``_series_points``, the one switch):
+* inside the series disc |z| < l + 2 (the one switch):
   - for l >= 2, eta_l as a product over the l zeros zeta_j of xi_l,
     eta_l(z) = (-i)^{l+1} prod_j (1 - zeta_j/z), with zeta_j = i/x_j for the
     zeros x_j of the Bessel polynomial y_l (Grosswald, *Bessel Polynomials*,
@@ -36,15 +36,13 @@ Evaluation strategy:
     per point from |S_l| times the two condition numbers,
     (|xi_l| + |xi_l^(2)|)/2 and the series' sum of moduli |S_l(i|z|)|.
 
-``_s_eta`` serves ``det_lambda_balanced``: it returns S_l, eta_l and e^{-iz}
-from one real sine, cosine, exponential and sinh of Re z and Im z, with S_l
-and eta_l recurring as the two rows of one stack (not at all when every
-point lies in the disc), so e^{iz} is never formed and no complex
-transcendental is taken.  ``riccati_s`` takes numpy's complex
-sine and cosine instead: its callers pass a few points at a time (a
-real-axis Newton round), where two complex calls cost less than twenty
-real ones; on the thousand-point arrays of a search the real ones cost a
-third as much.
+One evaluator, ``_s_eta``, computes S_l and eta_l: it returns them and
+e^{-iz} from one real sine, cosine, exponential and sinh of Re z and Im z,
+with S_l and eta_l recurring as the two rows of one stack (not at all when
+every point lies in the disc), so e^{iz} is never formed and no complex
+transcendental is taken.  ``riccati_s`` is its S_l and ``riccati_xi`` e^{iz}
+times its eta_l.  Where e^{|Im z|} overflows (|Im z| >~ 709) so does S_l,
+even where S_l itself would be finite.
 
 The upward recurrence for xi_l is accurate where xi_l is the dominant
 solution, which is not everywhere: for |z| <~ l deep in the lower
@@ -218,12 +216,6 @@ def _upward(l: int, z: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> ValueAndDe
     return ValueAndDerivative(cur, prev - (l / z) * cur)
 
 
-def _series_points(l: int, z: np.ndarray) -> np.ndarray | bool:
-    # the disc where S_l takes its series and, for l >= 2, eta_l its product (see the
-    # module docstring)
-    return abs(z) < l + 2 if l else False
-
-
 @functools.lru_cache(maxsize=None)
 def _zeros(l: int) -> np.ndarray:
     """The l zeros zeta_j = i/x_j of xi_l, from the zeros x_j of the Bessel polynomial y_l.
@@ -299,44 +291,6 @@ def _disc(l: int, z: np.ndarray, unit: np.ndarray) -> np.ndarray:
     return pair[:, ::-1]
 
 
-def _s_disc(l: int, z: np.ndarray) -> ValueAndDerivative:
-    # S_l at the 1-d points z of the series disc; eta_l is dropped, so its overflow
-    # near the origin at high l is not reported
-    if l == 1:
-        return _s_series(l, z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ValueAndDerivative(*_disc(l, z, np.exp(-1j * z))[:, 0])
-
-
-def _s_upward(l: int, z: np.ndarray) -> ValueAndDerivative:
-    # closed forms for l <= 1, upward recurrence in the oscillatory regime |z| >~ l;
-    # numpy's complex sine and cosine, not _trig (see the module docstring)
-    s0 = np.sin(z)
-    return ValueAndDerivative(s0, np.cos(z)) if l == 0 else _upward(l, z, s0, s0 / z - np.cos(z))
-
-
-@pointwise
-def riccati_s(l: int, z: complex) -> ValueAndDerivative:
-    """Regular Riccati-Bessel function S_l(z) = z j_l(z) and its derivative.
-
-    Entire in z; safe at z = 0 where S_l(0) = 0 and S_l'(0) is 1 for l = 0
-    and 0 otherwise.  Each element of z takes its own branch: where l >= 1
-    and |z| < l + 2 the series or, for l >= 2, the Hankel terms, sin z and
-    cos z or the recurrence elsewhere.
-    """
-    _check_order(l)
-    series = _series_points(l, z)
-    if not np.count_nonzero(series):
-        return _s_upward(l, z)   # the common case: one branch for every element
-    # the origin keeps S_l(0) = S_l'(0) = 0 (l >= 1 here), where xi_l is singular
-    value, derivative = np.zeros_like(z), np.zeros_like(z)
-    for part, branch in ((series & (z != 0), _s_disc), (~series, _s_upward)):
-        if part.any():
-            out = branch(l, z[part])
-            value[part], derivative[part] = out.value, out.derivative
-    return ValueAndDerivative(value, derivative)
-
-
 def _s_eta(l: int, z: np.ndarray) -> tuple[ValueAndDerivative, ValueAndDerivative, np.ndarray]:
     """S_l, eta_l = e^{-iz} xi_l (with e^{-iz} xi_l' as its derivative) and e^{-iz} at z.
 
@@ -350,7 +304,7 @@ def _s_eta(l: int, z: np.ndarray) -> tuple[ValueAndDerivative, ValueAndDerivativ
     sin, cos, unit = _trig(z)
     if l == 0:
         return ValueAndDerivative(sin, cos), ValueAndDerivative(-1j, 1.0), unit
-    series = _series_points(l, z)
+    series = abs(z) < l + 2   # the series disc
     inside = np.count_nonzero(series)
     if l >= 2 and inside == np.size(z):   # the disc alone: no recurrence to overwrite
         f = _disc(l, np.reshape(z, -1), np.reshape(unit, -1)).reshape((2, 2) + np.shape(z))
@@ -372,22 +326,34 @@ def _s_eta(l: int, z: np.ndarray) -> tuple[ValueAndDerivative, ValueAndDerivativ
 
 
 @pointwise
+def riccati_s(l: int, z: complex) -> ValueAndDerivative:
+    """Regular Riccati-Bessel function S_l(z) = z j_l(z) and its derivative.
+
+    Entire in z; the S_l of ``_s_eta``, and safe at z = 0, where S_l(0) = 0
+    and S_l'(0) is 1 for l = 0 and 0 otherwise.
+    """
+    _check_order(l)
+    origin = z == 0
+    # the unused eta_l overflows near the origin at high l
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.count_nonzero(origin):
+            return _s_eta(l, z)[0]
+        s = _s_eta(l, z[~origin])[0]
+    value, derivative = np.zeros_like(z), np.full_like(z, l == 0)
+    value[~origin], derivative[~origin] = s.value, s.derivative
+    return ValueAndDerivative(value, derivative)
+
+
+@pointwise
 def riccati_xi(l: int, z: complex) -> ValueAndDerivative:
     """Outgoing Riccati-Hankel function xi_l(z) = z h1_l(z) and its derivative.
 
-    e^{iz} times eta_l, which takes the recurrence, or, for l >= 2 inside the
-    series disc |z| < l + 2, the product over the zeros of xi_l (see the
-    module docstring).  Raises OriginSingularity when z, or any element of
-    it, is 0 (xi_l ~ -i (2l-1)!! z^{-l} there).
+    e^{iz} times the eta_l of ``_s_eta``.  Raises OriginSingularity when z,
+    or any element of it, is 0 (xi_l ~ -i (2l-1)!! z^{-l} there).
     """
     _check_order(l)
-    if np.count_nonzero(z == 0):
-        raise OriginSingularity("xi_l is singular at z = 0")
-    # xi_l = e^{iz} eta_l, with eta_l as in _s_eta
-    eta = ValueAndDerivative(-1j, 1.0) if l == 0 else _upward(l, z, -1j, -1j / z - 1)
-    disc = _series_points(l, z) if l >= 2 else False
-    if np.count_nonzero(disc):   # copies, writable for one point too
-        eta = ValueAndDerivative(np.array(eta.value), np.array(eta.derivative))
-        eta.value[disc], eta.derivative[disc] = _eta_pair(l, z[disc])[:, 0]
+    # the unused S_l overflows far off the real axis, eta_l near the origin at high l
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = _s_eta(l, z)[1]
     e = np.exp(1j * z)
     return ValueAndDerivative(e * eta.value, e * eta.derivative)

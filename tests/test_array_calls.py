@@ -1,10 +1,10 @@
 """The search paths evaluate det lambda and the Riccati functions on arrays only.
 
-Every global through which a search reaches det lambda, its boundary values,
-the Riccati functions or their balanced evaluator ``_s_eta`` is wrapped where
-its caller looks it up (the way ``bench/tracer.py`` patches them), and each
-call records the shape of its points.  A scalar among them would be a point
-evaluated on its own.
+Every global through which a search reaches det lambda, the Riccati
+function S_l of real-axis roots or the one evaluator ``_s_eta`` of S_l and
+eta_l is wrapped where its caller looks it up (the way ``bench/tracer.py``
+patches them), and each call records the shape of its points.  A scalar
+among them would be a point evaluated on its own.
 """
 
 import importlib
@@ -21,9 +21,7 @@ WRAPPED = (
     ("winterres.polefinder", "det_lambda"),
     ("winterres.krein", "det_lambda"),
     ("winterres.cli", "det_lambda"),
-    ("winterres.krein", "phi_boundary"),
     ("winterres.krein", "riccati_s"),
-    ("winterres.krein", "riccati_xi"),
     ("winterres.krein", "_s_eta"),
 )
 
@@ -54,9 +52,9 @@ def _assert_arrays_only(seen, *names):
 def test_find_poles(shapes, p, l):
     # l = 5 at re_max = 60 has two poles below the lattice and a series region
     assert find_poles(p, Channel(l, 1.0), 60.0)
+    # residuals take det_lambda, which calls _s_eta itself
     _assert_arrays_only(shapes, "polefinder.det_lambda_balanced", "polefinder.det_lambda",
-                        "krein._s_eta", "krein.phi_boundary", "krein.riccati_s",
-                        "krein.riccati_xi")
+                        "krein._s_eta")
 
 
 def test_count_zeros(shapes):
@@ -70,10 +68,10 @@ def test_real_axis_roots(shapes):
 
 
 @pytest.mark.parametrize("flags, called", [
-    (["--alpha=50", "--l=0"], ("polefinder.det_lambda_balanced", "krein._s_eta")),
-    (["--alpha=4", "--beta=1", "--l=2"], ("cli.det_lambda", "krein.phi_boundary")),
+    (["--alpha=50", "--l=0"], ("polefinder.det_lambda_balanced", "polefinder.det_lambda")),
+    (["--alpha=4", "--beta=1", "--l=2"], ("cli.det_lambda", "krein.riccati_s")),
 ], ids=["delta", "separated"])
 def test_cli_poles(shapes, tmp_path, capsys, flags, called):
     argv = ["poles", *flags, "--re-max=20", "--csv", str(tmp_path / "p.csv")]
     assert winterres.cli.main(argv) == 0
-    _assert_arrays_only(shapes, "krein.riccati_s", "krein.riccati_xi", *called)
+    _assert_arrays_only(shapes, "krein._s_eta", *called)

@@ -71,18 +71,33 @@ class TestCountZeros:
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 13: zeros just outside the left edge turn det lambda along one "
         "sampled step by 2 pi less than its end values show (-6.21 rad against +0.07 "
-        "for two zeros 0.002 outside, -4.77 against +1.51 for one 0.001 outside), so "
-        "the pi/2 rule does not bisect it and the count reads 1"))
+        "for two zeros 0.002 outside, -4.77 against +1.51 for the double zero of "
+        "GpiParams(3, 1, 1), l = 1, at k = -2i, 0.001 outside), so the pi/2 rule does "
+        "not bisect it and the count reads 1"))
     @pytest.mark.parametrize("p, ch, region", [
         (GpiParams(-10.153856357759496, -0.380926874988312, 0.36348759065265357),
          Channel(1, 0.5), SearchRegion(0.002, 80.0, -17.37775890822787, -1.0)),
-        # the zero at k = -2i; a 200,000-point dense count gives 0, and so does
-        # the same region from re_min = 0.002
+        # the double zero at k = -2i; a 200,000-point dense count gives 0, and so
+        # does the same region from re_min = 0.002
         (GpiParams(3, 1, 1), Channel(1, 1.0),
          SearchRegion(0.001, 5.0, -7.99573227355399, -1e-7)),
-    ], ids=["two-zeros", "one-zero"])
+    ], ids=["two-zeros", "double-zero"])
     def test_zeros_just_outside_an_edge_are_not_counted(self, p, ch, region):
         assert count_zeros(p, ch, region) == 0
+
+    def test_double_zero_on_the_imaginary_axis(self):
+        # the zero of the double-zero case above: det lambda winds twice around
+        # k = -2i, in steps far under pi/2, and keeps one sign along the axis
+        p, ch = GpiParams(3, 1, 1), Channel(1, 1.0)
+        turn = np.exp(2j * np.pi * np.arange(4097) / 4096)
+        for radius in (1e-2, 1e-3):
+            f = det_lambda_balanced(p, ch, -2j + radius * turn)
+            steps = np.angle(f[1:] / f[:-1])
+            assert np.abs(steps).max() < 0.5 * math.pi
+            assert round(steps.sum() / (2 * math.pi)) == 2
+        for k in (-1.9j, -2.1j):
+            f = det_lambda_balanced(p, ch, k)
+            assert f.real < 0 and abs(f.imag) <= 1e-12 * abs(f.real)
 
     def test_boundary_zero_raises(self):
         # bottom edge running exactly through a pole: the count answers only

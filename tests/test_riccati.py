@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from winterres import Channel, OriginSingularity, riccati_s, riccati_xi
-from winterres.riccati import _s_eta, _series_tables, _zeros
+from winterres.riccati import _series_tables, _zeros
 
 from conftest import (MPMATH_GRID, MPMATH_ORDERS, mpmath_riccati, riccati_xi_series,
                       wronskian)
@@ -142,6 +142,12 @@ class TestRiccatiXi:
             got = riccati_xi(l, complex(z)).value
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
+    def test_far_above_the_axis(self):
+        # e^{iz} underflows to 0; S_l, computed beside eta_l and dropped, overflows
+        # there without a warning
+        xi = riccati_xi(3, 1 + 800j)
+        assert xi.value == xi.derivative == 0
+
     def test_origin_raises(self):
         with pytest.raises(OriginSingularity):
             riccati_xi(0, 0)
@@ -243,11 +249,22 @@ class TestAgainstMpmath:
         # reach 1e4 times its sum; the Hankel terms keep every digit there
         z = np.array([cmath.rect(21.9, -math.asin(depth / 21.9))
                       for depth in (3.0, 2.0, 1.5, 0.9, 0.5, 0.1, 0.01)])
-        for name, s in (("riccati_s", riccati_s(20, z)), ("_s_eta", _s_eta(20, z)[0])):
-            for point, value, derivative in zip(z.tolist(), s.value, s.derivative):
-                want = mpmath_riccati(20, point)
-                for got, ref in ((value, want[0]), (derivative, want[1])):
-                    assert float(abs(mp.mpc(got) - ref) / abs(ref)) <= 1e-14, (name, point)
+        s = riccati_s(20, z)
+        for point, value, derivative in zip(z.tolist(), s.value, s.derivative):
+            want = mpmath_riccati(20, point)
+            for got, ref in ((value, want[0]), (derivative, want[1])):
+                assert float(abs(mp.mpc(got) - ref) / abs(ref)) <= 1e-14, point
+
+    # inside the series disc, near the ring about |z| = 0.75 l where neither sum for
+    # S_l is exact (errors 1.3e-13, 8.1e-14, 4.2e-13 in S' and 3.1e-11); xi_l takes
+    # the product there and keeps ~1e-14
+    @pytest.mark.parametrize("l, z, s_tol", [(15, 12, 3e-13), (20, 16, 3e-13),
+                                              (30, 22.625 - 5j, 1e-12),
+                                              (40, 30.32 - 5.31j, 1e-10)])
+    def test_on_the_ring(self, l, z, s_tol):
+        worst = self.worst_errors(l, [complex(z)])
+        assert np.all(worst <= [s_tol] * 2 + [1e-14] * 2), \
+            f"S, S', xi, xi' errors {worst}"
 
 
 @pytest.mark.parametrize("l", [2, 5, 12, 20, 30, 40])

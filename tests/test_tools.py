@@ -98,9 +98,10 @@ def test_each_search_line_ends_with_its_counts(monkeypatch, capsys):
                           r"\| split programs (\d+) \| riccati_s calls (\d+)", line).groups()
              for line in lines]
     counts = [tuple(map(int, match[2:])) for match in found]
-    # residuals take riccati_s; a window of 6 zeros is split once, one of 2 not at all
-    assert counts[0][:2] > (0, 0) and counts[0][2:] == (1, 1)
-    assert counts[1][2] == 0 and counts[1][3] > 0
+    # only real-axis roots take riccati_s; a window of 6 zeros is split once, one of 2
+    # not at all
+    assert counts[0][:2] > (0, 0) and counts[0][2:] == (1, 0)
+    assert counts[1][2:] == (0, 0)
     assert counts[2] == (0, 0, 0, counts[2][3]) and counts[2][3] > 1
     assert total == "tiny det_lambda calls {} points {} | split programs {} " \
                     "| riccati_s calls {}".format(*map(sum, zip(*counts)))

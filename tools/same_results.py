@@ -13,8 +13,7 @@ rows as written.  Each search's line ends with ``| det_lambda calls C points
 P | split programs S | riccati_s calls N``: the det lambda array calls and
 points the pole finder made in it, its split programs (the counts of its
 cells' strips, one ``_resolve`` call each beside the window's) and the calls
-of ``riccati_s`` that ``krein`` made (real-axis roots and the raw det lambda
-of residuals and embedded rows).
+of ``riccati_s`` that ``krein`` made, those of real-axis roots alone.
 Last comes one line per workload with their totals.  Two checkouts give the
 same results when the outputs are equal.  Each search runs under the
 bench's memory cap, so a runaway ends as a MemoryError line:
