@@ -119,7 +119,10 @@ class UnitaryForm:
 
 @dataclass(frozen=True)
 class TransferForm:
-    """Boundary condition as Lambda = e^{i chi} [[a, b], [c, d]], ad - bc = 1."""
+    """Boundary condition as Lambda = e^{i chi} [[a, b], [c, d]], ad - bc = 1.
+
+    ad - bc must lie within 1e-12 max(1, a^2 + b^2 + c^2 + d^2) of 1.
+    """
 
     chi: float
     a: float
@@ -131,7 +134,9 @@ class TransferForm:
         if not (0.0 <= self.chi < math.pi):
             raise ValueError(f"chi must lie in [0, pi), got {self.chi!r}")
         det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > _NORM_TOL:
+        # ad and bc round at the size of the squared entries, which grow near the separated locus
+        if abs(det - 1.0) > _NORM_TOL * max(1.0, self.a ** 2 + self.b ** 2 + self.c ** 2
+                                            + self.d ** 2):
             raise ValueError(f"ad - bc = {det!r} violates unimodularity")
 
     def matrix(self) -> np.ndarray:

@@ -14,10 +14,10 @@ about two zeros each, and a strip of three is cut across its row.
 
 A cell's boundary is one closed loop of (z, f) samples; a step through which
 f turns by pi/2 or more is bisected, which pins the turn to a multiple of 2 pi
-unless a zero sits on the boundary (a sample whose |f| is at most 1e-8 of
-a neighbour's, or a midpoint's at most 1e-8 of its step's larger end, then
-stops that loop's count; |f| grows like e^{R |Im k|} down a loop's sides, so
-a floor taken from the whole loop would lie above |f| near the axis).  A
+unless a zero sits on the boundary (a step with one end's |f| at most 1e-8
+of the other end's, tested at the top of every bisection round, then stops
+that loop's count; |f| grows like e^{R |Im k|} down a loop's sides, so a
+floor taken from the whole loop would lie above |f| near the axis).  A
 split is one array program for a whole generation of cells: every cut is
 laid by one det lambda call, each strip's loop is gathered from its
 parent's loop and the cuts, a cut walked by both strips it bounds, each
@@ -108,10 +108,6 @@ class SearchRegion:
         """Counterclockwise boundary vertices, starting at the lower left."""
         return [complex(self.re_min, self.im_min), complex(self.re_max, self.im_min),
                 complex(self.re_max, self.im_max), complex(self.re_min, self.im_max)]
-
-    def contains(self, k: complex, slop: float = 0.0) -> bool:
-        return (self.re_min - slop <= k.real <= self.re_max + slop
-                and self.im_min - slop <= k.imag <= self.im_max + slop)
 
 
 class _Loop(NamedTuple):
@@ -214,11 +210,10 @@ def _rounds(fn, zf: np.ndarray, heads: np.ndarray):
     closing step, to the next loop, which no one looks at.  A round bisects,
     in one det lambda call for all, the steps of pi/2 or more and, in each of
     the first ceil(log2(8 / n)) rounds, every step of a side of n < 8 steps,
-    so that every side ends with 8 steps or more.  Each floor is local: a
-    given sample at or under 1e-8 times |f| at a neighbour in its loop, a new
-    one at or under 1e-8 times the larger |f| at the ends of the step it
-    splits, and a step still wide drop the loop from the rounds; the phase of
-    its sides then means nothing.
+    so that every side ends with 8 steps or more.  The floor is local: at the
+    top of each round, a step with one end at or under 1e-8 times |f| at its
+    other end drops its loop, and so does a step still wide after the last
+    round; the phase of its sides then means nothing.
     """
     count, mag = heads.size, abs(zf[1])
     lost, why = np.zeros(count // 5, bool), {}
@@ -235,16 +230,6 @@ def _rounds(fn, zf: np.ndarray, heads: np.ndarray):
     slot = np.arange(zf.shape[1] - 1, dtype=np.int32)
     at = heads.searchsorted(slot, "right") - 1
     closing = heads[4:-1:5]   # the steps between loops
-    low = np.minimum(mag[:-1], mag[1:]) <= _FLOOR_REL * np.maximum(mag[:-1], mag[1:])
-    low[closing] = False
-    if low.any():
-        bad = low.nonzero()[0]
-        given = bad + (mag[bad + 1] < mag[bad])
-        lose(at[bad], lambda j: f"zero of det lambda on the boundary at {zf[0, given[j]]}")
-        keep = ~lost[at // 5]
-        slot, at = slot[keep], at[keep]
-        ends = tuple(end[keep] for end in ends)
-        closing = (at % 5 == 4).nonzero()[0]
     steps = np.append(np.diff(heads), 8)   # of each side
     steps[4::5] = 8   # a closing step is never short
     halvings = np.ceil(np.log2(8 / steps))   # the rounds that halve every step of a side
@@ -252,6 +237,19 @@ def _rounds(fn, zf: np.ndarray, heads: np.ndarray):
     total, new = np.zeros(count), []
     for depth in range(_MAX_PHASE_DEPTH + 1):
         za, fa, zb, fb = ends
+        ma, mb = (abs(fa), abs(fb)) if depth else (mag[:-1], mag[1:])
+        low = np.minimum(ma, mb) <= _FLOOR_REL * np.maximum(ma, mb)
+        if not depth:
+            low[closing] = False
+        if low.any():
+            bad = low.nonzero()[0]
+            given = np.where(mb[bad] < ma[bad], zb[bad], za[bad])
+            lose(at[bad], lambda j: f"zero of det lambda on the boundary at {given[j]}")
+            keep = ~lost[at // 5]
+            slot, at = slot[keep], at[keep]
+            ends = np.stack([end[keep] for end in ends])
+            za, fa, zb, fb = ends
+            closing = (at % 5 == 4).nonzero()[0]
         phase = np.angle(fb / fa)
         if not depth:
             phase[closing] = 0.0
@@ -269,12 +267,6 @@ def _rounds(fn, zf: np.ndarray, heads: np.ndarray):
             return total, new, why
         zm = 0.5 * (za[split] + zb[split])
         fm = fn(zm)
-        low = abs(fm) <= _FLOOR_REL * np.maximum(abs(fa[split]), abs(fb[split]))
-        if low.any():
-            bad = low.nonzero()[0]
-            lose(at[split[bad]], lambda j: f"|det lambda| below the floor at {zm[bad[j]]}")
-            keep = ~lost[at[split] // 5]
-            split, zm, fm = split[keep], zm[keep], fm[keep]
         new.append((zm, fm, slot[split]))
         # next: the halves of each split step
         n, k = split.size, np.tile(split, 2)
@@ -658,15 +650,14 @@ def _subdivide(fn, cells: list) -> list:
         # counts that disagree: a zero slipped between the sampled cut lines
         ok = [sum(counts[a:b]) == cells[i].count and not any(a <= s < b for s in why)
               for i, a, b in zip(todo, first, first[1:])]
-        for good, run in itertools.groupby(range(len(todo)), ok.__getitem__):
-            if not good:
-                continue
-            run = list(run)
-            a, b = first[run[0]], first[run[-1] + 1]
-            strips = _strips([strip for j in run for strip in regions[j]], zf, offsets[a:b + 1],
-                             corners[a:b], counts[a:b])
-            for j in run:
-                out[todo[j]] = strips[first[j] - a:first[j + 1] - a]
+        # a strip that hit a floor, counted 0, may hold f = 0 among counted strips; its
+        # sums go unused
+        with np.errstate(divide="ignore", invalid="ignore"):
+            strips = _strips([strip for cell in regions for strip in cell], zf, offsets,
+                             corners, counts)
+        for i, good, a, b in zip(todo, ok, first, first[1:]):
+            if good:
+                out[i] = strips[a:b]
         todo = [i for i, good in zip(todo, ok) if not good]
         for i in todo:
             tries[i] += 1

@@ -7,7 +7,7 @@ ascending power series of J_nu (with H1_nu assembled through the
 half-integer-order reflection Y_nu = (-1)^{l+1} J_{-nu}), or from mpmath's
 Bessel and Hankel functions at 40 digits.  The one
 exception is ``wronskian``, an identity that checks the package's own
-Riccati functions against each other.
+Riccati functions against each other, from the evaluator they share.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from winterres import BoundaryData, Channel, GpiParams, riccati_s, riccati_xi
+from winterres import BoundaryData, Channel, GpiParams
+from winterres.riccati import _s_eta
 
 
 def eq1_basis(p: GpiParams) -> list[BoundaryData]:
@@ -80,11 +81,18 @@ def riccati_xi_series(l: int, z: complex, terms: int = 30) -> complex:
 def wronskian(l: int, z: complex) -> complex:
     """S_l(z) xi_l'(z) - S_l'(z) xi_l(z), analytically the constant i.
 
-    Built on the public Riccati functions, so it checks their series and
-    recurrence paths against each other; z = 0 raises OriginSingularity.
+    S_l and eta_l come from one ``_s_eta`` call, as ``riccati_s`` and
+    ``riccati_xi`` take them, and xi_l = e^{iz} eta_l as ``riccati_xi`` forms
+    it; so it checks the series and recurrence paths against each other.
+    z = 0 raises OriginSingularity.
     """
-    s, x = riccati_s(l, z), riccati_xi(l, z)
-    return s.value * x.derivative - s.derivative * x.value
+    z = np.complex128(z)
+    # S_l overflows far off the real axis, eta_l near the origin at high l
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, eta, _ = _s_eta(l, z)
+    e = np.exp(1j * z)
+    x_value, x_derivative = complex(e * eta.value), complex(e * eta.derivative)
+    return complex(s.value) * x_derivative - complex(s.derivative) * x_value
 
 
 # |z| from near the excluded disc to a deep window's far end; arg z in

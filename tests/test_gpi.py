@@ -133,6 +133,18 @@ class TestToTransfer:
             assert abs(t.a * t.d - t.b * t.c - 1.0) < 1e-12
             assert 0.0 <= t.chi < math.pi
 
+    def test_near_the_separated_locus(self):
+        # the entries grow like 1/|q - 4 + 4i Im gamma|, and so does the rounding of ad - bc;
+        # gamma = 1.9999355540506412 alone is 6.0e-10 off unimodular, over 1e-12 absolute
+        for g in [1.9999355540506412, *np.linspace(1.99, 2.01, 4001)]:
+            p = GpiParams(0, 0, float(g))
+            if is_separated(p):
+                continue
+            t = to_transfer(p)
+            size = t.a ** 2 + t.b ** 2 + t.c ** 2 + t.d ** 2
+            assert abs(t.a * t.d - t.b * t.c - 1.0) <= 1e-15 * max(1.0, size)
+            assert 0.0 <= t.chi < math.pi
+
     def test_residual_oracle_on_jump_solutions(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
@@ -256,6 +268,10 @@ class TestFormValidation:
     def test_transfer_det_enforced(self):
         with pytest.raises(ValueError):
             TransferForm(0.0, 1.0, 0.5, 0.5, 1.0)
+        # the allowance scales with the squared entries, and only with them
+        TransferForm(0.0, 1e4, 1e4 - 1e-4, 1e4, 1e4 + 1e-8)   # ad - bc = 1 + 1e-4
+        with pytest.raises(ValueError, match="violates unimodularity"):
+            TransferForm(0.0, 1e4, 1e4 - 1e-4, 1e4, 1e4 + 1e-7)   # 1 + 1e-3, over 4e-4
 
     def test_phase_ranges(self):
         with pytest.raises(ValueError):

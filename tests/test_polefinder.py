@@ -44,9 +44,16 @@ class TestSearchRegion:
             SearchRegion(*args)
 
     def test_containment(self):
+        # the closed rectangle, its edges in, and widened by a slop
         r = SearchRegion(1.0, 2.0, -1.0, 0.0)
-        assert r.contains(1.5 - 0.5j)
-        assert not r.contains(2.5 - 0.5j)
+        assert _contains(r, 1.5 - 0.5j) and _contains(r, 2.0 + 0.0j)
+        assert not _contains(r, 2.5 - 0.5j)
+        assert _contains(r, 2.5 - 0.5j, 0.5) and not _contains(r, 2.5 + 0.1j, 0.05)
+
+
+def _contains(region, k, slop=0.0):
+    """Whether k lies in the closed region widened by slop, by the pole finder's one test."""
+    return bool(pf._inside(pf._boxes([region])[:, 0], np.complex128(k), slop))
 
 
 class TestCountZeros:
@@ -500,7 +507,7 @@ class TestResolve:
         sides = _fresh_sides(fn, region)
         assert [np.flatnonzero(np.abs(_phases(side)) >= 0.5 * math.pi).tolist()
                 for side in sides] == [[3], [], [], []]
-        with pytest.raises(BoundaryZero, match="below the floor"):
+        with pytest.raises(BoundaryZero, match=r"on the boundary at \(1\.4375-1j\)"):
             _resolve_one(fn, region, sides)
 
     def test_exact_zero_on_a_short_edge_raises(self):
@@ -511,7 +518,7 @@ class TestResolve:
         c = region.corners()
         short = np.array([c[:2], [fn(c[0]), fn(c[1])]])
         others = _fresh_sides(fn, region)[1:]
-        with pytest.raises(BoundaryZero, match="below the floor"):
+        with pytest.raises(BoundaryZero, match=r"on the boundary at \(1\.5-1j\)"):
             _resolve_one(fn, region, [short] + others)
 
     def test_sign_jump_hits_the_depth_cap(self):
@@ -525,6 +532,45 @@ class TestResolve:
         assert (np.abs(_phases(top)) >= 0.5 * math.pi).any()
         with pytest.raises(BoundaryZero, match="cannot be resolved"):
             _resolve_one(fn, region, sides)
+
+    def test_the_closing_step_between_loops_is_not_looked_at(self):
+        # two loops in one call; the step from the first one's last sample, 1 - 1j, to the
+        # second one's first, 3 - 3j, has a zero at its midpoint, turns by pi/2 or more and
+        # falls by 1e-12 on the way, so a bisection or a floor there would show.  f is the
+        # polynomial times 1e12 left of Re k = 2.5 and times -1 right of it, which moves
+        # neither loop's count
+        junction = 2.0 - 2.0j
+        poly = _zeros_at(junction, 1.5 - 0.75j, 3.4 - 2.8j, 3.6 - 2.7j)
+        calls = []
+
+        def fn(k):
+            calls.append(np.array(k))
+            return np.where(k.real < 2.5, 1e12, -1.0) * poly(k)
+
+        regions = [SearchRegion(1.0, 2.0, -1.0, -0.5), SearchRegion(3.0, 4.0, -3.0, -2.5)]
+        loops = []
+        for region in regions:
+            sides = _fresh_sides(fn, region)
+            loops.append((np.concatenate([side[:, :-1] for side in sides[:3]] + [sides[3]],
+                                         axis=1),
+                          np.cumsum([side.shape[1] - 1 for side in sides[:3]])))
+        (first, corners0), (second, corners1) = loops
+        assert abs(np.angle(second[1, 0] / first[1, -1])) >= 0.5 * math.pi
+        assert abs(second[1, 0]) <= pf._FLOOR_REL * abs(first[1, -1])
+        alone = [pf._resolve(fn, zf, np.array([0, zf.shape[1]]), corners[None])
+                 for zf, corners in loops]
+        del calls[:]
+        zf, offsets, corners, counts, why = pf._resolve(
+            fn, np.concatenate([first, second], axis=1),
+            np.array([0, first.shape[1], first.shape[1] + second.shape[1]]),
+            np.array([corners0, corners1]))
+        assert counts == [1, 2] and why == {}
+        assert not any(junction in call.tolist() for call in calls)
+        # each loop comes back as when it is counted alone, and the two meet as they did
+        for s, (zf_alone, _, corners_alone, _, _) in enumerate(alone):
+            assert zf[:, offsets[s]:offsets[s + 1]].tolist() == zf_alone.tolist()
+            assert corners[s] == corners_alone[0]
+        assert zf[0, offsets[1] - 1:offsets[1] + 1].tolist() == [1.0 - 1.0j, 3.0 - 3.0j]
 
 
 def _inside(region, z):
@@ -800,7 +846,7 @@ class TestFindPoles:
         assert {len(seeds) for _, seeds in cells} == {1, 2}
         assert 2 not in split_counts   # every two-zero cell is solved, none split
         for region, seeds in cells:
-            roots = [q.k for q in poles if region.contains(q.k)]
+            roots = [q.k for q in poles if _contains(region, q.k)]
             assert len(roots) == len(seeds)
             reach = 0.05 * abs(complex(region.width, region.height))
             assert any(all(abs(seed - root) <= reach for seed, root in zip(seeds, order))
@@ -819,7 +865,7 @@ class TestFindPoles:
             half = cmath.sqrt(2 * (complex(np.dot(w * w, dlog)) / (2j * math.pi)) - s1 * s1)
             ks = [c + 0.5 * (s1 + half), c + 0.5 * (s1 - half)]
         slop = pf._SEED_SLOP * abs(complex(region.width, region.height))
-        return [k if region.contains(k, slop) else c for k in ks]
+        return [k if _contains(region, k, slop) else c for k in ks]
 
     @pytest.mark.parametrize("p, l", [(DELTA, 0), (DELTA_PRIME, 5)],
                              ids=["delta-l0", "delta-prime-l5"])
@@ -954,7 +1000,7 @@ class TestFindPoles:
         ((pair, loop),) = log["pair"]
         assert [(r, c) for r, e, c in log["split"] if e is loop] == [(pair, 2)]
         child, _, count = log["split"][-1]   # the failed child, split with its one zero
-        assert count == 1 and all(pair.contains(z) for z in child.corners())
+        assert count == 1 and all(_contains(pair, z) for z in child.corners())
         assert len(got) == len(want)
         assert all(abs(a.k - b.k) < 1e-12 * abs(b.k) for a, b in zip(got, want))
 
@@ -1109,6 +1155,35 @@ class TestGenerations:
         assert [strip.count for strip in third[1]] == [1, 2]
         # every exact zero comes back, as from the search that split one cell at a time
         assert len(poles) == len(zeros)
+        for pole, z in zip(poles, sorted(zeros, key=lambda z: (z.real, z.imag))):
+            assert abs(pole.k - z) <= 1e-12 * abs(z)
+
+    def test_a_zero_on_a_cut_between_cells_that_pass(self, monkeypatch):
+        # the window's 9 zeros: four strips, the last one empty, and a generation of three
+        # cells of 3.  A zero sits on a sample of the middle cell's cut, so its strips hold
+        # f = 0 between the others' counted strips; it alone moves its cut, and neither
+        # that nor the others' moments warn (every warning is an error here)
+        re_floor, re_max = pf.EXCLUDED_DISC, 12.0
+        cut = lambda start, end, j, m: start + (j / m) * (end - start)
+        on_cut = complex(cut(cut(re_floor, re_max, 1, 4), cut(re_floor, re_max, 2, 4), 1, 2), -1.0)
+        zeros = [0.9 - 0.6j, 1.7 - 1.5j, 2.5 - 0.4j, 3.6 - 0.5j, on_cut, 5.5 - 1.6j,
+                 6.6 - 0.7j, 7.4 - 1.3j, 8.3 - 0.5j]
+        det = lambda p, ch, k: _zeros_at(-5.0, *zeros)(k)
+        monkeypatch.setattr(pf, "det_lambda_balanced", det)
+        monkeypatch.setattr(pf, "det_lambda", det)
+        programs, resolve = [], pf._resolve
+
+        def recorded_resolve(*args):
+            programs.append(resolve(*args))
+            return programs[-1]
+
+        monkeypatch.setattr(pf, "_resolve", recorded_resolve)
+        poles = find_poles(DELTA, CH, re_max, -2.0)
+        # the window, its split, the generation (the middle cell's strips on the floor), then
+        # the middle cell alone
+        assert [counts for _, _, _, counts, _ in programs] == [
+            [9], [3, 3, 3, 0], [1, 2, 0, 0, 2, 1], [2, 1]]
+        assert set(programs[2][4]) == {2, 3}
         for pole, z in zip(poles, sorted(zeros, key=lambda z: (z.real, z.imag))):
             assert abs(pole.k - z) <= 1e-12 * abs(z)
 

@@ -207,6 +207,13 @@ class TestCliClassify:
         assert main(["classify", "--gamma", "1+1i"]) == 0
         assert "intermediate-type" in capsys.readouterr().out
 
+    def test_near_the_separated_locus(self, capsys):
+        # d = 62066.5 here, and ad - bc rounds 6.0e-10 off 1: the transfer form prints whole
+        assert main(["classify", "--gamma", "1.9999355540506412"]) == 0
+        out = capsys.readouterr().out
+        assert "intermediate-type; not separated" in out
+        assert "transfer form: chi=0  a=1.61117469143e-05  b=0  c=0  d=62066.5161092" in out
+
     def test_separated(self, capsys):
         assert main(["classify", "--alpha", "4", "--beta", "1"]) == 0
         out = capsys.readouterr().out
