@@ -12,19 +12,23 @@ inside the requested window can be silently missed.  The poles line up
 along Re k about pi/R apart, so a long window is cut once into strips of
 about two zeros each, and a strip of three is cut across its row.
 
-A cell's boundary is one closed loop of (z, f) samples; a step through which
-f turns by pi/2 or more is bisected, which pins the turn to a multiple of 2 pi
-unless a zero sits on the boundary (a step with one end's |f| at most 1e-8
-of the other end's, tested at the top of every bisection round, then stops
-that loop's count; |f| grows like e^{R |Im k|} down a loop's sides, so a
-floor taken from the whole loop would lie above |f| near the axis).  A
-split is one array program for a whole generation of cells: every cut is
-laid by one det lambda call, each strip's loop is gathered from its
-parent's loop and the cuts, a cut walked by both strips it bounds, each
-bisection round is one call for every loop, and the strips' loops are views
-into one array.  So a sample of the parent's boundary is never computed
-again however deep the subdivision goes; a zero on a cut moves every cut of
-that cell, in the next program.
+A cell's boundary is one closed loop of samples z, values f and, for the
+step from each sample to the next, its log ratio d = ln(f_next / f); a
+step through which f turns by pi/2 or more is bisected, which pins the
+turn to a multiple of 2 pi unless a zero sits on the boundary (a step
+whose |f| falls or grows 1e8 times or more, tested at the top of every
+bisection round, then stops that loop's count; |f| grows like e^{R |Im k|}
+down a loop's sides, so a floor taken from the whole loop would lie above
+|f| near the axis).  Each step's log ratio is taken once, as the step is
+made, and carried with the loop: the phase, the floor and the contour
+moments all read it.  A split is one array program for a whole generation
+of cells: every cut is laid by one det lambda call and measured forwards
+and walked back, each strip's loop is gathered from its parent's loop and
+the cuts, a cut walked by both strips it bounds, each bisection round is
+one call for every loop, and the strips' loops are views into the
+program's three rows.  So a sample of the parent's boundary, and a step
+between two of them, is never computed again however deep the subdivision
+goes; a zero on a cut moves every cut of that cell, in the next program.
 
 A strip of one or two zeros is seeded from its contour moments as its split
 is counted; once every cell holds one or two, one ``refine`` call runs
@@ -111,9 +115,14 @@ class SearchRegion:
 
 
 class _Loop(NamedTuple):
-    """A cell's closed boundary from its lower left corner, z over f, and its corners' columns."""
+    """A cell's closed boundary from its lower left corner, and its corners' columns.
 
-    zf: np.ndarray
+    ``zfd`` holds three rows, z, f and d, each a 1-D array: d[j] is
+    ``_dlog`` of f[j] and f[j + 1], the step that starts at column j, and
+    the last column, which closes the loop on its first sample, has d = 0.
+    """
+
+    zfd: tuple
     corners: list
 
 
@@ -131,14 +140,26 @@ class _Cell(NamedTuple):
     vertical: bool
 
 
-def _runs(base, step, length) -> np.ndarray:
-    """Indices laid end to end: length[i] of them from base[i] on, step[i] apart."""
+def _runs(base, length) -> np.ndarray:
+    """Indices laid end to end: length[i] of them from base[i] on."""
     ends = length.cumsum()
     out = np.arange(ends[-1], dtype=np.int32)
-    out -= (ends - length).repeat(length)
-    out *= step.repeat(length)
-    out += base.repeat(length)
+    out += (base - ends + length).repeat(length)
     return out
+
+
+def _dlog(fa, fb) -> np.ndarray:
+    """ln r = ln|r| + i arg r of each ratio r = fb / fa: the one place a step's log ratio is formed.
+
+    A complex log is slow at |r| ~ 1.  An f = 0 at an end makes the real
+    part infinite or NaN, which the floor of ``_rounds`` catches.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = fb / fa
+        d = np.empty_like(r)
+        np.log(abs(r), out=d.real)
+    np.arctan2(r.imag, r.real, out=d.imag)
+    return d
 
 
 def _sample(fn, segments) -> tuple[np.ndarray, np.ndarray]:
@@ -167,26 +188,38 @@ def _boundary(fn, region: SearchRegion) -> _Cell:
     """
     c = region.corners()
     zf, starts = _sample(fn, list(zip(c, c[1:] + c[:1])))
-    corners = starts[1:4] - [1, 2, 3]
-    *counted, why = _resolve(fn, np.delete(zf, starts[1:4] - 1, axis=1),
-                             np.array([0, zf.shape[1] - 3]), corners[None])
+    kept = np.ones(zf.shape[1], bool)
+    kept[starts[1:4] - 1] = False
+    z, f = (row[kept] for row in zf)
+    d = np.zeros(f.size, complex)
+    d[:-1] = _dlog(f[:-1], f[1:])
+    *counted, why = _resolve(fn, [z, f, d], np.array([0, f.size]), (starts[1:4] - [1, 2, 3])[None])
     if why:
         raise BoundaryZero(why[0])
     return _strips([region], *counted)[0]
 
 
-def _resolve(fn, zf: np.ndarray, offsets: np.ndarray, corners: np.ndarray):
+def _resolve(fn, zfd, offsets: np.ndarray, corners: np.ndarray):
     """Count the zeros of fn in each region from its loop: the rest of ``_strips``'s
     arguments, then {loop: why} for each loop that hit a floor.
 
-    Loop s is columns offsets[s] to offsets[s + 1] - 1 of zf (z over f),
-    closed on its first sample, with its corners at offsets[s] + corners[s]
-    (m x 3).  A count is the sum of the phases along its loop's four sides
-    (see ``_rounds``), 0 for a loop that hit a floor; the new samples are
-    then inserted into the loops.
+    Loop s is columns offsets[s] to offsets[s + 1] - 1 of the rows zfd (as
+    ``_Loop``'s), closed on its first sample, with its corners at offsets[s] +
+    corners[s] (m x 3).  A count is the sum of the phases along its loop's
+    four sides (see ``_rounds``), 0 for a loop that hit a floor.  The new
+    samples are then put in the loops row by row, each with the log ratio
+    of the step that starts at it, and a bisected step's first sample takes
+    its first half's.  Each given row is let go as soon as its new row is
+    made, so that a program holds at most four rows of its loops, not six.
+    A loop that hit a floor may keep a bisected step's own log ratio; it is
+    not used again.
     """
-    heads = np.column_stack([offsets[:-1], offsets[:-1, None] + corners, offsets[1:] - 1])
-    total, new, why = _rounds(fn, zf, heads.ravel())
+    heads = np.empty((len(corners), 5), int)   # each loop's sides and closing step
+    heads[:, 0], heads[:, 4] = offsets[:-1], offsets[1:] - 1
+    heads[:, 1:4] = offsets[:-1, None] + corners
+    total, new, settled, why = _rounds(fn, zfd, heads.ravel())
+    rows = list(zfd)
+    del zfd   # the rows alone hold the loops now
     total = total.reshape(-1, 5).sum(axis=1) / (2.0 * math.pi)
     total[list(why)] = 0.0
     counts = np.rint(total)
@@ -194,28 +227,48 @@ def _resolve(fn, zf: np.ndarray, offsets: np.ndarray, corners: np.ndarray):
         raise WinterresError(f"winding sums {2 * math.pi * total} failed to close to integers")
     if new:
         zm, fm, slot = (np.concatenate(part) for part in zip(*new))
-        order = np.lexsort((abs(zm - zf[0, slot]), slot))   # in order along each step
+        start, d = (np.concatenate(part) for part in zip(*settled))
+        n, m = rows[0].size, zm.size
+        made = start >= n
+        dm = np.zeros(m, complex)
+        dm[start[made] - n] = d[made]
+        order = np.lexsort((abs(zm - rows[0][slot]), slot))   # in order along each step
         slot = slot[order]
-        zf = np.insert(zf, slot + 1, np.array([zm, fm])[:, order], axis=1)
+        at = slot + np.arange(1, m + 1)   # the new samples' columns
+        kept = np.ones(n + m, bool)
+        kept[at] = False
+        for i, added in enumerate((zm, fm, dm)):
+            row = np.empty(n + m, complex)
+            row[kept], row[at] = rows[i], added[order]
+            rows[i] = row
+        start = start[~made]
+        rows[2][start + slot.searchsorted(start)] = d[~made]
         heads += slot.searchsorted(heads)
-    corners, offsets = heads[:, 1:4] - heads[:, :1], np.append(heads[:, 0], heads[-1, 4] + 1)
-    return zf, offsets.tolist(), corners.tolist(), counts.astype(int).tolist(), why
+    offsets = heads[:, 0].tolist() + [int(heads[-1, 4]) + 1]
+    return rows, offsets, (heads[:, 1:4] - heads[:, :1]).tolist(), counts.astype(int).tolist(), why
 
 
-def _rounds(fn, zf: np.ndarray, heads: np.ndarray):
-    """The phase each side turns through, per round its new samples (z, f, step of zf),
-    and {loop: why} for each loop that hit a floor.
+def _rounds(fn, zfd, heads: np.ndarray):
+    """The phase each side turns through, per round its new samples (z, f, step of zfd),
+    the sample each half not bisected again starts from and its log ratio, and {loop:
+    why} for each loop that hit a floor.
 
     ``heads`` holds the first columns of each loop's four sides and of its
-    closing step, to the next loop, which no one looks at.  A round bisects,
-    in one det lambda call for all, the steps of pi/2 or more and, in each of
-    the first ceil(log2(8 / n)) rounds, every step of a side of n < 8 steps,
-    so that every side ends with 8 steps or more.  The floor is local: at the
-    top of each round, a step with one end at or under 1e-8 times |f| at its
-    other end drops its loop, and so does a step still wide after the last
-    round; the phase of its sides then means nothing.
+    closing step, to the next loop, whose d of 0 neither turns nor floors.
+    A round bisects, in one det lambda call for all, the steps of pi/2 or
+    more and, in each of the first ceil(log2(8 / n)) rounds, every step of a
+    side of n < 8 steps, so that every side ends with 8 steps or more; each
+    half's log ratio d is taken as it is made, and a step turns by Im d.
+    The floor is local: at the top of each round, a step with |Re d| >= ln
+    1e8 (|f| at one end at or under 1e-8 times |f| at the other) or a NaN
+    ratio (f = 0 at both ends) drops its loop, and so does a step still wide
+    after the last round; the phase of its sides then means nothing.  A
+    sample is named by its column of zfd, or by the columns' count plus its
+    number among the new samples.
     """
-    count, mag = heads.size, abs(zf[1])
+    count, floor = heads.size, -math.log(_FLOOR_REL)
+    z, f, d = zfd
+    made = z.size   # the samples so far: zfd's columns, then the new ones
     lost, why = np.zeros(count // 5, bool), {}
 
     def lose(sides, text):
@@ -225,54 +278,58 @@ def _rounds(fn, zf: np.ndarray, heads: np.ndarray):
         for s, j in zip(loops.tolist(), first.tolist()):
             why[s] = text(j)
 
-    # the steps to look at, every one at first: their ends z, f, z, f, step of zf and side
-    ends = (zf[0, :-1], zf[1, :-1], zf[0, 1:], zf[1, 1:])
-    slot = np.arange(zf.shape[1] - 1, dtype=np.int32)
-    at = heads.searchsorted(slot, "right") - 1
-    closing = heads[4:-1:5]   # the steps between loops
-    steps = np.append(np.diff(heads), 8)   # of each side
+    # the steps to look at, every one at first: the step of zfd each lies on, its side, the
+    # sample it starts from and its log ratio; past the first round, its ends z, f, z, f too
+    steps = np.zeros_like(heads)   # of each side; the last loop's closing step is none
+    steps[:-1] = heads[1:] - heads[:-1]
+    slot = np.arange(made - 1, dtype=np.int32)
+    start, at, d = slot, np.arange(count, dtype=np.int32).repeat(steps), d[:-1]
     steps[4::5] = 8   # a closing step is never short
     halvings = np.ceil(np.log2(8 / steps))   # the rounds that halve every step of a side
     short = halvings.max()   # the rounds in which some side is short
-    total, new = np.zeros(count), []
+    total, new, settled = np.zeros(count), [], []
     for depth in range(_MAX_PHASE_DEPTH + 1):
-        za, fa, zb, fb = ends
-        ma, mb = (abs(fa), abs(fb)) if depth else (mag[:-1], mag[1:])
-        low = np.minimum(ma, mb) <= _FLOOR_REL * np.maximum(ma, mb)
-        if not depth:
-            low[closing] = False
+        low = ~(abs(d.real) < floor)   # a NaN ratio too
         if low.any():
             bad = low.nonzero()[0]
-            given = np.where(mb[bad] < ma[bad], zb[bad], za[bad])
+            za, zb = ends[[0, 2]][:, bad] if depth else z[[slot[bad], slot[bad] + 1]]
+            given = np.where(d.real[bad] < 0.0, zb, za)   # the end with the smaller |f|
             lose(at[bad], lambda j: f"zero of det lambda on the boundary at {given[j]}")
             keep = ~lost[at // 5]
-            slot, at = slot[keep], at[keep]
-            ends = np.stack([end[keep] for end in ends])
-            za, fa, zb, fb = ends
-            closing = (at % 5 == 4).nonzero()[0]
-        phase = np.angle(fb / fa)
-        if not depth:
-            phase[closing] = 0.0
-        marked = abs(phase) >= 0.5 * math.pi
+            slot, start, at, d = slot[keep], start[keep], at[keep], d[keep]
+            if depth:
+                ends = ends[:, keep]
+        marked = abs(d.imag) >= 0.5 * math.pi
         if depth < short:
-            marked |= halvings[at] > depth
+            marked |= (halvings > depth)[at]
+        # a marked step is looked at again, as two halves
+        total += np.bincount(at, np.where(marked, 0.0, d.imag), count)
+        if depth:
+            settled.append((start[~marked], d[~marked]))
         split = marked.nonzero()[0]
-        phase[split] = 0.0   # looked at again, as two halves
-        total += np.bincount(at, phase, count)
         if not split.size:
-            return total, new, why
+            return total, new, settled, why
         if depth == _MAX_PHASE_DEPTH:
-            lose(at[split], lambda j: f"phase increment from {za[split[j]]} to {zb[split[j]]} "
+            za, zb = ends[[0, 2]][:, split]
+            lose(at[split], lambda j: f"phase increment from {za[j]} to {zb[j]} "
                                       "cannot be resolved")
-            return total, new, why
-        zm = 0.5 * (za[split] + zb[split])
+            return total, new, settled, why
+        if depth:
+            ends = ends[:, split]
+        else:
+            a = slot[split]
+            ends = np.array([z[a], f[a], z[a + 1], f[a + 1]])
+        zm = 0.5 * (ends[0] + ends[2])
         fm = fn(zm)
         new.append((zm, fm, slot[split]))
-        # next: the halves of each split step
-        n, k = split.size, np.tile(split, 2)
+        # next: the halves of each split step, the first ones first
+        n, k = split.size, np.concatenate([split, split])
         slot, at = slot[k], at[k]
-        ends = ends[:, k] if depth else np.concatenate([zf[:, slot], zf[:, slot + 1]])
+        start = np.concatenate([start[split], np.arange(made, made + n)])
+        made += n
+        ends = np.concatenate([ends, ends], axis=1)
         ends[2, :n], ends[3, :n], ends[0, n:], ends[1, n:] = zm, fm, zm, fm
+        d = _dlog(ends[1], ends[3])
 
 
 def _boxes(regions) -> np.ndarray:
@@ -286,13 +343,13 @@ def _inside(box: np.ndarray, k: np.ndarray, slop) -> np.ndarray:
             & (box[2] - slop <= k.imag) & (k.imag <= box[3] + slop))
 
 
-def _strips(regions, loops: np.ndarray, offsets: list, corners: list, counts: list):
-    """The ``_Cell`` of each counted strip, its loop a view into ``loops``.
+def _strips(regions, loops: list, offsets: list, corners: list, counts: list):
+    """The ``_Cell`` of each counted strip, its loop views into the rows ``loops``.
 
     Every strip that holds a zero takes its moments s_p, the sums of
-    (z_mid - c)^p ln r / 2 pi i over its loop's steps of ratio r, c its
-    centroid (Delves & Lyness, Math. Comp. 21, 1967), ln r = ln|r| + i arg r
-    as no step turns by pi/2.  A strip of one or two zeros is seeded with
+    (z_mid - c)^p d / 2 pi i over its loop's steps of log ratio d, c its
+    centroid (Delves & Lyness, Math. Comp. 21, 1967), d = ln r as no step
+    turns by pi/2.  A strip of one or two zeros is seeded with
     c + s_1, or c + w for both roots of w^2 - s_1 w + (s_1^2 - s_2)/2
     (Kravanja & Van Barel, LNM 1727, 2000); a seed over _SEED_SLOP diagonals
     outside gives way to c.  A strip of n >= 2 zeros is cut across the way
@@ -300,6 +357,7 @@ def _strips(regions, loops: np.ndarray, offsets: list, corners: list, counts: li
     (x - x_mean)^2 - (y - y_mean)^2 over its zeros divided by n, is 0 or
     more.  A strip of one or none is cut across its longer side.
     """
+    z, f, d = loops
     box = _boxes(regions)[..., None]
     centre = 0.5 * (box[0] + box[1]) + 0.5j * (box[2] + box[3])
     slop, seeds = _SEED_SLOP * np.hypot(box[1] - box[0], box[3] - box[2]), centre.repeat(2, 1)
@@ -311,14 +369,9 @@ def _strips(regions, loops: np.ndarray, offsets: list, corners: list, counts: li
         a, b = counted[0], counted[-1] + 1
         n = np.array(counts[a:b])
         starts = np.subtract(offsets[a:b + 1], offsets[a])
-        z, f = loops[:, offsets[a]:offsets[b]]
-        r = f[1:] / f[:-1]
-        dlog = np.empty_like(r)   # ln|r| + i arg r: a complex log is slow at |r| ~ 1
-        np.log(abs(r), out=dlog.real)
-        np.arctan2(r.imag, r.real, out=dlog.imag)
-        dlog[starts[1:-1] - 1] = 0.0   # the steps between loops
-        w = 0.5 * (z[1:] + z[:-1]) - centre[a:b, 0].repeat(np.diff(starts))[:-1]
-        dlog *= w
+        zs = z[offsets[a]:offsets[b]]
+        w = 0.5 * (zs[1:] + zs[:-1]) - centre[a:b, 0].repeat(np.diff(starts))[:-1]
+        dlog = d[offsets[a]:offsets[b] - 1] * w   # 0 on the steps between loops
         s1 = np.add.reduceat(dlog, starts[:-1]) / (2j * math.pi)
         s2 = np.add.reduceat(dlog * w, starts[:-1]) / (2j * math.pi)
         spreads[a:b] = (n * s2 - s1 * s1).real
@@ -328,7 +381,7 @@ def _strips(regions, loops: np.ndarray, offsets: list, corners: list, counts: li
         ks = np.column_stack([np.where(n == 1, s1, 0.5 * (s1 + half)),
                               0.5 * (s1 - half)]) + centre[a:b]
         seeds[a:b] = np.where(_inside(box[:, a:b], ks, slop[a:b]), ks, centre[a:b])
-    return [_Cell(region, _Loop(loops[:, a:b], [0] + corner), count,
+    return [_Cell(region, _Loop((z[a:b], f[a:b], d[a:b]), [0] + corner), count,
                   ks[:count] if count < 3 else [],
                   spread >= 0.0 if count >= 2 else region.width >= region.height)
             for region, a, b, corner, count, ks, spread
@@ -487,7 +540,7 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     window = _boundary(fn, top)
 
     min_cell = _MIN_CELL_FACTOR / ch.radius
-    found: list[tuple[complex, float]] = []
+    found = [(np.zeros(0, complex), np.zeros(0))]   # the roots and residuals of each batch
 
     def split(due):
         """The (strip, depth, resplit) of each strip that holds zeros, for a generation of
@@ -521,7 +574,7 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
             abs(roots[first] - roots[first + counts - 1])
             >= np.maximum(min_cell, _DEDUPE_REL * abs(roots[first]))))
         keep = ok.repeat(counts)
-        found.extend(zip(roots[keep].tolist(), residuals[keep].tolist()))
+        found.append((roots[keep], residuals[keep]))
         rejected = list(itertools.compress(queue, ~ok))
         for cell, _, resplit in rejected:
             if resplit:
@@ -529,22 +582,28 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
         # a one-zero cell's one re-split pass; a two-zero cell leaves its children theirs
         due = split([(cell, depth, cell.count == 1) for cell, depth, _ in rejected])
 
-    found.sort(key=lambda item: (item[0].real, item[0].imag))
-    merged: list[tuple[complex, float]] = []
-    for k_root, residual in found:
-        if merged and abs(k_root - merged[-1][0]) < _DEDUPE_REL * abs(k_root):
-            if residual < merged[-1][1]:
-                merged[-1] = (k_root, residual)
-            continue
-        merged.append((k_root, residual))
-    if len(merged) != window.count:
+    roots, residuals = (np.concatenate(part) for part in zip(*found))
+    order = np.lexsort((roots.imag, roots.real))   # stable: by Re k, then Im k
+    roots, residuals = roots[order], residuals[order]
+    near = abs(roots[1:] - roots[:-1]) < _DEDUPE_REL * abs(roots[1:])
+    if near.any():   # from the first root with a near neighbour on, each keeps the smaller residual
+        kept, ks, rs = list(range(near.argmax() + 1)), roots.tolist(), residuals.tolist()
+        for j in range(len(kept), len(ks)):
+            if abs(ks[j] - ks[kept[-1]]) < _DEDUPE_REL * abs(ks[j]):
+                if rs[j] < rs[kept[-1]]:
+                    kept[-1] = j
+                continue
+            kept.append(j)
+        roots, residuals = roots[kept], residuals[kept]
+    if roots.size != window.count:
         raise WinterresError(
-            f"pole bookkeeping failed: counted {window.count}, refined {len(merged)}")
-    bad = [item for item in merged if item[1] >= _RESIDUAL_TOL]
-    if bad:
-        raise NonConvergence(f"{len(bad)} poles above the residual tolerance: {bad}")
+            f"pole bookkeeping failed: counted {window.count}, refined {roots.size}")
+    bad = residuals >= _RESIDUAL_TOL
+    if bad.any():
+        raise NonConvergence(f"{np.count_nonzero(bad)} poles above the residual tolerance: "
+                             f"{list(zip(roots[bad].tolist(), residuals[bad].tolist()))}")
     return [Resonance(i, k_root, residual)
-            for i, (k_root, residual) in enumerate(merged)]
+            for i, (k_root, residual) in enumerate(zip(roots.tolist(), residuals.tolist()))]
 
 
 def _cut(base, length, first: int, keys: np.ndarray, at: np.ndarray, points: np.ndarray):
@@ -562,33 +621,80 @@ def _cut(base, length, first: int, keys: np.ndarray, at: np.ndarray, points: np.
     length[1:, 1] -= hi
 
 
-def _layout(loop: _Loop, vertical: bool, at: np.ndarray, starts: np.ndarray):
-    """Each strip's loop as three runs (base, step, length) a side, m x 4 x 3, every side whole.
+def _layout(loop: _Loop, vertical: bool, at: np.ndarray, starts: np.ndarray, back: np.ndarray):
+    """Each strip's loop as three runs (base, length) a side, m x 4 x 3, every side whole.
 
-    The runs index [loop | cuts] with cut j, at ``at[j]``, in its columns
-    starts[j] to starts[j + 1] - 1.  From the side that runs like the cuts'
-    walk on (the second if ``vertical``, else the third) a strip's sides are
-    its piece of `along`, the cut after it or `last`, its piece of `across`
-    and the cut before it walked back or `first`; they are then turned back
-    to start from side 0.
+    The runs index [loop | cuts | cuts walked back], every one walked
+    forwards: cut j, at ``at[j]``, is columns starts[j] to starts[j + 1] - 1,
+    and walked back columns back[j + 1] to back[j] - 1.  From the side that
+    runs like the cuts' walk on (the second if ``vertical``, else the third)
+    a strip's sides are its piece of `along`, the cut after it or `last`,
+    its piece of `across` and the cut before it walked back or `first`; they
+    are then turned back to start from side 0.  A cut's end on a piece is
+    taken where the walk before the piece ends, so that the two run on.
     """
     m, turn = at.size + 1, 0 if vertical else 1
     # the parent's sides turned so that the cuts run like the second, as columns of its loop
-    ends = list(loop.corners) + [loop.zf.shape[1] - 1]
+    ends = list(loop.corners) + [loop.zfd[0].size - 1]
     along, last, across, first = [(ends[i % 4], ends[i % 4 + 1]) for i in range(turn, turn + 4)]
-    z = loop.zf[0].real if vertical else loop.zf[0].imag
-    # the cuts' ends on `along` and on `across`
-    head, tail, size = starts[:-1], starts[1:] - 1, np.diff(starts)
-    head, tail = (head, tail) if vertical else (tail, head)
-    base, step, length = (np.full((m, 4, 3), v) for v in (0, 1, 0))
+    z = loop.zfd[0].real if vertical else loop.zfd[0].imag
+    # each cut's first column on its walk and walked back, and its ends on `along` and on `across`
+    size = np.diff(starts)
+    walk, walk_back = (starts[:-1], back[1:]) if vertical else (back[1:], starts[:-1])
+    head, tail = walk_back + size - 1, walk + size - 1
+    base, length = np.zeros((m, 4, 3), int), np.zeros((m, 4, 3), int)
     _cut(base[:, 0], length[:, 0], along[0], z[along[0]:along[1] + 1], at, head)
     _cut(base[::-1, 2], length[::-1, 2], across[0], -z[across[0]:across[1] + 1], -at[::-1],
          tail[::-1])
-    base[:-1, 1, 1], step[:-1, 1, 1], length[:-1, 1, 1] = head, 1 - 2 * turn, size
-    base[1:, 3, 1], step[1:, 3, 1], length[1:, 3, 1] = tail, 2 * turn - 1, size
+    base[:-1, 1, 1], base[1:, 3, 1] = walk, walk_back
+    length[:-1, 1, 1] = length[1:, 3, 1] = size
     base[-1, 1, 1], length[-1, 1, 1] = last[0], last[1] - last[0] + 1
     base[0, 3, 1], length[0, 3, 1] = first[0], first[1] - first[0] + 1
-    return [a[:, range(-turn, 4 - turn)] for a in (base, step, length)]
+    return [a[:, range(-turn, 4 - turn)] for a in (base, length)]
+
+
+def _gather(fn, cells: list, ats: list, lines: list):
+    """The loops of the cells' strips, cut at ``ats`` along ``lines``: ``_resolve``'s arguments
+    but fn.
+
+    One det lambda call lays every cut.  A cut's steps are measured forwards
+    and walked back, each in the order it is walked, and so is the step from
+    one cut to the next, which no loop takes.  Each strip's loop is then
+    gathered a row at a time from [every cell's loop | every cut | every cut
+    walked back]; a step that does not run on in that source joins two runs
+    and is measured afresh.
+    """
+    cuts, offsets = _sample(fn, lines)
+    loops = [cell.loop.zfd for cell in cells]
+    column = np.cumsum([0] + [zfd[0].size for zfd in loops])
+    layouts, k = [], 0
+    for cell, at, col in zip(cells, ats, column):
+        cut = offsets[k:k + at.size + 1]
+        layouts.append(_layout(cell.loop, cell.vertical, at, column[-1] - col + cut,
+                               column[-1] + 2 * cuts.shape[1] - col - cut))
+        layouts[-1][0] += col
+        k += at.size
+    base, length = (np.concatenate(part) for part in zip(*layouts))
+    # every side but the left one stops one sample short of its end
+    sides = length.sum(axis=2)
+    sides[:, :3] -= 1
+    stop = length.cumsum(axis=2)
+    length = np.minimum(stop, sides[..., None]) - np.minimum(stop - length, sides[..., None])
+    runs = _runs(base.ravel(), length.ravel())
+    offsets = np.append(0, sides.sum(axis=1).cumsum())
+    ahead, back = np.zeros(cuts.shape[1], complex), np.zeros(cuts.shape[1], complex)
+    ahead[:-1] = _dlog(cuts[1, :-1], cuts[1, 1:])
+    back[:-1] = _dlog(cuts[1, 1:], cuts[1, :-1])[::-1]
+    walks = [(cuts[0], cuts[0, ::-1]), (cuts[1], cuts[1, ::-1]), (ahead, back)]
+    z, f, d = (np.concatenate(parents + walk).take(runs)   # a row at a time
+               for parents, walk in zip(zip(*loops), walks))
+    last = offsets[1:] - 1
+    joins = runs[1:] - runs[:-1] != 1
+    joins[last[:-1]] = False   # a loop's closing step is none
+    joins = joins.nonzero()[0]
+    d[joins] = _dlog(f[joins], f[joins + 1])
+    d[last] = 0.0
+    return [z, f, d], offsets, sides[:, :3].cumsum(axis=1)
 
 
 def _subdivide(fn, cells: list) -> list:
@@ -597,11 +703,13 @@ def _subdivide(fn, cells: list) -> list:
 
     A cell of c zeros is cut into m = max(2, c // 2) equal strips, by cuts
     parallel to the imaginary axis if it is ``vertical`` and to the real
-    axis if not.  One det lambda call lays every cut; each strip's loop is
-    gathered from its parent's loop and the cuts, a cut walked by both its
-    strips, and one ``_resolve`` counts them all.  A cell whose strips hit a
-    floor (a zero on or near a cut), or whose counts do not add up, moves
-    every cut 2 (frac - 0.5) / m of the side for the next of
+    axis if not.  One det lambda call lays every cut, which is measured
+    forwards and walked back; each strip's loop is gathered row by row from
+    its parent's loop and the cuts, a cut walked by both its strips, so that
+    only the steps where two runs join are measured afresh (see
+    ``_gather``), and one ``_resolve`` counts them all.  A cell whose strips
+    hit a floor (a zero on or near a cut), or whose counts do not add up,
+    moves every cut 2 (frac - 0.5) / m of the side for the next of
     _SPLIT_FRACTIONS, in the next program with the other such cells; the
     rest keep their strips.  Returns each cell's strips left to right (or
     up).
@@ -625,35 +733,16 @@ def _subdivide(fn, cells: list) -> list:
                                 for lo, hi in bounds])
                 lines += [(complex(region.re_min, y), complex(region.re_max, y)) for y in at]
             ats.append(np.array(at))
-        cuts, offsets = _sample(fn, lines)
-        # the strips' loops as runs over [every parent's loop | every cut]
-        loops = [cells[i].loop.zf for i in todo]
-        column = np.cumsum([0] + [zf.shape[1] for zf in loops])
-        layouts, k = [], 0
-        for i, at, col in zip(todo, ats, column):
-            layouts.append(_layout(cells[i].loop, cells[i].vertical, at,
-                                   column[-1] - col + offsets[k:k + at.size + 1]))
-            layouts[-1][0] += col
-            k += at.size
-        base, step, length = (np.concatenate(part) for part in zip(*layouts))
-        # every side but the left one stops one sample short of its end
-        sides = length.sum(axis=2)
-        sides[:, :3] -= 1
-        stop = length.cumsum(axis=2)
-        length = np.minimum(stop, sides[..., None]) - np.minimum(stop - length, sides[..., None])
-        runs = _runs(base.ravel(), step.ravel(), length.ravel())
-        # the loops are not held here, so the insert of new samples frees them
-        zf, offsets, corners, counts, why = _resolve(
-            fn, np.concatenate(loops + [cuts], axis=1)[:, runs],
-            np.append(0, sides.sum(axis=1).cumsum()), sides[:, :3].cumsum(axis=1))
+        zfd, offsets, corners, counts, why = _resolve(
+            fn, *_gather(fn, [cells[i] for i in todo], ats, lines))
         first = np.cumsum([0] + [len(strips) for strips in regions]).tolist()
         # counts that disagree: a zero slipped between the sampled cut lines
         ok = [sum(counts[a:b]) == cells[i].count and not any(a <= s < b for s in why)
               for i, a, b in zip(todo, first, first[1:])]
-        # a strip that hit a floor, counted 0, may hold f = 0 among counted strips; its
-        # sums go unused
-        with np.errstate(divide="ignore", invalid="ignore"):
-            strips = _strips([strip for cell in regions for strip in cell], zf, offsets,
+        # a strip that hit a floor, counted 0, may hold f = 0 and so an infinite or NaN d
+        # among counted strips; its sums go unused
+        with np.errstate(invalid="ignore"):
+            strips = _strips([strip for cell in regions for strip in cell], zfd, offsets,
                              corners, counts)
         for i, good, a, b in zip(todo, ok, first, first[1:]):
             if good:

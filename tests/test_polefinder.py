@@ -4,6 +4,7 @@ import bisect
 import cmath
 import itertools
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -121,24 +122,56 @@ class TestCountZeros:
             with pytest.raises(BoundaryZero, match="zero of det lambda on the boundary"):
                 count_zeros(DELTA, CH, SearchRegion(2, 6, -1, 0))
 
+    @pytest.mark.parametrize("samples", [[0, 1], [3, 4], [3]], ids=["corner-pair", "pair", "one"])
+    def test_exact_zero_on_given_samples_is_named(self, samples, monkeypatch):
+        # f = 0 exactly at samples of the bottom side: the step between two of them has the
+        # ratio 0/0, which floors too, so the message names the first zero along the loop
+        region = SearchRegion(2, 6, -1, 0)
+        bottom = pf._sample(lambda k: k, [tuple(region.corners()[:2])])[0][0]
+        zeros = [bottom[j] for j in samples]
+        monkeypatch.setattr(pf, "det_lambda_balanced",
+                            lambda p, ch, k: _zeros_at(-5.0, *zeros)(k))
+        with pytest.raises(BoundaryZero, match=rf"on the boundary at {re.escape(str(zeros[0]))}$"):
+            count_zeros(DELTA, CH, region)
+
 
 def _phases(zf):
-    """The phase f turns through on each step of samples z over values f."""
-    return np.angle(zf[1, 1:] / zf[1, :-1])
+    """The phase f turns through on each step of rows z and f."""
+    f = zf[1]
+    return np.angle(f[1:] / f[:-1])
 
 
 def _assert_carried(child, loop):
-    """A child's loop closes, runs through its corners and is resolved."""
-    assert loop._fields == ("zf", "corners")   # samples, values and corners alone
-    assert loop.zf[0, loop.corners].tolist() == child.corners()
-    assert loop.zf[:, -1].tolist() == loop.zf[:, 0].tolist()
-    assert (np.abs(_phases(loop.zf)) < 0.5 * math.pi).all()
+    """A child's loop closes, runs through its corners, is resolved and carries its steps."""
+    assert loop._fields == ("zfd", "corners")   # samples, values, steps and corners alone
+    z, f, _ = loop.zfd
+    assert z[loop.corners].tolist() == child.corners()
+    assert [z[-1], f[-1]] == [z[0], f[0]]
+    assert (np.abs(_phases(loop.zfd)) < 0.5 * math.pi).all()
+    _assert_steps(loop.zfd)
+
+
+def _assert_steps(zfd):
+    """Row d of one loop holds _dlog of its consecutive values bitwise, and 0 on its closing
+    step."""
+    f, d = zfd[1:]
+    assert d[:-1].tobytes() == pf._dlog(f[:-1], f[1:]).tobytes()
+    assert d[-1] == 0.0
+
+
+def _measured(zf, offsets):
+    """Loops of samples z over values f, loop s in columns offsets[s] to offsets[s + 1] - 1,
+    with the row d that ``_resolve`` takes: each step's log ratio, 0 on each closing step."""
+    d = np.zeros(zf.shape[1], complex)
+    d[:-1] = pf._dlog(zf[1, :-1], zf[1, 1:])
+    d[np.asarray(offsets[1:]) - 1] = 0.0
+    return [zf[0], zf[1], d]
 
 
 def _sides(loop):
-    """A loop's four sides (bottom, right, top, left), each with both its corners."""
-    ends = list(loop.corners) + [loop.zf.shape[1] - 1]
-    return [loop.zf[:, a:b + 1] for a, b in zip(ends, ends[1:])]
+    """A loop's four sides (bottom, right, top, left), z over f, each with both its corners."""
+    zf, ends = np.array(loop.zfd[:2]), list(loop.corners) + [loop.zfd[0].size - 1]
+    return [zf[:, a:b + 1] for a, b in zip(ends, ends[1:])]
 
 
 def _fresh_sides(fn, region):
@@ -157,7 +190,8 @@ def _resolve_one(fn, region, sides):
     """
     zf = np.concatenate([side[:, :-1] for side in sides[:3]] + [sides[3]], axis=1)
     corners = np.cumsum([side.shape[1] - 1 for side in sides[:3]])
-    *counted, why = pf._resolve(fn, zf, np.array([0, zf.shape[1]]), corners[None])
+    offsets = np.array([0, zf.shape[1]])
+    *counted, why = pf._resolve(fn, _measured(zf, offsets), offsets, corners[None])
     if why:
         raise BoundaryZero(why[0])
     return pf._strips([region], *counted)[0]
@@ -254,10 +288,12 @@ class TestSubdivide:
         (strips,) = pf._subdivide(recorded, [cell])
         return cell, strips, calls
 
-    @pytest.mark.parametrize("fn, region, count", [
+    PARTITIONED = [
         (lambda k: det_lambda_balanced(DELTA, CH, k), SearchRegion(4.0, 40.0, -3.0, -0.0005), 11),
         (_zeros_at(*STACKED), SearchRegion(4.0, 6.0, -8.0, -0.1), 8),
-    ], ids=["wide-delta", "tall-stacked"])
+    ]
+
+    @pytest.mark.parametrize("fn, region, count", PARTITIONED, ids=["wide-delta", "tall-stacked"])
     def test_strips_partition_the_parent(self, fn, region, count):
         # a cell of c >= 6 zeros is cut into c // 2 strips in one pass, across the way its
         # zeros spread: across the row in the wide cell, across the column in the tall one
@@ -286,6 +322,56 @@ class TestSubdivide:
         across = first.real if vertical else first.imag
         assert (across == np.array(at)[:, None]).all()
 
+    def test_every_loop_carries_its_steps(self):
+        # d holds each step's log ratio bitwise after the window's count and after every
+        # generation of splits, with cuts run both ways
+        vertical = set()
+        for fn, region, _ in self.PARTITIONED:
+            level = [pf._boundary(fn, region)]
+            _assert_steps(level[0].loop.zfd)
+            while level:
+                split = pf._subdivide(fn, level)
+                for parent, strips in zip(level, split):
+                    vertical.add(parent.vertical)
+                    for strip in strips:
+                        _assert_steps(strip.loop.zfd)
+                level = [strip for strips in split for strip in strips if strip.count > 2]
+        assert vertical == {True, False}
+
+    def test_a_split_measures_no_inherited_step(self, monkeypatch):
+        # the log ratios a split takes: each step of its cuts both ways, the steps that join
+        # a cut's end to its parent's loop, and the halves of bisected steps; none of the
+        # parent's own steps, which its strips inherit
+        dlog = pf._dlog
+        for fn, region, _ in self.PARTITIONED:
+            cell = pf._boundary(fn, region)
+            seen, made = set(), []
+
+            def recorded_dlog(fa, fb):
+                seen.update(zip(fa.tolist(), fb.tolist()))
+                return dlog(fa, fb)
+
+            def recorded(k):
+                made.append(fn(k))
+                return made[-1]
+
+            monkeypatch.setattr(pf, "_dlog", recorded_dlog)
+            (strips,) = pf._subdivide(recorded, [cell])
+            monkeypatch.undo()
+            cuts, halves = made[0].tolist(), set(np.concatenate(made[1:]).tolist())
+            ahead = set(zip(cuts, cuts[1:]))   # with the steps from one cut to the next
+            back = {(b, a) for a, b in ahead}
+            per_cut = len(cuts) // (len(strips) - 1)
+            ends = set(cuts[::per_cut] + cuts[per_cut - 1::per_cut])
+            # the parent's steps; a sample of the parent's on a cut gives way to the cut's end
+            f = cell.loop.zfd[1].tolist()
+            inherited = {(a, b) for a, b in zip(f, f[1:]) if not {a, b} & ends}
+            assert halves and not seen & inherited
+            assert ahead | back <= seen
+            for a, b in seen - ahead - back:
+                assert a in halves or b in halves or (
+                    {a, b} & ends and {a, b} <= ends | set(f))   # a half or a junction
+
     @pytest.mark.parametrize("fn, region, levels", [
         (lambda k: det_lambda_balanced(DELTA, CH, k), SearchRegion(4.0, 14.0, -3.0, -0.0005), 3),
         (lambda k: det_lambda_balanced(DELTA, CH, k), SearchRegion(9.0, 13.0, -6.0, -0.0005), 3),
@@ -298,8 +384,8 @@ class TestSubdivide:
 
         def recorded(fn, zf, offsets, corners):
             out = resolve(fn, zf, offsets, corners)
-            loop = lambda zf, offsets, corners, s: pf._Loop(zf[:, offsets[s]:offsets[s + 1]],
-                                                            [0, *corners[s]])
+            loop = lambda zfd, offsets, corners, s: pf._Loop(
+                tuple(row[offsets[s]:offsets[s + 1]] for row in zfd), [0, *corners[s]])
             for s in range(len(corners)):
                 given, resolved = loop(zf, offsets, corners, s), loop(*out[:3], s)
                 short.extend((side, got) for side, got in zip(_sides(given), _sides(resolved))
@@ -334,7 +420,7 @@ class TestSubdivide:
         want.append(rest)
         base, length = np.zeros((len(xs) + 1, 3), int), np.zeros((len(xs) + 1, 3), int)
         pf._cut(base, length, 0, key(bottom[0]), np.array(xs), bottom.shape[1] + offsets[:-1])
-        runs = pf._runs(base.ravel(), np.ones(base.size, int), length.ravel())
+        runs = pf._runs(base.ravel(), length.ravel())
         got = np.split(np.concatenate([bottom, cuts], axis=1)[:, runs],
                        np.cumsum(length.sum(axis=1))[:-1], axis=1)
         assert len(got) == len(want)
@@ -466,7 +552,7 @@ class TestResolve:
         del calls[:]
         resolved = _resolve_one(fn, region, sides)[1]
         want = [w for z, _ in reference for w in z[:-1]] + [sides[0][0, 0]]   # closed again
-        assert resolved.zf[0].tolist() == want
+        assert resolved.zfd[0].tolist() == want
         rounds = max(depth for _, depth in reference)
         assert rounds >= 3
         assert len(calls) == rounds   # one call per round, every side in it
@@ -491,7 +577,7 @@ class TestResolve:
         del calls[:]
         cell = _resolve_one(fn, region, sides)
         assert cell.count == 0
-        assert cell.loop.zf[0].tolist() == want
+        assert cell.loop.zfd[0].tolist() == want
         assert 2.0 - 0.975j in want   # every step of a short side is halved, the 0.05 one too
         # halving shares the first round's call with the wide steps of the left side
         first = calls[0].tolist()
@@ -557,20 +643,22 @@ class TestResolve:
         (first, corners0), (second, corners1) = loops
         assert abs(np.angle(second[1, 0] / first[1, -1])) >= 0.5 * math.pi
         assert abs(second[1, 0]) <= pf._FLOOR_REL * abs(first[1, -1])
-        alone = [pf._resolve(fn, zf, np.array([0, zf.shape[1]]), corners[None])
+        alone = [pf._resolve(fn, _measured(zf, [0, zf.shape[1]]), np.array([0, zf.shape[1]]),
+                             corners[None])
                  for zf, corners in loops]
         del calls[:]
+        offsets = np.array([0, first.shape[1], first.shape[1] + second.shape[1]])
         zf, offsets, corners, counts, why = pf._resolve(
-            fn, np.concatenate([first, second], axis=1),
-            np.array([0, first.shape[1], first.shape[1] + second.shape[1]]),
+            fn, _measured(np.concatenate([first, second], axis=1), offsets), offsets,
             np.array([corners0, corners1]))
         assert counts == [1, 2] and why == {}
         assert not any(junction in call.tolist() for call in calls)
         # each loop comes back as when it is counted alone, and the two meet as they did
         for s, (zf_alone, _, corners_alone, _, _) in enumerate(alone):
-            assert zf[:, offsets[s]:offsets[s + 1]].tolist() == zf_alone.tolist()
+            assert [row[offsets[s]:offsets[s + 1]].tolist() for row in zf] == [
+                row.tolist() for row in zf_alone]
             assert corners[s] == corners_alone[0]
-        assert zf[0, offsets[1] - 1:offsets[1] + 1].tolist() == [1.0 - 1.0j, 3.0 - 3.0j]
+        assert zf[0][offsets[1] - 1:offsets[1] + 1].tolist() == [1.0 - 1.0j, 3.0 - 3.0j]
 
 
 def _inside(region, z):
@@ -855,7 +943,7 @@ class TestFindPoles:
     @staticmethod
     def _per_strip_seeds(region, loop, count):
         """A strip's seeds by its own sums: complex log of the step ratios, np.dot, cmath.sqrt."""
-        z, f = loop.zf
+        z, f, _ = loop.zfd
         dlog = np.log(f[1:] / f[:-1])
         c = 0.5 * complex(region.re_min + region.re_max, region.im_min + region.im_max)
         w = 0.5 * (z[1:] + z[:-1]) - c
@@ -1133,9 +1221,19 @@ class TestGenerations:
             segments.append(lines)
             return sample(fn, lines)
 
+        programs, resolve = [], pf._resolve
+
+        def recorded_resolve(*args):
+            programs.append(resolve(*args))
+            return programs[-1]
+
         monkeypatch.setattr(pf, "_subdivide", recorded_split)
         monkeypatch.setattr(pf, "_sample", recorded_sample)
+        monkeypatch.setattr(pf, "_resolve", recorded_resolve)
         poles = find_poles(DELTA, CH, re_max, -2.0)
+        # the generation's program: both strips of the first cell hit the floor at the zero
+        assert programs[2][4] == {s: f"zero of det lambda on the boundary at {on_cut}"
+                                  for s in (0, 1)}
         window, (first, third) = generations
         assert [strip.count for strip in window[0][1]] == [3, 0, 3]
         assert [cell.region for cell, _ in (first, third)] == [window[0][1][0].region,
