@@ -19,9 +19,10 @@ turn to a multiple of 2 pi unless a zero sits on the boundary (a step
 whose |f| falls or grows 1e8 times or more, tested at the top of every
 bisection round, then stops that loop's count; |f| grows like e^{R |Im k|}
 down a loop's sides, so a floor taken from the whole loop would lie above
-|f| near the axis).  Each step's log ratio is taken once, as the step is
-made, and carried with the loop: the phase, the floor and the contour
-moments all read it.  A split is one array program for a whole generation
+|f| near the axis).  Each step's log ratio is taken as the step is made
+(a bisected step's halves once more, as they are put in the loop) and
+carried with the loop: the phase, the floor and the contour moments all
+read it.  A split is one array program for a whole generation
 of cells: every cut is laid by one det lambda call and measured forwards
 and walked back, each strip's loop is gathered from its parent's loop and
 the cuts, a cut walked by both strips it bounds, each bisection round is
@@ -207,19 +208,15 @@ def _resolve(fn, zfd, offsets: np.ndarray, corners: np.ndarray):
     ``_Loop``'s), closed on its first sample, with its corners at offsets[s] +
     corners[s] (m x 3).  A count is the sum of the phases along its loop's
     four sides (see ``_rounds``), 0 for a loop that hit a floor.  The new
-    samples are then put in the loops row by row, each with the log ratio
-    of the step that starts at it, and a bisected step's first sample takes
-    its first half's.  Each given row is let go as soon as its new row is
-    made, so that a program holds at most four rows of its loops, not six.
-    A loop that hit a floor may keep a bisected step's own log ratio; it is
-    not used again.
+    samples are then put in the loops row by row, and the log ratio of each
+    step that starts at or ends on a new sample is taken again, from the
+    same two values the bisection took it from.
     """
     heads = np.empty((len(corners), 5), int)   # each loop's sides and closing step
     heads[:, 0], heads[:, 4] = offsets[:-1], offsets[1:] - 1
     heads[:, 1:4] = offsets[:-1, None] + corners
-    total, new, settled, why = _rounds(fn, zfd, heads.ravel())
+    total, new, why = _rounds(fn, zfd, heads.ravel())
     rows = list(zfd)
-    del zfd   # the rows alone hold the loops now
     total = total.reshape(-1, 5).sum(axis=1) / (2.0 * math.pi)
     total[list(why)] = 0.0
     counts = np.rint(total)
@@ -227,22 +224,18 @@ def _resolve(fn, zfd, offsets: np.ndarray, corners: np.ndarray):
         raise WinterresError(f"winding sums {2 * math.pi * total} failed to close to integers")
     if new:
         zm, fm, slot = (np.concatenate(part) for part in zip(*new))
-        start, d = (np.concatenate(part) for part in zip(*settled))
         n, m = rows[0].size, zm.size
-        made = start >= n
-        dm = np.zeros(m, complex)
-        dm[start[made] - n] = d[made]
         order = np.lexsort((abs(zm - rows[0][slot]), slot))   # in order along each step
         slot = slot[order]
         at = slot + np.arange(1, m + 1)   # the new samples' columns
         kept = np.ones(n + m, bool)
         kept[at] = False
-        for i, added in enumerate((zm, fm, dm)):
-            row = np.empty(n + m, complex)
-            row[kept], row[at] = rows[i], added[order]
-            rows[i] = row
-        start = start[~made]
-        rows[2][start + slot.searchsorted(start)] = d[~made]
+        for i, row in enumerate(rows):
+            rows[i] = np.empty(n + m, complex)
+            rows[i][kept] = row
+        rows[0][at], rows[1][at] = zm[order], fm[order]
+        f, step = rows[1], np.concatenate([at - 1, at])   # the steps on each side of a new sample
+        rows[2][step] = _dlog(f[step], f[step + 1])
         heads += slot.searchsorted(heads)
     offsets = heads[:, 0].tolist() + [int(heads[-1, 4]) + 1]
     return rows, offsets, (heads[:, 1:4] - heads[:, :1]).tolist(), counts.astype(int).tolist(), why
@@ -250,8 +243,7 @@ def _resolve(fn, zfd, offsets: np.ndarray, corners: np.ndarray):
 
 def _rounds(fn, zfd, heads: np.ndarray):
     """The phase each side turns through, per round its new samples (z, f, step of zfd),
-    the sample each half not bisected again starts from and its log ratio, and {loop:
-    why} for each loop that hit a floor.
+    and {loop: why} for each loop that hit a floor.
 
     ``heads`` holds the first columns of each loop's four sides and of its
     closing step, to the next loop, whose d of 0 neither turns nor floors.
@@ -262,13 +254,10 @@ def _rounds(fn, zfd, heads: np.ndarray):
     The floor is local: at the top of each round, a step with |Re d| >= ln
     1e8 (|f| at one end at or under 1e-8 times |f| at the other) or a NaN
     ratio (f = 0 at both ends) drops its loop, and so does a step still wide
-    after the last round; the phase of its sides then means nothing.  A
-    sample is named by its column of zfd, or by the columns' count plus its
-    number among the new samples.
+    after the last round; the phase of its sides then means nothing.
     """
     count, floor = heads.size, -math.log(_FLOOR_REL)
     z, f, d = zfd
-    made = z.size   # the samples so far: zfd's columns, then the new ones
     lost, why = np.zeros(count // 5, bool), {}
 
     def lose(sides, text):
@@ -278,16 +267,16 @@ def _rounds(fn, zfd, heads: np.ndarray):
         for s, j in zip(loops.tolist(), first.tolist()):
             why[s] = text(j)
 
-    # the steps to look at, every one at first: the step of zfd each lies on, its side, the
-    # sample it starts from and its log ratio; past the first round, its ends z, f, z, f too
+    # the steps to look at, every one at first: the step of zfd each lies on, its side and
+    # its log ratio; past the first round, its ends z, f, z, f too
     steps = np.zeros_like(heads)   # of each side; the last loop's closing step is none
     steps[:-1] = heads[1:] - heads[:-1]
-    slot = np.arange(made - 1, dtype=np.int32)
-    start, at, d = slot, np.arange(count, dtype=np.int32).repeat(steps), d[:-1]
+    slot = np.arange(z.size - 1, dtype=np.int32)
+    at, d = np.arange(count, dtype=np.int32).repeat(steps), d[:-1]
     steps[4::5] = 8   # a closing step is never short
     halvings = np.ceil(np.log2(8 / steps))   # the rounds that halve every step of a side
     short = halvings.max()   # the rounds in which some side is short
-    total, new, settled = np.zeros(count), [], []
+    total, new = np.zeros(count), []
     for depth in range(_MAX_PHASE_DEPTH + 1):
         low = ~(abs(d.real) < floor)   # a NaN ratio too
         if low.any():
@@ -296,7 +285,7 @@ def _rounds(fn, zfd, heads: np.ndarray):
             given = np.where(d.real[bad] < 0.0, zb, za)   # the end with the smaller |f|
             lose(at[bad], lambda j: f"zero of det lambda on the boundary at {given[j]}")
             keep = ~lost[at // 5]
-            slot, start, at, d = slot[keep], start[keep], at[keep], d[keep]
+            slot, at, d = slot[keep], at[keep], d[keep]
             if depth:
                 ends = ends[:, keep]
         marked = abs(d.imag) >= 0.5 * math.pi
@@ -304,16 +293,14 @@ def _rounds(fn, zfd, heads: np.ndarray):
             marked |= (halvings > depth)[at]
         # a marked step is looked at again, as two halves
         total += np.bincount(at, np.where(marked, 0.0, d.imag), count)
-        if depth:
-            settled.append((start[~marked], d[~marked]))
         split = marked.nonzero()[0]
         if not split.size:
-            return total, new, settled, why
+            return total, new, why
         if depth == _MAX_PHASE_DEPTH:
             za, zb = ends[[0, 2]][:, split]
             lose(at[split], lambda j: f"phase increment from {za[j]} to {zb[j]} "
                                       "cannot be resolved")
-            return total, new, settled, why
+            return total, new, why
         if depth:
             ends = ends[:, split]
         else:
@@ -325,8 +312,6 @@ def _rounds(fn, zfd, heads: np.ndarray):
         # next: the halves of each split step, the first ones first
         n, k = split.size, np.concatenate([split, split])
         slot, at = slot[k], at[k]
-        start = np.concatenate([start[split], np.arange(made, made + n)])
-        made += n
         ends = np.concatenate([ends, ends], axis=1)
         ends[2, :n], ends[3, :n], ends[0, n:], ends[1, n:] = zm, fm, zm, fm
         d = _dlog(ends[1], ends[3])
@@ -585,16 +570,14 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     roots, residuals = (np.concatenate(part) for part in zip(*found))
     order = np.lexsort((roots.imag, roots.real))   # stable: by Re k, then Im k
     roots, residuals = roots[order], residuals[order]
-    near = abs(roots[1:] - roots[:-1]) < _DEDUPE_REL * abs(roots[1:])
-    if near.any():   # from the first root with a near neighbour on, each keeps the smaller residual
-        kept, ks, rs = list(range(near.argmax() + 1)), roots.tolist(), residuals.tolist()
-        for j in range(len(kept), len(ks)):
-            if abs(ks[j] - ks[kept[-1]]) < _DEDUPE_REL * abs(ks[j]):
-                if rs[j] < rs[kept[-1]]:
-                    kept[-1] = j
-                continue
-            kept.append(j)
-        roots, residuals = roots[kept], residuals[kept]
+    kept, ks, rs = [], roots.tolist(), residuals.tolist()   # of near roots, the smaller residual
+    for j, k_root in enumerate(ks):
+        if kept and abs(k_root - ks[kept[-1]]) < _DEDUPE_REL * abs(k_root):
+            if rs[j] < rs[kept[-1]]:
+                kept[-1] = j
+            continue
+        kept.append(j)
+    roots, residuals = roots[kept], residuals[kept]
     if roots.size != window.count:
         raise WinterresError(
             f"pole bookkeeping failed: counted {window.count}, refined {roots.size}")
