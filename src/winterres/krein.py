@@ -36,8 +36,9 @@ eta_l = e^{-iz} xi_l (``riccati._s_eta``): the Phi expressions, linear in
 xi_l, take eta_l in its place and the constant terms take e^{-ikR}, so
 e^{ikR} is never formed.  ``det_lambda`` is e^{ikR} times the balanced
 value, which it divides by the e^{-ikR} of the same ``_s_eta`` call.
-``phi_boundary`` evaluates the same Phi expressions on ``riccati_s`` and
-``riccati_xi``, the S_l and e^{iz} eta_l of ``_s_eta``.
+``phi_boundary`` evaluates the same Phi expressions on S_l and xi_l =
+e^{iz} eta_l from one ``_s_eta`` call, the values ``riccati_s`` and
+``riccati_xi`` return.
 
 ``phi_boundary``, ``det_lambda`` and ``det_lambda_balanced`` take one
 momentum or a numpy array of momenta, like the Riccati functions they call,
@@ -53,7 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gpi import GpiParams, is_separated
-from .riccati import Channel, ValueAndDerivative, _s_eta, pointwise, riccati_s, riccati_xi
+from .riccati import Channel, ValueAndDerivative, _s_eta, pointwise, riccati_s
+from .riccati import riccati_xi  # noqa: F401  (a patch point of bench/tracer.py)
 
 
 EXCLUDED_DISC = 1e-3   # searches exclude the disc |k| < EXCLUDED_DISC / R around k = 0
@@ -90,7 +92,12 @@ def _det(p: GpiParams, phi: PhiBoundaryValues, unit: complex | np.ndarray) -> co
 def phi_boundary(ch: Channel, k: complex) -> PhiBoundaryValues:
     """Boundary values Phi1(R), Phi2(Rbar), Phi2'(R); k = 0 raises OriginSingularity."""
     z = k * ch.radius
-    return _phi(k, riccati_s(ch.l, z), riccati_xi(ch.l, z))
+    # S_l and eta_l from one call, under the errstate riccati_s and riccati_xi each take:
+    # S_l overflows far off the real axis, eta_l near the origin at high l
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, eta, _ = _s_eta(ch.l, z)
+    e = np.exp(1j * z)
+    return _phi(k, s, ValueAndDerivative(e * eta.value, e * eta.derivative))
 
 
 @pointwise

@@ -25,11 +25,19 @@ carried with the loop: the phase, the floor and the contour moments all
 read it.  A split is one array program for a whole generation
 of cells: every cut is laid by one det lambda call and measured forwards
 and walked back, each strip's loop is gathered from its parent's loop and
-the cuts, a cut walked by both strips it bounds, each bisection round is
-one call for every loop, and the strips' loops are views into the
-program's three rows.  So a sample of the parent's boundary, and a step
-between two of them, is never computed again however deep the subdivision
-goes; a zero on a cut moves every cut of that cell, in the next program.
+the cuts, a cut walked by both strips it bounds, and each bisection round
+is one call for every loop.  So a sample of the parent's boundary, and a
+step between two of them, is never computed again however deep the
+subdivision goes; a zero on a cut moves every cut of that cell, in the
+next program.
+
+The cells themselves are one record of parallel arrays (``_Cells``), from
+the window through every generation to the Newton queue: each cell's box,
+count, seeds, cut direction, depth and re-split flag, and its loop's
+columns in its program's three rows.  Cut positions and strip boxes are
+array arithmetic, one array test checks the boxes as ``SearchRegion``
+would, and a loop is read, as views, only when its cell is split; a search
+builds one ``SearchRegion``, its window, and another only for a message.
 
 A strip of one or two zeros is seeded from its contour moments as its split
 is counted; once every cell holds one or two, one ``refine`` call runs
@@ -46,7 +54,6 @@ pole lists.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -115,30 +122,64 @@ class SearchRegion:
                 complex(self.re_max, self.im_max), complex(self.re_min, self.im_max)]
 
 
-class _Loop(NamedTuple):
-    """A cell's closed boundary from its lower left corner, and its corners' columns.
+class _Cells(NamedTuple):
+    """Counted rectangles as parallel arrays, from the window through each split generation
+    to the Newton queue: cell i is column i of ``box`` and entry i of the rest.
 
-    ``zfd`` holds three rows, z, f and d, each a 1-D array: d[j] is
-    ``_dlog`` of f[j] and f[j + 1], the step that starts at column j, and
-    the last column, which closes the loop on its first sample, has d = 0.
+    ``box`` holds the rows re_min, re_max, im_min and im_max.  ``seeds``
+    (m x 2) are Newton's starts for a cell of one or two zeros, its first
+    ``count`` of them; ``vertical`` says its cuts run parallel to the
+    imaginary axis; ``depth`` counts the splits above it, and ``resplit``
+    marks a one-zero cell that has had its re-split pass.  Its loop is
+    columns heads[i, 0] to heads[i, 4] of rows[i], the three rows z, f and
+    d of the program that counted it, closed on its first sample, with its
+    corners at heads[i, 1:4].
     """
 
-    zfd: tuple
-    corners: list
+    box: np.ndarray
+    count: np.ndarray
+    seeds: np.ndarray
+    vertical: np.ndarray
+    depth: np.ndarray
+    resplit: np.ndarray
+    heads: np.ndarray
+    rows: np.ndarray
 
 
-class _Cell(NamedTuple):
-    """A counted rectangle, from the window through the splits and the Newton queue.
+def _take(cells: _Cells, which: np.ndarray) -> _Cells:
+    """The cells that ``which`` picks (a mask or indices), in its order."""
+    if which.dtype == bool:
+        which = which.nonzero()[0]
+        if which.size == cells.count.size:   # every cell: the record itself
+            return cells
+    return _Cells(cells.box.take(which, 1), *[field.take(which, 0) for field in cells[1:]])
 
-    ``seeds`` are Newton's starts for a cell of one or two zeros (none for
-    more); ``vertical`` says its cuts run parallel to the imaginary axis.
+
+def _join(parts: list) -> _Cells:
+    """The cells of several records, one record after another."""
+    parts = [part for part in parts if part.count.size] or parts[:1]
+    if len(parts) == 1:
+        return parts[0]
+    fields = list(zip(*parts))
+    return _Cells(np.concatenate(fields[0], axis=1), *map(np.concatenate, fields[1:]))
+
+
+def _region(cells: _Cells, i) -> SearchRegion:
+    """Cell i's rectangle, for a message."""
+    return SearchRegion(*cells.box[:, i].tolist())
+
+
+def _check(box: np.ndarray) -> None:
+    """Raise ``SearchRegion``'s ValueError for the first box (a column of rows as
+    ``_Cells.box``) that its rules reject.
+
+    They read: every bound finite, 0 < re_min < re_max and im_min < im_max <= 0.
     """
-
-    region: SearchRegion
-    loop: _Loop
-    count: int
-    seeds: list
-    vertical: bool
+    re_min, re_max, im_min, im_max = box
+    good = ((0.0 < re_min) & (re_min < re_max) & (re_max < math.inf)
+            & (-math.inf < im_min) & (im_min < im_max) & (im_max <= 0.0))
+    if not good.all():
+        SearchRegion(*box[:, good.argmin()].tolist())
 
 
 def _runs(base, length) -> np.ndarray:
@@ -169,19 +210,20 @@ def _sample(fn, segments) -> tuple[np.ndarray, np.ndarray]:
     A side has both ends and n >= 8 steps below 0.4; sample j is
     a + (b - a) * j / n, taken part by part as Python does.
     """
-    ab = np.array(segments)
-    n = np.maximum(8, (abs(ab[:, 1] - ab[:, 0]) / 0.4).astype(int) + 1)
+    a, b = np.asarray(segments, complex).T
+    n = np.maximum(8, (abs(b - a) / 0.4).astype(int) + 1)
     starts = np.concatenate([[0], (n + 1).cumsum()])
-    side = np.arange(n.size).repeat(n + 1)
-    parts = ab.view(float)   # rows (Re a, Im a, Re b, Im b)
-    z = (parts[side, :2] + (parts[:, 2:] - parts[:, :2])[side]
-         * (np.arange(side.size) - starts[side])[:, None] / n[side, None]).view(complex)[:, 0]
-    z[starts[1:] - 1] = ab[:, 1]
+    each = n + 1
+    j, n = np.arange(starts[-1]) - starts[:-1].repeat(each), n.repeat(each)
+    z = np.empty(j.size, complex)
+    for part, x, y in ((z.real, a.real, b.real), (z.imag, a.imag, b.imag)):
+        part[:] = x.repeat(each) + (y - x).repeat(each) * j / n
+    z[starts[1:] - 1] = b
     return np.array([z, fn(z)]), starts
 
 
-def _boundary(fn, region: SearchRegion) -> _Cell:
-    """The region's boundary, freshly sampled and counted.
+def _boundary(fn, region: SearchRegion) -> _Cells:
+    """The region's boundary, freshly sampled and counted: a record of one cell.
 
     Its four sides close into a loop: each but the left one stops one
     sample short of its end, the next side's first sample.  Raises
@@ -194,27 +236,27 @@ def _boundary(fn, region: SearchRegion) -> _Cell:
     z, f = (row[kept] for row in zf)
     d = np.zeros(f.size, complex)
     d[:-1] = _dlog(f[:-1], f[1:])
-    *counted, why = _resolve(fn, [z, f, d], np.array([0, f.size]), (starts[1:4] - [1, 2, 3])[None])
+    heads = np.array([[0, *(starts[1:4] - [1, 2, 3]).tolist(), f.size - 1]])
+    rows, heads, counts, why = _resolve(fn, [z, f, d], heads)
     if why:
         raise BoundaryZero(why[0])
-    return _strips([region], *counted)[0]
+    box = np.array([[region.re_min], [region.re_max], [region.im_min], [region.im_max]])
+    return _strips(box, np.zeros(1, int), np.zeros(1, bool), rows, heads, counts)
 
 
-def _resolve(fn, zfd, offsets: np.ndarray, corners: np.ndarray):
-    """Count the zeros of fn in each region from its loop: the rest of ``_strips``'s
-    arguments, then {loop: why} for each loop that hit a floor.
+def _resolve(fn, zfd, heads: np.ndarray):
+    """Count the zeros of fn in each region from its loop: the rows and ``heads`` with the
+    new samples in, the counts, and {loop: why} for each loop that hit a floor.
 
-    Loop s is columns offsets[s] to offsets[s + 1] - 1 of the rows zfd (as
-    ``_Loop``'s), closed on its first sample, with its corners at offsets[s] +
-    corners[s] (m x 3).  A count is the sum of the phases along its loop's
-    four sides (see ``_rounds``), 0 for a loop that hit a floor.  The new
-    samples are then put in the loops row by row, and the log ratio of each
-    step that starts at or ends on a new sample is taken again, from the
-    same two values the bisection took it from.
+    Loop s is columns heads[s, 0] to heads[s, 4] of the rows zfd (z, f and
+    d, as ``_Cells``'), closed on its first sample, with its corners at
+    heads[s, 1:4]; each loop starts where the one before it ends.  A count
+    is the sum of the phases along its loop's four sides (see ``_rounds``),
+    0 for a loop that hit a floor.  The new samples are then put in the
+    loops row by row, and the log ratio of each step that starts at or ends
+    on a new sample is taken again, from the same two values the bisection
+    took it from.
     """
-    heads = np.empty((len(corners), 5), int)   # each loop's sides and closing step
-    heads[:, 0], heads[:, 4] = offsets[:-1], offsets[1:] - 1
-    heads[:, 1:4] = offsets[:-1, None] + corners
     total, new, why = _rounds(fn, zfd, heads.ravel())
     rows = list(zfd)
     total = total.reshape(-1, 5).sum(axis=1) / (2.0 * math.pi)
@@ -236,9 +278,8 @@ def _resolve(fn, zfd, offsets: np.ndarray, corners: np.ndarray):
         rows[0][at], rows[1][at] = zm[order], fm[order]
         f, step = rows[1], np.concatenate([at - 1, at])   # the steps on each side of a new sample
         rows[2][step] = _dlog(f[step], f[step + 1])
-        heads += slot.searchsorted(heads)
-    offsets = heads[:, 0].tolist() + [int(heads[-1, 4]) + 1]
-    return rows, offsets, (heads[:, 1:4] - heads[:, :1]).tolist(), counts.astype(int).tolist(), why
+        heads = heads + slot.searchsorted(heads)
+    return rows, heads, counts.astype(int), why
 
 
 def _rounds(fn, zfd, heads: np.ndarray):
@@ -317,19 +358,16 @@ def _rounds(fn, zfd, heads: np.ndarray):
         d = _dlog(ends[1], ends[3])
 
 
-def _boxes(regions) -> np.ndarray:
-    """Rows re_min, re_max, im_min, im_max of the regions' rectangles."""
-    return np.array([(r.re_min, r.re_max, r.im_min, r.im_max) for r in regions]).T
-
-
 def _inside(box: np.ndarray, k: np.ndarray, slop) -> np.ndarray:
-    """Whether each k lies in its box (rows as ``_boxes``) widened by slop."""
+    """Whether each k lies in its box (rows as ``_Cells.box``) widened by slop."""
     return ((box[0] - slop <= k.real) & (k.real <= box[1] + slop)
             & (box[2] - slop <= k.imag) & (k.imag <= box[3] + slop))
 
 
-def _strips(regions, loops: list, offsets: list, corners: list, counts: list):
-    """The ``_Cell`` of each counted strip, its loop views into the rows ``loops``.
+def _strips(box: np.ndarray, depth, resplit, zfd: list, heads: np.ndarray,
+            counts: np.ndarray) -> _Cells:
+    """The record of a program's counted strips, in boxes ``box``, from ``_resolve``'s rows,
+    heads and counts.
 
     Every strip that holds a zero takes its moments s_p, the sums of
     (z_mid - c)^p d / 2 pi i over its loop's steps of log ratio d, c its
@@ -342,17 +380,19 @@ def _strips(regions, loops: list, offsets: list, corners: list, counts: list):
     (x - x_mean)^2 - (y - y_mean)^2 over its zeros divided by n, is 0 or
     more.  A strip of one or none is cut across its longer side.
     """
-    z, f, d = loops
-    box = _boxes(regions)[..., None]
-    centre = 0.5 * (box[0] + box[1]) + 0.5j * (box[2] + box[3])
-    slop, seeds = _SEED_SLOP * np.hypot(box[1] - box[0], box[3] - box[2]), centre.repeat(2, 1)
-    spreads = np.zeros(len(counts))   # Re(n s_2 - s_1^2), n^2 times the mean spread
-    for lo in range(0, len(counts), 64):   # 64 loops at a time bound the memory
-        counted = [s for s in range(lo, min(lo + 64, len(counts))) if counts[s]]
-        if not counted:
+    z, _, d = zfd
+    edge = box[..., None]
+    centre = 0.5 * (edge[0] + edge[1]) + 0.5j * (edge[2] + edge[3])
+    slop, seeds = _SEED_SLOP * np.hypot(edge[1] - edge[0], edge[3] - edge[2]), centre.repeat(2, 1)
+    spreads = np.zeros(counts.size)   # Re(n s_2 - s_1^2), n^2 times the mean spread
+    offsets = heads[:, 0].tolist() + [int(heads[-1, 4]) + 1]
+    counted = counts.nonzero()[0]
+    for lo in range(0, counts.size, 64):   # 64 loops at a time bound the memory
+        i, j = counted.searchsorted([lo, lo + 64])
+        if i == j:
             continue
-        a, b = counted[0], counted[-1] + 1
-        n = np.array(counts[a:b])
+        a, b = counted[i], counted[j - 1] + 1
+        n = counts[a:b]
         starts = np.subtract(offsets[a:b + 1], offsets[a])
         zs = z[offsets[a]:offsets[b]]
         w = 0.5 * (zs[1:] + zs[:-1]) - centre[a:b, 0].repeat(np.diff(starts))[:-1]
@@ -360,18 +400,16 @@ def _strips(regions, loops: list, offsets: list, corners: list, counts: list):
         s1 = np.add.reduceat(dlog, starts[:-1]) / (2j * math.pi)
         s2 = np.add.reduceat(dlog * w, starts[:-1]) / (2j * math.pi)
         spreads[a:b] = (n * s2 - s1 * s1).real
-        if all(counts[s] > 2 for s in counted):   # none to seed
+        if not ((n == 1) | (n == 2)).any():   # none to seed
             continue
         half = np.sqrt(2 * s2 - s1 * s1)
         ks = np.column_stack([np.where(n == 1, s1, 0.5 * (s1 + half)),
                               0.5 * (s1 - half)]) + centre[a:b]
-        seeds[a:b] = np.where(_inside(box[:, a:b], ks, slop[a:b]), ks, centre[a:b])
-    return [_Cell(region, _Loop((z[a:b], f[a:b], d[a:b]), [0] + corner), count,
-                  ks[:count] if count < 3 else [],
-                  spread >= 0.0 if count >= 2 else region.width >= region.height)
-            for region, a, b, corner, count, ks, spread
-            in zip(regions, offsets, offsets[1:], corners, counts, seeds.tolist(),
-                   spreads.tolist())]
+        seeds[a:b] = np.where(_inside(edge[:, a:b], ks, slop[a:b]), ks, centre[a:b])
+    vertical = np.where(counts >= 2, spreads >= 0.0, box[1] - box[0] >= box[3] - box[2])
+    rows = np.empty(counts.size, object)
+    rows.fill(zfd)
+    return _Cells(box, counts, seeds, vertical, depth, resplit, heads, rows)
 
 
 def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
@@ -383,7 +421,7 @@ def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
     if region.re_min < re_floor * (1.0 - 1e-9):
         raise ValueError(f"re_min must stay above the excluded disc {re_floor}")
     fn = lambda k: det_lambda_balanced(p, ch, k)
-    return _boundary(fn, region).count
+    return int(_boundary(fn, region).count[0])
 
 
 _DAMPING = 0.5 ** np.arange(1, 11)   # t = 1/2 ... 1/1024, tried after a rejected full step
@@ -505,7 +543,10 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     seeds; a cell whose roots are rejected is split from its loop.  A
     two-zero cell's roots must both converge inside it, at least
     max(1e-6/R, 1e-8 |k|) apart, so a double zero raises ClusteredZeros or
-    BoundaryZero and never comes back as two poles.
+    BoundaryZero and never comes back as two poles.  Every generation, the
+    Newton queue, the cluster and depth checks, the test of the roots and
+    the re-split pass read the cells' ``_Cells`` record as arrays, in the
+    order of their generations.
 
     The returned list is sorted by Re k, deduplicated, every pole carries
     |det lambda| < 1e-9, and its length equals the top-level winding count.
@@ -527,32 +568,32 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     min_cell = _MIN_CELL_FACTOR / ch.radius
     found = [(np.zeros(0, complex), np.zeros(0))]   # the roots and residuals of each batch
 
-    def split(due):
-        """The (strip, depth, resplit) of each strip that holds zeros, for a generation of
-        (cell, depth, resplit), unless a cell is a cluster."""
-        if not due:
-            return []
-        for (region, _, count, _, _), depth, _ in due:
-            if count > 1 and min(region.width, region.height) < min_cell:
-                raise ClusteredZeros(f"{count} zeros in cell {region} below the size floor")
-            if count > 1 and depth >= _MAX_TREE_DEPTH:
-                raise ClusteredZeros(f"subdivision depth cap at {region}")
-        return [(strip, depth + 1, resplit)
-                for (_, depth, resplit), strips in zip(due, _subdivide(fn, [c for c, _, _ in due]))
-                for strip in strips if strip.count]
+    def split(due: _Cells) -> _Cells:
+        """The strips of a generation of cells, unless a cell is a cluster."""
+        if not due.count.size:
+            return due
+        box = due.box
+        small = np.minimum(box[1] - box[0], box[3] - box[2]) < min_cell
+        bad = (due.count > 1) & (small | (due.depth >= _MAX_TREE_DEPTH))
+        if bad.any():
+            i = bad.argmax()
+            if small[i]:
+                raise ClusteredZeros(f"{due.count[i]} zeros in cell {_region(due, i)} "
+                                     "below the size floor")
+            raise ClusteredZeros(f"subdivision depth cap at {_region(due, i)}")
+        return _subdivide(fn, due)
 
-    # a cell, its depth, and whether it is a one-zero cell that has had its re-split pass
-    due = [(window, 0, False)] if window.count else []
-    while due:
-        queue = []   # cells of one or two zeros
-        while due:   # one generation: every cell of three zeros or more, in one program
-            queue += [item for item in due if item[0].count <= 2]
-            due = split([item for item in due if item[0].count > 2])
-        cells = [cell for cell, _, _ in queue]
-        roots, residuals = refine(p, ch, np.array([k for cell in cells for k in cell.seeds]))
-        counts = np.array([cell.count for cell in cells])
+    due = window
+    while due.count.any():
+        queue = []   # cells of one or two zeros, a generation at a time
+        while due.count.size:   # one generation: its cells of three zeros or more, in one program
+            queue.append(_take(due, (due.count > 0) & (due.count < 3)))
+            due = split(_take(due, due.count > 2))
+        cells = _join(queue)
+        counts = cells.count
+        roots, residuals = refine(p, ch, cells.seeds[np.arange(2) < counts[:, None]])
         first = counts.cumsum() - counts   # each cell's first root
-        inside = _inside(_boxes([cell.region for cell in cells]).repeat(counts, axis=1), roots,
+        inside = _inside(cells.box.repeat(counts, axis=1), roots,
                          1e-9 * np.maximum(1.0, abs(roots)))
         # a pair closer than min_cell is a cluster, and one that dedupe would merge is lost
         ok = np.logical_and.reduceat(inside, first) & ((counts == 1) | (
@@ -560,12 +601,12 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
             >= np.maximum(min_cell, _DEDUPE_REL * abs(roots[first]))))
         keep = ok.repeat(counts)
         found.append((roots[keep], residuals[keep]))
-        rejected = list(itertools.compress(queue, ~ok))
-        for cell, _, resplit in rejected:
-            if resplit:
-                raise NonConvergence(f"could not pin the single zero of {cell.region}")
+        rejected = _take(cells, ~ok)
+        if rejected.resplit.any():
+            raise NonConvergence(f"could not pin the single zero of "
+                                 f"{_region(rejected, rejected.resplit.argmax())}")
         # a one-zero cell's one re-split pass; a two-zero cell leaves its children theirs
-        due = split([(cell, depth, cell.count == 1) for cell, depth, _ in rejected])
+        due = split(rejected._replace(resplit=rejected.count == 1))
 
     roots, residuals = (np.concatenate(part) for part in zip(*found))
     order = np.lexsort((roots.imag, roots.real))   # stable: by Re k, then Im k
@@ -578,9 +619,9 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
             continue
         kept.append(j)
     roots, residuals = roots[kept], residuals[kept]
-    if roots.size != window.count:
+    if roots.size != window.count[0]:
         raise WinterresError(
-            f"pole bookkeeping failed: counted {window.count}, refined {roots.size}")
+            f"pole bookkeeping failed: counted {window.count[0]}, refined {roots.size}")
     bad = residuals >= _RESIDUAL_TOL
     if bad.any():
         raise NonConvergence(f"{np.count_nonzero(bad)} poles above the residual tolerance: "
@@ -604,10 +645,13 @@ def _cut(base, length, first: int, keys: np.ndarray, at: np.ndarray, points: np.
     length[1:, 1] -= hi
 
 
-def _layout(loop: _Loop, vertical: bool, at: np.ndarray, starts: np.ndarray, back: np.ndarray):
+def _layout(z: np.ndarray, ends: list, vertical: bool, at: np.ndarray, starts: np.ndarray,
+            back: np.ndarray):
     """Each strip's loop as three runs (base, length) a side, m x 4 x 3, every side whole.
 
-    The runs index [loop | cuts | cuts walked back], every one walked
+    The parent's loop has samples z and its corners at columns ends[:4],
+    and ends on column ends[4].  The runs index [loop | cuts | cuts walked
+    back], every one walked
     forwards: cut j, at ``at[j]``, is columns starts[j] to starts[j + 1] - 1,
     and walked back columns back[j + 1] to back[j] - 1.  From the side that
     runs like the cuts' walk on (the second if ``vertical``, else the third)
@@ -618,9 +662,8 @@ def _layout(loop: _Loop, vertical: bool, at: np.ndarray, starts: np.ndarray, bac
     """
     m, turn = at.size + 1, 0 if vertical else 1
     # the parent's sides turned so that the cuts run like the second, as columns of its loop
-    ends = list(loop.corners) + [loop.zfd[0].size - 1]
     along, last, across, first = [(ends[i % 4], ends[i % 4 + 1]) for i in range(turn, turn + 4)]
-    z = loop.zfd[0].real if vertical else loop.zfd[0].imag
+    z = z.real if vertical else z.imag
     # each cut's first column on its walk and walked back, and its ends on `along` and on `across`
     size = np.diff(starts)
     walk, walk_back = (starts[:-1], back[1:]) if vertical else (back[1:], starts[:-1])
@@ -636,27 +679,34 @@ def _layout(loop: _Loop, vertical: bool, at: np.ndarray, starts: np.ndarray, bac
     return [a[:, range(-turn, 4 - turn)] for a in (base, length)]
 
 
-def _gather(fn, cells: list, ats: list, lines: list):
-    """The loops of the cells' strips, cut at ``ats`` along ``lines``: ``_resolve``'s arguments
-    but fn.
+def _gather(fn, cells: _Cells, m: np.ndarray, at: np.ndarray):
+    """The loops of the strips of the cells, cell i cut at its m[i] - 1 points of ``at``:
+    ``_resolve``'s arguments but fn.
 
     One det lambda call lays every cut.  A cut's steps are measured forwards
     and walked back, each in the order it is walked, and so is the step from
     one cut to the next, which no loop takes.  Each strip's loop is then
     gathered a row at a time from [every cell's loop | every cut | every cut
     walked back]; a step that does not run on in that source joins two runs
-    and is measured afresh.
+    and is measured afresh.  The cells' loops are read as views here alone.
     """
+    # a cut parallel to the imaginary axis runs upwards, one parallel to the real axis rightwards
+    vertical, box = cells.vertical.repeat(m - 1), cells.box.repeat(m - 1, axis=1)
+    lines = np.empty((at.size, 2), complex)
+    lines.real = np.where(vertical, at, box[:2]).T
+    lines.imag = np.where(vertical, box[2:], at).T
     cuts, offsets = _sample(fn, lines)
-    loops = [cell.loop.zfd for cell in cells]
+    spans = cells.heads.tolist()
+    loops = [[row[ends[0]:ends[4] + 1] for row in rows] for rows, ends in zip(cells.rows, spans)]
     column = np.cumsum([0] + [zfd[0].size for zfd in loops])
     layouts, k = [], 0
-    for cell, at, col in zip(cells, ats, column):
-        cut = offsets[k:k + at.size + 1]
-        layouts.append(_layout(cell.loop, cell.vertical, at, column[-1] - col + cut,
-                               column[-1] + 2 * cuts.shape[1] - col - cut))
+    for zfd, ends, vertical, n, col in zip(loops, spans, cells.vertical.tolist(),
+                                           (m - 1).tolist(), column):
+        cut = offsets[k:k + n + 1]
+        layouts.append(_layout(zfd[0], [e - ends[0] for e in ends], vertical, at[k:k + n],
+                               column[-1] - col + cut, column[-1] + 2 * cuts.shape[1] - col - cut))
         layouts[-1][0] += col
-        k += at.size
+        k += n
     base, length = (np.concatenate(part) for part in zip(*layouts))
     # every side but the left one stops one sample short of its end
     sides = length.sum(axis=2)
@@ -664,75 +714,74 @@ def _gather(fn, cells: list, ats: list, lines: list):
     stop = length.cumsum(axis=2)
     length = np.minimum(stop, sides[..., None]) - np.minimum(stop - length, sides[..., None])
     runs = _runs(base.ravel(), length.ravel())
-    offsets = np.append(0, sides.sum(axis=1).cumsum())
+    size, heads = sides.sum(axis=1), np.empty((sides.shape[0], 5), int)
+    heads[:, 4] = size.cumsum() - 1
+    heads[:, 0] = heads[:, 4] + 1 - size
+    heads[:, 1:4] = heads[:, :1] + sides[:, :3].cumsum(axis=1)
     ahead, back = np.zeros(cuts.shape[1], complex), np.zeros(cuts.shape[1], complex)
     ahead[:-1] = _dlog(cuts[1, :-1], cuts[1, 1:])
     back[:-1] = _dlog(cuts[1, 1:], cuts[1, :-1])[::-1]
     walks = [(cuts[0], cuts[0, ::-1]), (cuts[1], cuts[1, ::-1]), (ahead, back)]
     z, f, d = (np.concatenate(parents + walk).take(runs)   # a row at a time
                for parents, walk in zip(zip(*loops), walks))
-    last = offsets[1:] - 1
+    last = heads[:, 4]
     joins = runs[1:] - runs[:-1] != 1
     joins[last[:-1]] = False   # a loop's closing step is none
     joins = joins.nonzero()[0]
     d[joins] = _dlog(f[joins], f[joins + 1])
     d[last] = 0.0
-    return [z, f, d], offsets, sides[:, :3].cumsum(axis=1)
+    return [z, f, d], heads
 
 
-def _subdivide(fn, cells: list) -> list:
-    """Cut each cell into strips whose counts add up to its own, from its loop: one array
-    program for a whole generation.
+def _subdivide(fn, cells: _Cells) -> _Cells:
+    """The strips of a generation of cells, each cell's left to right (or up) and their counts
+    adding up to its own, cut from its loop: one array program for the generation.
 
     A cell of c zeros is cut into m = max(2, c // 2) equal strips, by cuts
     parallel to the imaginary axis if it is ``vertical`` and to the real
-    axis if not.  One det lambda call lays every cut, which is measured
-    forwards and walked back; each strip's loop is gathered row by row from
-    its parent's loop and the cuts, a cut walked by both its strips, so that
-    only the steps where two runs join are measured afresh (see
-    ``_gather``), and one ``_resolve`` counts them all.  A cell whose strips
-    hit a floor (a zero on or near a cut), or whose counts do not add up,
-    moves every cut 2 (frac - 0.5) / m of the side for the next of
+    axis if not; every cut position and strip bound is array arithmetic on
+    the cells' boxes, and one test checks every strip's box as
+    ``SearchRegion`` would.  One det lambda call lays every cut, which is
+    measured forwards and walked back; each strip's loop is gathered row by
+    row from its parent's loop and the cuts, a cut walked by both its
+    strips, so that only the steps where two runs join are measured afresh
+    (see ``_gather``), and one ``_resolve`` counts them all.  A cell whose
+    strips hit a floor (a zero on or near a cut), or whose counts do not
+    add up, moves every cut 2 (frac - 0.5) / m of the side for the next of
     _SPLIT_FRACTIONS, in the next program with the other such cells; the
-    rest keep their strips.  Returns each cell's strips left to right (or
-    up).
+    rest keep their strips.  A strip is one deeper than its cell and keeps
+    its ``resplit``.
     """
-    out, tries, todo = [None] * len(cells), [0] * len(cells), list(range(len(cells)))
-    while todo:
-        regions, ats, lines = [], [], []
-        for i in todo:
-            region, _, count, _, vertical = cells[i]
-            m, frac = max(2, count // 2), _SPLIT_FRACTIONS[tries[i]]
-            start, end = ((region.re_min, region.re_max) if vertical
-                          else (region.im_min, region.im_max))
-            at = [start + ((j + 2.0 * frac - 1.0) / m) * (end - start) for j in range(1, m)]
-            bounds = zip([start] + at, at + [end])
-            if vertical:  # cuts parallel to the imaginary axis, sampled and walked upwards
-                regions.append([SearchRegion(lo, hi, region.im_min, region.im_max)
-                                for lo, hi in bounds])
-                lines += [(complex(x, region.im_min), complex(x, region.im_max)) for x in at]
-            else:         # cuts parallel to the real axis, sampled rightwards and walked leftwards
-                regions.append([SearchRegion(region.re_min, region.re_max, lo, hi)
-                                for lo, hi in bounds])
-                lines += [(complex(region.re_min, y), complex(region.re_max, y)) for y in at]
-            ats.append(np.array(at))
-        zfd, offsets, corners, counts, why = _resolve(
-            fn, *_gather(fn, [cells[i] for i in todo], ats, lines))
-        first = np.cumsum([0] + [len(strips) for strips in regions]).tolist()
+    todo, kept, owner = np.ones(cells.count.size, bool), [], []   # the cells still to split
+    for frac in _SPLIT_FRACTIONS:   # the cells of a program are all at the same try
+        index, part = todo.nonzero()[0], _take(cells, todo)
+        m = np.maximum(2, part.count // 2)
+        # each cell's first strip, and each cut's cell and the strip before the cut
+        first, cell = m.cumsum() - m, np.arange(m.size).repeat(m - 1)
+        k = np.arange(cell.size) + cell
+        row = np.where(part.vertical, 0, 2)[cell]   # the box row of the strip's lower bound
+        box = part.box.repeat(m, axis=1)
+        start, end = box[row, k], box[row + 1, k]
+        at = start + ((k + 1 - first[cell] + 2.0 * frac - 1.0) / m[cell]) * (end - start)
+        box[row, k + 1] = box[row + 1, k] = at
+        _check(box)
+        zfd, heads, counts, why = _resolve(fn, *_gather(fn, part, m, at))
         # counts that disagree: a zero slipped between the sampled cut lines
-        ok = [sum(counts[a:b]) == cells[i].count and not any(a <= s < b for s in why)
-              for i, a, b in zip(todo, first, first[1:])]
+        ok = np.add.reduceat(counts, first) == part.count
+        strip = np.arange(m.size).repeat(m)
+        ok[strip[list(why)]] = False
         # a strip that hit a floor, counted 0, may hold f = 0 and so an infinite or NaN d
         # among counted strips; its sums go unused
         with np.errstate(invalid="ignore"):
-            strips = _strips([strip for cell in regions for strip in cell], zfd, offsets,
-                             corners, counts)
-        for i, good, a, b in zip(todo, ok, first, first[1:]):
-            if good:
-                out[i] = strips[a:b]
-        todo = [i for i, good in zip(todo, ok) if not good]
-        for i in todo:
-            tries[i] += 1
-            if tries[i] == len(_SPLIT_FRACTIONS):
-                raise BoundaryZero(f"no clean split line found inside {cells[i].region}")
-    return out
+            strips = _strips(box, part.depth[strip] + 1, part.resplit[strip], zfd, heads, counts)
+        good = ok[strip]
+        kept.append(_take(strips, good))
+        owner.append(index[strip[good]])
+        todo[index[ok]] = False
+        if not todo.any():
+            break
+    else:
+        raise BoundaryZero(f"no clean split line found inside {_region(cells, todo.argmax())}")
+    if len(kept) == 1:
+        return kept[0]
+    return _take(_join(kept), np.argsort(np.concatenate(owner), kind="stable"))

@@ -57,6 +57,30 @@ class TestPhiBoundary:
         with pytest.raises(OriginSingularity):
             phi_boundary(CH, 0)
 
+    def test_one_s_eta_call_gives_riccati_s_and_riccati_xi(self, monkeypatch):
+        # S_l and xi_l = e^{iz} eta_l from one _s_eta call, bitwise the values of riccati_s
+        # and riccati_xi, each of which makes a call of its own
+        calls, s_eta = [], winterres.krein._s_eta
+
+        def counted(l, z):
+            calls.append(np.size(z))
+            return s_eta(l, z)
+
+        k = np.array([0.3, 1.7 - 0.2j, 12.5 - 3.0j, 40.0 - 0.01j, 0.05 - 4.0j, 25.3])
+        for l in (0, 1, 2, 5, 20):
+            for radius in (0.5, 1.3):
+                z = k * radius
+                want = winterres.krein._phi(k, riccati_s(l, z), riccati_xi(l, z))
+                monkeypatch.setattr(winterres.krein, "_s_eta", counted)
+                got = phi_boundary(Channel(l, radius), k)
+                monkeypatch.undo()
+                assert calls == [k.size]
+                calls.clear()
+                for name in ("phi1_at_R", "phi2_avg", "phi2_prime"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        with pytest.raises(OriginSingularity):
+            phi_boundary(Channel(5, 1.3), np.array([1.0, 0.0]))
+
 
 class TestDetLambda:
     def test_free_is_minus_one(self):

@@ -7,7 +7,11 @@ none of the class machinery.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -49,3 +53,34 @@ def test_one_arithmetic(module):
                 for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "cmath" not in imported
+
+
+def test_a_search_never_imports_numpy_ma():
+    # a first np.unique(x) or np.union1d call imports numpy.ma (10-25 ms, ~1.7 MB), which a
+    # search would pay once per process; np.unique(x, return_index=True) does not.  A
+    # search, a count that hits the floor and a separated CLI call go without it
+    code = textwrap.dedent("""
+        import contextlib, io, os, sys, tempfile
+        import winterres.cli
+        from winterres import (BoundaryZero, Channel, GpiParams, SearchRegion, count_zeros,
+                               find_poles)
+        delta = GpiParams(50, 0, 0)
+        assert find_poles(delta, Channel(0, 1.0), 40.0)
+        try:   # the bottom edge runs through a pole
+            count_zeros(delta, Channel(0, 1.0), SearchRegion(2.5, 3.5, -0.0036939673286052818, 0))
+        except BoundaryZero:
+            pass
+        else:
+            sys.exit("no BoundaryZero")
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            code = winterres.cli.main(["poles", "--alpha=4", "--beta=1", "--gamma=0", "--l=1",
+                                       "--re-max=20", "--csv", os.path.join(out, "p.csv"),
+                                       "--svg", os.path.join(out, "p.svg")])
+        assert code == 0, code
+        print("numpy.ma" in sys.modules)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(PKG.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

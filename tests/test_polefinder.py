@@ -5,6 +5,7 @@ import cmath
 import itertools
 import math
 import re
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -27,22 +28,41 @@ DELTA_PRIME = GpiParams(0, 0.1, 0)
 FIRST_POLE_ALPHA50 = 3.0802868857096793 - 0.0036939673286052818j
 
 
+INVALID = [
+    (-1.0, 5.0, -2.0, 0.0),   # negative left edge
+    (5.0, 1.0, -2.0, 0.0),    # inverted real range
+    (0.1, 5.0, -2.0, 0.5),    # pokes into the upper half-plane
+    (0.1, 5.0, -1.0, -1.0),   # zero height
+    (0.1, math.inf, -2.0, 0.0),   # infinite right edge
+    (0.1, 5.0, -math.inf, 0.0),   # infinite floor
+]
+
+
 class TestSearchRegion:
     def test_valid(self):
         r = SearchRegion(0.1, 5.0, -2.0, 0.0)
         assert r.width == 4.9 and r.height == 2.0
 
-    @pytest.mark.parametrize("args", [
-        (-1.0, 5.0, -2.0, 0.0),   # negative left edge
-        (5.0, 1.0, -2.0, 0.0),    # inverted real range
-        (0.1, 5.0, -2.0, 0.5),    # pokes into the upper half-plane
-        (0.1, 5.0, -1.0, -1.0),   # zero height
-        (0.1, math.inf, -2.0, 0.0),   # infinite right edge
-        (0.1, 5.0, -math.inf, 0.0),   # infinite floor
-    ])
+    @pytest.mark.parametrize("args", INVALID)
     def test_invalid(self, args):
         with pytest.raises(ValueError):
             SearchRegion(*args)
+
+    @pytest.mark.parametrize("args", INVALID + [
+        (2.0, 2.0, -1.0, 0.0),    # empty
+        (0.1, 5.0, 0.0, -1.0),    # upside down
+        (math.nan, 5.0, -1.0, 0.0),
+    ])
+    def test_box_check_raises_the_region_error(self, args):
+        # the pole finder checks a split's strip boxes, columns of one array, by the rules
+        # SearchRegion applies, and raises SearchRegion's error for the first one it rejects
+        with pytest.raises(ValueError) as want:
+            SearchRegion(*args)
+        good, worse = (1.0, 2.0, -1.0, 0.0), (3.0, 1.0, -1.0, 0.0)
+        with pytest.raises(ValueError) as got:
+            pf._check(np.array([good, args, worse, good]).T)
+        assert str(got.value) == str(want.value)
+        pf._check(np.array([good, (1.5, 2.5, -3.0, -1.0), (1e-3, 4.0, -1.0, -1e-7)]).T)
 
     def test_containment(self):
         # the closed rectangle, its edges in, and widened by a slop
@@ -54,7 +74,56 @@ class TestSearchRegion:
 
 def _contains(region, k, slop=0.0):
     """Whether k lies in the closed region widened by slop, by the pole finder's one test."""
-    return bool(pf._inside(pf._boxes([region])[:, 0], np.complex128(k), slop))
+    return bool(pf._inside(_box(region)[:, 0], np.complex128(k), slop))
+
+
+def _box(region):
+    """The region as one column of rows re_min, re_max, im_min, im_max, as ``pf._Cells.box``."""
+    return np.array([[region.re_min], [region.re_max], [region.im_min], [region.im_max]])
+
+
+class _Loop(NamedTuple):
+    """A cell's loop: views of its rows z, f and d, and its corners' columns."""
+
+    zfd: tuple
+    corners: list
+
+
+class _Cell(NamedTuple):
+    """One cell of a ``pf._Cells`` record, read back one cell at a time."""
+
+    region: SearchRegion
+    loop: _Loop
+    count: int
+    seeds: list   # its first count seeds, none for three zeros or more
+    vertical: bool
+
+
+def _cells(record):
+    """Each cell of a record as a _Cell, its loop views into its program's rows."""
+    out = []
+    for i, (rows, heads) in enumerate(zip(record.rows, record.heads.tolist())):
+        count = int(record.count[i])
+        out.append(_Cell(SearchRegion(*record.box[:, i].tolist()),
+                         _Loop(tuple(row[heads[0]:heads[4] + 1] for row in rows),
+                               [h - heads[0] for h in heads[:4]]),
+                         count, record.seeds[i, :count].tolist() if count < 3 else [],
+                         bool(record.vertical[i])))
+    return out
+
+
+def _per_cell(cells, strips):
+    """The strips ``pf._subdivide`` cut from the record cells, as each cell's list of _Cells."""
+    bounds = np.cumsum([0] + np.maximum(2, cells.count // 2).tolist()).tolist()
+    views = _cells(strips)
+    assert len(views) == bounds[-1]
+    return [views[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _same_loop(a, b):
+    """Whether two loops are the same columns of the same rows, not a copy or a recount."""
+    return a.corners == b.corners and all(
+        (x.ctypes.data, x.size) == (y.ctypes.data, y.size) for x, y in zip(a.zfd, b.zfd))
 
 
 class TestCountZeros:
@@ -143,7 +212,6 @@ def _phases(zf):
 
 def _assert_carried(child, loop):
     """A child's loop closes, runs through its corners, is resolved and carries its steps."""
-    assert loop._fields == ("zfd", "corners")   # samples, values, steps and corners alone
     z, f, _ = loop.zfd
     assert z[loop.corners].tolist() == child.corners()
     assert [z[-1], f[-1]] == [z[0], f[0]]
@@ -168,6 +236,13 @@ def _measured(zf, offsets):
     return [zf[0], zf[1], d]
 
 
+def _heads(offsets, corners):
+    """``_resolve``'s heads of the loops in columns offsets[s] to offsets[s + 1] - 1, with
+    their corners at offsets[s] + corners[s]."""
+    offsets = np.asarray(offsets)
+    return np.column_stack([offsets[:-1], offsets[:-1, None] + corners, offsets[1:] - 1])
+
+
 def _sides(loop):
     """A loop's four sides (bottom, right, top, left), z over f, each with both its corners."""
     zf, ends = np.array(loop.zfd[:2]), list(loop.corners) + [loop.zfd[0].size - 1]
@@ -190,11 +265,11 @@ def _resolve_one(fn, region, sides):
     """
     zf = np.concatenate([side[:, :-1] for side in sides[:3]] + [sides[3]], axis=1)
     corners = np.cumsum([side.shape[1] - 1 for side in sides[:3]])
-    offsets = np.array([0, zf.shape[1]])
-    *counted, why = pf._resolve(fn, _measured(zf, offsets), offsets, corners[None])
+    offsets = [0, zf.shape[1]]
+    *counted, why = pf._resolve(fn, _measured(zf, offsets), _heads(offsets, corners[None]))
     if why:
         raise BoundaryZero(why[0])
-    return pf._strips([region], *counted)[0]
+    return _cells(pf._strips(_box(region), np.zeros(1, int), np.zeros(1, bool), *counted))[0]
 
 
 def _zeros_at(*zeros):
@@ -255,20 +330,19 @@ class TestSubdivide:
     def test_child_counts_match_fresh_counts(self, p, l, region):
         ch = Channel(l, 1.0)
         fn = lambda k: det_lambda_balanced(p, ch, k)
-        level = [pf._boundary(fn, region)]
-        assert level[0].count == count_zeros(p, ch, region)
+        level = pf._boundary(fn, region)
+        assert level.count.tolist() == [count_zeros(p, ch, region)]
         vertical = set()   # orientation of every cut made
         for _ in range(3):   # grandchildren inherit pieces of earlier cuts
-            nxt = []
-            for parent, children in zip(level, pf._subdivide(fn, level)):   # one generation
+            strips = pf._subdivide(fn, level)   # one generation
+            for parent, children in zip(_cells(level), _per_cell(level, strips)):
                 cut_vertically = children[0].region.re_max < parent.region.re_max
                 assert cut_vertically == parent.vertical
                 vertical.add(cut_vertically)
                 for child in children:
                     _assert_carried(child.region, child.loop)
                     assert child.count == count_zeros(p, ch, child.region)
-                nxt.extend(children)
-            level = nxt
+            level = strips
         assert vertical == {True, False}
 
     # zeros stacked along Im k in a tall cell; none lies near a cut at frac 0.5
@@ -284,9 +358,9 @@ class TestSubdivide:
             return fn(k)
 
         cell = pf._boundary(fn, region)
-        assert cell.count == count
-        (strips,) = pf._subdivide(recorded, [cell])
-        return cell, strips, calls
+        assert cell.count.tolist() == [count]
+        (strips,) = _per_cell(cell, pf._subdivide(recorded, cell))
+        return _cells(cell)[0], strips, calls
 
     PARTITIONED = [
         (lambda k: det_lambda_balanced(DELTA, CH, k), SearchRegion(4.0, 40.0, -3.0, -0.0005), 11),
@@ -313,7 +387,7 @@ class TestSubdivide:
                     else (r.re_min, r.re_max) == (region.re_min, region.re_max))
         for strip in strips:
             _assert_carried(strip.region, strip.loop)
-            assert strip.count == pf._boundary(fn, strip.region).count
+            assert strip.count == pf._boundary(fn, strip.region).count[0]
         assert sum(strip.count for strip in strips) == count
         # the first call samples all m - 1 cuts, each as a freshly sampled edge would be
         span = region.height if vertical else region.width
@@ -322,20 +396,41 @@ class TestSubdivide:
         across = first.real if vertical else first.imag
         assert (across == np.array(at)[:, None]).all()
 
+    @pytest.mark.parametrize("fn, region, vertical", [
+        (lambda k: det_lambda_balanced(DELTA, CH, k),
+         SearchRegion(1e-3, 400.0, pf.default_im_min(400.0, 1.0), 0.0), True),
+        (_zeros_at(*STACKED), SearchRegion(4.0, 6.0, -8.0, -0.1), False),
+    ], ids=["vertical-long-window", "horizontal-across-rows"])
+    def test_strips_tile_their_parent(self, fn, region, vertical):
+        # a split's strips, columns of one box array: neighbours share their cut bitwise, the
+        # outer bounds and the other side are the parent's, and the counts add up
+        cell = pf._boundary(fn, region)
+        strips = pf._subdivide(fn, cell)
+        assert cell.vertical.tolist() == [vertical]
+        lo, hi, other = (0, 1, [2, 3]) if vertical else (2, 3, [0, 1])
+        box, parent, m = strips.box, cell.box[:, 0], strips.count.size
+        assert m == max(2, cell.count[0] // 2) and m > 2
+        assert box[hi, :-1].tobytes() == box[lo, 1:].tobytes()
+        assert (box[lo] < box[hi]).all()
+        assert box[lo, :1].tobytes() + box[hi, -1:].tobytes() == parent[[lo, hi]].tobytes()
+        assert box[other].tobytes() == parent[other].repeat(m).tobytes()
+        assert strips.count.sum() == cell.count[0]
+        assert strips.depth.tolist() == [1] * m and strips.resplit.tolist() == [False] * m
+
     def test_every_loop_carries_its_steps(self):
         # d holds each step's log ratio bitwise after the window's count and after every
         # generation of splits, with cuts run both ways
         vertical = set()
         for fn, region, _ in self.PARTITIONED:
-            level = [pf._boundary(fn, region)]
-            _assert_steps(level[0].loop.zfd)
-            while level:
+            level = pf._boundary(fn, region)
+            _assert_steps(_cells(level)[0].loop.zfd)
+            while level.count.size:
                 split = pf._subdivide(fn, level)
-                for parent, strips in zip(level, split):
+                for parent, strips in zip(_cells(level), _per_cell(level, split)):
                     vertical.add(parent.vertical)
                     for strip in strips:
                         _assert_steps(strip.loop.zfd)
-                level = [strip for strips in split for strip in strips if strip.count > 2]
+                level = pf._take(split, split.count > 2)
         assert vertical == {True, False}
 
     def test_a_split_measures_no_inherited_step(self, monkeypatch):
@@ -356,7 +451,7 @@ class TestSubdivide:
                 return made[-1]
 
             monkeypatch.setattr(pf, "_dlog", recorded_dlog)
-            (strips,) = pf._subdivide(recorded, [cell])
+            strips = _cells(pf._subdivide(recorded, cell))
             monkeypatch.undo()
             cuts, halves = made[0].tolist(), set(np.concatenate(made[1:]).tolist())
             ahead = set(zip(cuts, cuts[1:]))   # with the steps from one cut to the next
@@ -364,7 +459,7 @@ class TestSubdivide:
             per_cut = len(cuts) // (len(strips) - 1)
             ends = set(cuts[::per_cut] + cuts[per_cut - 1::per_cut])
             # the parent's steps; a sample of the parent's on a cut gives way to the cut's end
-            f = cell.loop.zfd[1].tolist()
+            f = _cells(cell)[0].loop.zfd[1].tolist()
             inherited = {(a, b) for a, b in zip(f, f[1:]) if not {a, b} & ends}
             assert halves and not seen & inherited
             assert ahead | back <= seen
@@ -382,20 +477,21 @@ class TestSubdivide:
         # they have 8 steps or more
         short, resolve = [], pf._resolve
 
-        def recorded(fn, zf, offsets, corners):
-            out = resolve(fn, zf, offsets, corners)
-            loop = lambda zfd, offsets, corners, s: pf._Loop(
-                tuple(row[offsets[s]:offsets[s + 1]] for row in zfd), [0, *corners[s]])
-            for s in range(len(corners)):
-                given, resolved = loop(zf, offsets, corners, s), loop(*out[:3], s)
+        def recorded(fn, zfd, heads):
+            out = resolve(fn, zfd, heads)
+            loop = lambda zfd, heads, s: _Loop(
+                tuple(row[heads[s, 0]:heads[s, 4] + 1] for row in zfd),
+                (heads[s, :4] - heads[s, 0]).tolist())
+            for s in range(len(heads)):
+                given, resolved = loop(zfd, heads, s), loop(*out[:2], s)
                 short.extend((side, got) for side, got in zip(_sides(given), _sides(resolved))
                              if side.shape[1] < 9)   # a side of fewer than 8 steps
             return out
 
-        level = [pf._boundary(fn, region)]
+        level = pf._boundary(fn, region)
         monkeypatch.setattr(pf, "_resolve", recorded)
         for _ in range(levels):
-            level = [strip for strips in pf._subdivide(fn, level) for strip in strips]
+            level = pf._subdivide(fn, level)
         assert len(short) >= 4
         one = lambda k: complex(fn(np.array([k]))[0])
         for given, resolved in short:
@@ -404,7 +500,7 @@ class TestSubdivide:
     def test_multi_point_cut_matches_successive_cuts(self):
         fn = lambda k: det_lambda_balanced(DELTA, CH, k)
         region = SearchRegion(4.0, 40.0, -3.0, -0.0005)
-        bottom = _sides(pf._boundary(fn, region)[1])[0]
+        bottom = _sides(_cells(pf._boundary(fn, region))[0].loop)[0]
         xs = [7.3, 7.31, 7.32,              # three points inside one step
               19.0,
               bottom[0, 40].real,           # a point on a sample, which gives way to it
@@ -434,7 +530,7 @@ class TestSubdivide:
 
         def recorded_split(fn, cells):
             strips = subdivide(fn, cells)
-            splits.extend(zip(cells, strips))
+            splits.extend(zip(_cells(cells), _per_cell(cells, strips)))
             return strips
 
         monkeypatch.setattr(pf, "_subdivide", recorded_split)
@@ -455,6 +551,22 @@ class TestSubdivide:
                 shared.append(vertical)
         assert len(shared) >= 100 and set(shared) == {True, False}
 
+    def test_a_cell_that_never_splits_cleanly_raises(self, monkeypatch):
+        # every try's strips hit a floor: after the last fraction the cell's region is named
+        fn, region = _zeros_at(*self.STACKED), SearchRegion(4.0, 6.0, -8.0, -0.1)
+        cell = pf._boundary(fn, region)
+        resolve, programs = pf._resolve, []
+
+        def floored(fn, zfd, heads):
+            programs.append(len(heads))
+            return (*resolve(fn, zfd, heads)[:3], {0: "a zero on a cut"})
+
+        monkeypatch.setattr(pf, "_resolve", floored)
+        text = f"no clean split line found inside {region}"
+        with pytest.raises(BoundaryZero, match=re.escape(text)):
+            pf._subdivide(fn, cell)
+        assert programs == [4] * len(pf._SPLIT_FRACTIONS)
+
     def test_zero_on_a_cut_shifts_every_cut(self):
         # an exact zero on the first cut at frac 0.5 makes the split retry at 0.53125
         region = SearchRegion(1.0, 10.0, -2.0, -0.2)
@@ -468,7 +580,7 @@ class TestSubdivide:
         assert [s.count for s in strips] == [3, 1, 2]
         for strip in strips:
             _assert_carried(strip.region, strip.loop)
-            assert strip.count == pf._boundary(fn, strip.region).count
+            assert strip.count == pf._boundary(fn, strip.region).count[0]
         assert on_cut.real in {k.real for k in calls[0]}   # the first try sampled the zero's line
 
 
@@ -643,22 +755,23 @@ class TestResolve:
         (first, corners0), (second, corners1) = loops
         assert abs(np.angle(second[1, 0] / first[1, -1])) >= 0.5 * math.pi
         assert abs(second[1, 0]) <= pf._FLOOR_REL * abs(first[1, -1])
-        alone = [pf._resolve(fn, _measured(zf, [0, zf.shape[1]]), np.array([0, zf.shape[1]]),
-                             corners[None])
+        alone = [pf._resolve(fn, _measured(zf, [0, zf.shape[1]]),
+                             _heads([0, zf.shape[1]], corners[None]))
                  for zf, corners in loops]
         del calls[:]
-        offsets = np.array([0, first.shape[1], first.shape[1] + second.shape[1]])
-        zf, offsets, corners, counts, why = pf._resolve(
-            fn, _measured(np.concatenate([first, second], axis=1), offsets), offsets,
-            np.array([corners0, corners1]))
-        assert counts == [1, 2] and why == {}
+        offsets = [0, first.shape[1], first.shape[1] + second.shape[1]]
+        zf, heads, counts, why = pf._resolve(
+            fn, _measured(np.concatenate([first, second], axis=1), offsets),
+            _heads(offsets, np.array([corners0, corners1])))
+        assert counts.tolist() == [1, 2] and why == {}
         assert not any(junction in call.tolist() for call in calls)
         # each loop comes back as when it is counted alone, and the two meet as they did
-        for s, (zf_alone, _, corners_alone, _, _) in enumerate(alone):
-            assert [row[offsets[s]:offsets[s + 1]].tolist() for row in zf] == [
+        for s, (zf_alone, heads_alone, _, _) in enumerate(alone):
+            assert [row[heads[s, 0]:heads[s, 4] + 1].tolist() for row in zf] == [
                 row.tolist() for row in zf_alone]
-            assert corners[s] == corners_alone[0]
-        assert zf[0][offsets[1] - 1:offsets[1] + 1].tolist() == [1.0 - 1.0j, 3.0 - 3.0j]
+            assert (heads[s] - heads[s, 0]).tolist() == heads_alone[0].tolist()
+        assert heads[1, 0] == heads[0, 4] + 1
+        assert zf[0][heads[0, 4]:heads[1, 0] + 1].tolist() == [1.0 - 1.0j, 3.0 - 3.0j]
 
 
 def _inside(region, z):
@@ -713,11 +826,11 @@ class TestExactZeros:
         region, zeros, line = case
         fn = _zeros_at(-5.0, *zeros)   # -5 lies outside every rectangle
         cell = pf._boundary(fn, region)
-        assert cell.count == sum(_inside(region, z) for z in zeros)
-        level = [cell] if cell.count > 2 else []
-        while level:   # one generation at a time, down to cells of one or two zeros
+        assert cell.count.tolist() == [sum(_inside(region, z) for z in zeros)]
+        level = pf._take(cell, cell.count > 2)
+        while level.count.size:   # one generation at a time, down to cells of one or two zeros
             split = pf._subdivide(fn, level)
-            for parent, strips in zip(level, split):
+            for parent, strips in zip(_cells(level), _per_cell(level, split)):
                 if line != "scattered":   # a row is cut across, and so is a column
                     assert parent.vertical == (line == "row")
                 for strip in strips:
@@ -733,7 +846,7 @@ class TestExactZeros:
                         assert any(all(abs(seed - z) <= reach
                                        for seed, z in zip(strip.seeds, order))
                                    for order in itertools.permutations(inside))
-            level = [strip for strips in split for strip in strips if strip.count > 2]
+            level = pf._take(split, split.count > 2)
 
 
 def _scalar_newton(p, ch, k):
@@ -922,9 +1035,9 @@ class TestFindPoles:
         subdivide = pf._subdivide
 
         def recorded_split(fn, due):
-            split_counts.extend(cell.count for cell in due)
+            split_counts.extend(due.count.tolist())
             split = subdivide(fn, due)
-            cells.extend((strip.region, strip.seeds) for strips in split for strip in strips
+            cells.extend((strip.region, strip.seeds) for strip in _cells(split)
                          if strip.count in (1, 2))
             return split
 
@@ -963,7 +1076,7 @@ class TestFindPoles:
 
         def recorded_strips(*args):
             strips = strips_(*args)
-            seeded.extend(strip for strip in strips if strip[2] in (1, 2))
+            seeded.extend(strip for strip in _cells(strips) if strip.count in (1, 2))
             return strips
 
         monkeypatch.setattr(pf, "_strips", recorded_strips)
@@ -988,10 +1101,10 @@ class TestFindPoles:
             return boundary(fn, region)
 
         def recorded_split(fn, due):
-            splits.extend((cell.region, cell.loop, cell.count) for cell in due)
+            splits.extend((cell.region, cell.loop, cell.count) for cell in _cells(due))
             split = subdivide(fn, due)
             single.extend((strip.seeds[0], strip.region, strip.loop)
-                          for strips in split for strip in strips if strip.count == 1)
+                          for strip in _cells(split) if strip.count == 1)
             return split
 
         def first_single_fails(p, ch, seeds):
@@ -1011,7 +1124,7 @@ class TestFindPoles:
         assert calls == [len(want), 1]
         assert len(fresh) == 1   # the whole window; the failed cell is not counted again
         ((region, loop),) = failed
-        assert [(r, c) for r, e, c in splits if e is loop] == [(region, 1)]
+        assert [(r, c) for r, e, c in splits if _same_loop(e, loop)] == [(region, 1)]
         assert len(got) == len(want)
         assert all(abs(a.k - b.k) < 1e-12 * abs(b.k) for a, b in zip(got, want))
 
@@ -1042,13 +1155,12 @@ class TestFindPoles:
             return boundary(fn, region)
 
         def recorded_split(fn, due):
-            log["split"].extend((cell.region, cell.loop, cell.count) for cell in due)
+            log["split"].extend((cell.region, cell.loop, cell.count) for cell in _cells(due))
             split = subdivide(fn, due)
-            for strips in split:
-                for i, strip in enumerate(strips):
-                    if strip.count == 2 and not log["pair"]:
-                        log["pair"].append((strip.region, strip.loop))
-                        strips[i] = strip._replace(seeds=forced(strip.seeds))
+            for i, strip in enumerate(_cells(split)):
+                if strip.count == 2 and not log["pair"]:
+                    log["pair"].append((strip.region, strip.loop))
+                    split.seeds[i] = forced(strip.seeds)
             return split
 
         monkeypatch.setattr(pf, "_boundary", recorded_boundary)
@@ -1064,7 +1176,7 @@ class TestFindPoles:
         got = find_poles(DELTA, CH, re_max=40.0, im_min=-3.0)
         ((pair, loop),) = log["pair"]
         assert len(log["fresh"]) == 1   # the whole window; the pair is not counted again
-        assert [(r, c) for r, e, c in log["split"] if e is loop] == [(pair, 2)]
+        assert [(r, c) for r, e, c in log["split"] if _same_loop(e, loop)] == [(pair, 2)]
         assert len(got) == len(want)
         assert all(abs(a.k - b.k) < 1e-12 * abs(b.k) for a, b in zip(got, want))
 
@@ -1086,11 +1198,24 @@ class TestFindPoles:
         assert calls == [len(want), 2, 1]
         assert len(log["fresh"]) == 1   # neither the pair nor its child is counted again
         ((pair, loop),) = log["pair"]
-        assert [(r, c) for r, e, c in log["split"] if e is loop] == [(pair, 2)]
+        assert [(r, c) for r, e, c in log["split"] if _same_loop(e, loop)] == [(pair, 2)]
         child, _, count = log["split"][-1]   # the failed child, split with its one zero
         assert count == 1 and all(_contains(pair, z) for z in child.corners())
         assert len(got) == len(want)
         assert all(abs(a.k - b.k) < 1e-12 * abs(b.k) for a, b in zip(got, want))
+
+    def test_a_search_builds_one_region(self, monkeypatch):
+        # the window is a search's one SearchRegion: every strip is a column of a split's
+        # box array, checked by one array test
+        built, post_init = [], SearchRegion.__post_init__
+
+        def counted(region):
+            built.append(region)
+            post_init(region)
+
+        monkeypatch.setattr(SearchRegion, "__post_init__", counted)
+        assert len(find_poles(DELTA, CH, 2000.0)) > 600
+        assert len(built) == 1
 
     def test_bookkeeping_failure_raises(self, monkeypatch):
         # a dedupe radius of half |k| merges two distinct poles, so fewer come
@@ -1171,7 +1296,7 @@ class TestGenerations:
         def recorded_split(fn, cells):
             split = subdivide(fn, cells)
             splits.extend((cell.count, [strip.count for strip in strips])
-                          for cell, strips in zip(cells, split))
+                          for cell, strips in zip(_cells(cells), _per_cell(cells, split)))
             return split
 
         monkeypatch.setattr(pf, "_subdivide", recorded_split)
@@ -1214,7 +1339,7 @@ class TestGenerations:
 
         def recorded_split(fn, cells):
             split = subdivide(fn, cells)
-            generations.append(list(zip(cells, split)))
+            generations.append(list(zip(_cells(cells), _per_cell(cells, split))))
             return split
 
         def recorded_sample(fn, lines):
@@ -1232,7 +1357,7 @@ class TestGenerations:
         monkeypatch.setattr(pf, "_resolve", recorded_resolve)
         poles = find_poles(DELTA, CH, re_max, -2.0)
         # the generation's program: both strips of the first cell hit the floor at the zero
-        assert programs[2][4] == {s: f"zero of det lambda on the boundary at {on_cut}"
+        assert programs[2][3] == {s: f"zero of det lambda on the boundary at {on_cut}"
                                   for s in (0, 1)}
         window, (first, third) = generations
         assert [strip.count for strip in window[0][1]] == [3, 0, 3]
@@ -1279,9 +1404,9 @@ class TestGenerations:
         poles = find_poles(DELTA, CH, re_max, -2.0)
         # the window, its split, the generation (the middle cell's strips on the floor), then
         # the middle cell alone
-        assert [counts for _, _, _, counts, _ in programs] == [
+        assert [counts.tolist() for _, _, counts, _ in programs] == [
             [9], [3, 3, 3, 0], [1, 2, 0, 0, 2, 1], [2, 1]]
-        assert set(programs[2][4]) == {2, 3}
+        assert set(programs[2][3]) == {2, 3}
         for pole, z in zip(poles, sorted(zeros, key=lambda z: (z.real, z.imag))):
             assert abs(pole.k - z) <= 1e-12 * abs(z)
 

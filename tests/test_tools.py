@@ -1,10 +1,12 @@
 """The result tools: one line per search with its det lambda, split program
-and riccati_s counts, and a comparison where poles, of a search or in a CLI call's CSV, may
-move by rounding and nothing else may change."""
+and riccati_s counts, a comparison where poles, of a search or in a CLI call's CSV, may
+move by rounding and nothing else may change, and an in-process A/B of two checkouts."""
 
 import importlib.util
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -134,3 +136,17 @@ def test_a_search_missing_from_one_side_is_a_mismatch(tmp_path, capsys):
     new.write_text("".join(pathlib.Path(old).read_text().splitlines(True)[1:]))
     assert near_results.main([old, str(new)]) == 1
     assert "only in" in capsys.readouterr().out
+
+
+def test_ab_passes_runs_a_checkout_against_itself():
+    # the in-process A/B of two checkouts: both import under names of their own, their
+    # results must agree, and the pass times and page faults are only printed
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab_passes.py"), str(ROOT),
+                           str(ROOT), "--passes", "2"], capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "wide-l0: 4 searches, results bitwise equal"
+    assert [line.split(":")[0] for line in lines[1:3]] == ["old", "new"]
+    assert re.fullmatch(r"new / old pass time: median \d+\.\d+ over 2 pairs, new faster in \d",
+                        lines[3])

@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Time two checkouts' ``find_poles`` against each other in one process.
+
+    python3 tools/ab_passes.py OLD NEW [--workload wide-l0|high-l] [--passes N]
+
+imports ``OLD/src/winterres`` and ``NEW/src/winterres`` under distinct
+module names and runs the searches of a bench workload (``bench/workloads.make(
+name, 1)`` of this checkout; every one a ``find_poles`` call).  It first
+checks that both return bitwise-equal results: each pole's k and residual,
+or the exception class a search raised.  It then runs N passes of the whole
+workload on each side, alternating which side goes first, and prints each
+side's median pass time with its quartiles, the median of the per-pair
+ratios new / old and the minor page faults (``getrusage`` ru_minflt) per
+pass.  Both sides share the process, its heap and the machine's speed at
+the moment, so the ratio is steadier than two benchmark processes are.  It
+reports and gates nothing; it exits 1 when the results differ.
+
+    python3 tools/ab_passes.py ../parent . --passes 30
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import resource
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import workloads  # noqa: E402  (needs bench/ on the path)
+
+WORKLOADS = ("wide-l0", "high-l")   # the workloads made of find_poles calls alone
+
+
+def load(checkout: str, name: str):
+    """The package in ``checkout/src/winterres``, imported as ``name``."""
+    pkg = os.path.join(os.path.abspath(checkout), "src", "winterres")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(pkg, "__init__.py"), submodule_search_locations=[pkg])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module   # its relative imports resolve under this name
+    spec.loader.exec_module(module)
+    return module
+
+
+def results(pkg, searches) -> list[str]:
+    """Each search's poles as float hex, or the class of the exception it raised."""
+    out = []
+    for s in searches:
+        c = s.coupling
+        try:
+            poles = pkg.find_poles(pkg.GpiParams(c.alpha, c.beta, c.gamma),
+                                   pkg.Channel(s.l, s.radius), s.re_max)
+        except Exception as exc:  # noqa: BLE001 -- the class is the result
+            out.append(type(exc).__name__)
+            continue
+        out.append(" ".join(f"{q.k.real.hex()},{q.k.imag.hex()},{q.residual.hex()}"
+                            for q in poles))
+    return out
+
+
+def one_pass(pkg, searches) -> tuple[float, int]:
+    """Seconds and minor page faults of one run of every search."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    results(pkg, searches)
+    t1 = time.perf_counter()
+    return t1 - t0, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+
+
+def _quartiles(values: list[float]) -> str:
+    if len(values) < 2:
+        return f"{values[0]:.2f}"
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return f"{q2:.2f} (quartiles {q1:.2f}, {q3:.2f})"
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("old")
+    parser.add_argument("new")
+    parser.add_argument("--workload", choices=WORKLOADS, default="wide-l0")
+    parser.add_argument("--passes", type=int, default=20)
+    args = parser.parse_args(argv)
+    if args.passes < 1:
+        parser.error("--passes must be 1 or more")
+    searches = workloads.make(args.workload, 1).searches
+    old, new = load(args.old, "winterres_old"), load(args.new, "winterres_new")
+    for i, (a, b) in enumerate(zip(results(old, searches), results(new, searches))):
+        if a != b:
+            print(f"{args.workload} search {i} differs:\n  old {a[:200]}\n  new {b[:200]}")
+            return 1
+    print(f"{args.workload}: {len(searches)} searches, results bitwise equal")
+    times, faults = {"old": [], "new": []}, {"old": [], "new": []}
+    for i in range(args.passes):   # alternate which side goes first
+        for side in (("old", "new") if i % 2 == 0 else ("new", "old")):
+            t, f = one_pass(old if side == "old" else new, searches)
+            times[side].append(1e3 * t)
+            faults[side].append(f)
+    for side in ("old", "new"):
+        print(f"{side}: pass ms {_quartiles(times[side])}, "
+              f"minor faults per pass {statistics.median(faults[side]):.0f}")
+    ratios = [b / a for a, b in zip(times["old"], times["new"])]
+    print(f"new / old pass time: median {statistics.median(ratios):.3f} over {args.passes} "
+          f"pairs, new faster in {sum(r < 1.0 for r in ratios)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
