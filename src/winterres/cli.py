@@ -136,23 +136,23 @@ def _run_and_emit(cfgs: list[RunConfig], empty: str, always_table: bool) -> list
     for cfg in cfgs:
         p, ch = cfg.interaction, cfg.channel
         if is_separated(p):
-            roots = real_axis_roots(p, ch, cfg.search.re_max)
+            roots = real_axis_roots(p, ch, cfg.re_max)
             rows = embedded_rows(roots, np.abs(det_lambda(p, ch, np.array(roots))).tolist())
         else:
-            poles = index_poles(find_poles(p, ch, cfg.search.re_max, cfg.search.im_min), p, ch)
+            poles = index_poles(find_poles(p, ch, cfg.re_max, cfg.im_min), p, ch)
             rows = compare(poles, p, ch)
         all_rows.extend(rows)
         label = (f"alpha={p.alpha:g} beta={p.beta:g} "
                  f"gamma={format_complex(p.gamma)}")
         series.append((label, classify(p), [row.k for row in rows]))
-    outs = cfgs[0].outputs
-    if outs.csv_path:
-        with open(outs.csv_path, "w", encoding="utf-8", newline="") as fh:
+    first = cfgs[0]   # every run's outputs are the first one's
+    if first.csv_path:
+        with open(first.csv_path, "w", encoding="utf-8", newline="") as fh:
             write_csv(all_rows, fh)
-    if outs.svg_path:
-        with open(outs.svg_path, "w", encoding="utf-8") as fh:
+    if first.svg_path:
+        with open(first.svg_path, "w", encoding="utf-8") as fh:
             write_pole_svg(series, fh)
-    if always_table or outs.table or not (outs.csv_path or outs.svg_path):
+    if always_table or first.table or not (first.csv_path or first.svg_path):
         print(format_table(all_rows) if all_rows else empty)
     return all_rows
 

@@ -35,18 +35,19 @@ The cells themselves are one record of parallel arrays (``_Cells``), from
 the window through every generation to the Newton queue: each cell's box,
 count, seeds, cut direction, depth and re-split flag, and its loop's
 columns in its program's three rows.  Cut positions and strip boxes are
-array arithmetic, one array test checks the boxes as ``SearchRegion``
-would, and a loop is read, as views, only when its cell is split; a search
-builds one ``SearchRegion``, its window, and another only for a message.
+array arithmetic, ``_good`` judges every box (a strip's or a
+``SearchRegion``'s), ``_close`` closes every loop from its sides' runs, and
+a loop is read, as views, only when its cell is split; a search builds one
+``SearchRegion``, its window, and another only for a message.
 
 A strip of one or two zeros is seeded from its contour moments as its split
-is counted; once every cell holds one or two, one ``refine`` call runs
-Newton from every queued seed in lockstep, and one array test judges all
-the cells.  A two-zero cell is solved when both roots converge inside it at
-least _MIN_CELL_FACTOR / R apart (closer pairs are clusters) and farther
-apart than deduplication merges.  Any other outcome splits the cell from its
-loop; a one-zero cell gets one such pass, and a two-zero cell's children
-theirs.
+is counted, a program's in one pass; once every cell holds one or two, one
+``refine`` call runs Newton from every queued seed in lockstep, and one
+array test judges all the cells.  A two-zero cell is solved when both roots
+converge inside it at least _MIN_CELL_FACTOR / R apart (closer pairs are
+clusters) and farther apart than deduplication merges.  Any other outcome
+splits the cell from its loop; a one-zero cell gets one such pass, and a
+two-zero cell's children theirs.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 pole lists.
@@ -99,14 +100,9 @@ class SearchRegion:
     im_max: float
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max))):
-            raise ValueError(f"region bounds must be finite, got {self}")
-        if not (0.0 < self.re_min < self.re_max):
-            raise ValueError(f"need 0 < re_min < re_max, got [{self.re_min}, {self.re_max}]")
-        if not (self.im_min <= self.im_max <= 0.0):
-            raise ValueError(f"need im_min <= im_max <= 0, got [{self.im_min}, {self.im_max}]")
-        if self.im_min == self.im_max:
-            raise ValueError("region has zero height")
+        if not _good(self.re_min, self.re_max, self.im_min, self.im_max):
+            raise ValueError("region bounds must be finite, with 0 < re_min < re_max and "
+                             f"im_min < im_max <= 0, got {self}")
 
     @property
     def width(self) -> float:
@@ -169,25 +165,35 @@ def _region(cells: _Cells, i) -> SearchRegion:
     return SearchRegion(*cells.box[:, i].tolist())
 
 
+def _good(re_min, re_max, im_min, im_max):
+    """Whether [re_min, re_max] x [im_min, im_max] is a search rectangle, for numbers or arrays:
+    every bound finite, 0 < re_min < re_max and im_min < im_max <= 0."""
+    return ((0.0 < re_min) & (re_min < re_max) & (re_max < math.inf)
+            & (-math.inf < im_min) & (im_min < im_max) & (im_max <= 0.0))
+
+
 def _check(box: np.ndarray) -> None:
     """Raise ``SearchRegion``'s ValueError for the first box (a column of rows as
-    ``_Cells.box``) that its rules reject.
-
-    They read: every bound finite, 0 < re_min < re_max and im_min < im_max <= 0.
-    """
-    re_min, re_max, im_min, im_max = box
-    good = ((0.0 < re_min) & (re_min < re_max) & (re_max < math.inf)
-            & (-math.inf < im_min) & (im_min < im_max) & (im_max <= 0.0))
+    ``_Cells.box``) that ``_good`` rejects."""
+    good = _good(*box)
     if not good.all():
         SearchRegion(*box[:, good.argmin()].tolist())
 
 
-def _runs(base, length) -> np.ndarray:
-    """Indices laid end to end: length[i] of them from base[i] on."""
+def _close(base, length):
+    """The columns and heads (as ``_Cells``') of closed loops laid end to end, from the runs of
+    their sides (m x 4 x r; a run is length columns from base on).  Every side but the left
+    one stops one sample short of its end, the next side's first sample."""
+    sides = length.sum(axis=2)
+    sides[:, :3] -= 1
+    stop = length.cumsum(axis=2)
+    length = (np.minimum(stop, sides[..., None])
+              - np.minimum(stop - length, sides[..., None])).ravel()
     ends = length.cumsum()
-    out = np.arange(ends[-1], dtype=np.int32)
-    out += (base - ends + length).repeat(length)
-    return out
+    columns = np.arange(ends[-1], dtype=np.int32)
+    columns += (base.ravel() - ends + length).repeat(length)
+    ends = ends.reshape(stop.shape)[..., -1]   # past each side's last column
+    return columns, np.column_stack([ends - sides, ends[:, 3] - 1])
 
 
 def _dlog(fa, fb) -> np.ndarray:
@@ -225,18 +231,15 @@ def _sample(fn, segments) -> tuple[np.ndarray, np.ndarray]:
 def _boundary(fn, region: SearchRegion) -> _Cells:
     """The region's boundary, freshly sampled and counted: a record of one cell.
 
-    Its four sides close into a loop: each but the left one stops one
-    sample short of its end, the next side's first sample.  Raises
-    BoundaryZero when the loop hits a floor.
+    Its four sides close into a loop (see ``_close``).  Raises BoundaryZero
+    when the loop hits a floor.
     """
     c = region.corners()
     zf, starts = _sample(fn, list(zip(c, c[1:] + c[:1])))
-    kept = np.ones(zf.shape[1], bool)
-    kept[starts[1:4] - 1] = False
-    z, f = (row[kept] for row in zf)
+    columns, heads = _close(starts[:4].reshape(1, 4, 1), np.diff(starts).reshape(1, 4, 1))
+    z, f = zf.take(columns, axis=1)
     d = np.zeros(f.size, complex)
     d[:-1] = _dlog(f[:-1], f[1:])
-    heads = np.array([[0, *(starts[1:4] - [1, 2, 3]).tolist(), f.size - 1]])
     rows, heads, counts, why = _resolve(fn, [z, f, d], heads)
     if why:
         raise BoundaryZero(why[0])
@@ -369,7 +372,7 @@ def _strips(box: np.ndarray, depth, resplit, zfd: list, heads: np.ndarray,
     """The record of a program's counted strips, in boxes ``box``, from ``_resolve``'s rows,
     heads and counts.
 
-    Every strip that holds a zero takes its moments s_p, the sums of
+    Every strip takes its moments s_p, the sums of
     (z_mid - c)^p d / 2 pi i over its loop's steps of log ratio d, c its
     centroid (Delves & Lyness, Math. Comp. 21, 1967), d = ln r as no step
     turns by pi/2.  A strip of one or two zeros is seeded with
@@ -378,35 +381,28 @@ def _strips(box: np.ndarray, depth, resplit, zfd: list, heads: np.ndarray,
     outside gives way to c.  A strip of n >= 2 zeros is cut across the way
     they spread: ``vertical`` when Re(s_2/n - (s_1/n)^2), the sum of
     (x - x_mean)^2 - (y - y_mean)^2 over its zeros divided by n, is 0 or
-    more.  A strip of one or none is cut across its longer side.
+    more.  A strip of one or none is cut across its longer side.  The moments
+    of all the loops are one ``np.add.reduceat`` pass; each sum but the last
+    takes in the step to the next loop, whose d of 0 sets only its order.
     """
     z, _, d = zfd
     edge = box[..., None]
     centre = 0.5 * (edge[0] + edge[1]) + 0.5j * (edge[2] + edge[3])
-    slop, seeds = _SEED_SLOP * np.hypot(edge[1] - edge[0], edge[3] - edge[2]), centre.repeat(2, 1)
-    spreads = np.zeros(counts.size)   # Re(n s_2 - s_1^2), n^2 times the mean spread
-    offsets = heads[:, 0].tolist() + [int(heads[-1, 4]) + 1]
-    counted = counts.nonzero()[0]
-    for lo in range(0, counts.size, 64):   # 64 loops at a time bound the memory
-        i, j = counted.searchsorted([lo, lo + 64])
-        if i == j:
-            continue
-        a, b = counted[i], counted[j - 1] + 1
-        n = counts[a:b]
-        starts = np.subtract(offsets[a:b + 1], offsets[a])
-        zs = z[offsets[a]:offsets[b]]
-        w = 0.5 * (zs[1:] + zs[:-1]) - centre[a:b, 0].repeat(np.diff(starts))[:-1]
-        dlog = d[offsets[a]:offsets[b] - 1] * w   # 0 on the steps between loops
-        s1 = np.add.reduceat(dlog, starts[:-1]) / (2j * math.pi)
-        s2 = np.add.reduceat(dlog * w, starts[:-1]) / (2j * math.pi)
-        spreads[a:b] = (n * s2 - s1 * s1).real
-        if not ((n == 1) | (n == 2)).any():   # none to seed
-            continue
-        half = np.sqrt(2 * s2 - s1 * s1)
-        ks = np.column_stack([np.where(n == 1, s1, 0.5 * (s1 + half)),
-                              0.5 * (s1 - half)]) + centre[a:b]
-        seeds[a:b] = np.where(_inside(edge[:, a:b], ks, slop[a:b]), ks, centre[a:b])
-    vertical = np.where(counts >= 2, spreads >= 0.0, box[1] - box[0] >= box[3] - box[2])
+    # in place: fresh arrays the size of a long window's program cost more than its sums
+    w = z[1:] + z[:-1]
+    w *= 0.5
+    w -= centre[:, 0].repeat(heads[:, 4] + 1 - heads[:, 0])[:-1]
+    dlog = d[:-1] * w   # 0 on the steps between loops
+    s1 = np.add.reduceat(dlog, heads[:, 0]) / (2j * math.pi)
+    dlog *= w
+    s2 = np.add.reduceat(dlog, heads[:, 0]) / (2j * math.pi)
+    half = np.sqrt(2 * s2 - s1 * s1)
+    ks = np.column_stack([np.where(counts == 1, s1, 0.5 * (s1 + half)),
+                          0.5 * (s1 - half)]) + centre
+    slop = _SEED_SLOP * np.hypot(edge[1] - edge[0], edge[3] - edge[2])
+    seeds = np.where(_inside(edge, ks, slop), ks, centre)
+    vertical = np.where(counts >= 2, (counts * s2 - s1 * s1).real >= 0.0,   # n^2 the spread
+                        box[1] - box[0] >= box[3] - box[2])
     rows = np.empty(counts.size, object)
     rows.fill(zfd)
     return _Cells(box, counts, seeds, vertical, depth, resplit, heads, rows)
@@ -707,17 +703,7 @@ def _gather(fn, cells: _Cells, m: np.ndarray, at: np.ndarray):
                                column[-1] - col + cut, column[-1] + 2 * cuts.shape[1] - col - cut))
         layouts[-1][0] += col
         k += n
-    base, length = (np.concatenate(part) for part in zip(*layouts))
-    # every side but the left one stops one sample short of its end
-    sides = length.sum(axis=2)
-    sides[:, :3] -= 1
-    stop = length.cumsum(axis=2)
-    length = np.minimum(stop, sides[..., None]) - np.minimum(stop - length, sides[..., None])
-    runs = _runs(base.ravel(), length.ravel())
-    size, heads = sides.sum(axis=1), np.empty((sides.shape[0], 5), int)
-    heads[:, 4] = size.cumsum() - 1
-    heads[:, 0] = heads[:, 4] + 1 - size
-    heads[:, 1:4] = heads[:, :1] + sides[:, :3].cumsum(axis=1)
+    runs, heads = _close(*(np.concatenate(part) for part in zip(*layouts)))
     ahead, back = np.zeros(cuts.shape[1], complex), np.zeros(cuts.shape[1], complex)
     ahead[:-1] = _dlog(cuts[1, :-1], cuts[1, 1:])
     back[:-1] = _dlog(cuts[1, 1:], cuts[1, :-1])[::-1]

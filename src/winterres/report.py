@@ -1,17 +1,18 @@
 """Run configuration and output emission: CSV tables and SVG pole charts.
 
-Numbers are printed with 17 significant digits so that parsing an emitted
-CSV reproduces the in-memory doubles exactly.  The SVG writer is a small
-self-contained generator (SVG 1.1, no external assets) that draws the
-momentum plane with per-class markers: ``+`` for delta, ``x`` for
-intermediate, ``*`` for delta-prime.
+The run schema is one table, ``_SCHEMA``, that one checker reads for a JSON
+config and for the CLI flags written over it.  Numbers are printed with 17
+significant digits so that parsing an emitted CSV reproduces the in-memory
+doubles exactly.  The SVG writer is a small self-contained generator (SVG
+1.1, no external assets) that draws the momentum plane with per-class
+markers: ``+`` for delta, ``x`` for intermediate, ``*`` for delta-prime.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 from .asymptotics import Resonance
@@ -46,106 +47,87 @@ def format_complex(z: complex) -> str:
 
 
 @dataclass(frozen=True)
-class SearchSettings:
+class RunConfig:
+    """Everything one resonance run needs: the keys of the run schema, its blocks flattened."""
+
+    interaction: GpiParams
+    channel: Channel
     re_max: float
     im_min: float | None = None  # None means the automatic depth floor
-
-
-@dataclass(frozen=True)
-class OutputSettings:
     csv_path: str | None = None
     svg_path: str | None = None
     table: bool = True
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one resonance run needs; mirrors the JSON config schema."""
-
-    interaction: GpiParams
-    channel: Channel
-    search: SearchSettings
-    outputs: OutputSettings = field(default_factory=OutputSettings)
-
-
-_CONFIG_KEYS = {
-    "interaction": ("alpha", "beta", "gamma"),
-    "channel": ("l", "radius"),
-    "search": ("re_max", "im_min"),
-    "outputs": ("csv_path", "svg_path", "table"),
+_NUMBER = (int, float, str)
+_OPTIONAL = (str, type(None))
+# block -> key -> (what the value must be, the types it may have, its default; ``...`` if it
+# is required).  A JSON true or false is no type but bool (float() would take it for 1 or
+# 0), an integer may be a float of integral value, and a path is no integer (open() would
+# take it for a file descriptor, and close it).
+_SCHEMA = {
+    "interaction": {"alpha": ("a number", _NUMBER, 0.0), "beta": ("a number", _NUMBER, 0.0),
+                    "gamma": ("a number", (*_NUMBER, complex), 0)},
+    "channel": {"l": ("an integer", (int, float), 0), "radius": ("a number", _NUMBER, 1.0)},
+    "search": {"re_max": ("a number", _NUMBER, ...),
+               "im_min": ("a number", (*_NUMBER, type(None)), None)},
+    "outputs": {"csv_path": ("a string or null", _OPTIONAL, None),
+                "svg_path": ("a string or null", _OPTIONAL, None),
+                "table": ("true or false", (bool,), True)},
 }
+_CONFIG_KEYS = {block: tuple(keys) for block, keys in _SCHEMA.items()}
 
 
-def _number(raw: dict, block: str, key: str, default, kinds=(int, float, str)):
-    """``raw[block][key]``, or ``default`` when absent.  Anything but one of
-    ``kinds`` is rejected, and so is a JSON true or false, which float() and
-    complex() would take as 1 or 0."""
-    got = raw.get(block, {}).get(key, default)
-    if isinstance(got, bool) or not isinstance(got, kinds):
-        raise ValueError(f"config block {block!r}: {key} must be a number, got {got!r}")
-    return got
+def _block(raw: dict, block: str) -> dict:
+    """Every key of ``raw[block]``, given or its default, each checked against ``_SCHEMA``."""
+    given = raw.get(block, {})
+    if not isinstance(given, dict):
+        raise ValueError(f"config block {block!r} must be a JSON object")
+    unknown = sorted(set(given) - set(_SCHEMA[block]))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in config block {block!r}; "
+                         f"expected only {list(_SCHEMA[block])}")
+    out = {}
+    for key, (what, kinds, default) in _SCHEMA[block].items():
+        if default is ... and key not in given:
+            raise ValueError(f"config has no {block}.{key}")
+        got = out[key] = given.get(key, default)
+        if (isinstance(got, bool) is not (bool in kinds) or not isinstance(got, kinds)
+                or (isinstance(got, float) and what == "an integer" and not got.is_integer())):
+            raise ValueError(f"config block {block!r}: {key} must be {what}, got {got!r}")
+    return out
 
 
 def interaction_and_channel(raw: dict) -> tuple[GpiParams, Channel]:
-    """The interaction and channel blocks of a run config, checked as
-    ``config_from_dict`` checks them."""
-    gamma = _number(raw, "interaction", "gamma", 0, (int, float, complex, str))
-    p = GpiParams(float(_number(raw, "interaction", "alpha", 0.0)),
-                  float(_number(raw, "interaction", "beta", 0.0)),
+    """The interaction and channel of a run config, checked against ``_SCHEMA``."""
+    given, channel = _block(raw, "interaction"), _block(raw, "channel")
+    gamma = given["gamma"]
+    p = GpiParams(float(given["alpha"]), float(given["beta"]),
                   parse_complex(gamma) if isinstance(gamma, str) else complex(gamma))
-    l = raw.get("channel", {}).get("l", 0)
-    if not (type(l) is int or (isinstance(l, float) and l.is_integer())):
-        raise ValueError(f"config block 'channel': l must be an integer, got {l!r}")
-    return p, Channel(int(l), float(_number(raw, "channel", "radius", 1.0)))
+    return p, Channel(int(channel["l"]), float(channel["radius"]))
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from parsed JSON, or from the CLI flags written over
-    it; keys match the dataclass fields.
+    it, by ``_SCHEMA``; its keys are the fields of RunConfig.
 
-    Numbers may also be given as strings ("50", "1+1i"), and
-    search.im_min as "auto" or null for the automatic floor.  Raises
-    ValueError naming any key outside the schema, top-level or inside a
-    block, a config or block that is not an object, a missing
-    search.re_max, a channel.l that is not an integer, anything but a
-    number or a string given for alpha, beta, gamma, radius or re_max (null
-    and true or false included) or for im_min (null allowed), an
-    outputs.table that is not a boolean and a csv_path or svg_path that is
-    neither a string nor null.
+    Numbers may also be given as strings ("50", "1+1i"), and search.im_min
+    as "auto" or null for the automatic floor.  Raises ValueError naming a
+    config or block that is not an object, a key outside the schema, a
+    missing search.re_max or a value the schema does not allow, the first
+    fault in the schema's order.
     """
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    unknown = sorted(set(raw) - set(_SCHEMA))
     if unknown:
-        raise ValueError(f"unknown config keys {unknown}; "
-                         f"expected only {list(_CONFIG_KEYS)}")
-    for block, keys in _CONFIG_KEYS.items():
-        given = raw.get(block, {})
-        if not isinstance(given, dict):
-            raise ValueError(f"config block {block!r} must be a JSON object")
-        unknown = sorted(set(given) - set(keys))
-        if unknown:
-            raise ValueError(f"unknown keys {unknown} in config block {block!r}; "
-                             f"expected only {list(keys)}")
+        raise ValueError(f"unknown config keys {unknown}; expected only {list(_SCHEMA)}")
     p, ch = interaction_and_channel(raw)
-    im_min = _number(raw, "search", "im_min", None, (int, float, str, type(None)))
+    search = _block(raw, "search")
+    im_min = search["im_min"]
     if isinstance(im_min, str):
         im_min = None if im_min == "auto" else float(im_min)
-    if "re_max" not in raw.get("search", {}):
-        raise ValueError("config has no search.re_max")
-    search = SearchSettings(float(_number(raw, "search", "re_max", None)), im_min)
-    outs = raw.get("outputs", {})
-    table = outs.get("table", True)
-    if not isinstance(table, bool):
-        raise ValueError(f"config block 'outputs': table must be true or false, "
-                         f"got {table!r}")
-    for key in ("csv_path", "svg_path"):
-        # open() would take an integer as a file descriptor, and close it
-        if not (outs.get(key) is None or isinstance(outs.get(key), str)):
-            raise ValueError(f"config block 'outputs': {key} must be a string or null, "
-                             f"got {outs[key]!r}")
-    outputs = OutputSettings(outs.get("csv_path"), outs.get("svg_path"), table)
-    return RunConfig(p, ch, search, outputs)
+    return RunConfig(p, ch, float(search["re_max"]), im_min, **_block(raw, "outputs"))
 
 
 def embedded_rows(momenta: Sequence[float], residuals: Sequence[float]) -> list[Resonance]:

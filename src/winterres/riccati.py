@@ -86,8 +86,8 @@ class OriginSingularity(WinterresError):
 
 
 def _check_order(l) -> None:
-    if not isinstance(l, int) or l < 0:
-        raise ValueError(f"angular momentum must be a nonnegative integer, got {l!r}")
+    if not isinstance(l, int) or not 0 <= l <= 200:   # the S_l series is shown up to 200
+        raise ValueError(f"angular momentum must be a nonnegative integer up to 200, got {l!r}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class Channel:
     Attributes
     ----------
     l : int
-        Angular momentum, l >= 0.
+        Angular momentum, 0 <= l <= 200.
     radius : float
         Sphere radius R > 0, in units of length.  Momenta k then carry units
         of 1/length and all Riccati arguments appear as z = k R.

@@ -417,6 +417,26 @@ class TestSubdivide:
         assert strips.count.sum() == cell.count[0]
         assert strips.depth.tolist() == [1] * m and strips.resplit.tolist() == [False] * m
 
+    def test_strip_moments_come_from_their_own_loop(self):
+        # one reduceat pass over a program's loops gives each strip the seeds and cut direction
+        # that a pass over its loop gives, alone for the last strip and otherwise closed by its
+        # zero step onto another strip's loop (the segment's length sets numpy's pairwise
+        # summation): no sum reaches into a neighbour's loop
+        fn = lambda k: det_lambda_balanced(DELTA, CH, k)
+        strips = pf._subdivide(fn, pf._boundary(fn, SearchRegion(4.0, 40.0, -3.0, -0.0005)))
+        m = strips.count.size
+        assert m == 5 and strips.count.sum() == 11
+        for i in range(m):
+            part = pf._take(strips, np.array([i, (i + 2) % m][:1 + (i < m - 1)]))
+            spans = [slice(first, last + 1) for first, last in part.heads[:, [0, 4]].tolist()]
+            rows = [np.concatenate([row[span] for span in spans]) for row in strips.rows[i]]
+            sizes = [span.stop - span.start for span in spans]
+            heads = part.heads - part.heads[:, :1] + np.cumsum([0] + sizes[:-1])[:, None]
+            own = pf._strips(part.box, part.depth, part.resplit, rows, heads, part.count)
+            n = strips.count[i]
+            assert own.seeds[0, :n].tobytes() == strips.seeds[i, :n].tobytes()
+            assert own.vertical[0] == strips.vertical[i]
+
     def test_every_loop_carries_its_steps(self):
         # d holds each step's log ratio bitwise after the window's count and after every
         # generation of splits, with cuts run both ways
@@ -516,7 +536,8 @@ class TestSubdivide:
         want.append(rest)
         base, length = np.zeros((len(xs) + 1, 3), int), np.zeros((len(xs) + 1, 3), int)
         pf._cut(base, length, 0, key(bottom[0]), np.array(xs), bottom.shape[1] + offsets[:-1])
-        runs = pf._runs(base.ravel(), length.ravel())
+        each = length.ravel()   # the runs end to end, each[i] columns from base[i] on
+        runs = np.arange(each.sum()) + (base.ravel() - each.cumsum() + each).repeat(each)
         got = np.split(np.concatenate([bottom, cuts], axis=1)[:, runs],
                        np.cumsum(length.sum(axis=1))[:-1], axis=1)
         assert len(got) == len(want)

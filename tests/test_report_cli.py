@@ -17,8 +17,8 @@ import winterres
 from winterres import (Channel, GpiClass, GpiParams, Resonance, compare, find_poles,
                        index_poles)
 from winterres.cli import build_parser, main
-from winterres.report import (_CONFIG_KEYS, CSV_COLUMNS, config_from_dict, embedded_rows,
-                              format_complex, parse_complex, read_csv,
+from winterres.report import (_CONFIG_KEYS, _SCHEMA, CSV_COLUMNS, config_from_dict,
+                              embedded_rows, format_complex, parse_complex, read_csv,
                               write_csv, write_pole_svg)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -141,8 +141,8 @@ class TestConfig:
         })
         assert cfg.interaction == GpiParams(50, 0, 1 + 1j)
         assert cfg.channel.l == 1 and cfg.channel.radius == 2.0
-        assert cfg.search.re_max == 30 and cfg.search.im_min is None
-        assert cfg.outputs.csv_path == "x.csv" and cfg.outputs.table is False
+        assert cfg.re_max == 30 and cfg.im_min is None
+        assert cfg.csv_path == "x.csv" and cfg.table is False
 
     def test_defaults(self):
         cfg = config_from_dict({"search": {"re_max": 10}})
@@ -153,14 +153,14 @@ class TestConfig:
         cfg = config_from_dict({"interaction": {"alpha": "50", "gamma": "1+1i"},
                                 "search": {"re_max": "30", "im_min": None}})
         assert cfg.interaction == GpiParams(50, 0, 1 + 1j)
-        assert cfg.search.re_max == 30 and cfg.search.im_min is None
+        assert cfg.re_max == 30 and cfg.im_min is None
 
     @pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
     def test_documented_example_loads(self, doc):
         text = (ROOT / doc).read_text(encoding="utf-8")
         example = text.split("```json\n", 1)[1].split("```", 1)[0]
         cfg = config_from_dict(json.loads(example))
-        assert cfg.interaction == GpiParams(50, 0, 0) and cfg.search.re_max == 40
+        assert cfg.interaction == GpiParams(50, 0, 0) and cfg.re_max == 40
 
 
 class TestFlagAudit:
@@ -407,6 +407,25 @@ class TestExitCodes:
         assert main(["poles", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "usage error" in err and f"'{block}'" in err and named in err
+
+    @pytest.mark.parametrize("block, key, value", [
+        (block, key, value) for block, keys in _SCHEMA.items()
+        for key, (_, kinds, _) in keys.items() for value in (True, [], {})
+        if type(value) not in kinds], ids=str)
+    def test_usage_error_value_of_a_type_the_schema_rejects(self, tmp_path, capsys, block,
+                                                             key, value):
+        raw = {"search": {"re_max": 4}}
+        raw.setdefault(block, {})[key] = value
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["poles", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config block '{block}': {key} must be " in err
+
+    def test_usage_error_order_above_the_series_range(self, capsys):
+        # rejected by Channel before any evaluation
+        assert main(["poles", "--l", "201", "--alpha", "50", "--re-max", "10"]) == 2
+        assert "nonnegative integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["poles", "--alpha", "50", "--re-max", "inf"],

@@ -46,14 +46,14 @@ class TestChannel:
         ch = Channel(2, 0.5)
         assert ch.l == 2 and ch.radius == 0.5
 
-    @pytest.mark.parametrize("l,r", [(-1, 1.0), (0, 0.0), (0, -2.0), (0, math.inf)])
+    @pytest.mark.parametrize("l,r", [(-1, 1.0), (201, 1.0), (0, 0.0), (0, -2.0), (0, math.inf)])
     def test_rejects_bad_channel(self, l, r):
         with pytest.raises(ValueError):
             Channel(l, r)
 
 
 @pytest.mark.parametrize("fn", [riccati_s, riccati_xi], ids=["s", "xi"])
-@pytest.mark.parametrize("l", [1.5, 2.0, -1])
+@pytest.mark.parametrize("l", [1.5, 2.0, -1, 201])
 def test_order_must_be_a_nonnegative_int(fn, l):
     with pytest.raises(ValueError, match="nonnegative integer"):
         fn(l, 1 + 0.5j)

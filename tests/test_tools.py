@@ -150,3 +150,19 @@ def test_ab_passes_runs_a_checkout_against_itself():
     assert [line.split(":")[0] for line in lines[1:3]] == ["old", "new"]
     assert re.fullmatch(r"new / old pass time: median \d+\.\d+ over 2 pairs, new faster in \d",
                         lines[3])
+
+
+def test_ab_passes_runs_the_sweep_searches_find_poles_calls():
+    # a sweep search is a CLI call: its find_poles call runs alone, and a separated
+    # coupling's, which makes none, is left out; the per-search thread-time minima are
+    # summed on each side
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab_passes.py"), str(ROOT),
+                           str(ROOT), "--workload", "sweep", "--passes", "1"],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    found = re.fullmatch(r"sweep: (\d+) searches, results bitwise equal", lines[0])
+    assert found and 0 < int(found[1]) < 150
+    assert re.fullmatch(r"new / old pass time: median \d+\.\d+ over 1 pairs, new faster in \d",
+                        lines[3])
+    assert re.fullmatch(r"new / old sum of per-search least thread times: \d+\.\d+", lines[4])

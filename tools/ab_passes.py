@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
 """Time two checkouts' ``find_poles`` against each other in one process.
 
-    python3 tools/ab_passes.py OLD NEW [--workload wide-l0|high-l] [--passes N]
+    python3 tools/ab_passes.py OLD NEW [--workload wide-l0|high-l|sweep] [--passes N]
 
 imports ``OLD/src/winterres`` and ``NEW/src/winterres`` under distinct
-module names and runs the searches of a bench workload (``bench/workloads.make(
-name, 1)`` of this checkout; every one a ``find_poles`` call).  It first
-checks that both return bitwise-equal results: each pole's k and residual,
-or the exception class a search raised.  It then runs N passes of the whole
-workload on each side, alternating which side goes first, and prints each
-side's median pass time with its quartiles, the median of the per-pair
-ratios new / old and the minor page faults (``getrusage`` ru_minflt) per
-pass.  Both sides share the process, its heap and the machine's speed at
-the moment, so the ratio is steadier than two benchmark processes are.  It
+module names and runs the ``find_poles`` call of each search of a bench
+workload (``bench/workloads.make(name, 1)`` of this checkout).  A sweep
+search is a ``winterres poles`` call; its ``find_poles`` call is run
+alone, and one of a separated coupling, which makes none, is left out.
+It first checks that both return bitwise-equal results: each pole's k and
+residual, or the exception class a search raised.  It then runs N passes
+of the whole workload on each side, alternating which side goes first, and
+prints each side's median pass time with its quartiles, the median of the
+per-pair ratios new / old and the minor page faults (``getrusage``
+ru_minflt) per pass.  Both sides share the process, its heap and the
+machine's speed at the moment, so the ratio is steadier than two benchmark
+processes are.  Last comes the ratio new / old of the sums, over the
+searches, of each search's least thread time over the passes: a pass's
+wall time also takes in what else runs on the machine, and on a workload of
+many short searches that read as a speed-up of one side in an A/A run.  It
 reports and gates nothing; it exits 1 when the results differ.
 
     python3 tools/ab_passes.py ../parent . --passes 30
@@ -33,7 +39,7 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 import workloads  # noqa: E402  (needs bench/ on the path)
 
-WORKLOADS = ("wide-l0", "high-l")   # the workloads made of find_poles calls alone
+WORKLOADS = ("wide-l0", "high-l", "sweep")
 
 
 def load(checkout: str, name: str):
@@ -47,29 +53,42 @@ def load(checkout: str, name: str):
     return module
 
 
-def results(pkg, searches) -> list[str]:
-    """Each search's poles as float hex, or the class of the exception it raised."""
+def calls(pkg, searches) -> list[tuple]:
+    """The ``find_poles`` arguments of each search, in ``pkg``'s types, but for a CLI
+    call of a separated coupling, which finds embedded eigenvalues instead."""
     out = []
     for s in searches:
         c = s.coupling
-        try:
-            poles = pkg.find_poles(pkg.GpiParams(c.alpha, c.beta, c.gamma),
-                                   pkg.Channel(s.l, s.radius), s.re_max)
-        except Exception as exc:  # noqa: BLE001 -- the class is the result
-            out.append(type(exc).__name__)
-            continue
-        out.append(" ".join(f"{q.k.real.hex()},{q.k.imag.hex()},{q.residual.hex()}"
-                            for q in poles))
+        p = pkg.GpiParams(c.alpha, c.beta, c.gamma)
+        if not (s.via_cli and pkg.is_separated(p)):
+            out.append((p, pkg.Channel(s.l, s.radius), s.re_max))
     return out
 
 
-def one_pass(pkg, searches) -> tuple[float, int]:
-    """Seconds and minor page faults of one run of every search."""
+def results(pkg, args: list[tuple]) -> tuple[list[str], list[float]]:
+    """Each call's poles as float hex, or the class of the exception it raised, and each
+    call's thread time."""
+    out, seconds = [], []
+    for a in args:
+        t0 = time.thread_time()
+        try:
+            poles = pkg.find_poles(*a)
+        except Exception as exc:  # noqa: BLE001 -- the class is the result
+            out.append(type(exc).__name__)
+        else:
+            out.append(" ".join(f"{q.k.real.hex()},{q.k.imag.hex()},{q.residual.hex()}"
+                                for q in poles))
+        seconds.append(time.thread_time() - t0)
+    return out, seconds
+
+
+def one_pass(pkg, args) -> tuple[float, int, list[float]]:
+    """Seconds and minor page faults of one run of every call, and each call's thread time."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
-    results(pkg, searches)
+    _, seconds = results(pkg, args)
     t1 = time.perf_counter()
-    return t1 - t0, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return t1 - t0, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, seconds
 
 
 def _quartiles(values: list[float]) -> str:
@@ -90,23 +109,28 @@ def main(argv: list[str]) -> int:
         parser.error("--passes must be 1 or more")
     searches = workloads.make(args.workload, 1).searches
     old, new = load(args.old, "winterres_old"), load(args.new, "winterres_new")
-    for i, (a, b) in enumerate(zip(results(old, searches), results(new, searches))):
+    pkgs = {"old": (old, calls(old, searches)), "new": (new, calls(new, searches))}
+    for i, (a, b) in enumerate(zip(*(results(*pkgs[side])[0] for side in ("old", "new")))):
         if a != b:
             print(f"{args.workload} search {i} differs:\n  old {a[:200]}\n  new {b[:200]}")
             return 1
-    print(f"{args.workload}: {len(searches)} searches, results bitwise equal")
+    print(f"{args.workload}: {len(pkgs['new'][1])} searches, results bitwise equal")
     times, faults = {"old": [], "new": []}, {"old": [], "new": []}
+    least = {"old": [], "new": []}   # each search's least thread time so far
     for i in range(args.passes):   # alternate which side goes first
         for side in (("old", "new") if i % 2 == 0 else ("new", "old")):
-            t, f = one_pass(old if side == "old" else new, searches)
+            t, f, seconds = one_pass(*pkgs[side])
             times[side].append(1e3 * t)
             faults[side].append(f)
+            least[side] = list(map(min, least[side], seconds)) if i else seconds
     for side in ("old", "new"):
         print(f"{side}: pass ms {_quartiles(times[side])}, "
               f"minor faults per pass {statistics.median(faults[side]):.0f}")
     ratios = [b / a for a, b in zip(times["old"], times["new"])]
     print(f"new / old pass time: median {statistics.median(ratios):.3f} over {args.passes} "
           f"pairs, new faster in {sum(r < 1.0 for r in ratios)}")
+    print(f"new / old sum of per-search least thread times: "
+          f"{sum(least['new']) / sum(least['old']):.3f}")
     return 0
 
 
