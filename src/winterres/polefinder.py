@@ -3,7 +3,15 @@
 Zeros of det lambda are localized by the argument principle: the winding
 number of the balanced determinant around a rectangle equals the number of
 enclosed zeros (all poles of the function live at k = 0, outside every
-search region).  A rectangle that counts c > 2 zeros is cut into
+search region).  The coupling is self-adjoint, so det lambda has no zero
+with Im k > 0 off the imaginary axis, and a real zero only when it is
+separated (R. G. Newton, Scattering Theory of Waves and Particles, 2nd ed.,
+1982).  So the window of a coupling that is not separated reaches up to
+Im k = +1/(2R), and its slab above the axis holds no zero: no resonance,
+however narrow, sits on or near its top edge, where the phase rule would
+bisect deep to resolve it.  A separated coupling's window stops 1e-7/R
+below the axis instead, under its embedded eigenvalues.  A rectangle that
+counts c > 2 zeros is cut into
 max(2, c // 2) equal strips across the way its zeros spread, which its
 contour moments tell, and so on until every cell holds at most two zeros;
 those cells seed damped Newton iterations, and the refined roots are
@@ -74,7 +82,8 @@ _MIN_CELL_FACTOR = 1e-6      # cells below 1e-6/R with count >= 2 are clusters
 _RESIDUAL_TOL = 1e-9         # |det lambda| certified at returned poles
 _DEDUPE_REL = 1e-8           # merge poles closer than 1e-8 |k|
 _SPLIT_FRACTIONS = (0.5, 0.53125, 0.46875, 0.5625, 0.4375, 0.59375, 0.40625)
-_AXIS_SLIVER = 1e-7          # top-edge offset (in 1/R) for separated couplings
+_AXIS_SLIVER = 1e-7          # top-edge offset (in 1/R) below the axis for separated couplings
+_LIFT = 0.5                  # top edge (in 1/R) above the axis for the others
 _SEED_SLOP = 0.1             # moment seeds may lie this far (in diagonals) outside their cell
 
 
@@ -92,7 +101,11 @@ class ClusteredZeros(WinterresError):
 
 @dataclass(frozen=True)
 class SearchRegion:
-    """A rectangle [re_min, re_max] x [im_min, im_max] in the closed lower plane."""
+    """A rectangle [re_min, re_max] x [im_min, im_max] right of the imaginary axis.
+
+    It may reach above the real axis, as the window of an interaction that is
+    not separated does (see ``find_poles``).
+    """
 
     re_min: float
     re_max: float
@@ -102,7 +115,7 @@ class SearchRegion:
     def __post_init__(self) -> None:
         if not _good(self.re_min, self.re_max, self.im_min, self.im_max):
             raise ValueError("region bounds must be finite, with 0 < re_min < re_max and "
-                             f"im_min < im_max <= 0, got {self}")
+                             f"im_min < im_max, got {self}")
 
     @property
     def width(self) -> float:
@@ -167,9 +180,9 @@ def _region(cells: _Cells, i) -> SearchRegion:
 
 def _good(re_min, re_max, im_min, im_max):
     """Whether [re_min, re_max] x [im_min, im_max] is a search rectangle, for numbers or arrays:
-    every bound finite, 0 < re_min < re_max and im_min < im_max <= 0."""
+    every bound finite, 0 < re_min < re_max and im_min < im_max."""
     return ((0.0 < re_min) & (re_min < re_max) & (re_max < math.inf)
-            & (-math.inf < im_min) & (im_min < im_max) & (im_max <= 0.0))
+            & (-math.inf < im_min) & (im_min < im_max) & (im_max < math.inf))
 
 
 def _check(box: np.ndarray) -> None:
@@ -382,8 +395,9 @@ def _strips(box: np.ndarray, depth, resplit, zfd: list, heads: np.ndarray,
     they spread: ``vertical`` when Re(s_2/n - (s_1/n)^2), the sum of
     (x - x_mean)^2 - (y - y_mean)^2 over its zeros divided by n, is 0 or
     more.  A strip of one or none is cut across its longer side.  The moments
-    of all the loops are one ``np.add.reduceat`` pass; each sum but the last
-    takes in the step to the next loop, whose d of 0 sets only its order.
+    of all the loops are one ``np.add.reduceat`` pass whose every other sum
+    ends at its loop's closing column, so that a loop's sums are those of the
+    loop alone.
     """
     z, _, d = zfd
     edge = box[..., None]
@@ -392,10 +406,11 @@ def _strips(box: np.ndarray, depth, resplit, zfd: list, heads: np.ndarray,
     w = z[1:] + z[:-1]
     w *= 0.5
     w -= centre[:, 0].repeat(heads[:, 4] + 1 - heads[:, 0])[:-1]
-    dlog = d[:-1] * w   # 0 on the steps between loops
-    s1 = np.add.reduceat(dlog, heads[:, 0]) / (2j * math.pi)
+    dlog = d[:-1] * w
+    loops = heads[:, [0, 4]].ravel()[:-1]   # each loop's steps, then its closing step
+    s1 = np.add.reduceat(dlog, loops)[::2] / (2j * math.pi)
     dlog *= w
-    s2 = np.add.reduceat(dlog, heads[:, 0]) / (2j * math.pi)
+    s2 = np.add.reduceat(dlog, loops)[::2] / (2j * math.pi)
     half = np.sqrt(2 * s2 - s1 * s1)
     ks = np.column_stack([np.where(counts == 1, s1, 0.5 * (s1 + half)),
                           0.5 * (s1 - half)]) + centre
@@ -527,11 +542,16 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
                im_min: float | None = None) -> list[Resonance]:
     """All zeros of det lambda in [1e-3/R, re_max] x [im_min, 0], refined.
 
-    ``im_min=None`` selects the default floor -(max(ln(re_max R), 0) + 5)/R.  For
-    separated interactions the top edge is lowered by a 1e-7/R sliver: their
-    real-axis zeros are embedded eigenvalues, which belong to
-    ``real_axis_roots``, not to the resonance list, and would sit on a top
-    edge at 0.  Below the sliver such a search returns its resonances.
+    ``im_min=None`` selects the default floor -(max(ln(re_max R), 0) + 5)/R,
+    and im_min must lie below 0 (below the sliver, for a separated
+    interaction).  For an interaction that is not separated the window's top
+    edge is lifted to +1/(2R): the slab above the axis holds no zero (see the
+    module docstring), so the window holds the same zeros, and none of them
+    lies near its top edge.  For separated interactions the top edge is
+    lowered by a 1e-7/R sliver: their real-axis zeros are embedded
+    eigenvalues, which belong to ``real_axis_roots``, not to the resonance
+    list, and would sit on a top edge at 0.  Below the sliver such a search
+    returns its resonances.
 
     A cell of c > 2 zeros is cut into max(2, c // 2) strips across the way
     its zeros spread, one generation of cells at a time (see ``_subdivide``),
@@ -539,7 +559,10 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     seeds; a cell whose roots are rejected is split from its loop.  A
     two-zero cell's roots must both converge inside it, at least
     max(1e-6/R, 1e-8 |k|) apart, so a double zero raises ClusteredZeros or
-    BoundaryZero and never comes back as two poles.  Every generation, the
+    BoundaryZero and never comes back as two poles.  A one-zero cell rejected
+    after its re-split pass raises BoundaryZero when its root converged
+    outside it but within one diagonal of it (a zero hugs the cell, which
+    then miscounts), and NonConvergence otherwise.  Every generation, the
     Newton queue, the cluster and depth checks, the test of the roots and
     the re-split pass read the cells' ``_Cells`` record as arrays, in the
     order of their generations.
@@ -554,10 +577,11 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
         raise ValueError(f"re_max must exceed {re_floor}")
     if im_min is None:
         im_min = default_im_min(re_max, ch.radius)
-    im_top = -_AXIS_SLIVER / ch.radius if is_separated(p) else 0.0
-    if not im_min < im_top:
-        raise ValueError(f"im_min must lie below {im_top}")
-    top = SearchRegion(re_floor, re_max, im_min, im_top)
+    separated = is_separated(p)
+    below = -_AXIS_SLIVER / ch.radius if separated else 0.0   # the results' top edge
+    if not im_min < below:
+        raise ValueError(f"im_min must lie below {below}")
+    top = SearchRegion(re_floor, re_max, im_min, below if separated else _LIFT / ch.radius)
     fn = lambda k: det_lambda_balanced(p, ch, k)
     window = _boundary(fn, top)
 
@@ -597,11 +621,16 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
             >= np.maximum(min_cell, _DEDUPE_REL * abs(roots[first]))))
         keep = ok.repeat(counts)
         found.append((roots[keep], residuals[keep]))
-        rejected = _take(cells, ~ok)
-        if rejected.resplit.any():
-            raise NonConvergence(f"could not pin the single zero of "
-                                 f"{_region(rejected, rejected.resplit.argmax())}")
+        lost = ~ok & cells.resplit
+        if lost.any():
+            # a root within a diagonal of its cell: the zero hugs the cell, which miscounts
+            i = lost.argmax()
+            k, box = roots[first[i]], cells.box[:, i]
+            if np.isfinite(k) and _inside(box, k, math.hypot(box[1] - box[0], box[3] - box[2])):
+                raise BoundaryZero(f"zero of det lambda at {k} hugs {_region(cells, i)}")
+            raise NonConvergence(f"could not pin the single zero of {_region(cells, i)}")
         # a one-zero cell's one re-split pass; a two-zero cell leaves its children theirs
+        rejected = _take(cells, ~ok)
         due = split(rejected._replace(resplit=rejected.count == 1))
 
     roots, residuals = (np.concatenate(part) for part in zip(*found))

@@ -10,6 +10,7 @@ markers: ``+`` for delta, ``x`` for intermediate, ``*`` for delta-prime.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -78,6 +79,17 @@ _SCHEMA = {
 _CONFIG_KEYS = {block: tuple(keys) for block, keys in _SCHEMA.items()}
 
 
+def _finite(value) -> bool:
+    """Whether a number of the schema is finite as a double; a string complex() cannot read
+    ("1+1i", "auto") is left to the parse that reads it."""
+    try:
+        return cmath.isfinite(complex(value))
+    except OverflowError:   # an integer beyond the double range
+        return False
+    except ValueError:
+        return True
+
+
 def _block(raw: dict, block: str) -> dict:
     """Every key of ``raw[block]``, given or its default, each checked against ``_SCHEMA``."""
     given = raw.get(block, {})
@@ -95,6 +107,8 @@ def _block(raw: dict, block: str) -> dict:
         if (isinstance(got, bool) is not (bool in kinds) or not isinstance(got, kinds)
                 or (isinstance(got, float) and what == "an integer" and not got.is_integer())):
             raise ValueError(f"config block {block!r}: {key} must be {what}, got {got!r}")
+        if what == "a number" and got is not None and not _finite(got):
+            raise ValueError(f"config block {block!r}: {key} must be finite, got {got!r}")
     return out
 
 

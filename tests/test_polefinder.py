@@ -31,10 +31,10 @@ FIRST_POLE_ALPHA50 = 3.0802868857096793 - 0.0036939673286052818j
 INVALID = [
     (-1.0, 5.0, -2.0, 0.0),   # negative left edge
     (5.0, 1.0, -2.0, 0.0),    # inverted real range
-    (0.1, 5.0, -2.0, 0.5),    # pokes into the upper half-plane
     (0.1, 5.0, -1.0, -1.0),   # zero height
     (0.1, math.inf, -2.0, 0.0),   # infinite right edge
     (0.1, 5.0, -math.inf, 0.0),   # infinite floor
+    (0.1, 5.0, -2.0, math.inf),   # infinite top edge
 ]
 
 
@@ -42,6 +42,10 @@ class TestSearchRegion:
     def test_valid(self):
         r = SearchRegion(0.1, 5.0, -2.0, 0.0)
         assert r.width == 4.9 and r.height == 2.0
+        # a rectangle may reach into the upper half-plane, as the window of a coupling
+        # that is not separated does
+        lifted = SearchRegion(0.1, 5.0, -2.0, 0.5)
+        assert lifted.height == 2.5 and lifted.corners()[2] == 5.0 + 0.5j
 
     @pytest.mark.parametrize("args", INVALID)
     def test_invalid(self, args):
@@ -144,6 +148,18 @@ class TestCountZeros:
     def test_rejects_window_inside_excluded_disc(self):
         with pytest.raises(ValueError):
             count_zeros(FREE, CH, SearchRegion(1e-5, 1.0, -1.0, 0.0))
+
+    @pytest.mark.parametrize("l", [0, 1, 5, 20])
+    @pytest.mark.parametrize("p", [DELTA, INTERMEDIATE, DELTA_PRIME, GpiParams(0, 0.01, 0)],
+                             ids=["delta", "intermediate", "beta0.1", "beta0.01"])
+    def test_the_slab_above_the_axis_holds_no_zero(self, p, l):
+        # a self-adjoint coupling has no zero with Im k > 0 off the imaginary axis, and one
+        # that is not separated none on the real axis either: the slab that lifts the top
+        # edge of such a coupling's window to +1/(2R) adds no zero to its count
+        ch = Channel(l, 2.0)
+        slab = SearchRegion(1e-3 / ch.radius, 60.0 / ch.radius, 1e-4 / ch.radius,
+                            0.5 / ch.radius)
+        assert count_zeros(p, ch, slab) == 0
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 13: zeros just outside the left edge turn det lambda along one "
@@ -418,21 +434,20 @@ class TestSubdivide:
         assert strips.depth.tolist() == [1] * m and strips.resplit.tolist() == [False] * m
 
     def test_strip_moments_come_from_their_own_loop(self):
-        # one reduceat pass over a program's loops gives each strip the seeds and cut direction
-        # that a pass over its loop gives, alone for the last strip and otherwise closed by its
-        # zero step onto another strip's loop (the segment's length sets numpy's pairwise
-        # summation): no sum reaches into a neighbour's loop
+        # one reduceat pass over a program's loops gives each strip, bit for bit, the seeds
+        # and cut direction that a pass over its loop alone gives: no sum takes in a step
+        # past its loop, not even the zero one onto the next (a segment's length would set
+        # numpy's pairwise summation)
         fn = lambda k: det_lambda_balanced(DELTA, CH, k)
         strips = pf._subdivide(fn, pf._boundary(fn, SearchRegion(4.0, 40.0, -3.0, -0.0005)))
         m = strips.count.size
         assert m == 5 and strips.count.sum() == 11
         for i in range(m):
-            part = pf._take(strips, np.array([i, (i + 2) % m][:1 + (i < m - 1)]))
-            spans = [slice(first, last + 1) for first, last in part.heads[:, [0, 4]].tolist()]
-            rows = [np.concatenate([row[span] for span in spans]) for row in strips.rows[i]]
-            sizes = [span.stop - span.start for span in spans]
-            heads = part.heads - part.heads[:, :1] + np.cumsum([0] + sizes[:-1])[:, None]
-            own = pf._strips(part.box, part.depth, part.resplit, rows, heads, part.count)
+            part = pf._take(strips, np.array([i]))
+            first, last = part.heads[0, [0, 4]].tolist()
+            rows = [row[first:last + 1] for row in strips.rows[i]]
+            own = pf._strips(part.box, part.depth, part.resplit, rows, part.heads - first,
+                             part.count)
             n = strips.count[i]
             assert own.seeds[0, :n].tobytes() == strips.seeds[i, :n].tobytes()
             assert own.vertical[0] == strips.vertical[i]
@@ -1238,6 +1253,24 @@ class TestFindPoles:
         assert len(find_poles(DELTA, CH, 2000.0)) > 600
         assert len(built) == 1
 
+    @pytest.mark.parametrize("p, top", [(DELTA, 0.5), (GpiParams(4, 1, 0), -1e-7)],
+                             ids=["not-separated", "separated"])
+    def test_window_top_edge(self, p, top, monkeypatch):
+        # a coupling that is not separated has its window lifted to +1/(2R); a separated
+        # one keeps the sliver below its embedded eigenvalues, and both keep im_min below 0
+        windows, boundary = [], pf._boundary
+
+        def recorded_boundary(fn, region):
+            windows.append(region)
+            return boundary(fn, region)
+
+        monkeypatch.setattr(pf, "_boundary", recorded_boundary)
+        ch = Channel(1, 2.0)
+        find_poles(p, ch, 10.0, -1.0)
+        assert windows == [SearchRegion(pf.EXCLUDED_DISC / 2.0, 10.0, -1.0, top / 2.0)]
+        with pytest.raises(ValueError, match=r"im_min must lie below -?\d"):
+            find_poles(p, ch, 10.0, top / 2.0 if top < 0 else 0.0)
+
     def test_bookkeeping_failure_raises(self, monkeypatch):
         # a dedupe radius of half |k| merges two distinct poles, so fewer come
         # back than the window counts
@@ -1351,7 +1384,8 @@ class TestGenerations:
         re_floor, re_max = pf.EXCLUDED_DISC, 12.0
         window_cut = re_floor + (1 / 3) * (re_max - re_floor)
         at = lambda start, end, frac: start + ((1 + 2.0 * frac - 1.0) / 2) * (end - start)
-        on_cut = complex(at(re_floor, window_cut, 0.5), -1.0)   # sample 4 of 8 down the cut
+        # sample 4 of 8 up the cut, which runs from Im -2 to the lifted top edge at +0.5
+        on_cut = complex(at(re_floor, window_cut, 0.5), -0.75)
         zeros = [0.9 - 0.6j, on_cut, 3.1 - 1.4j, 8.7 - 0.9j, 10.3 - 1.3j, 11.2 - 0.6j]
         det = lambda p, ch, k: _zeros_at(-5.0, *zeros)(k)
         monkeypatch.setattr(pf, "det_lambda_balanced", det)
@@ -1409,7 +1443,8 @@ class TestGenerations:
         # that nor the others' moments warn (every warning is an error here)
         re_floor, re_max = pf.EXCLUDED_DISC, 12.0
         cut = lambda start, end, j, m: start + (j / m) * (end - start)
-        on_cut = complex(cut(cut(re_floor, re_max, 1, 4), cut(re_floor, re_max, 2, 4), 1, 2), -1.0)
+        middle = cut(cut(re_floor, re_max, 1, 4), cut(re_floor, re_max, 2, 4), 1, 2)
+        on_cut = complex(middle, -0.75)   # sample 4 of 8 up the cut, from Im -2 to +0.5
         zeros = [0.9 - 0.6j, 1.7 - 1.5j, 2.5 - 0.4j, 3.6 - 0.5j, on_cut, 5.5 - 1.6j,
                  6.6 - 0.7j, 7.4 - 1.3j, 8.3 - 0.5j]
         det = lambda p, ch, k: _zeros_at(-5.0, *zeros)(k)
@@ -1536,7 +1571,7 @@ class TestDoubleZero:
     @pytest.mark.xfail(strict=True, raises=BoundaryZero, reason=(
         "a double zero within one sample step of a cell edge turns the phase by "
         "nearly 2 pi between two samples, which the pi/2 rule does not see; the "
-        "cell counts 1 and no clean split line is found"))
+        "cell counts 1 and Newton converges to the zero just outside it"))
     def test_double_zero_reports_clustered_zeros(self, monkeypatch):
         k0 = 3.3 - 0.7j
         det = lambda p, ch, k: (k - k0) ** 2 * (k + 5)
@@ -1576,6 +1611,18 @@ class TestTwoZeroCells:
     def test_double_zero_is_never_returned(self, k0, monkeypatch):
         with pytest.raises((BoundaryZero, ClusteredZeros)):
             self._search(monkeypatch, lambda p, ch, k: (k - k0) ** 2 * (k + 5))
+
+    def test_a_zero_hugging_a_re_split_cell_is_named(self, monkeypatch):
+        # the double zero at K1 lies just outside a tiny cell that counts it once; Newton
+        # converges to it from that cell twice, and the error names the root and the cell
+        with pytest.raises(BoundaryZero) as err:
+            self._search(monkeypatch, lambda p, ch, k: (k - self.K1) ** 2 * (k + 5))
+        found = re.fullmatch(r"zero of det lambda at \((.*)\) hugs (SearchRegion\(.*\))",
+                             str(err.value))
+        assert found and abs(complex(found[1]) - self.K1) < 1e-6
+        region = SearchRegion(*map(float, re.findall(r"=([^,)]+)", found[2])))
+        assert not _contains(region, self.K1)
+        assert _contains(region, self.K1, abs(complex(region.width, region.height)))
 
 
 class TestIndexPoles:

@@ -422,6 +422,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"config block '{block}': {key} must be " in err
 
+    NUMBERS = [(block, key) for block, keys in _SCHEMA.items()
+               for key, (what, _, _) in keys.items() if what == "a number"]
+
+    def test_every_number_of_the_schema_is_checked_for_finiteness(self):
+        assert [key for _, key in self.NUMBERS] == [
+            "alpha", "beta", "gamma", "radius", "re_max", "im_min"]
+
+    @pytest.mark.parametrize("value", [10 ** 400, math.inf, -math.inf, math.nan],
+                             ids=["401-digit-int", "Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("block, key", NUMBERS, ids=[key for _, key in NUMBERS])
+    def test_usage_error_number_beyond_the_double_range(self, tmp_path, capsys, block, key,
+                                                         value):
+        # a JSON integer too large for a double, or a literal json reads as inf or nan
+        raw = {"search": {"re_max": 4}}
+        raw.setdefault(block, {})[key] = value
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["poles", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: config block '{block}': {key} must be finite, got ")
+        assert "Traceback" not in err
+
     def test_usage_error_order_above_the_series_range(self, capsys):
         # rejected by Channel before any evaluation
         assert main(["poles", "--l", "201", "--alpha", "50", "--re-max", "10"]) == 2

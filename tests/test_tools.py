@@ -5,6 +5,7 @@ move by rounding and nothing else may change, and an in-process A/B of two check
 import importlib.util
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -166,3 +167,28 @@ def test_ab_passes_runs_the_sweep_searches_find_poles_calls():
     assert re.fullmatch(r"new / old pass time: median \d+\.\d+ over 1 pairs, new faster in \d",
                         lines[3])
     assert re.fullmatch(r"new / old sum of per-search least thread times: \d+\.\d+", lines[4])
+
+
+@pytest.mark.parametrize("factor, code", [("(1 + 2e-15)", 0), ("(1 + 1e-12)", 1)],
+                         ids=["rounding", "beyond-rounding"])
+def test_ab_passes_times_results_that_differ_by_rounding(tmp_path, factor, code):
+    # a checkout whose poles move in their last bits is timed, and the largest move is
+    # printed; one whose poles move by more than near_results' tolerance is not
+    pkg = tmp_path / "src" / "winterres"
+    shutil.copytree(ROOT / "src" / "winterres", pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source, pole = (pkg / "polefinder.py").read_text(), "Resonance(i, k_root, residual)"
+    assert source.count(pole) == 1
+    (pkg / "polefinder.py").write_text(
+        source.replace(pole, f"Resonance(i, k_root * {factor}, residual)"))
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab_passes.py"), str(ROOT),
+                           str(tmp_path), "--passes", "1"], capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == code, done.stderr
+    first = done.stdout.splitlines()[0]
+    if code:
+        assert first == "wide-l0 search 0 differs:"
+    else:
+        found = re.fullmatch(r"wide-l0: 4 searches, poles within 1e-13 relative, "
+                             r"largest move (\S+)", first)
+        assert found and 1e-15 < float(found[1]) < 3e-15

@@ -8,8 +8,11 @@ module names and runs the ``find_poles`` call of each search of a bench
 workload (``bench/workloads.make(name, 1)`` of this checkout).  A sweep
 search is a ``winterres poles`` call; its ``find_poles`` call is run
 alone, and one of a separated coupling, which makes none, is left out.
-It first checks that both return bitwise-equal results: each pole's k and
-residual, or the exception class a search raised.  It then runs N passes
+It first checks that both return the same results up to rounding, by
+``tools/near_results.py``'s rule: the same exception class a search
+raised, or as many poles, each within its REL_TOL relative of its old
+place.  It says whether the results (each pole's k and residual) are
+bitwise equal, or else prints the largest move.  It then runs N passes
 of the whole workload on each side, alternating which side goes first, and
 prints each side's median pass time with its quartiles, the median of the
 per-pair ratios new / old and the minor page faults (``getrusage``
@@ -19,7 +22,7 @@ processes are.  Last comes the ratio new / old of the sums, over the
 searches, of each search's least thread time over the passes: a pass's
 wall time also takes in what else runs on the machine, and on a workload of
 many short searches that read as a speed-up of one side in an A/A run.  It
-reports and gates nothing; it exits 1 when the results differ.
+reports and gates nothing; it exits 1 when the results differ otherwise.
 
     python3 tools/ab_passes.py ../parent . --passes 30
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import math
 import os
 import resource
 import statistics
@@ -37,6 +41,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
+import near_results  # noqa: E402  (beside this script)
 import workloads  # noqa: E402  (needs bench/ on the path)
 
 WORKLOADS = ("wide-l0", "high-l", "sweep")
@@ -110,11 +115,19 @@ def main(argv: list[str]) -> int:
     searches = workloads.make(args.workload, 1).searches
     old, new = load(args.old, "winterres_old"), load(args.new, "winterres_new")
     pkgs = {"old": (old, calls(old, searches)), "new": (new, calls(new, searches))}
+    worst, same = 0.0, True
     for i, (a, b) in enumerate(zip(*(results(*pkgs[side])[0] for side in ("old", "new")))):
-        if a != b:
+        try:
+            move = near_results.pole_move(a, b)
+        except ValueError:
+            move = math.inf
+        if move > near_results.REL_TOL:
             print(f"{args.workload} search {i} differs:\n  old {a[:200]}\n  new {b[:200]}")
             return 1
-    print(f"{args.workload}: {len(pkgs['new'][1])} searches, results bitwise equal")
+        worst, same = max(worst, move), same and a == b
+    print(f"{args.workload}: {len(pkgs['new'][1])} searches, " + (
+        "results bitwise equal" if same else
+        f"poles within {near_results.REL_TOL:g} relative, largest move {worst:.3g}"))
     times, faults = {"old": [], "new": []}, {"old": [], "new": []}
     least = {"old": [], "new": []}   # each search's least thread time so far
     for i in range(args.passes):   # alternate which side goes first

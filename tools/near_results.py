@@ -68,6 +68,20 @@ def _poles(result: str) -> list[complex] | None:
             for re, im, _ in (token.split(",") for token in tokens)]
 
 
+def pole_move(a: str, b: str) -> float:
+    """The largest relative move |k_new - k_old| / max(1, |k_old|) between the poles of two
+    results of a search, 0.0 for one exception class twice; raises ValueError naming any
+    other change: another exception class, or poles against one or of another count."""
+    ka, kb = _poles(a), _poles(b)
+    if ka is None or kb is None:
+        if a != b:
+            raise ValueError(f"{a[:60]} -> {b[:60]}")
+        return 0.0
+    if len(ka) != len(kb):
+        raise ValueError(f"{len(ka)} poles -> {len(kb)} poles")
+    return max((abs(x - y) / max(1.0, abs(x)) for x, y in zip(ka, kb)), default=0.0)
+
+
 def _change(old: tuple[str, str, str], new: tuple[str, str, str]) -> str:
     return (f"det_lambda {old[0]} -> {new[0]}, split programs {old[1]} -> {new[1]}, "
             f"riccati_s calls {old[2]} -> {new[2]}")
@@ -91,15 +105,11 @@ def compare(old_path: str, new_path: str) -> tuple[list[str], list[str]]:
                 mismatches.append(f"{where}: {' '.join(a.split()[:2])} -> "
                                   f"{' '.join(b.split()[:2])}")
                 continue
-        ka, kb = _poles(a), _poles(b)
-        if ka is None or kb is None:
-            if a != b:
-                mismatches.append(f"{where}: {a[:60]} -> {b[:60]}")
+        try:
+            worst = pole_move(a, b)
+        except ValueError as exc:
+            mismatches.append(f"{where}: {exc}")
             continue
-        if len(ka) != len(kb):
-            mismatches.append(f"{where}: {len(ka)} poles -> {len(kb)} poles")
-            continue
-        worst = max((abs(x - y) / max(1.0, abs(x)) for x, y in zip(ka, kb)), default=0.0)
         move[name] = max(move.get(name, 0.0), worst)
         if worst > REL_TOL:
             mismatches.append(f"{where}: a pole moved {worst:.3g} relative")
