@@ -9,7 +9,7 @@ separated (R. G. Newton, Scattering Theory of Waves and Particles, 2nd ed.,
 1982).  So the window of a coupling that is not separated reaches up to
 Im k = +1/(2R), and its slab above the axis holds no zero: no resonance,
 however narrow, sits on or near its top edge, where the phase rule would
-bisect deep to resolve it.  A separated coupling's window stops 1e-7/R
+cut deep to resolve it.  A separated coupling's window stops 1e-7/R
 below the axis instead, under its embedded eigenvalues.  A rectangle that
 counts c > 2 zeros is cut into
 max(2, c // 2) equal strips across the way its zeros spread, which its
@@ -22,19 +22,21 @@ about two zeros each, and a strip of three is cut across its row.
 
 A cell's boundary is one closed loop of samples z, values f and, for the
 step from each sample to the next, its log ratio d = ln(f_next / f); a
-step through which f turns by pi/2 or more is bisected, which pins the
-turn to a multiple of 2 pi unless a zero sits on the boundary (a step
-whose |f| falls or grows 1e8 times or more, tested at the top of every
-bisection round, then stops that loop's count; |f| grows like e^{R |Im k|}
-down a loop's sides, so a floor taken from the whole loop would lie above
-|f| near the axis).  Each step's log ratio is taken as the step is made
-(a bisected step's halves once more, as they are put in the loop) and
-carried with the loop: the phase, the floor and the contour moments all
-read it.  A split is one array program for a whole generation
+step through which f turns by pi/2 or more is cut into 8 equal pieces, and
+so on round after round, which pins the turn to a multiple of 2 pi unless
+a zero sits on the boundary (a step whose |f| falls or grows 1e8 times or
+more, tested at the top of every round, then stops that loop's count; |f|
+grows like e^{R |Im k|} down a loop's sides, so a floor taken from the
+whole loop would lie above |f| near the axis).  A round of eighths does
+the work of three halvings in one det lambda call, so a zero near a cut
+or an edge costs a third of the calls.  Each step's log ratio is taken as
+the step is made (a cut step's pieces once more, as they are put in the
+loop) and carried with the loop: the phase, the floor and the contour
+moments all read it.  A split is one array program for a whole generation
 of cells: every cut is laid by one det lambda call and measured forwards
 and walked back, each strip's loop is gathered from its parent's loop and
-the cuts, a cut walked by both strips it bounds, and each bisection round
-is one call for every loop.  So a sample of the parent's boundary, and a
+the cuts, a cut walked by both strips it bounds, and each round is one
+call for every loop.  So a sample of the parent's boundary, and a
 step between two of them, is never computed again however deep the
 subdivision goes; a zero on a cut moves every cut of that cell, in the
 next program.
@@ -76,7 +78,7 @@ from .krein import EXCLUDED_DISC, det_lambda, det_lambda_balanced
 from .riccati import Channel
 
 _FLOOR_REL = 1e-8            # boundary-zero floor relative to |f| at a step's ends
-_MAX_PHASE_DEPTH = 48        # bisection depth per boundary segment
+_MAX_PHASE_DEPTH = 16        # rounds of eighths per boundary step: 48 halvings
 _MAX_TREE_DEPTH = 40         # rectangle subdivision depth cap
 _MIN_CELL_FACTOR = 1e-6      # cells below 1e-6/R with count >= 2 are clusters
 _RESIDUAL_TOL = 1e-9         # |det lambda| certified at returned poles
@@ -85,6 +87,8 @@ _SPLIT_FRACTIONS = (0.5, 0.53125, 0.46875, 0.5625, 0.4375, 0.59375, 0.40625)
 _AXIS_SLIVER = 1e-7          # top-edge offset (in 1/R) below the axis for separated couplings
 _LIFT = 0.5                  # top edge (in 1/R) above the axis for the others
 _SEED_SLOP = 0.1             # moment seeds may lie this far (in diagonals) outside their cell
+_EIGHTHS = np.arange(1, 8) / 8.0   # a cut step's inner points, as fractions of it
+_MAX_SAMPLES = 1_000_000     # boundary samples a window may take (one 1e5/R long takes 500,090)
 
 
 class BoundaryZero(WinterresError):
@@ -223,14 +227,20 @@ def _dlog(fa, fb) -> np.ndarray:
     return d
 
 
+def _steps(length):
+    """The steps of a side of this length: 8 or more, each under 0.4, as a float, so that a
+    side too long for an integer is counted too."""
+    return np.maximum(8.0, np.floor(length / 0.4) + 1.0)
+
+
 def _sample(fn, segments) -> tuple[np.ndarray, np.ndarray]:
     """Sides a to b for each (a, b), z over f end to end, and their offsets: one det lambda call.
 
-    A side has both ends and n >= 8 steps below 0.4; sample j is
+    A side has both ends and n >= 8 steps below 0.4 (``_steps``); sample j is
     a + (b - a) * j / n, taken part by part as Python does.
     """
     a, b = np.asarray(segments, complex).T
-    n = np.maximum(8, (abs(b - a) / 0.4).astype(int) + 1)
+    n = _steps(abs(b - a)).astype(int)
     starts = np.concatenate([[0], (n + 1).cumsum()])
     each = n + 1
     j, n = np.arange(starts[-1]) - starts[:-1].repeat(each), n.repeat(each)
@@ -245,8 +255,13 @@ def _boundary(fn, region: SearchRegion) -> _Cells:
     """The region's boundary, freshly sampled and counted: a record of one cell.
 
     Its four sides close into a loop (see ``_close``).  Raises BoundaryZero
-    when the loop hits a floor.
+    when the loop hits a floor, and, before any det lambda call,
+    WinterresError when its sides would take more than _MAX_SAMPLES samples.
     """
+    samples = 2.0 * (_steps(region.width) + _steps(region.height) + 2.0)   # as _sample lays them
+    if samples > _MAX_SAMPLES:
+        raise WinterresError(f"window {region} would take {samples:.3g} boundary samples, "
+                             f"over the budget of {_MAX_SAMPLES:.3g}")
     c = region.corners()
     zf, starts = _sample(fn, list(zip(c, c[1:] + c[:1])))
     columns, heads = _close(starts[:4].reshape(1, 4, 1), np.diff(starts).reshape(1, 4, 1))
@@ -269,9 +284,9 @@ def _resolve(fn, zfd, heads: np.ndarray):
     heads[s, 1:4]; each loop starts where the one before it ends.  A count
     is the sum of the phases along its loop's four sides (see ``_rounds``),
     0 for a loop that hit a floor.  The new samples are then put in the
-    loops row by row, and the log ratio of each step that starts at or ends
-    on a new sample is taken again, from the same two values the bisection
-    took it from.
+    loops row by row, those of one step in order of their distance from its
+    start, and the log ratio of each step that starts at or ends on a new
+    sample is taken again, from the same two values the round took it from.
     """
     total, new, why = _rounds(fn, zfd, heads.ravel())
     rows = list(zfd)
@@ -304,14 +319,17 @@ def _rounds(fn, zfd, heads: np.ndarray):
 
     ``heads`` holds the first columns of each loop's four sides and of its
     closing step, to the next loop, whose d of 0 neither turns nor floors.
-    A round bisects, in one det lambda call for all, the steps of pi/2 or
-    more and, in each of the first ceil(log2(8 / n)) rounds, every step of a
-    side of n < 8 steps, so that every side ends with 8 steps or more; each
-    half's log ratio d is taken as it is made, and a step turns by Im d.
-    The floor is local: at the top of each round, a step with |Re d| >= ln
-    1e8 (|f| at one end at or under 1e-8 times |f| at the other) or a NaN
-    ratio (f = 0 at both ends) drops its loop, and so does a step still wide
-    after the last round; the phase of its sides then means nothing.
+    A round cuts into 8 equal pieces, in one det lambda call for all, the
+    steps of pi/2 or more and, in the first round, every step of a side of
+    n < 8 steps, so that every side ends with 8 steps or more: step a -> b
+    gets the 7 inner points a + (b - a) j / 8, and each piece's log ratio d
+    is taken from its two consecutive values as it is made.  A step turns by
+    Im d.  The floor is local: at the top of each round, a step with
+    |Re d| >= ln 1e8 (|f| at one end at or under 1e-8 times |f| at the
+    other) or a NaN ratio (f = 0 at both ends) drops its loop, and so does a
+    step still wide after the last round; the phase of its sides then means
+    nothing.  The steps stay in order along their loops, each cut step's
+    pieces in its place.
     """
     count, floor = heads.size, -math.log(_FLOOR_REL)
     z, f, d = zfd
@@ -331,8 +349,6 @@ def _rounds(fn, zfd, heads: np.ndarray):
     slot = np.arange(z.size - 1, dtype=np.int32)
     at, d = np.arange(count, dtype=np.int32).repeat(steps), d[:-1]
     steps[4::5] = 8   # a closing step is never short
-    halvings = np.ceil(np.log2(8 / steps))   # the rounds that halve every step of a side
-    short = halvings.max()   # the rounds in which some side is short
     total, new = np.zeros(count), []
     for depth in range(_MAX_PHASE_DEPTH + 1):
         low = ~(abs(d.real) < floor)   # a NaN ratio too
@@ -346,9 +362,9 @@ def _rounds(fn, zfd, heads: np.ndarray):
             if depth:
                 ends = ends[:, keep]
         marked = abs(d.imag) >= 0.5 * math.pi
-        if depth < short:
-            marked |= (halvings > depth)[at]
-        # a marked step is looked at again, as two halves
+        if not depth:
+            marked |= (steps < 8)[at]
+        # a marked step is looked at again, as eight pieces
         total += np.bincount(at, np.where(marked, 0.0, d.imag), count)
         split = marked.nonzero()[0]
         if not split.size:
@@ -359,18 +375,17 @@ def _rounds(fn, zfd, heads: np.ndarray):
                                       "cannot be resolved")
             return total, new, why
         if depth:
-            ends = ends[:, split]
+            za, fa, zb, fb = ends[:, split]
         else:
             a = slot[split]
-            ends = np.array([z[a], f[a], z[a + 1], f[a + 1]])
-        zm = 0.5 * (ends[0] + ends[2])
-        fm = fn(zm)
-        new.append((zm, fm, slot[split]))
-        # next: the halves of each split step, the first ones first
-        n, k = split.size, np.concatenate([split, split])
-        slot, at = slot[k], at[k]
-        ends = np.concatenate([ends, ends], axis=1)
-        ends[2, :n], ends[3, :n], ends[0, n:], ends[1, n:] = zm, fm, zm, fm
+            za, fa, zb, fb = z[a], f[a], z[a + 1], f[a + 1]
+        zm = za[:, None] + (zb - za)[:, None] * _EIGHTHS
+        fm = fn(zm.ravel())
+        new.append((zm.ravel(), fm, slot[split].repeat(7)))
+        # next: the pieces of each cut step, in order along it
+        zs, fs = np.column_stack([za, zm, zb]), np.column_stack([fa, fm.reshape(zm.shape), fb])
+        ends = np.array([zs[:, :-1], fs[:, :-1], zs[:, 1:], fs[:, 1:]]).reshape(4, -1)
+        slot, at = slot[split].repeat(8), at[split].repeat(8)
         d = _dlog(ends[1], ends[3])
 
 
@@ -426,7 +441,9 @@ def _strips(box: np.ndarray, depth, resplit, zfd: list, heads: np.ndarray,
 def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
     """Number of zeros of det lambda inside the region, by winding count.
 
-    Raises BoundaryZero when a zero sits on or hugs the boundary.
+    Raises BoundaryZero when a zero sits on or hugs the boundary, and
+    WinterresError, before any det lambda call, for a region whose sides
+    would take more than 1e6 samples.
     """
     re_floor = EXCLUDED_DISC / ch.radius
     if region.re_min < re_floor * (1.0 - 1e-9):
@@ -551,7 +568,9 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     lowered by a 1e-7/R sliver: their real-axis zeros are embedded
     eigenvalues, which belong to ``real_axis_roots``, not to the resonance
     list, and would sit on a top edge at 0.  Below the sliver such a search
-    returns its resonances.
+    returns its resonances.  A window whose sides would take more than 1e6
+    samples raises WinterresError, naming it and the count, before any det
+    lambda call.
 
     A cell of c > 2 zeros is cut into max(2, c // 2) strips across the way
     its zeros spread, one generation of cells at a time (see ``_subdivide``),

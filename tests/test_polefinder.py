@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import winterres.polefinder as pf
 from winterres import (AmbiguousIndex, BoundaryZero, Channel, ClusteredZeros, GpiParams,
-                       NonConvergence, SearchRegion, WinterresError, count_zeros, det_lambda,
-                       det_lambda_balanced, find_poles, index_poles, refine)
+                       NonConvergence, SearchRegion, WinterresError, count_zeros,
+                       default_im_min, det_lambda, det_lambda_balanced, find_poles,
+                       index_poles, refine)
 
 from conftest import mpmath_pole
 
@@ -166,7 +167,7 @@ class TestCountZeros:
         "sampled step by 2 pi less than its end values show (-6.21 rad against +0.07 "
         "for two zeros 0.002 outside, -4.77 against +1.51 for the double zero of "
         "GpiParams(3, 1, 1), l = 1, at k = -2i, 0.001 outside), so the pi/2 rule does "
-        "not bisect it and the count reads 1"))
+        "not cut it and the count reads 1"))
     @pytest.mark.parametrize("p, ch, region", [
         (GpiParams(-10.153856357759496, -0.380926874988312, 0.36348759065265357),
          Channel(1, 0.5), SearchRegion(0.002, 80.0, -17.37775890822787, -1.0)),
@@ -201,7 +202,7 @@ class TestCountZeros:
 
     def test_given_sample_under_the_floor_raises(self, monkeypatch):
         # a zero on the lower left corner, a given sample, or 1e-12 off it: the
-        # floor against its neighbours catches it before any bisection
+        # floor against its neighbours catches it before any round
         for k0 in (2 - 1j, complex(2 - 1e-12, -1)):
             monkeypatch.setattr(pf, "det_lambda_balanced", lambda p, ch, k: (k - k0) * (k + 5))
             with pytest.raises(BoundaryZero, match="zero of det lambda on the boundary"):
@@ -470,7 +471,7 @@ class TestSubdivide:
 
     def test_a_split_measures_no_inherited_step(self, monkeypatch):
         # the log ratios a split takes: each step of its cuts both ways, the steps that join
-        # a cut's end to its parent's loop, and the halves of bisected steps; none of the
+        # a cut's end to its parent's loop, and the pieces of steps cut into eighths; none of the
         # parent's own steps, which its strips inherit
         dlog = pf._dlog
         for fn, region, _ in self.PARTITIONED:
@@ -488,7 +489,7 @@ class TestSubdivide:
             monkeypatch.setattr(pf, "_dlog", recorded_dlog)
             strips = _cells(pf._subdivide(recorded, cell))
             monkeypatch.undo()
-            cuts, halves = made[0].tolist(), set(np.concatenate(made[1:]).tolist())
+            cuts, pieces = made[0].tolist(), set(np.concatenate(made[1:]).tolist())
             ahead = set(zip(cuts, cuts[1:]))   # with the steps from one cut to the next
             back = {(b, a) for a, b in ahead}
             per_cut = len(cuts) // (len(strips) - 1)
@@ -496,20 +497,20 @@ class TestSubdivide:
             # the parent's steps; a sample of the parent's on a cut gives way to the cut's end
             f = _cells(cell)[0].loop.zfd[1].tolist()
             inherited = {(a, b) for a, b in zip(f, f[1:]) if not {a, b} & ends}
-            assert halves and not seen & inherited
+            assert pieces and not seen & inherited
             assert ahead | back <= seen
             for a, b in seen - ahead - back:
-                assert a in halves or b in halves or (
-                    {a, b} & ends and {a, b} <= ends | set(f))   # a half or a junction
+                assert a in pieces or b in pieces or (
+                    {a, b} & ends and {a, b} <= ends | set(f))   # a piece or a junction
 
     @pytest.mark.parametrize("fn, region, levels", [
         (lambda k: det_lambda_balanced(DELTA, CH, k), SearchRegion(4.0, 14.0, -3.0, -0.0005), 3),
         (lambda k: det_lambda_balanced(DELTA, CH, k), SearchRegion(9.0, 13.0, -6.0, -0.0005), 3),
         (_zeros_at(*STACKED), SearchRegion(4.0, 6.0, -8.0, -0.1), 1),
     ], ids=["wide", "tall", "tall-stacked"])
-    def test_short_sides_get_the_halved_samples(self, fn, region, levels, monkeypatch):
-        # a strip's short sides, pieces of its parent's, have every step halved until
-        # they have 8 steps or more
+    def test_short_sides_get_the_cut_samples(self, fn, region, levels, monkeypatch):
+        # a strip's short sides, pieces of its parent's, have every step cut into eighths
+        # in the first round, so that they have 8 steps or more
         short, resolve = [], pf._resolve
 
         def recorded(fn, zfd, heads):
@@ -560,7 +561,7 @@ class TestSubdivide:
         assert sum(piece.shape[1] for piece in want) == bottom.shape[1] - 1 + 2 * len(xs)
 
     def test_neighbours_agree_on_their_shared_cut(self, monkeypatch):
-        # both strips by a cut bisect their own copy of it, one walked back: the
+        # both strips by a cut resolve their own copy of it, one walked back: the
         # copies must agree, sample for sample, in z and in f
         splits, subdivide = [], pf._subdivide
 
@@ -619,12 +620,33 @@ class TestSubdivide:
             assert strip.count == pf._boundary(fn, strip.region).count[0]
         assert on_cut.real in {k.real for k in calls[0]}   # the first try sampled the zero's line
 
+    @pytest.mark.parametrize("side", [1, -1], ids=["right", "left"])
+    def test_a_zero_near_a_cut_is_resolved_in_few_rounds(self, side):
+        # a zero 1e-4 from the first cut of a three-strip split, which samples it at steps of
+        # 0.225: each round cuts the wide steps near it into eighths, where halving them
+        # took 10 rounds
+        region = SearchRegion(1.0, 10.0, -2.0, -0.2)
+        near = complex(region.re_min + region.width / 3 + side * 1e-4, -0.77)
+        fn = _zeros_at(1.7 - 0.5j, 2.9 - 1.1j, near, 5.3 - 0.6j, 8.1 - 1.3j, 9.2 - 0.4j)
+        _, strips, calls = self._split(fn, region, 6)
+        assert [s.region.re_max for s in strips[:1]] == [region.re_min + region.width / 3]
+        assert [s.count for s in strips] == [3 - (side > 0), 1 + (side > 0), 2]
+        for strip in strips:
+            _assert_carried(strip.region, strip.loop)
+        assert 3 <= len(calls) - 1 <= 5   # the rounds, after the call that lays the cuts
+
+
+def _pieces(za, zb):
+    """Reference: the 9 samples of a step cut into 8 equal pieces, in Python arithmetic."""
+    return [za] + [za + (zb - za) * (j / 8) for j in range(1, 8)] + [zb]
+
 
 def _depth_first(fn, side):
-    """Reference: bisect each step of a side on its own, depth first, one point a call.
+    """Reference: cut each wide step of a side into eighths on its own, depth first, one
+    point a call.
 
-    Returns the side's samples with the midpoints inserted and the depth of
-    the deepest split.
+    Returns the side's samples with the new points inserted and the depth of
+    the deepest cut.
     """
     zs, fs = side.tolist()
     z, deepest = [zs[0]], 0
@@ -635,38 +657,40 @@ def _depth_first(fn, side):
             z.append(zb)
             return
         deepest = max(deepest, depth + 1)
-        zm = 0.5 * (za + zb)
-        fm = fn(zm)
-        split(za, fa, zm, fm, depth + 1)
-        split(zm, fm, zb, fb, depth + 1)
+        points = _pieces(za, zb)
+        values = [fa] + [fn(w) for w in points[1:-1]] + [fb]
+        for j in range(8):
+            split(points[j], values[j], points[j + 1], values[j + 1], depth + 1)
 
     for i in range(len(zs) - 1):
         split(zs[i], fs[i], zs[i + 1], fs[i + 1], 0)
     return z, deepest
 
 
-def _halved(z):
-    """Reference: halve every step of a side until it has 8 steps or more."""
-    z = list(z)
-    while len(z) < 9:
-        z = [w for a, b in zip(z, z[1:]) for w in (a, 0.5 * (a + b))] + z[-1:]
-    return z
+def _eighths(z):
+    """Reference: cut every step of a side of fewer than 8 steps into eighths, once."""
+    if len(z) >= 9:
+        return list(z)
+    return [w for a, b in zip(z, z[1:]) for w in _pieces(a, b)[:-1]] + z[-1:]
 
 
 def _resolved_side(one, side):
     """Reference: a side's samples after its count, one point a call of one.
 
-    A short side is halved, then bisected depth first.  Returns the
-    samples and the depth of the deepest phase split.
+    A short side is cut into eighths, then each wide step depth first.
+    Returns the samples and the rounds the side takes: the depth of its
+    deepest phase cut, one more for a short side.
     """
     known = dict(zip(*side.tolist()))
-    dense = _halved(side[0].tolist())
+    dense = _eighths(side[0].tolist())
     values = [known[w] if w in known else one(w) for w in dense]
-    return _depth_first(one, np.array([dense, values]))
+    z, deepest = _depth_first(one, np.array([dense, values]))
+    return z, deepest + (len(dense) > side.shape[1])
 
 
 def _resolved(fn, sides):
-    """Reference: the loop through four sides after its count, closed, and the deepest split."""
+    """Reference: the loop through four sides after its count, closed, and the rounds it
+    takes."""
     one = lambda k: complex(fn(np.array([k]))[0])
     resolved = [_resolved_side(one, side) for side in sides]
     return ([w for z, _ in resolved for w in z[:-1]] + [sides[0][0, 0]],
@@ -674,7 +698,7 @@ def _resolved(fn, sides):
 
 
 class TestResolve:
-    """Wide steps are bisected in rounds, one det lambda call for every side."""
+    """Wide steps are cut into eighths in rounds, one det lambda call for every side."""
 
     @pytest.mark.parametrize("l, pole", [
         (0, 3.0802868857096795 - 0.003693967328605281j),
@@ -702,7 +726,7 @@ class TestResolve:
         want = [w for z, _ in reference for w in z[:-1]] + [sides[0][0, 0]]   # closed again
         assert resolved.zfd[0].tolist() == want
         rounds = max(depth for _, depth in reference)
-        assert rounds >= 3
+        assert 4 <= rounds <= 6   # 10 to 17 rounds when a wide step was halved
         assert len(calls) == rounds   # one call per round, every side in it
 
     def test_short_sides_share_the_rounds(self):
@@ -726,12 +750,14 @@ class TestResolve:
         cell = _resolve_one(fn, region, sides)
         assert cell.count == 0
         assert cell.loop.zfd[0].tolist() == want
-        assert 2.0 - 0.975j in want   # every step of a short side is halved, the 0.05 one too
-        # halving shares the first round's call with the wide steps of the left side
+        # every step of a short side is cut into eighths, the 0.05 one too
+        assert set(_pieces(c[1], 2.0 - 0.95j)) <= set(want) and 2.0 - 0.975j in want
+        # in one round, which shares its call with the wide steps of the left side
         first = calls[0].tolist()
+        assert len([k for k in first if k.imag == -1.0]) == 7   # the bottom side's one step
         assert {1.5 - 1.0j, 2.0 - 0.85j, 2.0 - 0.625j} <= set(first)
         assert any(k.real == 1.0 for k in first)
-        assert len(calls) == max(3, deepest)   # a one-step side takes three rounds
+        assert len(calls) == deepest == 2   # the left side's zero takes a second round
 
     def test_midpoint_under_the_floor_raises(self):
         # a zero exactly at the midpoint of a bottom-edge step
@@ -745,7 +771,7 @@ class TestResolve:
             _resolve_one(fn, region, sides)
 
     def test_exact_zero_on_a_short_edge_raises(self):
-        # the first round bisects the one step of a two-sample side, on the zero of f
+        # the first round cuts the one step of a two-sample side into eighths, one on the zero of f
         k0 = complex(1.5, -1.0)
         fn = lambda k: k - k0
         region = SearchRegion(1.0, 2.0, -1.0, -0.5)
@@ -757,7 +783,7 @@ class TestResolve:
 
     def test_sign_jump_hits_the_depth_cap(self):
         # |f| = 1 everywhere, and f changes sign at a non-dyadic Re k: the
-        # step across the jump stays wide however often it is halved
+        # step across the jump stays wide however often it is cut
         region = SearchRegion(1.0, 2.0, -1.0, -0.5)
         fn = lambda k: np.where(k.real < 1.0 + 1.0 / 3.0, -1.0, 1.0).astype(complex)
         sides = _fresh_sides(fn, region)
@@ -770,7 +796,7 @@ class TestResolve:
     def test_the_closing_step_between_loops_is_not_looked_at(self):
         # two loops in one call; the step from the first one's last sample, 1 - 1j, to the
         # second one's first, 3 - 3j, has a zero at its midpoint, turns by pi/2 or more and
-        # falls by 1e-12 on the way, so a bisection or a floor there would show.  f is the
+        # falls by 1e-12 on the way, so a cut or a floor there would show.  f is the
         # polynomial times 1e12 left of Re k = 2.5 and times -1 right of it, which moves
         # neither loop's count
         junction = 2.0 - 2.0j
@@ -997,8 +1023,8 @@ class TestFindPoles:
         assert len(poles) == n
 
     def test_det_budget_per_pole(self, monkeypatch):
-        # a contour sample is computed once, but for the midpoints of cut steps,
-        # which both strips by a cut bisect: subdivision samples the cuts and
+        # a contour sample is computed once, but for the inner points of a cut's wide
+        # steps, which both strips by a cut resolve: subdivision samples the cuts and
         # little else.  Points are counted, not calls, so batching cannot hide
         # evaluations.
         points = [0]
@@ -1013,7 +1039,7 @@ class TestFindPoles:
         assert points[0] <= 45 * len(poles)
 
     @staticmethod
-    def _calls(monkeypatch, p, re_max):
+    def _calls(monkeypatch, p, re_max, ch=CH):
         """The poles of a search and the number of det lambda array calls it made."""
         calls, det = [0], pf.det_lambda_balanced
 
@@ -1022,7 +1048,7 @@ class TestFindPoles:
             return det(p, ch, k)
 
         monkeypatch.setattr(pf, "det_lambda_balanced", counted_det)
-        return find_poles(p, CH, re_max), calls[0]
+        return find_poles(p, ch, re_max), calls[0]
 
     def test_count_budget_per_pole(self, monkeypatch):
         # a cell is cut into count // 2 strips at once, a strip of two zeros goes
@@ -1038,6 +1064,17 @@ class TestFindPoles:
         poles, calls = self._calls(monkeypatch, INTERMEDIATE, 2000.0)
         assert len(poles) == 637
         assert calls <= 30
+
+    @pytest.mark.parametrize("p, l, re_max, n, budget", [
+        (DELTA_PRIME, 0, 2000.0, 637, 18),   # 17 calls; 32 when wide steps were halved
+        (DELTA, 1, 40.0, 12, 12),            # 11 calls; 18 when wide steps were halved
+    ], ids=["delta-prime-l0", "delta-l1"])
+    def test_call_budget_of_deep_chains(self, p, l, re_max, n, budget, monkeypatch):
+        # narrow resonances near the cuts and a zero near the left edge make chains of
+        # rounds, each cutting the wide steps into eighths
+        poles, calls = self._calls(monkeypatch, p, re_max, Channel(l, 1.0))
+        assert len(poles) == n
+        assert calls <= budget
 
     def test_newton_points_per_pole(self, monkeypatch):
         # moment seeds and full steps that carry their next derivative: ~9 points
@@ -1335,6 +1372,41 @@ class TestFindPoles:
         with pytest.raises(ValueError):
             find_poles(DELTA, CH, re_max=math.inf)
 
+    @pytest.mark.parametrize("re_max, im_min", [(1e9, None), (40.0, -1e9)], ids=["long", "deep"])
+    def test_a_window_over_the_sample_budget_makes_no_call(self, re_max, im_min, monkeypatch):
+        # its sides would take 2.5e9 samples each; the window and the count are named
+        calls = []
+        monkeypatch.setattr(pf, "det_lambda_balanced", lambda p, ch, k: calls.append(k))
+        text = (r"window (SearchRegion\(.*\)) would take 5e\+09 boundary samples, "
+                r"over the budget of 1e\+06")
+        with pytest.raises(WinterresError, match=text) as err:
+            find_poles(DELTA, CH, re_max, im_min)
+        assert type(err.value) is WinterresError
+        region = SearchRegion(*map(float, re.findall(r"=([^,)]+)", re.match(text, str(
+            err.value))[1])))
+        assert (region.re_max, region.im_min) == (re_max, im_min or default_im_min(re_max, 1.0))
+        with pytest.raises(WinterresError, match=text):
+            count_zeros(DELTA, CH, region)
+        assert calls == []
+
+    def test_the_sample_budget_counts_what_the_window_lays(self, monkeypatch):
+        # the count taken from the corners is the points of the window's first call
+        sizes, det = [], pf.det_lambda_balanced
+
+        def counted(p, ch, k):
+            sizes.append(k.size)
+            return det(p, ch, k)
+
+        monkeypatch.setattr(pf, "det_lambda_balanced", counted)
+        count = count_zeros(DELTA, CH, SearchRegion(1e-3, 40.0, -3.7, 0.5))
+        made = len(sizes)
+        monkeypatch.setattr(pf, "_MAX_SAMPLES", sizes[0] - 1)
+        with pytest.raises(WinterresError, match=f"would take {sizes[0]} boundary samples"):
+            count_zeros(DELTA, CH, SearchRegion(1e-3, 40.0, -3.7, 0.5))
+        assert len(sizes) == made
+        monkeypatch.setattr(pf, "_MAX_SAMPLES", sizes[0])
+        assert count_zeros(DELTA, CH, SearchRegion(1e-3, 40.0, -3.7, 0.5)) == count == 12
+
 
 class TestGenerations:
     """Each cell is cut across the way its zeros spread, and a whole generation of cells
@@ -1613,16 +1685,17 @@ class TestTwoZeroCells:
             self._search(monkeypatch, lambda p, ch, k: (k - k0) ** 2 * (k + 5))
 
     def test_a_zero_hugging_a_re_split_cell_is_named(self, monkeypatch):
-        # the double zero at K1 lies just outside a tiny cell that counts it once; Newton
+        # the double zero at k0 lies just outside a tiny cell that counts it once; Newton
         # converges to it from that cell twice, and the error names the root and the cell
+        k0 = 3.0 - 0.9j
         with pytest.raises(BoundaryZero) as err:
-            self._search(monkeypatch, lambda p, ch, k: (k - self.K1) ** 2 * (k + 5))
+            self._search(monkeypatch, lambda p, ch, k: (k - k0) ** 2 * (k + 5))
         found = re.fullmatch(r"zero of det lambda at \((.*)\) hugs (SearchRegion\(.*\))",
                              str(err.value))
-        assert found and abs(complex(found[1]) - self.K1) < 1e-6
+        assert found and abs(complex(found[1]) - k0) < 1e-6
         region = SearchRegion(*map(float, re.findall(r"=([^,)]+)", found[2])))
-        assert not _contains(region, self.K1)
-        assert _contains(region, self.K1, abs(complex(region.width, region.height)))
+        assert not _contains(region, k0)
+        assert _contains(region, k0, abs(complex(region.width, region.height)))
 
 
 class TestIndexPoles:

@@ -15,7 +15,7 @@ import pytest
 
 import winterres
 from winterres import (Channel, GpiClass, GpiParams, Resonance, compare, find_poles,
-                       index_poles)
+                       index_poles, polefinder)
 from winterres.cli import build_parser, main
 from winterres.report import (_CONFIG_KEYS, _SCHEMA, CSV_COLUMNS, config_from_dict,
                               embedded_rows, format_complex, parse_complex, read_csv,
@@ -496,6 +496,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["poles", "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("window", [["--re-max", "1e9"], ["--re-max", "40", "--im-min=-1e9"]],
+                             ids=["long", "deep"])
+    def test_solver_error_window_over_the_sample_budget(self, window, capsys, monkeypatch):
+        # the window's samples are counted from its corners, before any det lambda call
+        calls = []
+        monkeypatch.setattr(polefinder, "det_lambda_balanced", lambda p, ch, k: calls.append(k))
+        assert main(["poles", "--alpha", "50"] + window) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: window SearchRegion(")
+        assert "would take 5e+09 boundary samples, over the budget of 1e+06" in err
+        assert calls == []
 
     def test_solver_error_boundary_zero(self, capsys):
         # bottom edge exactly through the first pole of the alpha=50 shell:

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from winterres import Channel, GpiParams, krein, polefinder, real_axis_roots
+from winterres import Channel, GpiParams, find_poles, krein, polefinder, real_axis_roots
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -139,9 +139,10 @@ def test_a_search_missing_from_one_side_is_a_mismatch(tmp_path, capsys):
     assert "only in" in capsys.readouterr().out
 
 
-def test_ab_passes_runs_a_checkout_against_itself():
+def test_ab_passes_runs_a_checkout_against_itself(monkeypatch):
     # the in-process A/B of two checkouts: both import under names of their own, their
-    # results must agree, and the pass times and page faults are only printed
+    # results must agree, and the pass times, page faults and det lambda work are only
+    # printed
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab_passes.py"), str(ROOT),
                            str(ROOT), "--passes", "2"], capture_output=True, text=True,
                           timeout=600)
@@ -149,6 +150,20 @@ def test_ab_passes_runs_a_checkout_against_itself():
     lines = done.stdout.splitlines()
     assert lines[0] == "wide-l0: 4 searches, results bitwise equal"
     assert [line.split(":")[0] for line in lines[1:3]] == ["old", "new"]
+    # each side's det lambda array calls and points of one pass, as the searches make them
+    made, det = [0, 0], polefinder.det_lambda_balanced
+
+    def count(p, ch, k):
+        made[0] += 1
+        made[1] += k.size
+        return det(p, ch, k)
+
+    monkeypatch.setattr(polefinder, "det_lambda_balanced", count)
+    for s in same_results.workloads.make("wide-l0", 1).searches:
+        c = s.coupling
+        find_poles(GpiParams(c.alpha, c.beta, c.gamma), Channel(s.l, s.radius), s.re_max)
+    for line in lines[1:3]:
+        assert line.endswith(f", det lambda calls {made[0]} points {made[1]} per pass")
     assert re.fullmatch(r"new / old pass time: median \d+\.\d+ over 2 pairs, new faster in \d",
                         lines[3])
 

@@ -12,17 +12,20 @@ It first checks that both return the same results up to rounding, by
 ``tools/near_results.py``'s rule: the same exception class a search
 raised, or as many poles, each within its REL_TOL relative of its old
 place.  It says whether the results (each pole's k and residual) are
-bitwise equal, or else prints the largest move.  It then runs N passes
-of the whole workload on each side, alternating which side goes first, and
-prints each side's median pass time with its quartiles, the median of the
-per-pair ratios new / old and the minor page faults (``getrusage``
-ru_minflt) per pass.  Both sides share the process, its heap and the
-machine's speed at the moment, so the ratio is steadier than two benchmark
-processes are.  Last comes the ratio new / old of the sums, over the
-searches, of each search's least thread time over the passes: a pass's
-wall time also takes in what else runs on the machine, and on a workload of
-many short searches that read as a speed-up of one side in an A/A run.  It
-reports and gates nothing; it exits 1 when the results differ otherwise.
+bitwise equal, or else prints the largest move; that check runs with each
+side's ``polefinder.det_lambda_balanced`` wrapped, to count the det lambda
+array calls and points of one pass.  It then runs N passes of the whole
+workload on each side, unwrapped, alternating which side goes first, and
+prints each side's median pass time with its quartiles, the minor page
+faults (``getrusage`` ru_minflt) per pass and its det lambda calls and
+points per pass, then the median of the per-pair ratios new / old.  Both
+sides share the process, its heap and the machine's speed at the moment,
+so the ratio is steadier than two benchmark processes are.  Last comes
+the ratio new / old of the sums, over the searches, of each search's least
+thread time over the passes: a pass's wall time also takes in what else
+runs on the machine, and on a workload of many short searches that read as
+a speed-up of one side in an A/A run.  It reports and gates nothing; it
+exits 1 when the results differ otherwise.
 
     python3 tools/ab_passes.py ../parent . --passes 30
 """
@@ -87,6 +90,23 @@ def results(pkg, args: list[tuple]) -> tuple[list[str], list[float]]:
     return out, seconds
 
 
+def counted(pkg, args) -> tuple[list[str], tuple[int, int]]:
+    """Each call's result as ``results`` gives it, and the det lambda array calls and
+    points of the pass, counted by wrapping ``pkg``'s ``polefinder.det_lambda_balanced``."""
+    made, det = [0, 0], pkg.polefinder.det_lambda_balanced
+
+    def count(p, ch, k):
+        made[0] += 1
+        made[1] += k.size
+        return det(p, ch, k)
+
+    pkg.polefinder.det_lambda_balanced = count
+    try:
+        return results(pkg, args)[0], (made[0], made[1])
+    finally:
+        pkg.polefinder.det_lambda_balanced = det
+
+
 def one_pass(pkg, args) -> tuple[float, int, list[float]]:
     """Seconds and minor page faults of one run of every call, and each call's thread time."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -115,8 +135,9 @@ def main(argv: list[str]) -> int:
     searches = workloads.make(args.workload, 1).searches
     old, new = load(args.old, "winterres_old"), load(args.new, "winterres_new")
     pkgs = {"old": (old, calls(old, searches)), "new": (new, calls(new, searches))}
+    checked = {side: counted(*pkgs[side]) for side in ("old", "new")}
     worst, same = 0.0, True
-    for i, (a, b) in enumerate(zip(*(results(*pkgs[side])[0] for side in ("old", "new")))):
+    for i, (a, b) in enumerate(zip(*(checked[side][0] for side in ("old", "new")))):
         try:
             move = near_results.pole_move(a, b)
         except ValueError:
@@ -138,7 +159,8 @@ def main(argv: list[str]) -> int:
             least[side] = list(map(min, least[side], seconds)) if i else seconds
     for side in ("old", "new"):
         print(f"{side}: pass ms {_quartiles(times[side])}, "
-              f"minor faults per pass {statistics.median(faults[side]):.0f}")
+              f"minor faults per pass {statistics.median(faults[side]):.0f}, "
+              "det lambda calls {} points {} per pass".format(*checked[side][1]))
     ratios = [b / a for a, b in zip(times["old"], times["new"])]
     print(f"new / old pass time: median {statistics.median(ratios):.3f} over {args.passes} "
           f"pairs, new faster in {sum(r < 1.0 for r in ratios)}")
