@@ -22,9 +22,12 @@ coefficients share a common denominator
 
 whose zeros in the open lower momentum half-plane are the resonances; zeros
 on the positive real axis occur only for separated interactions and are
-embedded eigenvalues.  The displayed expressions are evaluated on the whole
-punctured plane: for half-integer cylinder order there are no branch cuts,
-so analytic continuation is plain evaluation.
+embedded eigenvalues.  It is summed in the order shown, with only the terms
+whose coefficient is nonzero (one or two for each figure coupling): a finite
+term left out would add an exact zero, so the value is bitwise that of all
+five.  The displayed expressions are evaluated on the whole punctured plane:
+for half-integer cylinder order there are no branch cuts, so analytic
+continuation is plain evaluation.
 
 ``det_lambda_balanced`` multiplies by the zero-free factor e^{-i k R}.  The
 raw determinant contains competing e^{2 i k R} and O(1) parts; one growing
@@ -53,12 +56,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import WinterresError
 from .gpi import GpiParams, is_separated
 from .riccati import Channel, ValueAndDerivative, _s_eta, pointwise, riccati_s
 from .riccati import riccati_xi  # noqa: F401  (a patch point of bench/tracer.py)
 
 
 EXCLUDED_DISC = 1e-3   # searches exclude the disc |k| < EXCLUDED_DISC / R around k = 0
+_MAX_SAMPLES = 1_000_000   # points a window's boundary or a real-axis root grid may take
 
 
 @dataclass(frozen=True)
@@ -70,22 +75,30 @@ class PhiBoundaryValues:
     phi2_prime: complex
 
 
+# the boundary values from S_l and X = xi_l, or unit * (each of them) from X = unit * xi_l
+_PHI = {"phi1_at_R": lambda k, s, x: (1j / k) * s.value * x.value,
+        "phi2_avg": lambda k, s, x: 0.5j * (s.value * x.derivative + s.derivative * x.value),
+        "phi2_prime": lambda k, s, x: 1j * k * s.derivative * x.derivative}
+
+
 def _phi(k: np.ndarray, s: ValueAndDerivative, x: ValueAndDerivative) -> PhiBoundaryValues:
-    # the boundary values from S_l and X = xi_l, or unit * (each of them) from X = unit * xi_l
-    phi1 = (1j / k) * s.value * x.value
-    phi2_avg = 0.5j * (s.value * x.derivative + s.derivative * x.value)
-    phi2_prime = 1j * k * s.derivative * x.derivative
-    return PhiBoundaryValues(phi1, phi2_avg, phi2_prime)
+    return PhiBoundaryValues(**{name: phi(k, s, x) for name, phi in _PHI.items()})
 
 
-def _det(p: GpiParams, phi: PhiBoundaryValues, unit: complex | np.ndarray) -> complex | np.ndarray:
-    # unit * det lambda from the boundary values times unit
-    q = p.coupling_product
-    return (-unit
-            - p.alpha * phi.phi1_at_R
-            + p.beta * phi.phi2_prime
-            - 2.0 * p.gamma.real * phi.phi2_avg
-            - 0.25 * q * unit)
+def _det(p: GpiParams, k: np.ndarray, s: ValueAndDerivative, x: ValueAndDerivative,
+         unit: complex | np.ndarray) -> complex | np.ndarray:
+    # unit * det lambda from S_l and X = unit * xi_l, in the formula's order, with only the
+    # terms whose coefficient is nonzero: a term left out would add an exact 0
+    det, q = -unit, p.coupling_product
+    if p.alpha:
+        det = det - p.alpha * _PHI["phi1_at_R"](k, s, x)
+    if p.beta:
+        det = det + p.beta * _PHI["phi2_prime"](k, s, x)
+    if p.gamma.real:
+        det = det - 2.0 * p.gamma.real * _PHI["phi2_avg"](k, s, x)
+    if q:
+        det = det - 0.25 * q * unit
+    return det
 
 
 @pointwise
@@ -109,7 +122,7 @@ def det_lambda(p: GpiParams, ch: Channel, k: complex) -> complex:
     of the prefactor bookkeeping above.
     """
     s, eta, unit = _s_eta(ch.l, k * ch.radius)
-    return _det(p, _phi(k, s, eta), unit) / unit
+    return _det(p, k, s, eta, unit) / unit
 
 
 @pointwise
@@ -119,7 +132,7 @@ def det_lambda_balanced(p: GpiParams, ch: Channel, k: complex) -> complex:
     Built from S_l and e^{-i k R} xi_l, so e^{i k R} is never formed.
     """
     s, eta, unit = _s_eta(ch.l, k * ch.radius)
-    return _det(p, _phi(k, s, eta), unit)
+    return _det(p, k, s, eta, unit)
 
 
 def _inside_condition(p: GpiParams) -> tuple[float, float]:
@@ -153,7 +166,8 @@ def real_axis_roots(p: GpiParams, ch: Channel, k_max: float) -> list[float]:
     round over those still running.  A root is the Newton iterate after a
     step of at most 1e-14 of it, or the midpoint of a bracket shrunk below
     1e-15 of it.  A disc |k| < 1e-3/R around k = 0 is excluded.  A coupling
-    that is not separated and an infinite k_max raise ValueError.
+    that is not separated and an infinite k_max raise ValueError, a grid of
+    more than _MAX_SAMPLES points WinterresError before any Riccati call.
     """
     if not is_separated(p):
         raise ValueError(f"real-axis root search needs a separated interaction, got {p}")
@@ -175,6 +189,9 @@ def real_axis_roots(p: GpiParams, ch: Channel, k_max: float) -> list[float]:
         return []
     step = math.pi / (24.0 * r)
     n_steps = max(2, int(math.ceil((k_max - k_lo) / step)))
+    if n_steps + 1 > _MAX_SAMPLES:
+        raise WinterresError(f"real-axis root search up to k_max={k_max:g} would take "
+                             f"{n_steps + 1} grid points, over the budget of {_MAX_SAMPLES:.3g}")
     grid = k_lo + (k_max - k_lo) * np.arange(n_steps + 1) / n_steps
     vals = g(grid)[0]
     on_grid = np.flatnonzero(vals == 0.0)

@@ -74,7 +74,7 @@ import numpy as np
 from .asymptotics import Resonance
 from .errors import WinterresError
 from .gpi import GpiParams, is_separated
-from .krein import EXCLUDED_DISC, det_lambda, det_lambda_balanced
+from .krein import _MAX_SAMPLES, EXCLUDED_DISC, det_lambda, det_lambda_balanced
 from .riccati import Channel
 
 _FLOOR_REL = 1e-8            # boundary-zero floor relative to |f| at a step's ends
@@ -88,7 +88,6 @@ _AXIS_SLIVER = 1e-7          # top-edge offset (in 1/R) below the axis for separ
 _LIFT = 0.5                  # top edge (in 1/R) above the axis for the others
 _SEED_SLOP = 0.1             # moment seeds may lie this far (in diagonals) outside their cell
 _EIGHTHS = np.arange(1, 8) / 8.0   # a cut step's inner points, as fractions of it
-_MAX_SAMPLES = 1_000_000     # boundary samples a window may take (one 1e5/R long takes 500,090)
 
 
 class BoundaryZero(WinterresError):

@@ -146,23 +146,22 @@ def pointwise(fn):
     return wrapper
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    # re + i im, written into place (a real plus an imaginary array would cast
-    # re to complex and add)
-    out = np.empty(np.shape(re), complex)
-    out.real, out.imag = re, im
-    return out[()]
-
-
-def _trig(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # sin z, cos z and e^{-iz} from one real sine, cosine, exponential and sinh
-    # of x = Re z and y = Im z.  cosh y = (e^y + e^-y)/2 adds two positive
-    # terms; sinh y takes its own call, since (e^y - e^-y)/2 cancels for small y.
-    x, y = z.real, z.imag
+def _trig(z: np.ndarray) -> np.ndarray:
+    # sin z, cos z and e^{-iz}, the rows of one (3, ...) block, from one real sine, cosine,
+    # exponential and sinh of x = Re z and y = Im z (a contiguous copy: exp and sinh run
+    # ~3x slower on the strided z.imag), each product written into its part of the block.
+    # cosh y = (e^y + e^-y)/2 adds two positive terms; sinh y takes its own call, since
+    # (e^y - e^-y)/2 cancels for small y.
+    out = np.empty((3,) + np.shape(z), complex)
+    rows, w = out.reshape(3, -1), np.reshape(z, -1)   # a point's rows are (3, 1) views
+    x, y = w.real, w.imag.copy()
     sin_x, cos_x, exp_y, sinh_y = np.sin(x), np.cos(x), np.exp(y), np.sinh(y)
     cosh_y, msin_x = 0.5 * (exp_y + 1 / exp_y), -sin_x
-    return (_complex(sin_x * cosh_y, cos_x * sinh_y), _complex(cos_x * cosh_y, msin_x * sinh_y),
-            _complex(exp_y * cos_x, exp_y * msin_x))
+    for row, re, im in zip(rows, ((sin_x, cosh_y), (cos_x, cosh_y), (exp_y, cos_x)),
+                           ((cos_x, sinh_y), (msin_x, sinh_y), (exp_y, msin_x))):
+        np.multiply(*re, out=row.real)
+        np.multiply(*im, out=row.imag)
+    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import winterres.krein
-from winterres import (Channel, GpiParams, OriginSingularity,
+from winterres import (Channel, GpiParams, OriginSingularity, WinterresError,
                        det_lambda, det_lambda_balanced, find_poles, phi_boundary,
                        real_axis_roots, riccati_s, riccati_xi)
 
@@ -192,6 +192,67 @@ class TestBalanced:
             assert abs(det_lambda_balanced(p, CH, pole.k)) < 1e-9
 
 
+def five_terms(p: GpiParams, ch: Channel, k) -> tuple:
+    """(balanced, det lambda) with all five terms formed, in the order of the formula.
+
+    Built from ``krein._phi`` on one ``_s_eta`` call: the reference that the evaluator,
+    which forms only the terms a coupling has, must match bitwise.  A Python number
+    runs as a numpy scalar, as ``pointwise`` runs it.
+    """
+    k = np.complex128(k) if isinstance(k, complex) else np.asarray(k)
+    s, eta, unit = winterres.krein._s_eta(ch.l, k * ch.radius)
+    phi = winterres.krein._phi(k, s, eta)
+    balanced = (-unit - p.alpha * phi.phi1_at_R + p.beta * phi.phi2_prime
+                - 2.0 * p.gamma.real * phi.phi2_avg - 0.25 * p.coupling_product * unit)
+    return balanced, balanced / unit
+
+
+class TestTerms:
+    """det lambda forms only the terms whose coefficient is nonzero, bitwise the full sum."""
+
+    # free; alpha, beta, Re gamma or Im gamma alone; alpha beta + |gamma|^2 = 0 with
+    # alpha, beta != 0 (with and without Re gamma); every term; the intermediate coupling
+    COUPLINGS = [GpiParams(0, 0, 0), GpiParams(50, 0, 0), GpiParams(0, 0.1, 0),
+                 GpiParams(0, 0, 0.7), GpiParams(0, 0, 1j), GpiParams(2.0, -0.5, 1.0),
+                 GpiParams(3.0, -3.0, 3j), GpiParams(3.0, -0.2, 0.4 + 0.1j),
+                 GpiParams(0, 0, 1 + 1j)]
+    K = np.array([0.3, 1.7 - 0.2j, 12.5 - 3.0j, 40.0 - 0.01j, 0.05 - 4.0j, 25.3,
+                  3.1 - 0.9j, 7.0 + 0.4j])
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 5, 20])
+    @pytest.mark.parametrize("radius", [0.5, 1.3])
+    def test_matches_all_five_terms(self, l, radius):
+        block = np.empty((self.K.size, 3), complex)
+        block[:, 0], block[:, 1:] = self.K, 1.0
+        inputs = [self.K, self.K.reshape(2, 4), block[:, 0], complex(self.K[2])]
+        ch = Channel(l, radius)
+        assert GpiParams(2.0, -0.5, 1.0).coupling_product == 0.0
+        assert GpiParams(3.0, -3.0, 3j).coupling_product == 0.0
+        for p in self.COUPLINGS:
+            for k in inputs:
+                got = det_lambda_balanced(p, ch, k), det_lambda(p, ch, k)
+                for value, want in zip(got, five_terms(p, ch, k)):
+                    assert type(value) is (complex if isinstance(k, complex) else np.ndarray)
+                    assert np.shape(value) == np.shape(k)
+                    assert np.complex128(value).tobytes() == np.complex128(want).tobytes()
+
+    @pytest.mark.parametrize("p, formed", [
+        (GpiParams(0, 0, 0), []), (GpiParams(50, 0, 0), ["phi1_at_R"]),
+        (GpiParams(0, 0.1, 0), ["phi2_prime"]), (GpiParams(0, 0, 1 + 1j), ["phi2_avg"]),
+        (GpiParams(0, 0, 1j), []),
+        (GpiParams(3.0, -0.2, 0.4 + 0.1j), ["phi1_at_R", "phi2_prime", "phi2_avg"]),
+    ], ids=["free", "delta", "delta-prime", "intermediate", "im-gamma", "all"])
+    def test_forms_only_the_terms_a_coupling_has(self, p, formed, monkeypatch):
+        calls = []
+        for name, phi in list(winterres.krein._PHI.items()):
+            def counted(*args, _name=name, _phi=phi):
+                calls.append(_name)
+                return _phi(*args)
+            monkeypatch.setitem(winterres.krein._PHI, name, counted)
+        det_lambda_balanced(p, Channel(2, 1.0), self.K)
+        assert calls == formed
+
+
 def mpmath_real_root(p: GpiParams, ch: Channel, k0: float) -> float:
     """The zero of c1 S_l(kR) + c2 k S_l'(kR) next to k0, at 40 digits from besselj.
 
@@ -308,3 +369,32 @@ class TestRealAxisRoots:
     def test_requires_separation(self):
         with pytest.raises(ValueError, match="separated"):
             real_axis_roots(FREE, CH, 10.0)
+
+    def test_a_grid_over_the_budget_makes_no_call(self, monkeypatch):
+        # 7.64e9 grid points would take ~61 GB before the first sign check
+        calls = []
+        monkeypatch.setattr(winterres.krein, "riccati_s", lambda l, z: calls.append(z))
+        with pytest.raises(WinterresError, match="real-axis root search up to k_max=1e[+]09 "
+                           "would take 7639437270 grid points, over the budget of 1e[+]06"):
+            real_axis_roots(GpiParams(4, 1, 0), CH, 1e9)
+        assert calls == []
+
+    def test_the_grid_budget_counts_what_the_grid_lays(self, monkeypatch):
+        # the count is the points of the first Riccati call: a budget one under it
+        # raises before that call, and one at it runs
+        sizes, riccati = [], winterres.krein.riccati_s
+
+        def counted(l, z):
+            sizes.append(z.size)
+            return riccati(l, z)
+
+        p = GpiParams(4, 1, 0)
+        monkeypatch.setattr(winterres.krein, "riccati_s", counted)
+        roots = real_axis_roots(p, CH, 30.0)
+        made = len(sizes)
+        monkeypatch.setattr(winterres.krein, "_MAX_SAMPLES", sizes[0] - 1)
+        with pytest.raises(WinterresError, match=f"would take {sizes[0]} grid points"):
+            real_axis_roots(p, CH, 30.0)
+        assert len(sizes) == made
+        monkeypatch.setattr(winterres.krein, "_MAX_SAMPLES", sizes[0])
+        assert real_axis_roots(p, CH, 30.0) == roots

@@ -1679,7 +1679,8 @@ class TestTwoZeroCells:
             self._search(monkeypatch, lambda p, ch, k: (k - k1) * (k - k1 - 1.2e-6) * (k + 5),
                          re_max=152.0)
 
-    @pytest.mark.parametrize("k0", [K1, 2 - 1.3j, 4.77 - 0.41j])
+    # at 3.5 - 1.3i and 3.5 - 0.2i the search once ended in an untyped pole count mismatch
+    @pytest.mark.parametrize("k0", [K1, 2 - 1.3j, 4.77 - 0.41j, 3.5 - 1.3j, 3.5 - 0.2j])
     def test_double_zero_is_never_returned(self, k0, monkeypatch):
         with pytest.raises((BoundaryZero, ClusteredZeros)):
             self._search(monkeypatch, lambda p, ch, k: (k - k0) ** 2 * (k + 5))

@@ -509,6 +509,16 @@ class TestExitCodes:
         assert "would take 5e+09 boundary samples, over the budget of 1e+06" in err
         assert calls == []
 
+    def test_solver_error_real_axis_grid_over_the_budget(self, capsys, monkeypatch):
+        # the separated coupling's real-axis grid is counted before any Riccati call
+        calls = []
+        monkeypatch.setattr(winterres.krein, "riccati_s", lambda l, z: calls.append(z))
+        assert main(["poles", "--alpha", "4", "--beta", "1", "--re-max", "1e9"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: real-axis root search up to k_max=1e+09 would "
+                              "take 7639437270 grid points, over the budget of 1e+06")
+        assert calls == []
+
     def test_solver_error_boundary_zero(self, capsys):
         # bottom edge exactly through the first pole of the alpha=50 shell:
         # the strict top-level count cannot certify the contour

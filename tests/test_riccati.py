@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from winterres import Channel, OriginSingularity, riccati_s, riccati_xi
-from winterres.riccati import _series_tables, _zeros
+from winterres.riccati import _series_tables, _trig, _zeros
 
 from conftest import (MPMATH_GRID, MPMATH_ORDERS, mpmath_riccati, riccati_xi_series,
                       wronskian)
@@ -39,6 +39,41 @@ def closed_xi(l: int, z: complex) -> complex:
         for m in range(l + 1)
     )
     return (-1j) ** (l + 1) * cmath.exp(1j * z) * total
+
+
+def trig_by_parts(z):
+    """sin z, cos z and e^{-iz}, each assembled from a real and an imaginary part array."""
+    x, y = z.real, z.imag
+    sin_x, cos_x, exp_y, sinh_y = np.sin(x), np.cos(x), np.exp(y), np.sinh(y)
+    cosh_y, msin_x = 0.5 * (exp_y + 1 / exp_y), -sin_x
+
+    def assemble(re, im):
+        out = np.empty(np.shape(re), complex)
+        out.real, out.imag = re, im
+        return out[()]
+
+    return (assemble(sin_x * cosh_y, cos_x * sinh_y), assemble(cos_x * cosh_y, msin_x * sinh_y),
+            assemble(exp_y * cos_x, exp_y * msin_x))
+
+
+class TestTrig:
+    """_trig writes its three rows into one block, bitwise the values built part by part."""
+
+    Z = np.array([0.3, 1.7 - 0.2j, 12.5 - 3.0j, -40.0 - 0.01j, 0.05 - 40.0j, 25.3 + 2.0j,
+                  1e-9 + 1e-12j, -3.0 + 700.0j, 2.0 - 720.0j, 1e5 - 0.5j])
+
+    @pytest.mark.parametrize("shape", ["1-d", "2-d", "strided", "point"])
+    def test_rows_match_the_parts(self, shape):
+        block = np.empty((self.Z.size, 2), complex)
+        block[:, 0], block[:, 1] = self.Z, np.nan
+        z = {"1-d": self.Z, "2-d": self.Z.reshape(2, 5), "strided": block[:, 0],
+             "point": self.Z[2]}[shape]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _trig(z), trig_by_parts(z)
+        assert len(got) == 3
+        for row, value in zip(got, want):
+            assert type(row) is type(value) and np.shape(row) == np.shape(z)
+            assert row.tobytes() == value.tobytes()
 
 
 class TestChannel:
