@@ -37,7 +37,8 @@ ZeroCoupling rather than fabricating a lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import WinterresError
 from .gpi import (GpiClass, GpiParams, SeparatedInteraction, canonical_real_gamma, classify,
@@ -55,17 +56,17 @@ class AmbiguousIndex(WinterresError):
     """Two poles compete for the same asymptotic lattice index."""
 
 
-@dataclass(frozen=True)
-class Resonance:
-    """A refined zero of det lambda: a pole of the resolvent in the fourth
-    quadrant, or, with ``embedded`` set, an embedded eigenvalue (a real zero,
-    found for separated interactions).
+class Resonance(NamedTuple):
+    """A refined zero of det lambda, as an immutable named tuple: a pole of
+    the resolvent in the fourth quadrant, or, with ``embedded`` set, an
+    embedded eigenvalue (a real zero, found for separated interactions).
 
     ``residual`` is the raw |det lambda| at the returned momentum; ``index``
     is the position on the class lattice once assigned (ordinal before that,
     and for embedded eigenvalues).  ``compare`` fills in the prediction for
     the index and its absolute and scaled error; they stay None where there
-    is no prediction.
+    is no prediction.  A row unpacks and compares as the plain tuple of its
+    seven fields, and ``row._replace(...)`` gives a changed copy.
     """
 
     index: int
@@ -162,8 +163,8 @@ def compare(poles: list[Resonance], p: GpiParams, ch: Channel) -> list[Resonance
         if pole.index >= 1:
             pred = predict(p, ch, pole.index)
             err = abs(pole.k - pred.k_pred)
-            pole = replace(pole, k_pred=pred.k_pred, abs_err=err,
-                           scaled_err=err / pred.error_scale)
+            pole = pole._replace(k_pred=pred.k_pred, abs_err=err,
+                                 scaled_err=err / pred.error_scale)
         out.append(pole)
     return out
 
@@ -191,6 +192,6 @@ def index_poles(poles: list[Resonance], p: GpiParams, ch: Channel) -> list[Reson
         if n != nearest and abs(pole.k.real - (off + n * spacing)) > _LATTICE_SPAN * spacing:
             raise AmbiguousIndex(
                 f"poles collide on the lattice near n = {nearest} (Re k = {pole.k.real})")
-        out.append(replace(pole, index=n))
+        out.append(pole._replace(index=n))
         prev_n = n
     return out

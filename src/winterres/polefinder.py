@@ -15,7 +15,7 @@ counts c > 2 zeros is cut into
 max(2, c // 2) equal strips across the way its zeros spread, which its
 contour moments tell, and so on until every cell holds at most two zeros;
 those cells seed damped Newton iterations, and the refined roots are
-deduplicated and checked against the top-level count, so no resonance
+checked against the top-level count, no two within 1e-8 |k|, so no resonance
 inside the requested window can be silently missed.  The poles line up
 along Re k about pi/R apart, so a long window is cut once into strips of
 about two zeros each, and a strip of three is cut across its row.
@@ -55,9 +55,9 @@ is counted, a program's in one pass; once every cell holds one or two, one
 ``refine`` call runs Newton from every queued seed in lockstep, and one
 array test judges all the cells.  A two-zero cell is solved when both roots
 converge inside it at least _MIN_CELL_FACTOR / R apart (closer pairs are
-clusters) and farther apart than deduplication merges.  Any other outcome
-splits the cell from its loop; a one-zero cell gets one such pass, and a
-two-zero cell's children theirs.
+clusters) and farther apart than 1e-8 |k|.  Any other outcome splits the
+cell from its loop; a one-zero cell gets one such pass, and a two-zero
+cell's children theirs.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 pole lists.
@@ -82,7 +82,7 @@ _MAX_PHASE_DEPTH = 16        # rounds of eighths per boundary step: 48 halvings
 _MAX_TREE_DEPTH = 40         # rectangle subdivision depth cap
 _MIN_CELL_FACTOR = 1e-6      # cells below 1e-6/R with count >= 2 are clusters
 _RESIDUAL_TOL = 1e-9         # |det lambda| certified at returned poles
-_DEDUPE_REL = 1e-8           # merge poles closer than 1e-8 |k|
+_DEDUPE_REL = 1e-8           # no two poles closer than 1e-8 |k|
 _SPLIT_FRACTIONS = (0.5, 0.53125, 0.46875, 0.5625, 0.4375, 0.59375, 0.40625)
 _AXIS_SLIVER = 1e-7          # top-edge offset (in 1/R) below the axis for separated couplings
 _LIFT = 0.5                  # top edge (in 1/R) above the axis for the others
@@ -585,8 +585,12 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     the re-split pass read the cells' ``_Cells`` record as arrays, in the
     order of their generations.
 
-    The returned list is sorted by Re k, deduplicated, every pole carries
-    |det lambda| < 1e-9, and its length equals the top-level winding count.
+    The returned list is sorted by Re k (then Im k), has no two roots within
+    1e-8 |k|, every pole carries |det lambda| < 1e-9, and its length equals
+    the top-level winding count; otherwise WinterresError says "pole
+    bookkeeping failed: counted N, refined M".  M leaves out each root within
+    1e-8 |k| of the one before it, so a chain of roots, each near the one
+    before it, counts as one.
     Indices are ordinals (0, 1, ...) until ``index_poles`` assigns lattice
     positions.
     """
@@ -633,7 +637,7 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
         first = counts.cumsum() - counts   # each cell's first root
         inside = _inside(cells.box.repeat(counts, axis=1), roots,
                          1e-9 * np.maximum(1.0, abs(roots)))
-        # a pair closer than min_cell is a cluster, and one that dedupe would merge is lost
+        # a pair closer than min_cell is a cluster, and one within 1e-8 |k| is lost
         ok = np.logical_and.reduceat(inside, first) & ((counts == 1) | (
             abs(roots[first] - roots[first + counts - 1])
             >= np.maximum(min_cell, _DEDUPE_REL * abs(roots[first]))))
@@ -654,23 +658,16 @@ def find_poles(p: GpiParams, ch: Channel, re_max: float,
     roots, residuals = (np.concatenate(part) for part in zip(*found))
     order = np.lexsort((roots.imag, roots.real))   # stable: by Re k, then Im k
     roots, residuals = roots[order], residuals[order]
-    kept, ks, rs = [], roots.tolist(), residuals.tolist()   # of near roots, the smaller residual
-    for j, k_root in enumerate(ks):
-        if kept and abs(k_root - ks[kept[-1]]) < _DEDUPE_REL * abs(k_root):
-            if rs[j] < rs[kept[-1]]:
-                kept[-1] = j
-            continue
-        kept.append(j)
-    roots, residuals = roots[kept], residuals[kept]
-    if roots.size != window.count[0]:
+    # the roots within 1e-8 |k| of the one before them: a chain of m roots counts as one
+    near = np.count_nonzero(abs(np.diff(roots)) < _DEDUPE_REL * abs(roots[1:]))
+    if roots.size - near != window.count[0]:
         raise WinterresError(
-            f"pole bookkeeping failed: counted {window.count[0]}, refined {roots.size}")
+            f"pole bookkeeping failed: counted {window.count[0]}, refined {roots.size - near}")
     bad = residuals >= _RESIDUAL_TOL
     if bad.any():
         raise NonConvergence(f"{np.count_nonzero(bad)} poles above the residual tolerance: "
                              f"{list(zip(roots[bad].tolist(), residuals[bad].tolist()))}")
-    return [Resonance(i, k_root, residual)
-            for i, (k_root, residual) in enumerate(zip(roots.tolist(), residuals.tolist()))]
+    return list(map(Resonance, range(roots.size), roots.tolist(), residuals.tolist()))
 
 
 def _cut(base, length, first: int, keys: np.ndarray, at: np.ndarray, points: np.ndarray):

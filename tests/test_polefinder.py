@@ -1308,12 +1308,22 @@ class TestFindPoles:
         with pytest.raises(ValueError, match=r"im_min must lie below -?\d"):
             find_poles(p, ch, 10.0, top / 2.0 if top < 0 else 0.0)
 
-    def test_bookkeeping_failure_raises(self, monkeypatch):
-        # a dedupe radius of half |k| merges two distinct poles, so fewer come
-        # back than the window counts
-        monkeypatch.setattr(pf, "_DEDUPE_REL", 0.5)
-        with pytest.raises(WinterresError, match="pole bookkeeping failed: counted 3, refined 2"):
+    @pytest.mark.parametrize("rel, refined", [(0.5, 2), (0.7, 1)], ids=["pair", "chain"])
+    def test_bookkeeping_failure_raises(self, monkeypatch, rel, refined):
+        # the poles 3.08, 6.16 and 9.25 lie within half |k| of the one below them two at a
+        # time and within 0.7 |k| all three in a chain, which counts as one pole: fewer
+        # come back than the window counts
+        monkeypatch.setattr(pf, "_DEDUPE_REL", rel)
+        with pytest.raises(WinterresError,
+                           match=f"pole bookkeeping failed: counted 3, refined {refined}$"):
             find_poles(DELTA, CH, 12.0, -2.0)
+
+    def test_window_counted_below_zero_raises(self):
+        # this window's count reads -3 (a miscount); no cell is refined and no root comes
+        # back, and the count check says so instead of returning no poles
+        with pytest.raises(WinterresError,
+                           match="pole bookkeeping failed: counted -3, refined 0$"):
+            find_poles(GpiParams(0, 12.0, 12.0), Channel(1, 12.0), 12.0, -2.0)
 
     def test_residual_over_the_tolerance_raises(self, monkeypatch):
         refine_ = pf.refine
@@ -1336,7 +1346,7 @@ class TestFindPoles:
     def test_determinism(self):
         a = find_poles(INTERMEDIATE, CH, re_max=30.0, im_min=-1.5)
         b = find_poles(INTERMEDIATE, CH, re_max=30.0, im_min=-1.5)
-        assert a == b  # bitwise-identical dataclasses
+        assert a == b  # bitwise-identical rows
 
     def test_pair_symmetry(self):
         for p in (DELTA, INTERMEDIATE):

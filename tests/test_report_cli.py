@@ -89,6 +89,57 @@ class TestCsv:
         assert row.energy_width == 2.0 * abs(9.734 * -0.123)
 
 
+class TestRows:
+    """Every producer of pole rows gives immutable ``Resonance`` named tuples."""
+
+    P, CH = GpiParams(50, 0, 0), Channel(0, 1.0)
+
+    def produced(self, producer):
+        found = find_poles(self.P, self.CH, 12.0, -2.0)
+        rows = {"find_poles": lambda: found,
+                "index_poles": lambda: index_poles(found, self.P, self.CH),
+                "compare": lambda: compare(index_poles(found, self.P, self.CH),
+                                           self.P, self.CH),
+                "embedded_rows": lambda: embedded_rows([math.pi / 2, 4.7], [3e-16, 1e-15])}
+        if producer != "read_csv":
+            return rows[producer]()
+        buf = io.StringIO()
+        write_csv(rows["compare"]() + rows["embedded_rows"](), buf)
+        buf.seek(0)
+        return read_csv(buf)
+
+    @pytest.mark.parametrize("producer", ["find_poles", "index_poles", "compare",
+                                          "embedded_rows", "read_csv"])
+    def test_every_producer_gives_rows(self, producer):
+        rows = self.produced(producer)
+        assert rows
+        for row in rows:
+            assert type(row) is Resonance and len(row) == 7
+            assert row == (row.index, row.k, row.residual, row.k_pred, row.abs_err,
+                           row.scaled_err, row.embedded)
+            assert row.energy_width == 2.0 * abs(row.k.real * row.k.imag)
+
+    def test_a_row_unpacks_prints_and_cannot_be_assigned(self):
+        row = Resonance(0, 3 - 1j, 1e-13)
+        index, k, residual, k_pred, abs_err, scaled_err, embedded = row
+        assert (index, k, residual, k_pred, abs_err, scaled_err, embedded) == (
+            0, 3 - 1j, 1e-13, None, None, None, False)
+        assert repr(row) == ("Resonance(index=0, k=(3-1j), residual=1e-13, k_pred=None, "
+                             "abs_err=None, scaled_err=None, embedded=False)")
+        with pytest.raises(AttributeError):
+            row.k = 1j
+
+    def test_index_and_compare_give_new_rows_and_leave_theirs(self):
+        given = [Resonance(7, q.k, q.residual) for q in find_poles(self.P, self.CH, 12.0, -2.0)]
+        before = list(given)
+        indexed = index_poles(given, self.P, self.CH)
+        assert [q.index for q in indexed] == [0, 1, 2]
+        compared = compare(indexed, self.P, self.CH)
+        assert [q.k_pred is None for q in compared] == [True, False, False]
+        assert given == before and [q.index for q in given] == [7, 7, 7]
+        assert [q.k_pred for q in indexed] == [None] * 3
+
+
 class TestSvg:
     def test_three_series_chart(self):
         series = [

@@ -192,10 +192,10 @@ def test_ab_passes_times_results_that_differ_by_rounding(tmp_path, factor, code)
     pkg = tmp_path / "src" / "winterres"
     shutil.copytree(ROOT / "src" / "winterres", pkg,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    source, pole = (pkg / "polefinder.py").read_text(), "Resonance(i, k_root, residual)"
+    source, pole = (pkg / "polefinder.py").read_text(), "range(roots.size), roots.tolist()"
     assert source.count(pole) == 1
     (pkg / "polefinder.py").write_text(
-        source.replace(pole, f"Resonance(i, k_root * {factor}, residual)"))
+        source.replace(pole, f"range(roots.size), (roots * {factor}).tolist()"))
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab_passes.py"), str(ROOT),
                            str(tmp_path), "--passes", "1"], capture_output=True, text=True,
                           timeout=600)
