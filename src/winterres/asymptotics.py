@@ -144,7 +144,10 @@ def predict(p: GpiParams, ch: Channel, n: int) -> AsymptoticPrediction:
                    + (g.real - 1.0 - 0.25 * q) / (p.beta * r)) / k0
         bracket = (1.0 + 0.5 * abs(g) ** 2 - g.real ** 2
                    - 0.5 * p.alpha * p.beta + q * q / 16.0)
-        im = -bracket / ((p.beta * k0) ** 2 * r)
+        try:
+            im = -bracket / ((p.beta * k0) ** 2 * r)
+        except (OverflowError, ZeroDivisionError):   # (beta k0)^2 R out of the double range
+            im = -bracket / (p.beta * k0) / (p.beta * k0 * r)
         scale = n ** -3.0
     return AsymptoticPrediction(n, complex(re, im), scale)
 

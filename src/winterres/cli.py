@@ -45,9 +45,6 @@ def _add_search(sub: argparse.ArgumentParser) -> None:
                      help="write the pole table here")
     sub.add_argument("--svg", type=str, default=None, dest="svg_path", metavar="SVG",
                      help="write the scatter chart here")
-    sub.add_argument("--table", action="store_true", default=None,
-                     help="print the table to stdout even where the config sets "
-                     "outputs.table to false")
 
 
 @functools.cache
@@ -61,6 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_poles = subs.add_parser("poles", help="locate poles; emit CSV/SVG")
     _add_common(p_poles)
     _add_search(p_poles)
+    p_poles.add_argument("--table", action="store_true", default=None,
+                         help="print the table to stdout even where the config sets "
+                         "outputs.table to false")
     p_poles.add_argument("--interaction", action="append", default=None,
                          metavar="A,B,G", help="overlay interaction 'alpha,beta,gamma' "
                          "(repeatable; gamma in a+bi form; not with --alpha/--beta/--gamma; "

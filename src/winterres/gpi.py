@@ -73,7 +73,8 @@ class GpiParams:
     alpha has dimension 1/length, beta has dimension length, gamma is
     dimensionless.  All three enter only through alpha, beta, Re gamma and
     |gamma|^2 in the pole condition, but Im gamma does change the unitary
-    and transfer encodings.
+    and transfer encodings.  Raises ValueError unless alpha beta + |gamma|^2
+    is a finite double, which it is only when all three are finite.
     """
 
     alpha: float
@@ -84,9 +85,13 @@ class GpiParams:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "gamma", complex(self.gamma))
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)
-                and cmath.isfinite(self.gamma)):
-            raise ValueError("interaction parameters must be finite")
+        try:
+            q = self.coupling_product
+        except OverflowError:   # |gamma|^2 beyond the largest double
+            q = math.inf
+        if not math.isfinite(q):
+            raise ValueError("interaction parameters must be finite, and so must "
+                             f"alpha beta + |gamma|^2 = {q!r}")
 
     @property
     def coupling_product(self) -> float:
@@ -221,14 +226,14 @@ def to_transfer(p: GpiParams) -> TransferForm:
     The unimodular phase e^{i chi} is factored out of it; the leftover sign
     of the phase reduction is absorbed into the real entries, so the free
     interaction comes out as chi = 0 with the identity matrix.  Raises
-    SeparatedInteraction when the matrix does not exist.
+    SeparatedInteraction exactly when ``is_separated(p)``.
     """
-    q = p.coupling_product
-    den = complex(q - 4, 4 * p.gamma.imag)
-    if abs(den) < 1e-12 * (1.0 + abs(q)):
+    if is_separated(p):
         raise SeparatedInteraction(
             "transfer matrix does not exist: inside and outside decouple"
         )
+    q = p.coupling_product
+    den = complex(q - 4, 4 * p.gamma.imag)
     scale = 1.0 / abs(den)          # |Lambda entries| / |P entries|
     phi = cmath.phase(-1.0 / den)   # overall phase of Lambda, in (-pi, pi]
     sign = 1.0

@@ -52,12 +52,12 @@ a loop is read, as views, only when its cell is split; a search builds one
 
 A strip of one or two zeros is seeded from its contour moments as its split
 is counted, a program's in one pass; once every cell holds one or two, one
-``refine`` call runs Newton from every queued seed in lockstep, and one
-array test judges all the cells.  A two-zero cell is solved when both roots
-converge inside it at least _MIN_CELL_FACTOR / R apart (closer pairs are
-clusters) and farther apart than 1e-8 |k|.  Any other outcome splits the
-cell from its loop; a one-zero cell gets one such pass, and a two-zero
-cell's children theirs.
+``refine`` call runs Newton from every queued seed in lockstep, a rejected
+step halved for the next round, and one array test judges all the cells.
+A two-zero cell is solved when both roots converge inside it at least
+_MIN_CELL_FACTOR / R apart (closer pairs are clusters) and farther apart
+than 1e-8 |k|.  Any other outcome splits the cell from its loop; a
+one-zero cell gets one such pass, and a two-zero cell's children theirs.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 pole lists.
@@ -451,7 +451,7 @@ def count_zeros(p: GpiParams, ch: Channel, region: SearchRegion) -> int:
     return int(_boundary(fn, region).count[0])
 
 
-_DAMPING = 0.5 ** np.arange(1, 11)   # t = 1/2 ... 1/1024, tried after a rejected full step
+_MAX_HALVINGS = 10   # a rejected step is halved in place, down to t = 1/1024
 _MAX_STEPS = 100
 _FAILURES = {1: "vanishing derivative at k = {k}",
              2: "stuck at residual floor |f| = {f} near k = {k}",
@@ -473,13 +473,12 @@ def refine(p: GpiParams, ch: Channel, k0):
     final residual: it costs no evaluation.
 
     All seeds follow these rules each on its own, but advance in lockstep:
-    every round is one det lambda call for the points of all of them.  A
-    seed with a step ready evaluates the full step together with the two
-    difference points around it, so an accepted full step already has its
-    next derivative.  Only a seed whose full step was rejected evaluates the
-    damped steps t = 1/2 ... 1/1024, all in one round; at the accepted one
-    it evaluates f and f' in the next round (as it does at the seed itself)
-    before its residual is tested.
+    every round is one det lambda call in which each live seed evaluates
+    k + step and the two difference points around it, so an accepted point,
+    full or damped, already has its next derivative, and a rejected step is
+    halved in place for the next round.  A step of j halvings so costs 1 + j
+    rounds of 3 points: for j <= 2 no more rounds than all ten damped steps
+    tried at once (3 rounds of 16 points in all), for j <= 4 no more points.
 
     A scalar seed returns (k, |det lambda(k)|) and raises NonConvergence
     after 100 steps, on a vanishing derivative or on a residual floor that
@@ -491,51 +490,43 @@ def refine(p: GpiParams, ch: Channel, k0):
         raise ValueError("seed must be nonzero")
     shape, n = np.shape(k0), k.size
     fk = np.full(n, complex(math.inf, 0.0))   # f at k; inf until it is evaluated
-    deriv, step = np.zeros(n, complex), np.zeros(n, complex)
-    steps, failed = np.zeros(n, int), np.zeros(n, int)   # failed: a key of _FAILURES
+    step = np.zeros(n, complex)   # 0 at the seed, so its first round evaluates f and f' there
+    steps, halvings, failed = np.zeros((3, n), int)   # failed: a key of _FAILURES
     root = np.full(n, complex(math.nan, math.nan))
-
-    def newton(cells):
-        """Cells with f and f' at k: stop, fail, or set the next step; returns those to go on."""
-        kc, fc, dc = k[cells], fk[cells], deriv[cells]
-        sc = -fc / dc
-        capped = steps[cells] >= _MAX_STEPS
-        # |det lambda| = |balanced| e^{-R Im k}; stopping there, k - f/f' comes free
-        stop = ~capped & ((np.abs(fc) * np.exp(-ch.radius * kc.imag) < 1e-12)
-                          | (np.abs(sc) < 1e-12 * np.maximum(1.0, np.abs(kc))))
-        root[cells[stop]] = (kc + np.where(np.isfinite(sc), sc, 0.0))[stop]
-        go = ~stop & ~capped & np.isfinite(sc)   # damping a non-finite step finds no lower |f|
-        lost = ~stop & ~go
-        failed[cells[lost]] = np.where(capped, 3, np.where(dc == 0, 1, 2))[lost]
-        cells = cells[go]
-        step[cells] = sc[go]
-        steps[cells] += 1
-        return cells
-
-    # Each round, a cell of `centre` evaluates k + step and the two difference
-    # points around it (with step 0 at the seed and after a damped step); a
-    # cell of `ladder` evaluates k + t step for every damping factor t.
-    centre, ladder = np.arange(n), np.zeros(0, int)
+    live = np.arange(n)
     with np.errstate(all="ignore"):   # a runaway seed overflows; it then fails on its own
-        while centre.size or ladder.size:
-            trial = k[centre] + step[centre]
+        while live.size:
+            trial = k[live] + step[live]
             h = 1e-6 * np.maximum(1.0, np.abs(trial))
-            rungs = k[ladder, None] + _DAMPING * step[ladder, None]
-            m = trial.size
-            values = det_lambda_balanced(
-                p, ch, np.concatenate([trial, trial + h, trial - h, rungs.ravel()]))
+            f, plus, minus = det_lambda_balanced(
+                p, ch, np.concatenate([trial, trial + h, trial - h])).reshape(3, -1)
+            lower = np.abs(f) < np.abs(fk[live])
 
-            lower = np.abs(values[:m]) < np.abs(fk[centre])
-            moved = centre[lower]
-            k[moved], fk[moved] = trial[lower], values[:m][lower]
-            deriv[moved] = ((values[m:2 * m] - values[2 * m:3 * m]) / (2.0 * h))[lower]
-            lower_rungs = np.abs(values[3 * m:].reshape(rungs.shape)) < np.abs(fk[ladder, None])
-            found = lower_rungs.any(axis=1)
-            failed[ladder[~found]] = 2
-            damped = ladder[found]
-            k[damped] = rungs[found, lower_rungs.argmax(axis=1)[found]]
-            fk[damped], step[damped] = math.inf, 0.0
-            centre, ladder = np.concatenate([newton(moved), damped]), centre[~lower]
+            # a rejected step is halved up to _MAX_HALVINGS times; a rejected seed (step 0) is stuck
+            held = live[~lower]
+            stuck = (halvings[held] == _MAX_HALVINGS) | (step[held] == 0)
+            failed[held[stuck]] = 2
+            held = held[~stuck]
+            step[held] *= 0.5
+            halvings[held] += 1
+
+            # an accepted point stops, fails, or sets its next step
+            cells, kc, fc = live[lower], trial[lower], f[lower]
+            dc = ((plus - minus) / (2.0 * h))[lower]
+            k[cells], fk[cells], halvings[cells] = kc, fc, 0
+            sc = -fc / dc
+            capped = steps[cells] >= _MAX_STEPS
+            # |det lambda| = |balanced| e^{-R Im k}; stopping there, k - f/f' comes free
+            stop = ~capped & ((np.abs(fc) * np.exp(-ch.radius * kc.imag) < 1e-12)
+                              | (np.abs(sc) < 1e-12 * np.maximum(1.0, np.abs(kc))))
+            root[cells[stop]] = (kc + np.where(np.isfinite(sc), sc, 0.0))[stop]
+            go = ~stop & ~capped & np.isfinite(sc)   # damping a non-finite step finds no lower |f|
+            lost = ~stop & ~go
+            failed[cells[lost]] = np.where(capped, 3, np.where(dc == 0, 1, 2))[lost]
+            cells = cells[go]
+            step[cells] = sc[go]
+            steps[cells] += 1
+            live = np.concatenate([cells, held])
 
     ok = np.isfinite(root)
     residual = np.full(n, math.nan)

@@ -86,7 +86,7 @@ class OriginSingularity(WinterresError):
 
 
 def _check_order(l) -> None:
-    if not isinstance(l, int) or not 0 <= l <= 200:   # the S_l series is shown up to 200
+    if not isinstance(l, int) or not 0 <= l <= 200:   # the series' l + 16 terms suffice to 200
         raise ValueError(f"angular momentum must be a nonnegative integer up to 200, got {l!r}")
 
 
@@ -171,7 +171,7 @@ def _series_tables(l: int) -> tuple[np.ndarray, np.ndarray, float]:
     # |z| alone and S_l / z^{l+1} has no zero in |z| <= l + 2 (j_l's first zero lies
     # above), so a term is largest against the sum on |z| = l + 2; there term l + 15
     # is under 1e-18 of it for every l <= 200 (l=1 needs term 14, l=20 term 35, l=50
-    # term 59), below half an ulp, as are the terms after it.
+    # term 59), below half an ulp, as are the terms after it; t_0 underflows from l = 150.
     m = np.arange(l + 16.0)[:, None]
     return (m * (2 * l + 2 * m + 1))[1:], l + 1 + 2 * m, 1 / math.prod(range(2 * l + 1, 1, -2))
 

@@ -103,6 +103,19 @@ class TestPredictDeltaPrime:
         assert im1 / im2 == pytest.approx((k02 / k01) ** 2, rel=1e-12)
 
 
+    @pytest.mark.parametrize("beta", [1e-163, 5e-324, 1e200], ids=["tiny", "subnormal", "huge"])
+    def test_beta_k0_squared_out_of_the_double_range(self, beta):
+        # (beta k0)^2 R underflows to 0 or overflows; the width then is divided out by
+        # beta k0 twice, and comes out -inf here
+        assert predict(GpiParams(1, beta, 1), CH, 1).k_pred.imag == -math.inf
+
+    def test_width_near_the_underflow_is_the_plain_quotient(self):
+        # the delta-prime law's own arithmetic, where (beta k0)^2 R is still a normal double
+        p, n, q = GpiParams(1, 1e-150, 1), 3, 1 + 1e-150
+        k0 = n * math.pi + 0.5 * math.pi
+        bracket = 1.0 + 0.5 - 1.0 - 0.5 * 1e-150 + q * q / 16.0
+        assert predict(p, CH, n).k_pred.imag == -bracket / ((1e-150 * k0) ** 2 * 1.0)
+
     @pytest.mark.parametrize("radius", [0.5, 2.0])
     def test_width_scales_with_radius(self, radius):
         # l = 0, alpha = gamma = 0: det lambda = -1 + (i beta k / 2)(e^{2ikR} + 1), so

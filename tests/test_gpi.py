@@ -48,6 +48,14 @@ class TestClassify:
         with pytest.raises(ValueError):
             GpiParams(0.0, math.inf, 0.0)
 
+    @pytest.mark.parametrize("alpha, beta, gamma", [(0, 0, 1e200), (0, 0, 1e200 + 1e200j),
+                                                    (1e300, 1e300, 0), (1e300, -1e300, 1e200)],
+                             ids=["gamma", "complex-gamma", "alpha-beta", "both"])
+    def test_rejects_a_product_beyond_the_doubles(self, alpha, beta, gamma):
+        # each entry is finite, but alpha beta + |gamma|^2 is not a finite double
+        with pytest.raises(ValueError, match=r"and so must alpha beta \+ \|gamma\|\^2 = "):
+            GpiParams(alpha, beta, gamma)
+
 
 class TestSeparation:
     def test_examples(self):
@@ -57,6 +65,19 @@ class TestSeparation:
 
     def test_needs_real_gamma(self):
         assert not is_separated(GpiParams(0, 0, 2j))  # |gamma|^2 = 4 but Im != 0
+
+    @pytest.mark.parametrize("offset", [0.0, 5e-13, -5e-13, 2e-12, -2e-12, 4e-12, -4e-12,
+                                        6e-12, -6e-12])
+    def test_to_transfer_raises_exactly_when_separated(self, offset):
+        # q - 4 = offset, to rounding, with real gamma; only |q - 4| <= 1e-12 is separated
+        for p in (GpiParams(4, 1 + offset / 4, 0), GpiParams(0, 0, 2 + offset / 4)):
+            assert is_separated(p) == (abs(offset) < 1e-12)
+            if is_separated(p):
+                with pytest.raises(SeparatedInteraction):
+                    to_transfer(p)
+            else:
+                t = to_transfer(p)
+                assert max(abs(t.a), abs(t.b), abs(t.c), abs(t.d)) > 1e11
 
 
 class TestToUnitary:

@@ -958,6 +958,17 @@ class TestRefine:
         with pytest.raises(NonConvergence, match="stuck at residual floor"):
             refine(DELTA, CH, 1e-3 - 1e-3j)
 
+    def test_seed_where_f_is_not_finite_is_stuck_at_once(self, monkeypatch):
+        # the balanced terms overflow at 5 - 800i and det lambda reads NaN there: no step
+        # can lower |f|, so the seed fails after its first det lambda call
+        calls, det = [], pf.det_lambda_balanced
+        monkeypatch.setattr(pf, "det_lambda_balanced",
+                            lambda p, ch, k: calls.append(k.size) or det(p, ch, k))
+        with pytest.raises(NonConvergence,
+                           match=r"stuck at residual floor \|f\| = inf near k = \(5-800j\)"):
+            refine(DELTA, CH, 5 - 800j)
+        assert calls == [3]
+
     def test_rejects_zero_seed(self):
         with pytest.raises(ValueError):
             refine(DELTA, CH, 0)
@@ -969,9 +980,12 @@ class TestRefine:
         assert type(k) is complex and type(residual) is float
 
     def test_array_matches_scalar(self):
-        # the last seed, next to k = 0, is stuck at a residual floor
+        # the two seeds before the last take one and two accepted damped steps, on their
+        # way to the poles at 3.08 and 12.34; the last seed, next to k = 0, is stuck at a
+        # residual floor
         seeds = np.array([FIRST_POLE_ALPHA50 + 0.05, 3.0 - 0.1j, 0.5 - 10j, 40 - 40j,
-                          100 - 1e-4j, 1e-3 - 1e-3j])
+                          100 - 1e-4j, 3.6318383229545352 - 2.227839491085471j,
+                          13.770937486757735 + 0.20483820898979221j, 1e-3 - 1e-3j])
         roots, residuals = refine(DELTA, CH, seeds)
         assert roots.shape == residuals.shape == seeds.shape
         for seed, k, residual in zip(seeds[:-1], roots, residuals):

@@ -265,6 +265,13 @@ class TestCliClassify:
         assert "intermediate-type; not separated" in out
         assert "transfer form: chi=0  a=1.61117469143e-05  b=0  c=0  d=62066.5161092" in out
 
+    def test_just_off_the_separated_locus(self, capsys):
+        # q - 4 = 4.0e-12, over is_separated's 1e-12: the transfer form exists, entries ~2e12
+        assert main(["classify", "--alpha", "4", "--beta", "1.000000000001"]) == 0
+        out = capsys.readouterr().out
+        assert "delta-prime-type; not separated" in out
+        assert "transfer form: chi=0  a=-1.99982221464e+12" in out
+
     def test_separated(self, capsys):
         assert main(["classify", "--alpha", "4", "--beta", "1"]) == 0
         out = capsys.readouterr().out
@@ -384,6 +391,12 @@ class TestCliCompare:
     def test_rejects_interaction(self):
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--re-max", "20", "--interaction", "50,0,0"])
+        assert exc.value.code == 2
+
+    def test_rejects_table(self):
+        # compare always prints its table; --table belongs to poles alone
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--re-max", "10", "--table"])
         assert exc.value.code == 2
 
     def test_free_reports_no_resonances(self, capsys):

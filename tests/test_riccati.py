@@ -259,6 +259,15 @@ class TestAgainstMpmath:
             assert abs(s.value - complex(want[0])) <= 1e-322
             assert abs(s.derivative - complex(want[1])) <= 1e-320
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 22: the series' first term t_0 = 1/(2l+1)!! is subnormal from l = 150 "
+        "and 0 from l = 156, so inside the series disc S_l reads 0"))
+    @pytest.mark.parametrize("l", [156, 160])
+    def test_series_whose_first_term_underflows(self, l):
+        # S_156(10) = 8.85e-168 and S_160(10) = 8.69e-174 are normal doubles
+        want = mpmath_riccati(l, 10)[0]
+        assert float(abs(mp.mpc(riccati_s(l, 10.0).value) - want) / abs(want)) <= 1e-12
+
     def test_s1_near_the_origin(self):
         # sin z / z - cos z cancels there; the series keeps every digit
         for z in (1e-3, 1e-3 - 1e-3j, 1e-2 - 3e-3j):
